@@ -9,7 +9,6 @@ with the standard triangles of the stable category and the eta^m towers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .base import BaseInstance, EtaPower
@@ -36,17 +35,6 @@ from .complexes import (
     validate_chain_map,
     zero_chain_map,
 )
-
-
-@dataclass
-class Obstruction:
-    """A reproducible solver failure: where and what was asked."""
-
-    location: object
-    description: str
-
-    def __bool__(self):  # obstructions are falsy so `if result:` reads naturally
-        return False
 
 
 class EtaConflation:
@@ -134,7 +122,7 @@ def is_eta_conflation(i: ChainMap, p: ChainMap) -> Optional[EtaConflation]:
     t = {n: sol[("t", n)] for n in t_degs}
     conf = EtaConflation(pair, alpha, t)
     assert validate_chain_map(alpha)
-    assert homotopic(conf.h_tilde(), h) is not None
+    assert HomotopyCertificate(t).validate(conf.h_tilde(), h)
     return conf
 
 

@@ -1,12 +1,14 @@
 """Exact linear-system solving over the supported rings.
 
-Over Z the workhorse is Smith normal form; Z/m systems are solved by lifting
-to Z with m*Id columns adjoined; fields use Gaussian elimination.  The solver
-returns one arbitrary solution of a consistent system, never "the" solution.
+Over Z the workhorse is Smith normal form; Z/m systems are diagonalized
+directly mod m, every entry kept in [0, m); fields use Gaussian elimination.
+The solver returns one arbitrary solution of a consistent system, never "the"
+solution.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import List, Optional, Tuple
 
 from .matrix import RingMatrix, mat_mul
@@ -195,66 +197,135 @@ def _solve_integer(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
     return sols, kern
 
 
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """Return (g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _divide(p: int, b: int, mod: int) -> Optional[int]:
+    """The least c >= 0 with p*c = b (mod mod), or None if there is none."""
+    g = gcd(p, mod)
+    if b % g:
+        return None
+    mg = mod // g
+    return ((b // g) * pow(p // g, -1, mg)) % mg
+
+
 def _solve_zmod(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
-    """Solve over Z/m via the integer Smith form of the lifted coefficients.
+    """Solve over Z/m by diagonalizing a directly, every entry kept in [0, m).
 
-    With U a V = D diagonal, a x = b (mod m) becomes D y = U b (mod m) for
-    y = V^{-1} x; each congruence d_i y_i = c_i (mod m) is solved by gcd.
+    Row operations act on the rows of [a | rhs], so U is never formed;
+    column operations are accumulated into V.  The pivot p is the trailing
+    entry x of least gcd(x, m).  Where p does not divide an entry b of its
+    row or column (only when m has two or more prime factors) the
+    extended-gcd transform [[s, u], [-b/g, p/g]], with s p + u b = g =
+    gcd(p, b) and determinant 1, replaces p by g.  With U a V = D diagonal (no divisibility chain is needed),
+    a x = b (mod m) becomes D y = U b for y = V^{-1} x; each congruence
+    d_i y_i = c_i (mod m) is solved by gcd.
     """
-    from math import gcd
-
     mod = a.ring.modulus
     n, m = a.rows, a.cols
-    lifted = RingMatrix(ZZ, n, m, [int(x) for x in a.entries])
-    U, D, V = smith_normal_form(lifted)
-    diag = [D[(i, i)] for i in range(min(n, m))]
+    A = [a.row(i) + [col[i] for col in rhs_cols] for i in range(n)]
+    VT = [[int(i == j) for i in range(m)] for j in range(m)]  # VT[j] = column j of V
+    t = 0
+    while t < min(n, m):
+        best, pi, pj = mod, -1, -1
+        for i in range(t, n):
+            Ai = A[i]
+            for j in range(t, m):
+                x = Ai[j]
+                if x and gcd(x, mod) < best:
+                    best, pi, pj = gcd(x, mod), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if pi < 0:
+            break
+        A[t], A[pi] = A[pi], A[t]
+        if pj != t:
+            for row in A[t:]:  # rows above t vanish in columns >= t
+                row[t], row[pj] = row[pj], row[t]
+            VT[t], VT[pj] = VT[pj], VT[t]
+        At = A[t]
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, n):
+                Ai = A[i]
+                b = Ai[t]
+                if not b:
+                    continue
+                p = At[t]
+                c = _divide(p, b, mod)
+                if c is not None:
+                    Ai[t:] = [(x - c * y) % mod for x, y in zip(Ai[t:], At[t:])]
+                else:
+                    g, s, u = _xgcd(p, b)
+                    bq, pq = b // g, p // g
+                    At[t:], Ai[t:] = (
+                        [(s * x + u * y) % mod for x, y in zip(At[t:], Ai[t:])],
+                        [(pq * y - bq * x) % mod for x, y in zip(At[t:], Ai[t:])],
+                    )
+            for j in range(t + 1, m):
+                b = At[j]
+                if not b:
+                    continue
+                p = At[t]
+                c = _divide(p, b, mod)
+                if c is not None:  # column t is zero below the pivot
+                    At[j] = 0
+                    VT[j] = [(x - c * y) % mod for x, y in zip(VT[j], VT[t])]
+                else:
+                    g, s, u = _xgcd(p, b)
+                    bq, pq = b // g, p // g
+                    for row in A[t:]:
+                        x, y = row[t], row[j]
+                        row[t], row[j] = (s * x + u * y) % mod, (pq * y - bq * x) % mod
+                    VT[t], VT[j] = (
+                        [(s * x + u * y) % mod for x, y in zip(VT[t], VT[j])],
+                        [(pq * y - bq * x) % mod for x, y in zip(VT[t], VT[j])],
+                    )
+                    dirty = True  # column t may have filled in below the pivot
+        t += 1
+    diag = [A[i][i] for i in range(t)]
     sols = []
-    for rhs in rhs_cols:
-        ub = [sum(U[(i, j)] * int(rhs[j]) for j in range(n)) % mod for i in range(n)]
+    for k in range(len(rhs_cols)):
         y = [0] * m
         ok = True
         for i in range(n):
-            c = ub[i]
-            d = diag[i] % mod if i < min(n, m) else 0
-            if d == 0:
-                if c % mod != 0:
+            c = A[i][m + k]
+            if i >= t:
+                if c:
                     ok = False
                     break
                 continue
-            g = gcd(d, mod)
-            if c % g != 0:
+            y[i] = _divide(diag[i], c, mod)
+            if y[i] is None:
                 ok = False
                 break
-            # solve d*y = c (mod mod): y = (c/g) * inv(d/g) (mod mod/g)
-            mg = mod // g
-            y[i] = ((c // g) * pow(d // g, -1, mg)) % mg if mg > 1 else 0
         if not ok:
             sols.append(None)
             continue
-        x = [sum(V[(i, j)] * y[j] for j in range(m)) % mod for i in range(m)]
+        x = [0] * m
+        for j, yj in enumerate(y):
+            if yj:
+                x = [(xi + yj * v) % mod for xi, v in zip(x, VT[j])]
         sols.append(x)
     kern = []
     if want_kernel:
-        gens_y = []
+        # y_j ranges over (m / gcd(d_j, m)) Z/m; V is invertible, so these
+        # generators are nonzero (unless d_j is a unit) and pairwise distinct
         for j in range(m):
-            d = diag[j] if j < min(n, m) else 0
-            if d % mod == 0:
-                step = 1  # free coordinate
-            else:
-                g = gcd(d % mod, mod)
-                if g == mod:
-                    step = 1
-                elif mod // g == 1:
-                    continue
-                else:
-                    step = mod // g
-            gens_y.append((j, step))
-        seen = set()
-        for j, step in gens_y:
-            v = tuple((V[(i, j)] * step) % mod for i in range(m))
-            if any(v) and v not in seen:
-                seen.add(v)
-                kern.append(list(v))
+            step = mod // gcd(diag[j] if j < t else 0, mod)
+            if step < mod:
+                kern.append([(x * step) % mod for x in VT[j]])
     return sols, kern
 
 

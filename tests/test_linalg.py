@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -16,6 +17,29 @@ from etacomplex.rings import GF, QQ, ZZ, CoeffRing, Zmod
 
 def M(ring, rows):
     return RingMatrix.from_rows(ring, rows)
+
+
+def _random_system(rng, ring, r, c):
+    """a x = b over Z/m; half the time a has only zero divisors, so pivots
+    are non-units, and half the time b = a x0 is consistent by construction."""
+    m = ring.modulus
+    pool = range(m)
+    if rng.random() < 0.5:
+        pool = [x for x in range(m) if math.gcd(x, m) > 1]
+    a = RingMatrix(ring, r, c, [rng.choice(pool) for _ in range(r * c)])
+    if rng.random() < 0.5:
+        return a, mat_mul(a, RingMatrix(ring, c, 1, [rng.randrange(m) for _ in range(c)]))
+    return a, RingMatrix(ring, r, 1, [rng.randrange(m) for _ in range(r)])
+
+
+def _all_solutions(a, b):
+    """Every x with a x = b over Z/m, by enumerating all m^cols vectors."""
+    m = a.ring.modulus
+    rows = [a.row(i) for i in range(a.rows)]
+    return {
+        v for v in itertools.product(range(m), repeat=a.cols)
+        if all(sum(x * y for x, y in zip(row, v)) % m == b[(i, 0)] for i, row in enumerate(rows))
+    }
 
 
 class TestMatMul:
@@ -146,6 +170,58 @@ class TestSolve:
             assert (x is not None) == solvable
             if x is not None:
                 assert mat_mul(a, x) == b
+
+    @pytest.mark.parametrize("ring", [Zmod(8), Zmod(12), Zmod(36)])
+    def test_brute_force_agreement_zmod(self, ring):
+        """Solvability agrees with enumeration over Z/8 and over Z/12, Z/36,
+        where the pivot need not divide its row and column (two primes)."""
+        rng = random.Random(ring.modulus)
+        m = ring.modulus
+        max_c = 3 if m**3 <= 10**4 else 2
+        for _ in range(25):
+            a, b = _random_system(rng, ring, rng.randint(1, 3), rng.randint(1, max_c))
+            x = solve_linear_system(a, b)
+            assert (x is not None) == bool(_all_solutions(a, b))
+            if x is not None:
+                assert mat_mul(a, x) == b
+
+    @pytest.mark.parametrize("ring", [Zmod(4), Zmod(6), Zmod(8)])
+    def test_kernel_completeness_zmod(self, ring):
+        """part + span(gens) is exactly the solution set, by enumeration."""
+        rng = random.Random(100 + ring.modulus)
+        m = ring.modulus
+        for _ in range(25):
+            a, b = _random_system(rng, ring, rng.randint(1, 3), rng.randint(1, 3))
+            sols = _all_solutions(a, b)
+            part, gens = solve_with_kernel(a, b)
+            assert (part is not None) == bool(sols)
+            if part is None:
+                continue
+            for g in gens:
+                assert mat_mul(a, g).is_zero()
+            reached = {tuple(part.entries)}
+            frontier = list(reached)
+            while frontier:
+                frontier = [
+                    w for w in {
+                        tuple((x + y) % m for x, y in zip(v, g.entries))
+                        for v in frontier for g in gens
+                    }
+                    if w not in reached
+                ]
+                reached.update(frontier)
+            assert reached == sols
+
+    def test_large_zmod8_consistent(self):
+        """A seeded 80x80 system over Z/8, consistent by construction."""
+        ring = Zmod(8)
+        rng = random.Random(80)
+        n = 80
+        a = RingMatrix(ring, n, n, [rng.randrange(8) if rng.random() < 0.3 else 0 for _ in range(n * n)])
+        b = mat_mul(a, RingMatrix(ring, n, 1, [rng.randrange(8) for _ in range(n)]))
+        x = solve_linear_system(a, b)
+        assert x is not None
+        assert mat_mul(a, x) == b
 
     def test_kernel_generators(self):
         a = M(ZZ, [[2, 4]])
