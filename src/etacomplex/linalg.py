@@ -217,15 +217,38 @@ def _divide(p: int, b: int, mod: int) -> Optional[int]:
     return ((b // g) * pow(p // g, -1, mg)) % mg
 
 
+def _pair_op(p: int, b: int, mod: int) -> Tuple[int, int, int, int]:
+    """A determinant-1 transform (s, u, v, w) with v p + w b = 0 (mod mod).
+
+    It is (x, y) -> (x, y - c x) where p c = b has a solution c, and the
+    extended-gcd step (x, y) -> (s x + u y, (p y - b x) / g), where
+    g = s p + u b = gcd(p, b), otherwise; the pivot then becomes g < p.
+    """
+    c = _divide(p, b, mod)
+    if c is not None:
+        return 1, 0, -c, 1
+    g, s, u = _xgcd(p, b)
+    return s, u, -(b // g), p // g
+
+
+def _apply(op: Tuple[int, int, int, int], xs: List[int], ys: List[int], mod: int):
+    """Return (s x + u y, v x + w y) mod mod, entrywise, for op = (s, u, v, w)."""
+    s, u, v, w = op
+    ys2 = [(v * x + w * y) % mod for x, y in zip(xs, ys)]
+    if (s, u) == (1, 0):
+        return xs, ys2
+    return [(s * x + u * y) % mod for x, y in zip(xs, ys)], ys2
+
+
 def _solve_zmod(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
     """Solve over Z/m by diagonalizing a directly, every entry kept in [0, m).
 
     Row operations act on the rows of [a | rhs], so U is never formed;
-    column operations are accumulated into V.  The pivot p is the trailing
-    entry x of least gcd(x, m).  Where p does not divide an entry b of its
-    row or column (only when m has two or more prime factors) the
-    extended-gcd transform [[s, u], [-b/g, p/g]], with s p + u b = g =
-    gcd(p, b) and determinant 1, replaces p by g.  With U a V = D diagonal (no divisibility chain is needed),
+    column operations are accumulated into V.  The pivot is the trailing
+    entry x of least gcd(x, m); each entry of its column, then of its row, is
+    cleared by a `_pair_op`, which replaces the pivot by a proper divisor
+    where it does not divide the entry (only when m has two or more prime
+    factors).  With U a V = D diagonal (no divisibility chain is needed),
     a x = b (mod m) becomes D y = U b for y = V^{-1} x; each congruence
     d_i y_i = c_i (mod m) is solved by gcd.
     """
@@ -254,45 +277,22 @@ def _solve_zmod(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
                 row[t], row[pj] = row[pj], row[t]
             VT[t], VT[pj] = VT[pj], VT[t]
         At = A[t]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, n):
-                Ai = A[i]
-                b = Ai[t]
-                if not b:
-                    continue
-                p = At[t]
-                c = _divide(p, b, mod)
-                if c is not None:
-                    Ai[t:] = [(x - c * y) % mod for x, y in zip(Ai[t:], At[t:])]
-                else:
-                    g, s, u = _xgcd(p, b)
-                    bq, pq = b // g, p // g
-                    At[t:], Ai[t:] = (
-                        [(s * x + u * y) % mod for x, y in zip(At[t:], Ai[t:])],
-                        [(pq * y - bq * x) % mod for x, y in zip(At[t:], Ai[t:])],
-                    )
+        rows = A[t:]
+        while True:
+            for Ai in A[t + 1:]:
+                if Ai[t]:
+                    op = _pair_op(At[t], Ai[t], mod)
+                    At[t:], Ai[t:] = _apply(op, At[t:], Ai[t:], mod)
             for j in range(t + 1, m):
-                b = At[j]
-                if not b:
-                    continue
-                p = At[t]
-                c = _divide(p, b, mod)
-                if c is not None:  # column t is zero below the pivot
-                    At[j] = 0
-                    VT[j] = [(x - c * y) % mod for x, y in zip(VT[j], VT[t])]
-                else:
-                    g, s, u = _xgcd(p, b)
-                    bq, pq = b // g, p // g
-                    for row in A[t:]:
-                        x, y = row[t], row[j]
-                        row[t], row[j] = (s * x + u * y) % mod, (pq * y - bq * x) % mod
-                    VT[t], VT[j] = (
-                        [(s * x + u * y) % mod for x, y in zip(VT[t], VT[j])],
-                        [(pq * y - bq * x) % mod for x, y in zip(VT[t], VT[j])],
-                    )
-                    dirty = True  # column t may have filled in below the pivot
+                if At[j]:
+                    op = _pair_op(At[t], At[j], mod)
+                    col_t, col_j = _apply(op, [r[t] for r in rows], [r[j] for r in rows], mod)
+                    for r, x, y in zip(rows, col_t, col_j):
+                        r[t], r[j] = x, y
+                    VT[t], VT[j] = _apply(op, VT[t], VT[j], mod)
+            # an extended-gcd column step may have refilled column t
+            if not any(Ai[t] for Ai in A[t + 1:]):
+                break
         t += 1
     diag = [A[i][i] for i in range(t)]
     sols = []

@@ -185,7 +185,7 @@ class TestSolve:
             if x is not None:
                 assert mat_mul(a, x) == b
 
-    @pytest.mark.parametrize("ring", [Zmod(4), Zmod(6), Zmod(8)])
+    @pytest.mark.parametrize("ring", [Zmod(4), Zmod(6), Zmod(8), Zmod(12)])
     def test_kernel_completeness_zmod(self, ring):
         """part + span(gens) is exactly the solution set, by enumeration."""
         rng = random.Random(100 + ring.modulus)
@@ -211,6 +211,38 @@ class TestSolve:
                 ]
                 reached.update(frontier)
             assert reached == sols
+
+    def test_zmod12_column_refilled_by_gcd_step(self):
+        """An extended-gcd column step refills the pivot column below the
+        pivot; later column steps must still act on every row."""
+        ring = Zmod(12)
+        a = M(ring, [[2, 3, 4], [0, 2, 10]])
+        b = RingMatrix(ring, 2, 1, [0, 2])
+        assert mat_mul(a, RingMatrix(ring, 3, 1, [1, 2, 1])) == b
+        part, gens = solve_with_kernel(a, b)
+        assert part is not None
+        assert mat_mul(a, part) == b
+        for g in gens:
+            assert mat_mul(a, g).is_zero()
+
+    @pytest.mark.parametrize("ring", [Zmod(12), Zmod(30), Zmod(36)])
+    def test_zmod_against_integer_oracle(self, ring):
+        """Up to 6x6 over two- and three-prime moduli: a x = b (mod m) is
+        solvable iff [a | m I] (x, k) = b is over Z, and every returned
+        solution and kernel generator checks."""
+        rng = random.Random(200 + ring.modulus)
+        m = ring.modulus
+        for _ in range(60):
+            r, c = rng.randint(1, 6), rng.randint(1, 6)
+            a, b = _random_system(rng, ring, r, c)
+            lifted = M(ZZ, [a.row(i) + [m * (k == i) for k in range(r)] for i in range(r)])
+            solvable = solve_linear_system(lifted, RingMatrix(ZZ, r, 1, b.entries)) is not None
+            part, gens = solve_with_kernel(a, b)
+            assert (part is not None) == solvable
+            if part is not None:
+                assert mat_mul(a, part) == b
+            for g in gens:
+                assert mat_mul(a, g).is_zero()
 
     def test_large_zmod8_consistent(self):
         """A seeded 80x80 system over Z/8, consistent by construction."""
