@@ -11,11 +11,15 @@ Two concrete instances are provided:
   eta_X = {0, Id, 0, ...}.
 
 ``EtaPower(inner, m)`` derives a new instance from an existing one with
-(1) replaced by (m) and eta by the m-fold composite eta^m.
+(1) replaced by (m) and eta by the m-fold composite eta^m; everything else,
+the hom-coordinate API included, is the inner instance's, by delegation.
 
 Every instance exposes a uniform hom-coordinate API (hom_dim, mor_to_vec,
-vec_to_mor) so higher layers can pose morphism-finding questions as plain
-linear systems over the coefficient ring.
+vec_to_mor, hom_blocks) so higher layers can pose morphism-finding questions
+as plain linear systems over the coefficient ring.  ``hom_blocks`` gives the
+matrix of u -> left . u . right in hom coordinates as Kronecker factors: a
+single block for ``ScalarEta``, one block per term of the convolution for
+``Graded``.
 """
 
 from __future__ import annotations
@@ -102,6 +106,15 @@ class BaseInstance:
         raise NotImplementedError
 
     def vec_to_mor(self, vec: Sequence, X, Y):
+        raise NotImplementedError
+
+    def hom_blocks(self, left, right, X, Y, A, B) -> List[Tuple]:
+        """Kronecker factors of u -> left . u . right, Hom(X, Y) -> Hom(A, B).
+
+        right: A -> X and left: Y -> B, None meaning the identity.  The map
+        is the sum of the blocks (row, col, L, R, ru, cu): the ru x cu matrix
+        M at hom coordinate col of u goes to L M R at coordinate row.
+        """
         raise NotImplementedError
 
     # serialization ---------------------------------------------------------
@@ -223,6 +236,13 @@ class ScalarEta(BaseInstance):
 
     def vec_to_mor(self, vec, X, Y):
         return RingMatrix(self.ring, Y, X, list(vec))
+
+    def hom_blocks(self, left, right, X, Y, A, B):
+        left_shape = (Y, Y) if left is None else (left.rows, left.cols)
+        right_shape = (X, X) if right is None else (right.rows, right.cols)
+        if left_shape != (B, Y) or right_shape != (X, A):
+            raise ValueError("term does not map Hom(X, Y) into Hom(A, B)")
+        return [(0, 0, left, right, Y, X)]
 
     def obj_to_json(self, X):
         return X
@@ -510,6 +530,37 @@ class Graded(BaseInstance):
             raise ValueError("coordinate vector has wrong length")
         return GradedMorphism(X, Y, comps)
 
+    def _offsets(self, X, Y) -> Dict[Tuple[int, int], int]:
+        """Hom coordinate at which each slot (n, j) of Hom(X, Y) starts."""
+        out, pos = {}, 0
+        for n, j in self._slots(X, Y):
+            out[(n, j)] = pos
+            pos += Y.rank(j + n) * X.rank(j)
+        return out
+
+    def hom_blocks(self, left, right, X, Y, A, B):
+        left_ends = (Y, Y) if left is None else (left.source, left.target)
+        right_ends = (X, X) if right is None else (right.source, right.target)
+        if left_ends != (Y, B) or right_ends != (A, X):
+            raise ValueError("term does not map Hom(X, Y) into Hom(A, B)")
+        # (left u right)_{p+q+r}^J = sum left_p^{J+q+r} u_q^{J+r} right_r^J
+        if right is None:
+            rights = [((0, j), None) for j in X.support]
+        else:
+            rights = right.components.items()
+        if left is None:
+            lefts = [((0, t), None) for t in Y.support]
+        else:
+            lefts = left.components.items()
+        u_off, e_off = self._offsets(X, Y), self._offsets(A, B)
+        blocks = []
+        for (r, J), R in rights:
+            for (p, t), L in lefts:
+                if t >= J + r:
+                    blocks.append((e_off[(p + t - J, J)], u_off[(t - J - r, J + r)],
+                                   L, R, Y.rank(t), X.rank(J + r)))
+        return blocks
+
     def obj_to_json(self, X):
         return X.to_json()
 
@@ -539,8 +590,11 @@ class Graded(BaseInstance):
 # ---------------------------------------------------------------------------
 
 
-class EtaPower(BaseInstance):
-    """Derived instance with shift (m) and eta^m_X = eta_X eta_{X(1)} ... eta_{X(m-1)}."""
+class EtaPower:
+    """Derived instance with shift (m) and eta^m_X = eta_X eta_{X(1)} ... eta_{X(m-1)}.
+
+    Every attribute it does not define itself is the inner instance's.
+    """
 
     kind = "eta-power"
 
@@ -575,19 +629,6 @@ class EtaPower(BaseInstance):
 
     def to_json(self):
         return {"kind": self.kind, "m": self.m, "inner": self.inner.to_json()}
-
-    _DELEGATED = (
-        "zero_obj", "obj_is_zero", "dsum", "id_mor", "zero_mor", "compose",
-        "hom_add", "hom_negate", "mor_eq", "mor_is_zero", "validate_mor",
-        "block_mor", "split_mor", "hom_dim", "mor_to_vec", "vec_to_mor",
-        "obj_to_json", "obj_from_json", "mor_to_json", "mor_from_json",
-    )
-
-    def __getattribute__(self, name):
-        # everything not shift/eta related is the inner instance verbatim
-        if name in EtaPower._DELEGATED:
-            return getattr(object.__getattribute__(self, "inner"), name)
-        return object.__getattribute__(self, name)
 
     def __getattr__(self, name):
         return getattr(object.__getattribute__(self, "inner"), name)

@@ -1,9 +1,12 @@
 """Bounded complexes over a base-category instance.
 
 Complexes and chain maps are finite maps degree -> base object / morphism.
-Everything downstream (homotopies, factorizations, lifts) is decided by
-posing a linear system over the coefficient ring through the uniform
-hom-coordinate API of the base instance; ``LinearProblem`` is that bridge.
+Everything downstream (homotopies, factorizations, lifts, and the bigraded
+completions in ``gsystems``) is decided by posing a linear system over the
+coefficient ring through the uniform hom-coordinate API of the base
+instance; ``LinearProblem`` is that bridge and the only assembler of such
+systems.  It writes each term sign * left . u . right as the Kronecker
+blocks that the instance's ``hom_blocks`` returns.
 """
 
 from __future__ import annotations
@@ -312,103 +315,87 @@ def eta_on_cone(f: ChainMap) -> bool:
 # -- linear problems over hom coordinates -----------------------------------
 
 
+def _add_kron(entries, width, r0, c0, L, R, ru, cu, sign, one):
+    """Add sign * L (x) R^T, unreduced, into row-major entries of row length width.
+
+    Unknown entry (a, b) of the ru x cu block, at column c0 + a*cu + b, gets
+    coefficient sign * L[p, a] * R[b, q] in equation entry (p, q), at row
+    r0 + p*ec + q.  L or R None is the identity.
+    """
+    ec = cu if R is None else R.cols
+    r_nz = [[(b, one)] if R is None else [(q, v) for q, v in enumerate(R.row(b)) if v]
+            for b in range(cu)]
+    l_nz = [[(p, sign)] if L is None else [(a, sign * v) for a, v in enumerate(L.row(p)) if v]
+            for p in range(ru if L is None else L.rows)]
+    for p, lrow in enumerate(l_nz):
+        base = (r0 + p * ec) * width + c0
+        for a, lv in lrow:
+            col = base + a * cu
+            for b, rrow in enumerate(r_nz):
+                for q, rv in rrow:
+                    entries[col + q * width + b] += lv * rv
+
+
 class LinearProblem:
     """A system of affine equations whose unknowns are base-instance morphisms.
 
-    Each unknown is a hom-slot (X, Y); each equation lives in a hom-slot
-    (A, B) and is a sum of terms  sign * post . u(k) . pre  = rhs.
+    Each unknown u is a hom-slot (X, Y); each equation lives in a hom-slot
+    (A, B) and is a sum of terms  sign * left . u . right  = rhs.
     """
 
     def __init__(self, instance: BaseInstance):
         self.instance = instance
-        self.unknowns: List[Tuple[object, object, object]] = []  # (key, X, Y)
-        self._index: Dict[object, int] = {}
-        self.equations: List[Tuple[object, object, list, object]] = []
+        self.unknowns: Dict[object, Tuple[object, object, int]] = {}  # key -> (X, Y, column)
+        self.equations: List[Tuple[object, object, int, list, object]] = []  # (A, B, row, terms, rhs)
+        self.cols = 0
+        self.rows = 0
 
     def add_unknown(self, key, X, Y):
-        if key in self._index:
+        if key in self.unknowns:
             raise ValueError(f"duplicate unknown {key!r}")
-        self._index[key] = len(self.unknowns)
-        self.unknowns.append((key, X, Y))
+        self.unknowns[key] = (X, Y, self.cols)
+        self.cols += self.instance.hom_dim(X, Y)
 
     def add_equation(self, A, B, terms, rhs=None):
-        """terms: list of (key, pre, post, shift, sign).
+        """terms: list of (key, left, right, sign).
 
-        The term contributes sign * post . shift_mor(u, shift) . pre where
-        u: X -> Y is the unknown; pre: A -> X(shift) (None = identity),
-        post: Y(shift) -> B (None = identity); sign is +1 or -1.
+        The term contributes sign * left . u . right where u: X -> Y is the
+        unknown; right: A -> X and left: Y -> B (None = identity); sign is
+        +1 or -1.
         """
-        for key, _, _, _, _ in terms:
-            if key not in self._index:
+        for key, _, _, _ in terms:
+            if key not in self.unknowns:
                 raise ValueError(f"equation references unknown key {key!r}")
-        self.equations.append((A, B, list(terms), rhs))
-
-    def _term_apply(self, u_mor, X, Y, pre, post, shift, sign):
-        inst = self.instance
-        m = inst.shift_mor(u_mor, shift) if shift else u_mor
-        if pre is not None:
-            m = inst.compose(m, pre)
-        if post is not None:
-            m = inst.compose(post, m)
-        if sign == -1:
-            m = inst.hom_negate(m)
-        return m
+        self.equations.append((A, B, self.rows, list(terms), rhs))
+        self.rows += self.instance.hom_dim(A, B)
 
     def _build(self):
         inst = self.instance
         ring = inst.ring
-        col_off = []
-        total_cols = 0
-        for _, X, Y in self.unknowns:
-            col_off.append(total_cols)
-            total_cols += inst.hom_dim(X, Y)
-        row_off = []
-        total_rows = 0
-        for A, B, _, _ in self.equations:
-            row_off.append(total_rows)
-            total_rows += inst.hom_dim(A, B)
-        coeffs = RingMatrix.zero(ring, total_rows, total_cols)
-        for ei, (A, B, terms, _) in enumerate(self.equations):
-            r0 = row_off[ei]
-            for key, pre, post, shift, sign in terms:
-                ui = self._index[key]
-                _, X, Y = self.unknowns[ui]
-                dim_u = inst.hom_dim(X, Y)
-                c0 = col_off[ui]
-                zero = ring.zero()
-                one = ring.one()
-                for b in range(dim_u):
-                    basis = [zero] * dim_u
-                    basis[b] = one
-                    contrib = self._term_apply(
-                        inst.vec_to_mor(basis, X, Y), X, Y, pre, post, shift, sign
-                    )
-                    vec = inst.mor_to_vec(contrib, A, B)
-                    for r, v in enumerate(vec):
-                        if v != zero:
-                            e = coeffs.entries[(r0 + r) * total_cols + c0 + b]
-                            coeffs.entries[(r0 + r) * total_cols + c0 + b] = ring.add(e, v)
+        one = ring.one()
+        entries = [ring.zero()] * (self.rows * self.cols)
         rhs_entries: List = []
-        for A, B, _, rhs in self.equations:
+        for A, B, row, terms, rhs in self.equations:
+            for key, left, right, sign in terms:
+                X, Y, col = self.unknowns[key]
+                for r, c, L, R, ru, cu in inst.hom_blocks(left, right, X, Y, A, B):
+                    _add_kron(entries, self.cols, row + r, col + c, L, R, ru, cu, sign, one)
             if rhs is None:
                 rhs_entries.extend([ring.zero()] * inst.hom_dim(A, B))
             else:
                 rhs_entries.extend(inst.mor_to_vec(rhs, A, B))
-        rhs_col = RingMatrix(ring, total_rows, 1, rhs_entries)
-        return coeffs, rhs_col, col_off
+        coeffs = RingMatrix(ring, self.rows, self.cols, entries)
+        return coeffs, RingMatrix(ring, self.rows, 1, rhs_entries)
 
     def _unpack(self, vec: Sequence) -> Dict[object, object]:
         inst = self.instance
-        out = {}
-        pos = 0
-        for key, X, Y in self.unknowns:
-            d = inst.hom_dim(X, Y)
-            out[key] = inst.vec_to_mor(list(vec[pos : pos + d]), X, Y)
-            pos += d
-        return out
+        return {
+            key: inst.vec_to_mor(list(vec[col : col + inst.hom_dim(X, Y)]), X, Y)
+            for key, (X, Y, col) in self.unknowns.items()
+        }
 
     def solve(self) -> Optional[Dict[object, object]]:
-        coeffs, rhs, _ = self._build()
+        coeffs, rhs = self._build()
         x = solve_linear_system(coeffs, rhs)
         if x is None:
             return None
@@ -416,7 +403,7 @@ class LinearProblem:
 
     def solve_full(self):
         """(particular solution dict or None, list of kernel dicts)."""
-        coeffs, rhs, _ = self._build()
+        coeffs, rhs = self._build()
         part, gens = solve_with_kernel(coeffs, rhs)
         sol = None if part is None else self._unpack(part.column(0))
         return sol, [self._unpack(g.column(0)) for g in gens]
@@ -482,9 +469,9 @@ def homotopic(f: ChainMap, g: ChainMap) -> Optional[HomotopyCertificate]:
     for n in sorted(set(X.objects) | set(f.components) | set(g.components)):
         terms = []
         if n + 1 in have:
-            terms.append((("s", n + 1), X.diff(n), None, 0, 1))
+            terms.append((("s", n + 1), None, X.diff(n), 1))
         if n in have:
-            terms.append((("s", n), None, Y.diff(n - 1), 0, 1))
+            terms.append((("s", n), Y.diff(n - 1), None, 1))
         rhs = inst.hom_sub(f.component(n), g.component(n))
         prob.add_equation(X.obj(n), Y.obj(n), terms, rhs)
     sol = prob.solve()
@@ -515,9 +502,9 @@ def chain_map_problem(prob: LinearProblem, key_prefix, A: Complex, B: Complex):
     for n in sorted(set(A.objects)):
         terms = []
         if n + 1 in have:
-            terms.append(((key_prefix, n + 1), A.diff(n), None, 0, 1))
+            terms.append(((key_prefix, n + 1), None, A.diff(n), 1))
         if n in have:
-            terms.append(((key_prefix, n), None, B.diff(n), 0, -1))
+            terms.append(((key_prefix, n), B.diff(n), None, -1))
         prob.add_equation(A.obj(n), B.obj(n + 1), terms, None)
     return degs
 
@@ -588,14 +575,14 @@ def normalize_exact_pair(i: ChainMap, p: ChainMap) -> ExactPair:
         prob.add_unknown("r", Y.obj(n), X.obj(n))
         prob.add_unknown("q", Z.obj(n), Y.obj(n))
         prob.add_equation(
-            X.obj(n), X.obj(n), [("r", i.component(n), None, 0, 1)], inst.id_mor(X.obj(n))
+            X.obj(n), X.obj(n), [("r", None, i.component(n), 1)], inst.id_mor(X.obj(n))
         )
         prob.add_equation(
-            Z.obj(n), Z.obj(n), [("q", None, p.component(n), 0, 1)], inst.id_mor(Z.obj(n))
+            Z.obj(n), Z.obj(n), [("q", p.component(n), None, 1)], inst.id_mor(Z.obj(n))
         )
         prob.add_equation(
             Y.obj(n), Y.obj(n),
-            [("r", None, i.component(n), 0, 1), ("q", p.component(n), None, 0, 1)],
+            [("r", i.component(n), None, 1), ("q", None, p.component(n), 1)],
             inst.id_mor(Y.obj(n)),
         )
         sol = prob.solve()
@@ -613,14 +600,3 @@ def normalize_exact_pair(i: ChainMap, p: ChainMap) -> ExactPair:
         h_comps[n] = inst.compose(rn, inst.compose(Y.diff(n - 1), qn1))
     h = ChainMap(zm1, X, h_comps)
     return ExactPair(i, p, r, q, h)
-
-
-def complex_from_invariant(h: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
-    """Rebuild the middle complex of a pair from its invariant h: Z[-1] -> X.
-
-    The middle is cone(h) = Z (+) X degreewise with d = [[d_Z, 0], [h~, d_X]];
-    returns (middle, i: X -> middle, p: middle -> Z).
-    """
-    c, inj, proj = cone(h)
-    # h: Z[-1] -> X, so cone(h) = Z (+) X and proj lands in Z[-1][1] = Z
-    return c, inj, proj

@@ -76,7 +76,7 @@ def factor_through_eta(h: ChainMap) -> Optional[ChainMap]:
     for n in sorted(set(W.objects) | set(h.components)):
         terms = []
         if n in have:
-            terms.append((("a", n), None, inst.eta(X.obj(n)), 0, 1))
+            terms.append((("a", n), inst.eta(X.obj(n)), None, 1))
         prob.add_equation(W.obj(n), X.obj(n), terms, h.component(n))
     sol = prob.solve()
     if sol is None:
@@ -109,11 +109,11 @@ def is_eta_conflation(i: ChainMap, p: ChainMap) -> Optional[EtaConflation]:
         # eta_X^n a^n - d_X^{n-1} t^n - t^{n+1} d_W^n = h^n
         terms = []
         if n in a_have:
-            terms.append((("a", n), None, inst.eta(X.obj(n)), 0, 1))
+            terms.append((("a", n), inst.eta(X.obj(n)), None, 1))
         if n in t_have:
-            terms.append((("t", n), None, X.diff(n - 1), 0, -1))
+            terms.append((("t", n), X.diff(n - 1), None, -1))
         if n + 1 in t_have:
-            terms.append((("t", n + 1), W.diff(n), None, 0, -1))
+            terms.append((("t", n + 1), None, W.diff(n), -1))
         prob.add_equation(W.obj(n), X.obj(n), terms, h.component(n))
     sol = prob.solve()
     if sol is None:
@@ -146,9 +146,9 @@ def eta_homotopic(f: ChainMap, g: ChainMap) -> Optional[HomotopyCertificate]:
     for n in sorted(set(X.objects) | set(f.components) | set(g.components)):
         terms = []
         if n + 1 in have:
-            terms.append((("s", n + 1), inst.shift_mor(X.diff(n), 1), None, 0, 1))
+            terms.append((("s", n + 1), None, inst.shift_mor(X.diff(n), 1), 1))
         if n in have:
-            terms.append((("s", n), None, Y.diff(n - 1), 0, 1))
+            terms.append((("s", n), Y.diff(n - 1), None, 1))
         rhs = inst.compose(
             inst.hom_sub(f.component(n), g.component(n)), inst.eta(X.obj(n))
         )
@@ -295,7 +295,7 @@ def factors_through_env(f: ChainMap) -> Optional[ChainMap]:
     for n in sorted(set(X.objects) | set(f.components)):
         terms = []
         if n in have:
-            terms.append((("u", n), i.component(n), None, 0, 1))
+            terms.append((("u", n), None, i.component(n), 1))
         prob.add_equation(X.obj(n), Y.obj(n), terms, f.component(n))
     sol = prob.solve()
     if sol is None:

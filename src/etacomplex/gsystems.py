@@ -27,6 +27,7 @@ from .complexes import (
     ChainMap,
     Complex,
     HomotopyCertificate,
+    LinearProblem,
     cone,
     compose_chain_maps,
     eta_chain_map,
@@ -582,101 +583,27 @@ def xi_cone_identity(v: GSystem) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class MatrixProblem:
-    """Affine equations  sum_k sign_k * L_k U_{key_k} R_k = rhs  in matrix unknowns."""
+class MatrixProblem(LinearProblem):
+    """Affine equations  sum_k sign_k * L_k U_{key_k} R_k = rhs  in matrix unknowns.
+
+    The ``LinearProblem`` of ``ScalarEta(ring, 1)``: a rows x cols unknown
+    is a morphism cols -> rows, a rows x cols equation lives in Hom(cols, rows).
+    """
 
     def __init__(self, ring: CoeffRing):
-        self.ring = ring
-        self.unknowns: List[Tuple[object, int, int]] = []
-        self._idx: Dict[object, int] = {}
-        self.equations: List[Tuple[int, int, list, Optional[RingMatrix]]] = []
+        super().__init__(ScalarEta(ring, 1))
 
     def add_unknown(self, key, rows: int, cols: int):
-        if key in self._idx:
-            raise ValueError(f"duplicate unknown {key!r}")
-        self._idx[key] = len(self.unknowns)
-        self.unknowns.append((key, rows, cols))
+        super().add_unknown(key, cols, rows)
 
     def add_equation(self, shape: Tuple[int, int], terms, rhs: Optional[RingMatrix] = None):
         """terms: list of (key, left, right, sign); left/right None = identity."""
-        for key, _, _, _ in terms:
-            if key not in self._idx:
-                raise ValueError(f"equation references unknown key {key!r}")
-        self.equations.append((shape[0], shape[1], list(terms), rhs))
+        super().add_equation(shape[1], shape[0], terms, rhs)
 
-    def _build(self):
-        ring = self.ring
-        col_off = []
-        total_cols = 0
-        for _, r, c in self.unknowns:
-            col_off.append(total_cols)
-            total_cols += r * c
-        row_off = []
-        total_rows = 0
-        for er, ec, _, _ in self.equations:
-            row_off.append(total_rows)
-            total_rows += er * ec
-        entries = [ring.zero()] * (total_rows * total_cols)
-        for ei, (er, ec, terms, _) in enumerate(self.equations):
-            r0 = row_off[ei]
-            for key, left, right, sign in terms:
-                ui = self._idx[key]
-                _, ru, cu = self.unknowns[ui]
-                c0 = col_off[ui]
-                sgn = ring.canon(sign)
-                # coefficient of unknown entry (a,b) in equation entry (p,q)
-                # is sign * left[p,a] * right[b,q]
-                for p in range(er):
-                    for a in range(ru):
-                        lv = ring.one() if left is None else left[(p, a)]
-                        if left is None and p != a:
-                            continue
-                        if lv == ring.zero():
-                            continue
-                        for b in range(cu):
-                            for q in range(ec):
-                                rv = ring.one() if right is None else right[(b, q)]
-                                if right is None and b != q:
-                                    continue
-                                if rv == ring.zero():
-                                    continue
-                                val = ring.mul(sgn, ring.mul(lv, rv))
-                                idx = (r0 + p * ec + q) * total_cols + c0 + a * cu + b
-                                entries[idx] = ring.add(entries[idx], val)
-        coeffs = RingMatrix(ring, total_rows, total_cols, entries)
-        rhs_entries: List = []
-        for er, ec, _, rhs in self.equations:
-            if rhs is None:
-                rhs_entries.extend([ring.zero()] * (er * ec))
-            else:
-                rhs_entries.extend(rhs.entries)
-        rhs_col = RingMatrix(ring, total_rows, 1, rhs_entries)
-        return coeffs, rhs_col
-
-    def _unpack(self, vec) -> Dict[object, RingMatrix]:
-        out = {}
-        pos = 0
-        for key, r, c in self.unknowns:
-            out[key] = RingMatrix(self.ring, r, c, list(vec[pos : pos + r * c]))
-            pos += r * c
-        return out
-
-    def solve(self) -> Optional[Dict[object, RingMatrix]]:
-        from .linalg import solve_linear_system
-
-        coeffs, rhs = self._build()
-        x = solve_linear_system(coeffs, rhs)
-        if x is None:
-            return None
-        return self._unpack(x.column(0))
-
-    def solve_full(self):
-        from .linalg import solve_with_kernel
-
-        coeffs, rhs = self._build()
-        part, gens = solve_with_kernel(coeffs, rhs)
-        sol = None if part is None else self._unpack(part.column(0))
-        return sol, [self._unpack(g.column(0)) for g in gens]
+    # bound here too, so that a tracer wrapping these methods on this class
+    # tells matrix-unknown solves apart from LinearProblem's
+    solve = LinearProblem.solve
+    solve_full = LinearProblem.solve_full
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,18 @@ import random
 
 import pytest
 
-from etacomplex.base import Graded, GradedObject, ScalarEta
+from etacomplex.base import EtaPower, Graded, GradedObject, ScalarEta
 from etacomplex.complexes import (
     ChainMap,
     Complex,
     HomotopyCertificate,
+    LinearProblem,
     NotChainwiseSplit,
     add_chain_maps,
     apply_auto,
     apply_auto_map,
     compose_chain_maps,
     cone,
-    complex_from_invariant,
     dsum_complex,
     eta_chain_map,
     eta_on_cone,
@@ -29,7 +29,8 @@ from etacomplex.complexes import (
     validate_complex,
     zero_chain_map,
 )
-from etacomplex.generators import random_chain_map, random_complex
+from etacomplex.frobenius import eta_homotopic, is_eta_conflation
+from etacomplex.generators import random_chain_map, random_complex, random_split_pair
 from etacomplex.matrix import RingMatrix
 from etacomplex.rings import GF, QQ, ZZ, Zmod
 
@@ -278,7 +279,7 @@ class TestExactPairs:
                 f = random_chain_map(a, b, rng)
                 c, inj, proj = cone(f)
                 pair = normalize_exact_pair(inj, proj)
-                mid, i2, p2 = complex_from_invariant(pair.h)
+                mid, i2, p2 = cone(pair.h)
                 assert validate_complex(mid)
                 pair2 = normalize_exact_pair(i2, p2)
                 assert homotopic(pair2.h, pair.h) is not None
@@ -304,3 +305,146 @@ class TestChainMapAlgebra:
         f = random_chain_map(a, b, rng)
         g = random_chain_map(b, c, rng)
         assert validate_chain_map(compose_chain_maps(g, f))
+
+
+# -- problem assembly against basis probing ---------------------------------
+
+
+def probe_build(prob: LinearProblem):
+    """Reference assembly: apply every term to each basis morphism of its
+    unknown and read the image off in hom coordinates."""
+    inst = prob.instance
+    ring = inst.ring
+    col_of, cols = {}, 0
+    for key, (X, Y, _) in prob.unknowns.items():
+        col_of[key] = cols
+        cols += inst.hom_dim(X, Y)
+    rows = sum(inst.hom_dim(A, B) for A, B, _, _, _ in prob.equations)
+    grid = [[ring.zero()] * cols for _ in range(rows)]
+    rhs = []
+    for A, B, _, terms, m in prob.equations:
+        row = len(rhs)
+        for key, left, right, sign in terms:
+            X, Y, _ = prob.unknowns[key]
+            col = col_of[key]
+            dim_u = inst.hom_dim(X, Y)
+            for b in range(dim_u):
+                basis = [ring.zero()] * dim_u
+                basis[b] = ring.one()
+                m_b = inst.vec_to_mor(basis, X, Y)
+                if right is not None:
+                    m_b = inst.compose(m_b, right)
+                if left is not None:
+                    m_b = inst.compose(left, m_b)
+                if sign == -1:
+                    m_b = inst.hom_negate(m_b)
+                assert inst.validate_mor(m_b, A, B)
+                for r, v in enumerate(inst.mor_to_vec(m_b, A, B)):
+                    grid[row + r][col + b] = ring.add(grid[row + r][col + b], v)
+        rhs.extend([ring.zero()] * inst.hom_dim(A, B) if m is None else inst.mor_to_vec(m, A, B))
+    flat = [x for cells in grid for x in cells]
+    return RingMatrix(ring, rows, cols, flat), RingMatrix(ring, rows, 1, rhs)
+
+
+def _random_obj(inst, rng):
+    if isinstance(inst.zero_obj(), int):
+        return rng.choice([0, 1, 2, 3])
+    return GradedObject({j: rng.choice([0, 1, 2]) for j in rng.sample(range(-1, 3), rng.randint(0, 3))})
+
+
+def _random_mor(inst, X, Y, rng):
+    ring = inst.ring
+    vec = [ring.canon(rng.randint(-3, 3)) if rng.random() < 0.6 else ring.zero()
+           for _ in range(inst.hom_dim(X, Y))]
+    return inst.vec_to_mor(vec, X, Y)
+
+
+def random_problem(inst, rng, seen):
+    """A random LinearProblem over a small pool of objects (the zero object
+    among them); `seen` counts the shapes of term that occurred."""
+    pool = [inst.zero_obj()] + [_random_obj(inst, rng) for _ in range(3)]
+    prob = LinearProblem(inst)
+    unknowns = []
+    for k in range(rng.randint(1, 4)):
+        X, Y = rng.choice(pool), rng.choice(pool)
+        prob.add_unknown(("u", k), X, Y)
+        unknowns.append((("u", k), X, Y))
+    for _ in range(rng.randint(1, 4)):
+        A, B = rng.choice(pool), rng.choice(pool)
+        terms = []
+        for _ in range(rng.randint(0, 3)):
+            key, X, Y = rng.choice(unknowns)
+            left = None if Y == B and rng.random() < 0.5 else _random_mor(inst, Y, B, rng)
+            right = None if X == A and rng.random() < 0.5 else _random_mor(inst, A, X, rng)
+            sign = rng.choice([1, -1])
+            seen["left None"] += left is None
+            seen["right None"] += right is None
+            seen["sign -1"] += sign == -1
+            seen["same unknown twice"] += any(t[0] == key for t in terms)
+            seen["zero object"] += any(inst.obj_is_zero(o) for o in (A, B, X, Y))
+            terms.append((key, left, right, sign))
+        rhs = _random_mor(inst, A, B, rng) if rng.random() < 0.7 else None
+        prob.add_equation(A, B, terms, rhs)
+    return prob
+
+
+ORACLE_INSTANCES = [
+    ScalarEta(ZZ, 2),
+    ScalarEta(Zmod(8), 2),
+    ScalarEta(QQ, 3),
+    Graded(ScalarEta(GF(5), 1)),
+    Graded(ScalarEta(ZZ, 1)),
+    EtaPower(ScalarEta(Zmod(9), 3), 2),
+    EtaPower(Graded(ScalarEta(Zmod(4), 2)), 2),
+]
+
+
+class TestAssemblyOracle:
+    @pytest.mark.parametrize("inst", ORACLE_INSTANCES, ids=repr)
+    def test_blocks_match_basis_probing(self, inst):
+        rng = random.Random(41)
+        seen = {k: 0 for k in ("left None", "right None", "sign -1", "same unknown twice", "zero object")}
+        for _ in range(40):
+            prob = random_problem(inst, rng, seen)
+            coeffs, rhs = prob._build()
+            ref_coeffs, ref_rhs = probe_build(prob)
+            assert coeffs == ref_coeffs
+            assert rhs == ref_rhs
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("inst", [ScalarEta(ZZ, 1), Graded(ScalarEta(ZZ, 1))], ids=repr)
+    def test_mistyped_term_raises(self, inst):
+        def obj(r):
+            return r if isinstance(inst, ScalarEta) else GradedObject({0: r})
+
+        for A, B, left in [(obj(1), obj(3), inst.id_mor(obj(2))), (obj(2), obj(2), None)]:
+            prob = LinearProblem(inst)
+            prob.add_unknown("u", obj(1), obj(2))
+            prob.add_equation(A, B, [("u", left, None, 1)])
+            with pytest.raises(ValueError):
+                prob.solve()
+
+    def test_real_systems_match_basis_probing(self, monkeypatch):
+        built = []
+        original = LinearProblem._build
+
+        def checked(prob):
+            out = original(prob)
+            assert out == probe_build(prob)
+            built.append(out[0].rows * out[0].cols)
+            return out
+
+        monkeypatch.setattr(LinearProblem, "_build", checked)
+        rng = random.Random(42)
+        for inst in instances() + [EtaPower(ScalarEta(Zmod(4), 2), 2)]:
+            for _ in range(3):
+                a = random_complex(inst, rng)
+                b = random_complex(inst, rng)
+                f = random_chain_map(a, b, rng)
+                g = random_chain_map(a, b, rng)
+                homotopic(f, g)
+                eta_homotopic(f, g)
+                i, p = random_split_pair(inst, rng)
+                is_eta_conflation(i, p)
+        assert len(built) > 50 and max(built) > 0
+

@@ -658,3 +658,26 @@ class TestMatrixProblem:
         prob = MatrixProblem(ZZ)
         prob.add_equation((1, 1), [], M(ZZ, [[5]]))
         assert prob.solve() is None
+
+    @pytest.mark.parametrize("ring", [ZZ, Z4, GF(5)], ids=str)
+    def test_coefficients_are_kronecker_products(self, ring):
+        # coefficient of U[a, b] in equation entry (p, q) is sign * L[p, a] * R[b, q]
+        rng = random.Random(43)
+        for _ in range(20):
+            ru, cu, er, ec = (rng.randint(1, 3) for _ in range(4))
+            L = M(ring, [[rng.randint(-3, 3) for _ in range(ru)] for _ in range(er)])
+            R = M(ring, [[rng.randint(-3, 3) for _ in range(ec)] for _ in range(cu)])
+            sign = rng.choice([1, -1])
+            rhs = M(ring, [[rng.randint(-3, 3) for _ in range(ec)] for _ in range(er)])
+            prob = MatrixProblem(ring)
+            prob.add_unknown("v", 1, 1)
+            prob.add_unknown("u", ru, cu)
+            prob.add_equation((er, ec), [("u", L, R, sign)], rhs)
+            coeffs, rhs_col = prob._build()
+            expected = [
+                [ring.zero()]
+                + [ring.canon(sign * L[(p, a)] * R[(b, q)]) for a in range(ru) for b in range(cu)]
+                for p in range(er) for q in range(ec)
+            ]
+            assert coeffs == RingMatrix.from_rows(ring, expected)
+            assert rhs_col.entries == rhs.entries
