@@ -305,19 +305,6 @@ def gs_compose(g: GMorphism, f: GMorphism) -> GMorphism:
     return GMorphism(f.source, g.target, comps)
 
 
-def gs_add(f: GMorphism, g: GMorphism) -> GMorphism:
-    if f.source != g.source or f.target != g.target:
-        raise ValueError("GMorphism endpoint mismatch")
-    comps = dict(f.components)
-    for key, m in g.components.items():
-        comps[key] = comps[key] + m if key in comps else m
-    return GMorphism(f.source, f.target, comps)
-
-
-def gs_negate(f: GMorphism) -> GMorphism:
-    return GMorphism(f.source, f.target, {k: -m for k, m in f.components.items()})
-
-
 def gs_auto(x: GSystem, k: int = 1) -> GSystem:
     """The grading shift (k): (X(k))^{ij} = X^{i,j+k} (CGRA only)."""
     if x.convention != CGRA:

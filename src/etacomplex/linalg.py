@@ -1,9 +1,10 @@
 """Exact linear-system solving over the supported rings.
 
 Over Z the workhorse is Smith normal form; Z/m systems are diagonalized
-directly mod m, every entry kept in [0, m); fields use Gaussian elimination.
-The solver returns one arbitrary solution of a consistent system, never "the"
-solution.
+directly mod m, every entry kept in [0, m).  Over GF(p) and Q the rows are
+stored sparsely and eliminated forward, pivot columns taken left to right,
+then back-substituted.  The solver returns one arbitrary solution of a
+consistent system, never "the" solution.
 """
 
 from __future__ import annotations
@@ -110,58 +111,90 @@ def smith_normal_form(a: RingMatrix) -> Tuple[RingMatrix, RingMatrix, RingMatrix
 
 
 def _solve_field(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
-    """Gaussian elimination over GF(p) or Q.  rhs may have several columns."""
-    ring = a.ring
+    """Sparse elimination over GF(p) or Q.  rhs may have several columns.
+
+    Each row is a dict {column: nonzero}, the rhs columns appended after
+    column m-1.  Pivot columns are taken left to right; within a column the
+    pivot row is the shortest active row with a nonzero there (Markowitz).
+    Elimination runs forward only and leaves upper triangular pivot rows,
+    each scaled to 1 at its pivot.  Back substitution with every free
+    variable 0 gives the solution, and with one free variable 1 a kernel
+    generator.  The pivot columns do not depend on which rows are chosen, so
+    neither do the solution and the generators.
+    """
+    p = a.ring.modulus  # 0 for Q, whose entries stay plain Fractions
     n, m = a.rows, a.cols
-    M = [a.row(i) + [col[i] for col in rhs_cols] for i in range(n)]
-    pivots = []
-    r = 0
+    rows = []
+    col_rows = [set() for _ in range(m)]  # the active rows nonzero in each column
+    for i in range(n):
+        row = {j: x for j, x in enumerate(a.entries[i * m:(i + 1) * m]) if x}
+        for j in row:
+            col_rows[j].add(i)
+        for t, col in enumerate(rhs_cols):
+            if col[i]:
+                row[m + t] = col[i]
+        rows.append(row)
+    pivots = []  # (column, pivot row), columns increasing
     for c in range(m):
-        pr = None
-        for i in range(r, n):
-            if M[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+        below = col_rows[c]
+        if not below:
             continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = ring.inv(M[r][c])
-        M[r] = [ring.mul(inv, x) for x in M[r]]
-        for i in range(n):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    # consistency
-    sols = []
-    for t in range(len(rhs_cols)):
-        col = m + t
-        ok = True
-        for i in range(r, n):
-            if M[i][col] != 0:
-                ok = False
-                break
-        if not ok:
-            sols.append(None)
-            continue
-        x = [ring.zero()] * m
-        for i, c in enumerate(pivots):
-            x[c] = M[i][col]
-        sols.append(x)
+        r = min(below, key=lambda i: (len(rows[i]), i))
+        R, rows[r] = rows[r], None
+        for j in R:
+            if j < m:
+                col_rows[j].discard(r)
+        if p:
+            inv = pow(R[c], -1, p)
+            R = {j: x * inv % p for j, x in R.items()}
+        else:
+            piv = R[c]
+            R = {j: x / piv for j, x in R.items()}
+        items = list(R.items())
+        for i in tuple(below):
+            row = rows[i]
+            f = row[c]
+            for j, y in items:
+                x = row.get(j, 0) - f * y
+                if p:
+                    x %= p
+                if x:
+                    if j < m and j not in row:
+                        col_rows[j].add(i)
+                    row[j] = x
+                else:
+                    del row[j]
+                    if j < m:
+                        col_rows[j].discard(i)
+        pivots.append((c, R))
+    pivots.reverse()
+    zero = a.ring.zero()
+
+    def back_substitute(x, b):
+        """Complete x, which holds the free variables, so that every pivot
+        row sums to its entry in column b (no column if b is None)."""
+        for c, R in pivots:
+            s = R.get(b, 0)
+            for j, y in R.items():
+                if c < j < m and j in x:
+                    s -= y * x[j]
+            if p:
+                s %= p
+            if s:
+                x[c] = s
+        return [x.get(j, zero) for j in range(m)]
+
+    # every coefficient column is cleared from the rows left over
+    rest = [row for row in rows if row is not None]
+    sols = [
+        None if any(m + t in row for row in rest) else back_substitute({}, m + t)
+        for t in range(len(rhs_cols))
+    ]
     kern = []
     if want_kernel:
-        pivset = set(pivots)
-        for free in range(m):
-            if free in pivset:
-                continue
-            v = [ring.zero()] * m
-            v[free] = ring.one()
-            for i, c in enumerate(pivots):
-                v[c] = ring.neg(M[i][free])
-            kern.append(v)
+        pivset = {c for c, _ in pivots}
+        one = a.ring.one()
+        kern = [back_substitute({f: one}, None) for f in range(m) if f not in pivset]
     return sols, kern
 
 
@@ -337,12 +370,16 @@ def _dispatch(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
     return _solve_zmod(a, rhs_cols, want_kernel)
 
 
-def solve_linear_system(coeffs: RingMatrix, rhs: RingMatrix) -> Optional[RingMatrix]:
-    """Return some x with coeffs*x = rhs over the ring, or None if inconsistent."""
+def _check_rhs(coeffs: RingMatrix, rhs: RingMatrix):
     if coeffs.ring != rhs.ring:
         raise ValueError(f"ring mismatch: {coeffs.ring} vs {rhs.ring}")
     if rhs.cols != 1 or rhs.rows != coeffs.rows:
         raise ValueError("rhs must be a column matching coeffs.rows")
+
+
+def solve_linear_system(coeffs: RingMatrix, rhs: RingMatrix) -> Optional[RingMatrix]:
+    """Return some x with coeffs*x = rhs over the ring, or None if inconsistent."""
+    _check_rhs(coeffs, rhs)
     sols, _ = _dispatch(coeffs, [rhs.column(0)], want_kernel=False)
     if sols[0] is None:
         return None
@@ -353,8 +390,7 @@ def solve_with_kernel(
     coeffs: RingMatrix, rhs: RingMatrix
 ) -> Tuple[Optional[RingMatrix], List[RingMatrix]]:
     """Like solve_linear_system, but also return generators of the kernel."""
-    if coeffs.ring != rhs.ring:
-        raise ValueError("ring mismatch")
+    _check_rhs(coeffs, rhs)
     sols, kern = _dispatch(coeffs, [rhs.column(0)], want_kernel=True)
     part = None if sols[0] is None else RingMatrix(coeffs.ring, coeffs.cols, 1, sols[0])
     gens = [RingMatrix(coeffs.ring, coeffs.cols, 1, v) for v in kern]

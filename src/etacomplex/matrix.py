@@ -102,13 +102,6 @@ class RingMatrix:
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         return mat_mul(self, other)
 
-    def transpose(self) -> "RingMatrix":
-        out = RingMatrix.zero(self.ring, self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.entries[j * self.rows + i] = self.entries[i * self.cols + j]
-        return out
-
     def is_zero(self) -> bool:
         z = self.ring.zero()
         return all(x == z for x in self.entries)

@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from etacomplex.linalg import (
+    _solve_field,
     kernel_generators,
     smith_normal_form,
     solve_linear_system,
@@ -40,6 +42,79 @@ def _all_solutions(a, b):
         v for v in itertools.product(range(m), repeat=a.cols)
         if all(sum(x * y for x, y in zip(row, v)) % m == b[(i, 0)] for i, row in enumerate(rows))
     }
+
+
+def _reached(part, gens, m):
+    """part + span(gens) over Z/m, as a set of tuples."""
+    reached = {tuple(part.entries)}
+    frontier = list(reached)
+    while frontier:
+        frontier = [
+            w for w in {
+                tuple((x + y) % m for x, y in zip(v, g.entries))
+                for v in frontier for g in gens
+            }
+            if w not in reached
+        ]
+        reached.update(frontier)
+    return reached
+
+
+def _dense_gauss_jordan(a, rhs_cols, want_kernel):
+    """Reference: full Gauss-Jordan over GF(p) or Q on dense rows, pivot
+    columns left to right, the first row with a nonzero as pivot row."""
+    ring = a.ring
+    n, m = a.rows, a.cols
+    M = [a.row(i) + [col[i] for col in rhs_cols] for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(m):
+        pr = None
+        for i in range(r, n):
+            if M[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        inv = ring.inv(M[r][c])
+        M[r] = [ring.mul(inv, x) for x in M[r]]
+        for i in range(n):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    sols = []
+    for t in range(len(rhs_cols)):
+        col = m + t
+        if any(M[i][col] != 0 for i in range(r, n)):
+            sols.append(None)
+            continue
+        x = [ring.zero()] * m
+        for i, c in enumerate(pivots):
+            x[c] = M[i][col]
+        sols.append(x)
+    kern = []
+    if want_kernel:
+        pivset = set(pivots)
+        for free in range(m):
+            if free in pivset:
+                continue
+            v = [ring.zero()] * m
+            v[free] = ring.one()
+            for i, c in enumerate(pivots):
+                v[c] = ring.neg(M[i][free])
+            kern.append(v)
+    return sols, kern
+
+
+def _random_field_entry(rng, ring):
+    if ring == QQ:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return rng.randrange(ring.modulus)
 
 
 class TestMatMul:
@@ -199,18 +274,7 @@ class TestSolve:
                 continue
             for g in gens:
                 assert mat_mul(a, g).is_zero()
-            reached = {tuple(part.entries)}
-            frontier = list(reached)
-            while frontier:
-                frontier = [
-                    w for w in {
-                        tuple((x + y) % m for x, y in zip(v, g.entries))
-                        for v in frontier for g in gens
-                    }
-                    if w not in reached
-                ]
-                reached.update(frontier)
-            assert reached == sols
+            assert _reached(part, gens, m) == sols
 
     def test_zmod12_column_refilled_by_gcd_step(self):
         """An extended-gcd column step refills the pivot column below the
@@ -255,6 +319,39 @@ class TestSolve:
         assert x is not None
         assert mat_mul(a, x) == b
 
+    @pytest.mark.parametrize("ring", [GF(5), Zmod(8), ZZ, QQ])
+    def test_rhs_rows_must_match(self, ring):
+        """An rhs with the wrong number of rows is rejected, not truncated."""
+        a = M(ring, [[1]])
+        b = M(ring, [[1], [3]])
+        for solve in (solve_linear_system, solve_with_kernel):
+            with pytest.raises(ValueError, match="rhs must be a column matching coeffs.rows"):
+                solve(a, b)
+
+    def test_large_gf5_consistent(self):
+        """A seeded 80x80 system over GF(5), consistent by construction."""
+        ring = GF(5)
+        rng = random.Random(80)
+        n = 80
+        a = RingMatrix(ring, n, n, [rng.randrange(5) if rng.random() < 0.3 else 0 for _ in range(n * n)])
+        b = mat_mul(a, RingMatrix(ring, n, 1, [rng.randrange(5) for _ in range(n)]))
+        x = solve_linear_system(a, b)
+        assert x is not None
+        assert mat_mul(a, x) == b
+
+    def test_rational_30_consistent(self):
+        """A seeded 30x30 system over Q with fractional entries."""
+        rng = random.Random(30)
+        n = 30
+        a = RingMatrix(QQ, n, n, [_random_field_entry(rng, QQ) if rng.random() < 0.3 else 0
+                                  for _ in range(n * n)])
+        b = mat_mul(a, RingMatrix(QQ, n, 1, [_random_field_entry(rng, QQ) for _ in range(n)]))
+        part, gens = solve_with_kernel(a, b)
+        assert part is not None
+        assert mat_mul(a, part) == b
+        for g in gens:
+            assert mat_mul(a, g).is_zero()
+
     def test_kernel_generators(self):
         a = M(ZZ, [[2, 4]])
         gens = kernel_generators(a)
@@ -279,6 +376,65 @@ class TestSolve:
             for t in range(4):
                 reachable.add((part[(0, 0)] + t * g[(0, 0)]) % 4)
         assert reachable == {1, 3}
+
+
+class TestFieldOracle:
+    """The sparse field solver against dense Gauss-Jordan, entry for entry:
+    both fix the pivot columns left to right and set free variables to 0."""
+
+    @pytest.mark.parametrize("ring", [GF(2), GF(5), QQ], ids=str)
+    def test_matches_dense_reference(self, ring):
+        rng = random.Random(500 + ring.modulus)
+        seen = {k: 0 for k in ("0xn", "nx0", "zero row", "zero column", "density 0",
+                               "density 1", "several rhs", "inconsistent", "kernel")}
+        for _ in range(300):
+            n, m = rng.randint(0, 8), rng.randint(0, 8)
+            density = rng.choice([0.0, 0.1, 0.3, 0.6, 1.0, rng.random()])
+            rows = [[_random_field_entry(rng, ring) if rng.random() < density else 0
+                     for _ in range(m)] for _ in range(n)]
+            if n and rng.random() < 0.3:
+                rows[rng.randrange(n)] = [0] * m
+            if m and rng.random() < 0.3:
+                j = rng.randrange(m)
+                for row in rows:
+                    row[j] = 0
+            a = RingMatrix(ring, n, m, [x for row in rows for x in row])
+            rhs_cols = [[ring.canon(_random_field_entry(rng, ring)) if rng.random() < density else
+                         ring.zero() for _ in range(n)] for _ in range(rng.randint(0, 3))]
+            if rhs_cols and rng.random() < 0.5:
+                x = RingMatrix(ring, m, 1, [_random_field_entry(rng, ring) for _ in range(m)])
+                rhs_cols[0] = mat_mul(a, x).column(0)
+            sols, kern = _solve_field(a, rhs_cols, True)
+            assert (sols, kern) == _dense_gauss_jordan(a, rhs_cols, True)
+            assert _solve_field(a, rhs_cols, False) == (sols, [])
+            seen["0xn"] += n == 0 and m > 0
+            seen["nx0"] += m == 0 and n > 0
+            seen["zero row"] += n > 0 and m > 0 and any(not any(a.row(i)) for i in range(n))
+            seen["zero column"] += n > 0 and m > 0 and any(not any(a.column(j)) for j in range(m))
+            seen["density 0"] += density == 0.0 and n * m > 0
+            seen["density 1"] += density == 1.0 and n * m > 0
+            seen["several rhs"] += len(rhs_cols) > 1
+            seen["inconsistent"] += None in sols
+            seen["kernel"] += len(kern) > 1
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("ring", [GF(2), GF(3)], ids=str)
+    def test_kernel_completeness_field(self, ring):
+        """part + span(gens) is exactly the solution set, by enumeration."""
+        rng = random.Random(600 + ring.modulus)
+        p = ring.modulus
+        for _ in range(40):
+            r, c = rng.randint(1, 4), rng.randint(1, 4)
+            a = RingMatrix(ring, r, c, [rng.randrange(p) for _ in range(r * c)])
+            if rng.random() < 0.5:
+                b = mat_mul(a, RingMatrix(ring, c, 1, [rng.randrange(p) for _ in range(c)]))
+            else:
+                b = RingMatrix(ring, r, 1, [rng.randrange(p) for _ in range(r)])
+            sols = _all_solutions(a, b)
+            part, gens = solve_with_kernel(a, b)
+            assert (part is not None) == bool(sols)
+            if part is not None:
+                assert _reached(part, gens, p) == sols
 
 
 class TestRings:
