@@ -96,15 +96,20 @@ def _emit(records: List[dict], out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _Usage(f"cannot write {out}: {exc.strerror}")
 
 
 def _load(path: str):
     try:
         return load_instance_file(path)
-    except FileNotFoundError as exc:
+    except FileNotFoundError:
         raise _Usage(f"no such file: {path}")
+    except OSError as exc:
+        raise _Usage(f"cannot read {path}: {exc.strerror}")
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise _Usage(f"cannot parse instance file {path}: {exc}")
 
@@ -294,6 +299,10 @@ def cmd_gen(
     )
 
     ring = _parse_ring(ring_name)
+    if max_len < 0:
+        raise _Usage("--max-len must be at least 0")
+    if max_rank < 1:
+        raise _Usage("--max-rank must be at least 1")
     rng = random.Random(seed)
 
     if profile == "scalar-eta":
@@ -332,7 +341,10 @@ def cmd_gen(
     else:
         raise _Usage(f"unknown profile {profile!r}")
 
-    save_instance_file(out, kind, obj)
+    try:
+        save_instance_file(out, kind, obj)
+    except OSError as exc:
+        raise _Usage(f"cannot write {out}: {exc.strerror}")
     return 0
 
 

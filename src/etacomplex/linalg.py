@@ -1,10 +1,13 @@
 """Exact linear-system solving over the supported rings.
 
-Over Z the workhorse is Smith normal form; Z/m systems are diagonalized
-directly mod m, every entry kept in [0, m).  Over GF(p) and Q the rows are
-stored sparsely and eliminated forward, pivot columns taken left to right,
-then back-substituted.  The solver returns one arbitrary solution of a
-consistent system, never "the" solution.
+One sparse solver serves every ring: rows are stored as dicts and
+eliminated forward on unit pivots, pivot columns taken left to right, then
+back-substituted.  Over GF(p) and Q every nonzero is a unit and nothing is
+left over.  Over Z and Z/m the columns without a unit pivot and the rows
+left over form a small dense residual, solved by Smith normal form over Z
+and by direct diagonalization mod m, every entry kept in [0, m), over Z/m.
+The solver returns one arbitrary solution of a consistent system, never
+"the" solution.
 """
 
 from __future__ import annotations
@@ -110,19 +113,36 @@ def smith_normal_form(a: RingMatrix) -> Tuple[RingMatrix, RingMatrix, RingMatrix
 # -- system solving --------------------------------------------------------
 
 
-def _solve_field(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
-    """Sparse elimination over GF(p) or Q.  rhs may have several columns.
+def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
+    """Sparse elimination on unit pivots, then a dense solve of what is left.
 
     Each row is a dict {column: nonzero}, the rhs columns appended after
     column m-1.  Pivot columns are taken left to right; within a column the
-    pivot row is the shortest active row with a nonzero there (Markowitz).
-    Elimination runs forward only and leaves upper triangular pivot rows,
-    each scaled to 1 at its pivot.  Back substitution with every free
-    variable 0 gives the solution, and with one free variable 1 a kernel
-    generator.  The pivot columns do not depend on which rows are chosen, so
+    pivot row is the shortest active row whose entry there is a unit
+    (Markowitz): any nonzero over a field, +-1 over Z, prime to m over Z/m.
+    It is scaled to 1 at its pivot and the column is cleared from the other
+    active rows, forward only.  A column with no unit candidate is skipped.
+
+    The skipped columns and the rows left over form the residual; it has
+    entries in skipped columns only.  Over a field it is always empty.  Where
+    it has a nonzero coefficient it goes to the dense Z or Z/m solver
+    (Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001); otherwise the
+    system is consistent exactly when no rhs entry is left in it.  Back
+    substitution through the pivot rows, every free variable 0, completes
+    each residual solution, and with rhs 0 each residual kernel generator and
+    each unit vector of a free column; as every pivot variable is a
+    unit-coefficient function of the others, these span the kernel.  Over a
+    field the pivot columns do not depend on which rows are chosen, so
     neither do the solution and the generators.
     """
-    p = a.ring.modulus  # 0 for Q, whose entries stay plain Fractions
+    ring = a.ring
+    p = ring.modulus  # 0 for Z and Q, whose entries are not reduced
+    if ring.is_field:
+        unit = None
+    elif p:
+        unit = lambda x: gcd(x, p) == 1
+    else:
+        unit = lambda x: x == 1 or x == -1
     n, m = a.rows, a.cols
     rows = []
     col_rows = [set() for _ in range(m)]  # the active rows nonzero in each column
@@ -135,11 +155,16 @@ def _solve_field(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
                 row[m + t] = col[i]
         rows.append(row)
     pivots = []  # (column, pivot row), columns increasing
+    skipped = []  # columns with active rows but no unit among them
     for c in range(m):
         below = col_rows[c]
         if not below:
             continue
-        r = min(below, key=lambda i: (len(rows[i]), i))
+        cands = below if unit is None else [i for i in below if unit(rows[i][c])]
+        if not cands:
+            skipped.append(c)
+            continue
+        r = min(cands, key=lambda i: (len(rows[i]), i))
         R, rows[r] = rows[r], None
         for j in R:
             if j < m:
@@ -147,9 +172,9 @@ def _solve_field(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
         if p:
             inv = pow(R[c], -1, p)
             R = {j: x * inv % p for j, x in R.items()}
-        else:
-            piv = R[c]
-            R = {j: x / piv for j, x in R.items()}
+        elif R[c] != 1:
+            inv = ring.inv(R[c])
+            R = {j: x * inv for j, x in R.items()}
         items = list(R.items())
         for i in tuple(below):
             row = rows[i]
@@ -162,21 +187,22 @@ def _solve_field(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
                     if j < m and j not in row:
                         col_rows[j].add(i)
                     row[j] = x
-                else:
+                elif j in row:  # over Z/m, f * y may vanish where row had 0
                     del row[j]
                     if j < m:
                         col_rows[j].discard(i)
         pivots.append((c, R))
     pivots.reverse()
-    zero = a.ring.zero()
+    zero = ring.zero()
+    one = ring.one()
 
     def back_substitute(x, b):
-        """Complete x, which holds the free variables, so that every pivot
-        row sums to its entry in column b (no column if b is None)."""
+        """Complete x, which holds the free and residual variables, so that
+        every pivot row sums to its entry in column b (no column if b is None)."""
         for c, R in pivots:
             s = R.get(b, 0)
             for j, y in R.items():
-                if c < j < m and j in x:
+                if j < m and j != c and j in x:
                     s -= y * x[j]
             if p:
                 s %= p
@@ -184,17 +210,27 @@ def _solve_field(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
                 x[c] = s
         return [x.get(j, zero) for j in range(m)]
 
-    # every coefficient column is cleared from the rows left over
+    # every pivot and free column is cleared from the rows left over
     rest = [row for row in rows if row is not None]
-    sols = [
-        None if any(m + t in row for row in rest) else back_substitute({}, m + t)
-        for t in range(len(rhs_cols))
-    ]
+    if any(j < m for row in rest for j in row):
+        solve_dense = _solve_integer if ring.kind == "Z" else _solve_zmod
+        res = RingMatrix(ring, len(rest), len(skipped),
+                         [row.get(j, 0) for row in rest for j in skipped])
+        res_sols, res_kern = solve_dense(
+            res, [[row.get(m + t, 0) for row in rest] for t in range(len(rhs_cols))],
+            want_kernel)
+    else:  # no coefficient is left, so the skipped columns are free too
+        skipped = []
+        res_sols = [None if any(m + t in row for row in rest) else []
+                    for t in range(len(rhs_cols))]
+        res_kern = []
+    sols = [None if y is None else back_substitute(dict(zip(skipped, y)), m + t)
+            for t, y in enumerate(res_sols)]
     kern = []
     if want_kernel:
-        pivset = {c for c, _ in pivots}
-        one = a.ring.one()
-        kern = [back_substitute({f: one}, None) for f in range(m) if f not in pivset]
+        bound = {c for c, _ in pivots}.union(skipped)
+        kern = [back_substitute({f: one}, None) for f in range(m) if f not in bound]
+        kern += [back_substitute(dict(zip(skipped, g)), None) for g in res_kern]
     return sols, kern
 
 
@@ -362,14 +398,6 @@ def _solve_zmod(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
     return sols, kern
 
 
-def _dispatch(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
-    if a.ring.is_field:
-        return _solve_field(a, rhs_cols, want_kernel)
-    if a.ring.kind == "Z":
-        return _solve_integer(a, rhs_cols, want_kernel)
-    return _solve_zmod(a, rhs_cols, want_kernel)
-
-
 def _check_rhs(coeffs: RingMatrix, rhs: RingMatrix):
     if coeffs.ring != rhs.ring:
         raise ValueError(f"ring mismatch: {coeffs.ring} vs {rhs.ring}")
@@ -380,7 +408,7 @@ def _check_rhs(coeffs: RingMatrix, rhs: RingMatrix):
 def solve_linear_system(coeffs: RingMatrix, rhs: RingMatrix) -> Optional[RingMatrix]:
     """Return some x with coeffs*x = rhs over the ring, or None if inconsistent."""
     _check_rhs(coeffs, rhs)
-    sols, _ = _dispatch(coeffs, [rhs.column(0)], want_kernel=False)
+    sols, _ = _solve(coeffs, [rhs.column(0)], want_kernel=False)
     if sols[0] is None:
         return None
     return RingMatrix(coeffs.ring, coeffs.cols, 1, sols[0])
@@ -391,7 +419,7 @@ def solve_with_kernel(
 ) -> Tuple[Optional[RingMatrix], List[RingMatrix]]:
     """Like solve_linear_system, but also return generators of the kernel."""
     _check_rhs(coeffs, rhs)
-    sols, kern = _dispatch(coeffs, [rhs.column(0)], want_kernel=True)
+    sols, kern = _solve(coeffs, [rhs.column(0)], want_kernel=True)
     part = None if sols[0] is None else RingMatrix(coeffs.ring, coeffs.cols, 1, sols[0])
     gens = [RingMatrix(coeffs.ring, coeffs.cols, 1, v) for v in kern]
     return part, gens

@@ -131,6 +131,8 @@ def payload_to_json(kind: str, obj) -> dict:
 
 
 def payload_from_json(d: dict) -> Tuple[str, object]:
+    if not isinstance(d, dict):
+        raise ValueError(f"an instance file holds a JSON object, not {type(d).__name__}")
     if d.get("format") != FORMAT:
         raise ValueError(f"unsupported format tag {d.get('format')!r}")
     kind = d.get("kind")

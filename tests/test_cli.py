@@ -199,6 +199,33 @@ class TestCheck:
         bad.write_text("{nope")
         assert run(capsys, ["check", str(bad), "--op", "totalize"])[0] == 2
 
+    @pytest.mark.parametrize("text", ["[]", '"str"'])
+    def test_json_not_an_object_exit_two(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["check", str(bad), "--op", "totalize"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_directory_exit_two(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path), "--op", "phi"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "pair.json"
+        missing = str(tmp_path / "missing" / "out.json")
+        assert main(["gen", "--seed", "5", "--profile", "pair", "-o", missing]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        main(["gen", "--seed", "5", "--profile", "pair", "-o", str(p), "--ring", "Z/4"])
+        assert main(["check", str(p), "--op", "is-eta-conflation", "-o", missing]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flags", [["--max-len", "-2"], ["--max-rank", "-1"], ["--max-rank", "0"]])
+    def test_bad_gen_size_exit_two(self, tmp_path, capsys, flags):
+        p = tmp_path / "x.json"
+        assert main(["gen", "--seed", "1", "--profile", "pair", "-o", str(p)] + flags) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not p.exists()
+
     def test_wrong_kind_exit_two(self, tmp_path, capsys):
         p = tmp_path / "pair.json"
         main(["gen", "--seed", "5", "--profile", "pair", "-o", str(p), "--ring", "Z/4"])

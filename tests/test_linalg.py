@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from etacomplex import linalg
 from etacomplex.linalg import (
-    _solve_field,
+    _solve,
+    _solve_integer,
+    _solve_zmod,
     kernel_generators,
     smith_normal_form,
     solve_linear_system,
@@ -404,9 +407,9 @@ class TestFieldOracle:
             if rhs_cols and rng.random() < 0.5:
                 x = RingMatrix(ring, m, 1, [_random_field_entry(rng, ring) for _ in range(m)])
                 rhs_cols[0] = mat_mul(a, x).column(0)
-            sols, kern = _solve_field(a, rhs_cols, True)
+            sols, kern = _solve(a, rhs_cols, True)
             assert (sols, kern) == _dense_gauss_jordan(a, rhs_cols, True)
-            assert _solve_field(a, rhs_cols, False) == (sols, [])
+            assert _solve(a, rhs_cols, False) == (sols, [])
             seen["0xn"] += n == 0 and m > 0
             seen["nx0"] += m == 0 and n > 0
             seen["zero row"] += n > 0 and m > 0 and any(not any(a.row(i)) for i in range(n))
@@ -435,6 +438,111 @@ class TestFieldOracle:
             assert (part is not None) == bool(sols)
             if part is not None:
                 assert _reached(part, gens, p) == sols
+
+
+def _in_span(ring, gens, v):
+    """Whether v is a combination of gens, by the dense Z or Z/m solver."""
+    m = len(v)
+    g = RingMatrix(ring, m, len(gens), [x for j in range(m) for x in (h[j] for h in gens)])
+    dense = _solve_integer if ring == ZZ else _solve_zmod
+    return dense(g, [v], False)[0][0] is not None
+
+
+def _random_unit_mix(rng, ring, n, m):
+    """An n x m system over Z or Z/m whose entries are units with a chance
+    drawn per system, 0 to 1, and otherwise non-units (0 included); a zero
+    row or column now and then; b = a x0 half the time."""
+    if ring == ZZ:
+        units, others = [1, -1], [0, 0, 2, -2, 3, -4, 6]
+    else:
+        units = [x for x in range(ring.modulus) if math.gcd(x, ring.modulus) == 1]
+        others = [x for x in range(ring.modulus) if math.gcd(x, ring.modulus) > 1]
+    p_unit = rng.choice([0.0, 0.1, 0.3, 0.6, 1.0])
+    density = rng.choice([0.2, 0.5, 1.0])
+    rows = [[(rng.choice(units) if rng.random() < p_unit else rng.choice(others))
+             if rng.random() < density else 0 for _ in range(m)] for _ in range(n)]
+    if n and rng.random() < 0.3:
+        rows[rng.randrange(n)] = [0] * m
+    if m and rng.random() < 0.3:
+        j = rng.randrange(m)
+        for row in rows:
+            row[j] = 0
+    a = RingMatrix(ring, n, m, [x for row in rows for x in row])
+    if rng.random() < 0.5:
+        x0 = RingMatrix(ring, m, 1, [rng.randint(-3, 3) for _ in range(m)])
+        return a, mat_mul(a, x0)
+    return a, RingMatrix(ring, n, 1, [rng.randint(-3, 3) for _ in range(n)])
+
+
+class TestUnitPivotOracle:
+    """The unit-pivot solver over Z and Z/m against the dense Z and Z/m
+    solvers run on the whole system: the same solvability, solutions and
+    kernel generators that check, and kernels spanning the same module."""
+
+    @pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6), Zmod(8), Zmod(12), Zmod(36)], ids=str)
+    def test_matches_dense_solver(self, ring, monkeypatch):
+        name = "_solve_integer" if ring == ZZ else "_solve_zmod"
+        dense = getattr(linalg, name)
+        residuals = []
+
+        def recording(a, rhs_cols, want_kernel):
+            residuals.append(a)
+            return dense(a, rhs_cols, want_kernel)
+
+        monkeypatch.setattr(linalg, name, recording)
+        rng = random.Random(700 + ring.modulus)
+        seen = {"no residual": 0, "nonzero residual": 0, "no unit pivot": 0,
+                "inconsistent": 0, "kernel": 0}
+        for _ in range(200):
+            n, m = rng.randint(0, 7), rng.randint(0, 7)
+            a, b = _random_unit_mix(rng, ring, n, m)
+            before = len(residuals)
+            part, gens = solve_with_kernel(a, b)
+            went_dense = len(residuals) > before
+            if went_dense:
+                assert any(residuals[-1].entries)
+            whole_sols, whole_kern = dense(a, [b.column(0)], True)
+            assert (part is None) == (whole_sols[0] is None)
+            if part is not None:
+                assert mat_mul(a, part) == b
+            for g in gens:
+                assert mat_mul(a, g).is_zero()
+            kern = [g.column(0) for g in gens]
+            assert all(_in_span(ring, kern, v) for v in whole_kern)
+            assert all(_in_span(ring, whole_kern, v) for v in kern)
+            if ring != ZZ and part is not None and ring.modulus ** m <= 5000:
+                assert _reached(part, gens, ring.modulus) == _all_solutions(a, b)
+            nonzero = any(a.entries)
+            seen["no residual"] += nonzero and not went_dense
+            seen["nonzero residual"] += went_dense
+            seen["no unit pivot"] += nonzero and not any(ring.is_unit(x) for x in a.entries)
+            seen["inconsistent"] += part is None
+            seen["kernel"] += len(gens) > 1
+        assert all(seen.values()), seen
+
+    def test_large_integer_consistent(self):
+        """A seeded 80x80 system over Z, 30% nonzeros in -2..2, consistent
+        by construction."""
+        rng = random.Random(80)
+        n = 80
+        a = RingMatrix(ZZ, n, n, [rng.randint(-2, 2) if rng.random() < 0.3 else 0
+                                  for _ in range(n * n)])
+        b = mat_mul(a, RingMatrix(ZZ, n, 1, [rng.randint(-2, 2) for _ in range(n)]))
+        x = solve_linear_system(a, b)
+        assert x is not None
+        assert mat_mul(a, x) == b
+
+    @pytest.mark.parametrize("ring", [ZZ, Zmod(8)], ids=str)
+    def test_rhs_left_in_residual_row(self, ring):
+        """After the unit pivot in column 0, row 1 keeps only its rhs: no
+        solution, whether or not another residual row has a coefficient."""
+        for rows in ([[1, 1], [1, 1]], [[1, 1, 0], [1, 1, 0], [0, 0, 2]]):
+            a = M(ring, rows)
+            good = mat_mul(a, RingMatrix(ring, a.cols, 1, [1] * a.cols))
+            assert mat_mul(a, solve_linear_system(a, good)) == good
+            bad = RingMatrix(ring, a.rows, 1, [good[(0, 0)], good[(1, 0)] + 1] + good.entries[2:])
+            assert solve_linear_system(a, bad) is None
+            assert solve_with_kernel(a, bad)[0] is None
 
 
 class TestRings:
