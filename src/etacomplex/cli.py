@@ -3,13 +3,14 @@
 Machine contract: exit code 0 means the check or suite passed, 1 means a
 well-posed check failed (non-conflation, obstruction, failing property),
 2 means the input could not be understood (bad file, wrong payload kind,
-bad flags).  All reports are UTF-8 JSON-lines on stdout or the file given
-with ``-o``.
+bad flags, an unwritable report path).  All reports are UTF-8 JSON-lines on
+stdout or the file given with ``-o``, which is opened before the work starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -91,16 +92,19 @@ def _parse_ring(name: str):
         raise _Usage(str(exc))
 
 
-def _emit(records: List[dict], out: Optional[str]) -> None:
-    text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+def _open_report(out: Optional[str]):
+    """The report stream: stdout, or the file ``out`` opened for writing now,
+    before any work, so that an unwritable path fails at once."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _Usage(f"cannot write {out}: {exc.strerror}")
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _Usage(f"cannot write {out}: {exc.strerror}")
+
+
+def _emit(records: List[dict], fh) -> None:
+    fh.write("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records))
 
 
 def _load(path: str):
@@ -356,7 +360,6 @@ def cmd_suite(
     trials: int,
     ring_name: Optional[str],
     names: Optional[List[str]],
-    out: Optional[str],
     fail_dir: Optional[str],
 ) -> (int, List[dict]):
     from . import suite as suite_mod
@@ -436,8 +439,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         if args.cmd == "check":
-            code, records = cmd_check(args.file, args.op, args.seed)
-            _emit(records, args.out)
+            with _open_report(args.out) as fh:
+                code, records = cmd_check(args.file, args.op, args.seed)
+                _emit(records, fh)
             return code
         if args.cmd == "gen":
             ring = args.ring or _default_ring_name()
@@ -449,11 +453,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             ring = args.ring  # None = full desk pool; env var narrows it
             if ring is None and os.environ.get(RING_ENV):
                 ring = os.environ[RING_ENV]
-            code, records = cmd_suite(
-                args.seed, args.trials, ring, args.properties, args.out,
-                args.fail_dir,
-            )
-            _emit(records, args.out)
+            with _open_report(args.out) as fh:
+                code, records = cmd_suite(
+                    args.seed, args.trials, ring, args.properties, args.fail_dir
+                )
+                _emit(records, fh)
             return code
         raise _Usage(f"unknown command {args.cmd!r}")
     except _Usage as exc:

@@ -1,22 +1,22 @@
 """Exact linear-system solving over the supported rings.
 
 One sparse solver serves every ring: rows are stored as dicts and
-eliminated forward on unit pivots, pivot columns taken left to right, then
-back-substituted.  Over GF(p) and Q every nonzero is a unit and nothing is
-left over.  Over Z and Z/m the columns without a unit pivot and the rows
-left over form a small dense residual, solved by Smith normal form over Z
-and by direct diagonalization mod m, every entry kept in [0, m), over Z/m.
-The solver returns one arbitrary solution of a consistent system, never
-"the" solution.
+eliminated forward, pivot columns taken left to right, then
+back-substituted.  Over GF(p) and Q every nonzero is a pivot candidate.
+Over Z/p^k the pivots are taken in valuation tiers, p^0 first, and nothing
+is left over; Z/m with several primes is split by CRT into such parts.
+Over Z the pivots are +-1 and the columns without one, with the rows left
+over, form a small dense residual solved by Smith normal form.  The solver
+returns one arbitrary solution of a consistent system, never "the"
+solution.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import List, Optional, Tuple
 
 from .matrix import RingMatrix, mat_mul
-from .rings import ZZ, CoeffRing
+from .rings import ZZ, Zmod
 
 
 # -- Smith normal form over Z ----------------------------------------------
@@ -113,36 +113,59 @@ def smith_normal_form(a: RingMatrix) -> Tuple[RingMatrix, RingMatrix, RingMatrix
 # -- system solving --------------------------------------------------------
 
 
+def _prime_powers(m: int) -> List[Tuple[int, int]]:
+    """The factorization of m >= 2 as [(p, k), ...], primes increasing."""
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            out.append((p, k))
+        p += 1
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
 def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
-    """Sparse elimination on unit pivots, then a dense solve of what is left.
+    """Sparse forward elimination in valuation tiers, then back substitution.
 
     Each row is a dict {column: nonzero}, the rhs columns appended after
-    column m-1.  Pivot columns are taken left to right; within a column the
-    pivot row is the shortest active row whose entry there is a unit
-    (Markowitz): any nonzero over a field, +-1 over Z, prime to m over Z/m.
-    It is scaled to 1 at its pivot and the column is cleared from the other
-    active rows, forward only.  A column with no unit candidate is skipped.
+    column m-1.  Z/m with two or more primes goes to `_solve_crt`.  Pivots
+    are taken in tiers v = 0, ..., k-1 over Z/p^k (Storjohann, Algorithms
+    for Matrix Canonical Forms, ETH Zurich 2000), in one tier otherwise; in
+    each, pivot columns go left to right over the columns still without a
+    pivot.  A candidate is an active row whose entry is any nonzero over a
+    field, +-1 over Z, of valuation exactly v over Z/p^k; the shortest
+    (Markowitz) is scaled so its pivot is p^v and clears its column from the
+    other active rows, forward only, with the factor entry / p^v.  Z/p^k is
+    local, so after tier v every active entry has valuation above v, and
+    after tier k-1 no coefficient is left.  Over Z the columns without a +-1
+    pivot and the rows left over form a residual; if it has a coefficient it
+    goes to Smith normal form (Dumas, Saunders & Villard, J. Symbolic
+    Comput. 32, 2001).  Otherwise the system is consistent exactly when no
+    rhs entry is left, and every column without a pivot is free.
 
-    The skipped columns and the rows left over form the residual; it has
-    entries in skipped columns only.  Over a field it is always empty.  Where
-    it has a nonzero coefficient it goes to the dense Z or Z/m solver
-    (Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001); otherwise the
-    system is consistent exactly when no rhs entry is left in it.  Back
-    substitution through the pivot rows, every free variable 0, completes
-    each residual solution, and with rhs 0 each residual kernel generator and
-    each unit vector of a free column; as every pivot variable is a
-    unit-coefficient function of the others, these span the kernel.  Over a
-    field the pivot columns do not depend on which rows are chosen, so
-    neither do the solution and the generators.
+    Back substitution, every free variable 0, completes each solution: the
+    other coefficients of a tier-v pivot row are divisible by p^v, so it is
+    met iff p^v divides its reduced rhs s, and then x_c = s / p^v.  With
+    rhs 0 it extends each kernel generator: e_f for a free column f,
+    p^(k-v) e_c for a tier-v pivot column c with v >= 1, and each residual
+    kernel generator.  Over a field the pivot columns do not depend on which
+    rows are chosen, so neither do the solution and the generators.
     """
     ring = a.ring
-    p = ring.modulus  # 0 for Z and Q, whose entries are not reduced
-    if ring.is_field:
-        unit = None
-    elif p:
-        unit = lambda x: gcd(x, p) == 1
-    else:
-        unit = lambda x: x == 1 or x == -1
+    q = ring.modulus  # 0 for Z and Q, whose entries are not reduced
+    tiers = [1]  # p^v for each tier v
+    if ring.kind == "Zmod":
+        factors = _prime_powers(q)
+        if len(factors) > 1:
+            return _solve_crt(a, rhs_cols, want_kernel, factors)
+        p, k = factors[0]
+        tiers = [p ** v for v in range(k)]
     n, m = a.rows, a.cols
     rows = []
     col_rows = [set() for _ in range(m)]  # the active rows nonzero in each column
@@ -154,58 +177,71 @@ def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
             if col[i]:
                 row[m + t] = col[i]
         rows.append(row)
-    pivots = []  # (column, pivot row), columns increasing
-    skipped = []  # columns with active rows but no unit among them
-    for c in range(m):
-        below = col_rows[c]
-        if not below:
-            continue
-        cands = below if unit is None else [i for i in below if unit(rows[i][c])]
-        if not cands:
-            skipped.append(c)
-            continue
-        r = min(cands, key=lambda i: (len(rows[i]), i))
-        R, rows[r] = rows[r], None
-        for j in R:
-            if j < m:
-                col_rows[j].discard(r)
-        if p:
-            inv = pow(R[c], -1, p)
-            R = {j: x * inv % p for j, x in R.items()}
-        elif R[c] != 1:
-            inv = ring.inv(R[c])
-            R = {j: x * inv for j, x in R.items()}
-        items = list(R.items())
-        for i in tuple(below):
-            row = rows[i]
-            f = row[c]
-            for j, y in items:
-                x = row.get(j, 0) - f * y
-                if p:
-                    x %= p
-                if x:
-                    if j < m and j not in row:
-                        col_rows[j].add(i)
-                    row[j] = x
-                elif j in row:  # over Z/m, f * y may vanish where row had 0
-                    del row[j]
-                    if j < m:
-                        col_rows[j].discard(i)
-        pivots.append((c, R))
+    pivots = []  # (column, pivot row, p^v), in elimination order
+    skipped = range(m)  # columns with active rows but no pivot so far
+    for pv in tiers:
+        open_cols, skipped = skipped, []
+        for c in open_cols:
+            below = col_rows[c]
+            if not below:
+                continue
+            if ring.is_field:
+                cands = below
+            elif q:  # valuation exactly v
+                cands = [i for i in below if rows[i][c] % (pv * p)]
+            else:
+                cands = [i for i in below if rows[i][c] in (1, -1)]
+            if not cands:
+                skipped.append(c)
+                continue
+            r = min(cands, key=lambda i: (len(rows[i]), i))
+            R, rows[r] = rows[r], None
+            for j in R:
+                if j < m:
+                    col_rows[j].discard(r)
+            if q:
+                inv = pow(R[c] // pv, -1, q)
+                R = {j: x * inv % q for j, x in R.items()}
+            elif R[c] != 1:
+                inv = ring.inv(R[c])
+                R = {j: x * inv for j, x in R.items()}
+            items = list(R.items())
+            for i in tuple(below):
+                row = rows[i]
+                f = row[c] // pv if pv > 1 else row[c]
+                for j, y in items:
+                    x = row.get(j, 0) - f * y
+                    if q:
+                        x %= q
+                    if x:
+                        if j < m and j not in row:
+                            col_rows[j].add(i)
+                        row[j] = x
+                    elif j in row:  # over Z/m, f * y may vanish where row had 0
+                        del row[j]
+                        if j < m:
+                            col_rows[j].discard(i)
+            pivots.append((c, R, pv))
     pivots.reverse()
     zero = ring.zero()
-    one = ring.one()
 
     def back_substitute(x, b):
-        """Complete x, which holds the free and residual variables, so that
-        every pivot row sums to its entry in column b (no column if b is None)."""
-        for c, R in pivots:
+        """Complete x, which holds the free and residual variables and, for a
+        kernel generator, one pivot variable, so that every other pivot row
+        sums to its entry in column b (no column if b is None).  None if a
+        pivot row cannot be met."""
+        for c, R, pv in pivots:
+            if c in x:
+                continue
             s = R.get(b, 0)
             for j, y in R.items():
-                if j < m and j != c and j in x:
+                if j < m and j in x:
                     s -= y * x[j]
-            if p:
-                s %= p
+            if q:
+                s %= q
+                if s % pv:
+                    return None
+                s //= pv
             if s:
                 x[c] = s
         return [x.get(j, zero) for j in range(m)]
@@ -213,10 +249,9 @@ def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
     # every pivot and free column is cleared from the rows left over
     rest = [row for row in rows if row is not None]
     if any(j < m for row in rest for j in row):
-        solve_dense = _solve_integer if ring.kind == "Z" else _solve_zmod
         res = RingMatrix(ring, len(rest), len(skipped),
                          [row.get(j, 0) for row in rest for j in skipped])
-        res_sols, res_kern = solve_dense(
+        res_sols, res_kern = _solve_integer(
             res, [[row.get(m + t, 0) for row in rest] for t in range(len(rhs_cols))],
             want_kernel)
     else:  # no coefficient is left, so the skipped columns are free too
@@ -228,9 +263,35 @@ def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
             for t, y in enumerate(res_sols)]
     kern = []
     if want_kernel:
-        bound = {c for c, _ in pivots}.union(skipped)
-        kern = [back_substitute({f: one}, None) for f in range(m) if f not in bound]
+        bound = {c for c, _, _ in pivots}.union(skipped)
+        kern = [back_substitute({f: ring.one()}, None) for f in range(m) if f not in bound]
+        kern += [back_substitute({c: q // pv}, None) for c, _, pv in pivots if pv > 1]
         kern += [back_substitute(dict(zip(skipped, g)), None) for g in res_kern]
+    return sols, kern
+
+
+def _solve_crt(a: RingMatrix, rhs_cols: List[List], want_kernel: bool, factors):
+    """Solve over Z/m, m = prod p^k with two or more primes, part by part.
+
+    Z/m is the product of the rings Z/p^k, so each part is solved by
+    `_solve`; its solutions and kernel generators come back to Z/m through
+    the CRT idempotent e = 1 (mod p^k), e = 0 (mod m / p^k).
+    """
+    mod = a.ring.modulus
+    sols = [[0] * a.cols for _ in rhs_cols]
+    kern = []
+    for p, k in factors:
+        q = p ** k
+        e = (mod // q) * pow(mod // q, -1, q)
+        part = RingMatrix(Zmod(q), a.rows, a.cols, a.entries)
+        part_sols, part_kern = _solve(part, [[x % q for x in col] for col in rhs_cols],
+                                      want_kernel)
+        for t, y in enumerate(part_sols):
+            if y is None or sols[t] is None:
+                sols[t] = None
+            else:
+                sols[t] = [(x + e * z) % mod for x, z in zip(sols[t], y)]
+        kern += [[e * z % mod for z in g] for g in part_kern]
     return sols, kern
 
 
@@ -263,138 +324,6 @@ def _solve_integer(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
     if want_kernel:
         for j in range(rank, m):
             kern.append(V.column(j))
-    return sols, kern
-
-
-def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
-    """Return (g, s, t) with g = gcd(a, b) = s*a + t*b."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
-
-
-def _divide(p: int, b: int, mod: int) -> Optional[int]:
-    """The least c >= 0 with p*c = b (mod mod), or None if there is none."""
-    g = gcd(p, mod)
-    if b % g:
-        return None
-    mg = mod // g
-    return ((b // g) * pow(p // g, -1, mg)) % mg
-
-
-def _pair_op(p: int, b: int, mod: int) -> Tuple[int, int, int, int]:
-    """A determinant-1 transform (s, u, v, w) with v p + w b = 0 (mod mod).
-
-    It is (x, y) -> (x, y - c x) where p c = b has a solution c, and the
-    extended-gcd step (x, y) -> (s x + u y, (p y - b x) / g), where
-    g = s p + u b = gcd(p, b), otherwise; the pivot then becomes g < p.
-    """
-    c = _divide(p, b, mod)
-    if c is not None:
-        return 1, 0, -c, 1
-    g, s, u = _xgcd(p, b)
-    return s, u, -(b // g), p // g
-
-
-def _apply(op: Tuple[int, int, int, int], xs: List[int], ys: List[int], mod: int):
-    """Return (s x + u y, v x + w y) mod mod, entrywise, for op = (s, u, v, w)."""
-    s, u, v, w = op
-    ys2 = [(v * x + w * y) % mod for x, y in zip(xs, ys)]
-    if (s, u) == (1, 0):
-        return xs, ys2
-    return [(s * x + u * y) % mod for x, y in zip(xs, ys)], ys2
-
-
-def _solve_zmod(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
-    """Solve over Z/m by diagonalizing a directly, every entry kept in [0, m).
-
-    Row operations act on the rows of [a | rhs], so U is never formed;
-    column operations are accumulated into V.  The pivot is the trailing
-    entry x of least gcd(x, m); each entry of its column, then of its row, is
-    cleared by a `_pair_op`, which replaces the pivot by a proper divisor
-    where it does not divide the entry (only when m has two or more prime
-    factors).  With U a V = D diagonal (no divisibility chain is needed),
-    a x = b (mod m) becomes D y = U b for y = V^{-1} x; each congruence
-    d_i y_i = c_i (mod m) is solved by gcd.
-    """
-    mod = a.ring.modulus
-    n, m = a.rows, a.cols
-    A = [a.row(i) + [col[i] for col in rhs_cols] for i in range(n)]
-    VT = [[int(i == j) for i in range(m)] for j in range(m)]  # VT[j] = column j of V
-    t = 0
-    while t < min(n, m):
-        best, pi, pj = mod, -1, -1
-        for i in range(t, n):
-            Ai = A[i]
-            for j in range(t, m):
-                x = Ai[j]
-                if x and gcd(x, mod) < best:
-                    best, pi, pj = gcd(x, mod), i, j
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pi < 0:
-            break
-        A[t], A[pi] = A[pi], A[t]
-        if pj != t:
-            for row in A[t:]:  # rows above t vanish in columns >= t
-                row[t], row[pj] = row[pj], row[t]
-            VT[t], VT[pj] = VT[pj], VT[t]
-        At = A[t]
-        rows = A[t:]
-        while True:
-            for Ai in A[t + 1:]:
-                if Ai[t]:
-                    op = _pair_op(At[t], Ai[t], mod)
-                    At[t:], Ai[t:] = _apply(op, At[t:], Ai[t:], mod)
-            for j in range(t + 1, m):
-                if At[j]:
-                    op = _pair_op(At[t], At[j], mod)
-                    col_t, col_j = _apply(op, [r[t] for r in rows], [r[j] for r in rows], mod)
-                    for r, x, y in zip(rows, col_t, col_j):
-                        r[t], r[j] = x, y
-                    VT[t], VT[j] = _apply(op, VT[t], VT[j], mod)
-            # an extended-gcd column step may have refilled column t
-            if not any(Ai[t] for Ai in A[t + 1:]):
-                break
-        t += 1
-    diag = [A[i][i] for i in range(t)]
-    sols = []
-    for k in range(len(rhs_cols)):
-        y = [0] * m
-        ok = True
-        for i in range(n):
-            c = A[i][m + k]
-            if i >= t:
-                if c:
-                    ok = False
-                    break
-                continue
-            y[i] = _divide(diag[i], c, mod)
-            if y[i] is None:
-                ok = False
-                break
-        if not ok:
-            sols.append(None)
-            continue
-        x = [0] * m
-        for j, yj in enumerate(y):
-            if yj:
-                x = [(xi + yj * v) % mod for xi, v in zip(x, VT[j])]
-        sols.append(x)
-    kern = []
-    if want_kernel:
-        # y_j ranges over (m / gcd(d_j, m)) Z/m; V is invertible, so these
-        # generators are nonzero (unless d_j is a unit) and pairwise distinct
-        for j in range(m):
-            step = mod // gcd(diag[j] if j < t else 0, mod)
-            if step < mod:
-                kern.append([(x * step) % mod for x in VT[j]])
     return sols, kern
 
 

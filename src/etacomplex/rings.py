@@ -104,6 +104,8 @@ class CoeffRing:
         if self.kind == "Q":
             if "/" in s:
                 num, den = s.split("/")
+                if int(den) == 0:
+                    raise ValueError(f"zero denominator in {s!r}")
                 return Fraction(int(num), int(den))
             return Fraction(int(s))
         return self.canon(int(s))

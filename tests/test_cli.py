@@ -4,6 +4,7 @@ import random
 import pytest
 
 from etacomplex.base import Graded, ScalarEta
+from etacomplex import cli
 from etacomplex.cli import main
 from etacomplex.complexes import ChainMap, Complex, cone, zero_chain_map
 from etacomplex.generators import (
@@ -199,6 +200,35 @@ class TestCheck:
         bad.write_text("{nope")
         assert run(capsys, ["check", str(bad), "--op", "totalize"])[0] == 2
 
+    @pytest.mark.parametrize("where", ["r", "entry"])
+    def test_zero_denominator_exit_two(self, tmp_path, capsys, where):
+        """A rational "1/0", as the twist r over Q or as a Q matrix entry."""
+        p = tmp_path / "maps.json"
+        assert main(["gen", "--seed", "1", "--profile", "chain-maps", "--ring", "Q",
+                     "-o", str(p), "--max-len", "2", "--max-rank", "2"]) == 0
+        doc = json.loads(p.read_text())
+        edited = []
+
+        def edit(node):
+            if isinstance(node, dict):
+                if where == "r" and "r" in node:
+                    node["r"] = "1/0"
+                    edited.append(node)
+                if where == "entry" and node.get("entries") and not edited:
+                    node["entries"][0] = "1/0"
+                    edited.append(node)
+                for v in node.values():
+                    edit(v)
+            elif isinstance(node, list):
+                for v in node:
+                    edit(v)
+
+        edit(doc)
+        assert edited
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p), "--op", "eta-homotopic"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("text", ["[]", '"str"'])
     def test_json_not_an_object_exit_two(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
@@ -210,7 +240,7 @@ class TestCheck:
         assert main(["check", str(tmp_path), "--op", "phi"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+    def test_unwritable_output_exit_two(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "pair.json"
         missing = str(tmp_path / "missing" / "out.json")
         assert main(["gen", "--seed", "5", "--profile", "pair", "-o", missing]) == 2
@@ -218,6 +248,17 @@ class TestCheck:
         main(["gen", "--seed", "5", "--profile", "pair", "-o", str(p), "--ring", "Z/4"])
         assert main(["check", str(p), "--op", "is-eta-conflation", "-o", missing]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+        # the report path is tried before the check or suite runs
+        def not_called(*args):
+            raise AssertionError("ran before the report path was opened")
+
+        monkeypatch.setattr(cli, "cmd_check", not_called)
+        monkeypatch.setattr(cli, "cmd_suite", not_called)
+        assert main(["check", str(p), "--op", "is-eta-conflation", "-o", missing]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert main(["suite", "--seed", "1", "--trials", "1", "-o", missing]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
 
     @pytest.mark.parametrize("flags", [["--max-len", "-2"], ["--max-rank", "-1"], ["--max-rank", "0"]])
     def test_bad_gen_size_exit_two(self, tmp_path, capsys, flags):

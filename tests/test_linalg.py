@@ -2,14 +2,16 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from math import gcd
+from typing import List, Optional, Tuple
 
 import pytest
 
 from etacomplex import linalg
 from etacomplex.linalg import (
+    _prime_powers,
     _solve,
     _solve_integer,
-    _solve_zmod,
     kernel_generators,
     smith_normal_form,
     solve_linear_system,
@@ -111,6 +113,139 @@ def _dense_gauss_jordan(a, rhs_cols, want_kernel):
             for i, c in enumerate(pivots):
                 v[c] = ring.neg(M[i][free])
             kern.append(v)
+    return sols, kern
+
+
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """Return (g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _divide(p: int, b: int, mod: int) -> Optional[int]:
+    """The least c >= 0 with p*c = b (mod mod), or None if there is none."""
+    g = gcd(p, mod)
+    if b % g:
+        return None
+    mg = mod // g
+    return ((b // g) * pow(p // g, -1, mg)) % mg
+
+
+def _pair_op(p: int, b: int, mod: int) -> Tuple[int, int, int, int]:
+    """A determinant-1 transform (s, u, v, w) with v p + w b = 0 (mod mod).
+
+    It is (x, y) -> (x, y - c x) where p c = b has a solution c, and the
+    extended-gcd step (x, y) -> (s x + u y, (p y - b x) / g), where
+    g = s p + u b = gcd(p, b), otherwise; the pivot then becomes g < p.
+    """
+    c = _divide(p, b, mod)
+    if c is not None:
+        return 1, 0, -c, 1
+    g, s, u = _xgcd(p, b)
+    return s, u, -(b // g), p // g
+
+
+def _apply(op: Tuple[int, int, int, int], xs: List[int], ys: List[int], mod: int):
+    """Return (s x + u y, v x + w y) mod mod, entrywise, for op = (s, u, v, w)."""
+    s, u, v, w = op
+    ys2 = [(v * x + w * y) % mod for x, y in zip(xs, ys)]
+    if (s, u) == (1, 0):
+        return xs, ys2
+    return [(s * x + u * y) % mod for x, y in zip(xs, ys)], ys2
+
+
+def _dense_zmod(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
+    """Reference: solve over Z/m by diagonalizing a directly, every entry
+    kept in [0, m).
+
+    Row operations act on the rows of [a | rhs], so U is never formed;
+    column operations are accumulated into V.  The pivot is the trailing
+    entry x of least gcd(x, m); each entry of its column, then of its row, is
+    cleared by a `_pair_op`, which replaces the pivot by a proper divisor
+    where it does not divide the entry (only when m has two or more prime
+    factors).  With U a V = D diagonal (no divisibility chain is needed),
+    a x = b (mod m) becomes D y = U b for y = V^{-1} x; each congruence
+    d_i y_i = c_i (mod m) is solved by gcd.
+    """
+    mod = a.ring.modulus
+    n, m = a.rows, a.cols
+    A = [a.row(i) + [col[i] for col in rhs_cols] for i in range(n)]
+    VT = [[int(i == j) for i in range(m)] for j in range(m)]  # VT[j] = column j of V
+    t = 0
+    while t < min(n, m):
+        best, pi, pj = mod, -1, -1
+        for i in range(t, n):
+            Ai = A[i]
+            for j in range(t, m):
+                x = Ai[j]
+                if x and gcd(x, mod) < best:
+                    best, pi, pj = gcd(x, mod), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if pi < 0:
+            break
+        A[t], A[pi] = A[pi], A[t]
+        if pj != t:
+            for row in A[t:]:  # rows above t vanish in columns >= t
+                row[t], row[pj] = row[pj], row[t]
+            VT[t], VT[pj] = VT[pj], VT[t]
+        At = A[t]
+        rows = A[t:]
+        while True:
+            for Ai in A[t + 1:]:
+                if Ai[t]:
+                    op = _pair_op(At[t], Ai[t], mod)
+                    At[t:], Ai[t:] = _apply(op, At[t:], Ai[t:], mod)
+            for j in range(t + 1, m):
+                if At[j]:
+                    op = _pair_op(At[t], At[j], mod)
+                    col_t, col_j = _apply(op, [r[t] for r in rows], [r[j] for r in rows], mod)
+                    for r, x, y in zip(rows, col_t, col_j):
+                        r[t], r[j] = x, y
+                    VT[t], VT[j] = _apply(op, VT[t], VT[j], mod)
+            # an extended-gcd column step may have refilled column t
+            if not any(Ai[t] for Ai in A[t + 1:]):
+                break
+        t += 1
+    diag = [A[i][i] for i in range(t)]
+    sols = []
+    for k in range(len(rhs_cols)):
+        y = [0] * m
+        ok = True
+        for i in range(n):
+            c = A[i][m + k]
+            if i >= t:
+                if c:
+                    ok = False
+                    break
+                continue
+            y[i] = _divide(diag[i], c, mod)
+            if y[i] is None:
+                ok = False
+                break
+        if not ok:
+            sols.append(None)
+            continue
+        x = [0] * m
+        for j, yj in enumerate(y):
+            if yj:
+                x = [(xi + yj * v) % mod for xi, v in zip(x, VT[j])]
+        sols.append(x)
+    kern = []
+    if want_kernel:
+        # y_j ranges over (m / gcd(d_j, m)) Z/m; V is invertible, so these
+        # generators are nonzero (unless d_j is a unit) and pairwise distinct
+        for j in range(m):
+            step = mod // gcd(diag[j] if j < t else 0, mod)
+            if step < mod:
+                kern.append([(x * step) % mod for x in VT[j]])
     return sols, kern
 
 
@@ -263,13 +398,15 @@ class TestSolve:
             if x is not None:
                 assert mat_mul(a, x) == b
 
-    @pytest.mark.parametrize("ring", [Zmod(4), Zmod(6), Zmod(8), Zmod(12)])
+    @pytest.mark.parametrize("ring", [Zmod(4), Zmod(6), Zmod(8), Zmod(9), Zmod(12),
+                                      Zmod(16), Zmod(27)])
     def test_kernel_completeness_zmod(self, ring):
         """part + span(gens) is exactly the solution set, by enumeration."""
         rng = random.Random(100 + ring.modulus)
         m = ring.modulus
+        max_c = 3 if m**3 <= 5000 else 2
         for _ in range(25):
-            a, b = _random_system(rng, ring, rng.randint(1, 3), rng.randint(1, 3))
+            a, b = _random_system(rng, ring, rng.randint(1, 3), rng.randint(1, max_c))
             sols = _all_solutions(a, b)
             part, gens = solve_with_kernel(a, b)
             assert (part is not None) == bool(sols)
@@ -280,8 +417,10 @@ class TestSolve:
             assert _reached(part, gens, m) == sols
 
     def test_zmod12_column_refilled_by_gcd_step(self):
-        """An extended-gcd column step refills the pivot column below the
-        pivot; later column steps must still act on every row."""
+        """A fixed Z/12 system that the old dense mod-m solver got wrong: an
+        extended-gcd column step refilled the pivot column below the pivot,
+        and a later column step acted on the pivot row only.  Kept as a
+        regression case for the CRT split (Z/4 x Z/3)."""
         ring = Zmod(12)
         a = M(ring, [[2, 3, 4], [0, 2, 10]])
         b = RingMatrix(ring, 2, 1, [0, 2])
@@ -292,11 +431,12 @@ class TestSolve:
         for g in gens:
             assert mat_mul(a, g).is_zero()
 
-    @pytest.mark.parametrize("ring", [Zmod(12), Zmod(30), Zmod(36)])
+    @pytest.mark.parametrize("ring", [Zmod(12), Zmod(16), Zmod(27), Zmod(30), Zmod(36),
+                                      Zmod(72)])
     def test_zmod_against_integer_oracle(self, ring):
-        """Up to 6x6 over two- and three-prime moduli: a x = b (mod m) is
-        solvable iff [a | m I] (x, k) = b is over Z, and every returned
-        solution and kernel generator checks."""
+        """Up to 6x6 over prime powers and over two- and three-prime moduli:
+        a x = b (mod m) is solvable iff [a | m I] (x, k) = b is over Z, and
+        every returned solution and kernel generator checks."""
         rng = random.Random(200 + ring.modulus)
         m = ring.modulus
         for _ in range(60):
@@ -444,7 +584,7 @@ def _in_span(ring, gens, v):
     """Whether v is a combination of gens, by the dense Z or Z/m solver."""
     m = len(v)
     g = RingMatrix(ring, m, len(gens), [x for j in range(m) for x in (h[j] for h in gens)])
-    dense = _solve_integer if ring == ZZ else _solve_zmod
+    dense = _solve_integer if ring == ZZ else _dense_zmod
     return dense(g, [v], False)[0][0] is not None
 
 
@@ -474,25 +614,43 @@ def _random_unit_mix(rng, ring, n, m):
     return a, RingMatrix(ring, n, 1, [rng.randint(-3, 3) for _ in range(n)])
 
 
-class TestUnitPivotOracle:
-    """The unit-pivot solver over Z and Z/m against the dense Z and Z/m
-    solvers run on the whole system: the same solvability, solutions and
-    kernel generators that check, and kernels spanning the same module."""
+def _forces_tier_pivot(a):
+    """Whether a prime-power part Z/p^k (k >= 2) of a's ring sees a nonzero
+    matrix with no entry prime to p, so that the part pivots at a tier >= 1."""
+    for p, k in _prime_powers(a.ring.modulus):
+        part = [x % p**k for x in a.entries]
+        if k >= 2 and any(part) and all(x % p == 0 for x in part):
+            return True
+    return False
 
-    @pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6), Zmod(8), Zmod(12), Zmod(36)], ids=str)
+
+class TestUnitPivotOracle:
+    """The sparse solver over Z and Z/m against the dense Z and Z/m solvers
+    run on the whole system: the same solvability, solutions and kernel
+    generators that check, and kernels spanning the same module."""
+
+    @pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6), Zmod(8), Zmod(12), Zmod(16),
+                                      Zmod(27), Zmod(36), Zmod(72)], ids=str)
     def test_matches_dense_solver(self, ring, monkeypatch):
-        name = "_solve_integer" if ring == ZZ else "_solve_zmod"
-        dense = getattr(linalg, name)
+        dense = _solve_integer if ring == ZZ else _dense_zmod
         residuals = []
 
         def recording(a, rhs_cols, want_kernel):
             residuals.append(a)
-            return dense(a, rhs_cols, want_kernel)
+            return _solve_integer(a, rhs_cols, want_kernel)
 
-        monkeypatch.setattr(linalg, name, recording)
+        monkeypatch.setattr(linalg, "_solve_integer", recording)
         rng = random.Random(700 + ring.modulus)
-        seen = {"no residual": 0, "nonzero residual": 0, "no unit pivot": 0,
-                "inconsistent": 0, "kernel": 0}
+        if ring == ZZ:
+            seen = {"no residual": 0, "nonzero residual": 0}
+        else:
+            factors = _prime_powers(ring.modulus)
+            seen = {}
+            if any(k >= 2 for _, k in factors):
+                seen["tier >= 1 pivot"] = 0
+            if len(factors) > 1:
+                seen["CRT split"] = 0
+        seen.update({"no unit pivot": 0, "inconsistent": 0, "kernel": 0})
         for _ in range(200):
             n, m = rng.randint(0, 7), rng.randint(0, 7)
             a, b = _random_unit_mix(rng, ring, n, m)
@@ -500,6 +658,7 @@ class TestUnitPivotOracle:
             part, gens = solve_with_kernel(a, b)
             went_dense = len(residuals) > before
             if went_dense:
+                assert ring == ZZ
                 assert any(residuals[-1].entries)
             whole_sols, whole_kern = dense(a, [b.column(0)], True)
             assert (part is None) == (whole_sols[0] is None)
@@ -513,8 +672,14 @@ class TestUnitPivotOracle:
             if ring != ZZ and part is not None and ring.modulus ** m <= 5000:
                 assert _reached(part, gens, ring.modulus) == _all_solutions(a, b)
             nonzero = any(a.entries)
-            seen["no residual"] += nonzero and not went_dense
-            seen["nonzero residual"] += went_dense
+            if ring == ZZ:
+                seen["no residual"] += nonzero and not went_dense
+                seen["nonzero residual"] += went_dense
+            else:
+                if "tier >= 1 pivot" in seen:
+                    seen["tier >= 1 pivot"] += _forces_tier_pivot(a)
+                if "CRT split" in seen:
+                    seen["CRT split"] += nonzero
             seen["no unit pivot"] += nonzero and not any(ring.is_unit(x) for x in a.entries)
             seen["inconsistent"] += part is None
             seen["kernel"] += len(gens) > 1
