@@ -24,6 +24,7 @@ from .complexes import (
     id_chain_map,
     validate_chain_map,
     validate_complex,
+    verify,
     zero_chain_map,
 )
 from .frobenius import (
@@ -312,19 +313,19 @@ def cmd_gen(
     if profile == "scalar-eta":
         inst = ScalarEta(ring, ring.canon(r_value))
         obj = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
-        assert validate_complex(obj)
+        verify(validate_complex(obj), "gen: the generated complex is invalid")
         kind = "complex"
     elif profile == "graded":
         inst = Graded(ScalarEta(ring, ring.canon(r_value)))
         obj = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
-        assert validate_complex(obj)
+        verify(validate_complex(obj), "gen: the generated complex is invalid")
         kind = "complex"
     elif profile == "gsystem":
         obj = random_gsystem(ring, rng, max_len=max_len, max_rank=max_rank)
         kind = "gsystem"
     elif profile == "delta":
         obj = random_delta_complex(ring, rng, max_rank=max_rank)
-        assert validate_delta(obj)
+        verify(validate_delta(obj), "gen: the generated delta-complex is invalid")
         kind = "delta-complex"
     elif profile == "pair":
         inst = ScalarEta(ring, ring.canon(r_value))

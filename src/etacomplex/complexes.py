@@ -22,6 +22,16 @@ from .matrix import RingMatrix
 _CONE_SIGN = -1
 
 
+class PostconditionError(AssertionError):
+    """A construction's result failed its own re-validation."""
+
+
+def verify(ok: bool, what: str) -> None:
+    """Raise ``PostconditionError(what)`` unless ok; runs under ``python -O`` too."""
+    if not ok:
+        raise PostconditionError(what)
+
+
 class Complex:
     """Bounded complex: objects X^n and differentials d^n: X^n -> X^{n+1}."""
 
@@ -425,10 +435,12 @@ class HomotopyCertificate:
         self.s = dict(s)
         self.eta_twisted = eta_twisted
 
-    def validate(self, f: ChainMap, g: ChainMap) -> bool:
+    def residuals(self, f: ChainMap, g: ChainMap) -> Dict[int, object]:
+        """Degree n -> lhs^n - rhs^n of the homotopy equation, where nonzero."""
         inst = f.instance
         X, Y = f.source, f.target
         degs = set(X.objects) | set(f.components) | set(g.components)
+        out: Dict[int, object] = {}
         for n in sorted(degs):
             diff = inst.hom_sub(f.component(n), g.component(n))
             if self.eta_twisted:
@@ -448,8 +460,11 @@ class HomotopyCertificate:
             )
             rhs = inst.hom_add(inst.compose(s_n1, dx), inst.compose(Y.diff(n - 1), s_n))
             if not inst.mor_eq(lhs, rhs):
-                return False
-        return True
+                out[n] = inst.hom_sub(lhs, rhs)
+        return out
+
+    def validate(self, f: ChainMap, g: ChainMap) -> bool:
+        return not self.residuals(f, g)
 
 
 def homotopic(f: ChainMap, g: ChainMap) -> Optional[HomotopyCertificate]:
@@ -478,7 +493,7 @@ def homotopic(f: ChainMap, g: ChainMap) -> Optional[HomotopyCertificate]:
     if sol is None:
         return None
     cert = HomotopyCertificate({n: sol[("s", n)] for n in s_degs}, eta_twisted=False)
-    assert cert.validate(f, g)
+    verify(cert.validate(f, g), "homotopic: the certificate fails the homotopy equation")
     return cert
 
 

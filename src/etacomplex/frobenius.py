@@ -33,6 +33,7 @@ from .complexes import (
     solution_chain_map,
     sub_chain_maps,
     validate_chain_map,
+    verify,
     zero_chain_map,
 )
 
@@ -82,8 +83,8 @@ def factor_through_eta(h: ChainMap) -> Optional[ChainMap]:
     if sol is None:
         return None
     alpha = solution_chain_map(sol, "a", degs, W, X1)
-    assert validate_chain_map(alpha)
-    assert compose_chain_maps(eta_chain_map(X), alpha) == h
+    verify(validate_chain_map(alpha), "factor_through_eta: the factor is not a chain map")
+    verify(compose_chain_maps(eta_chain_map(X), alpha) == h, "factor_through_eta: eta . alpha != h")
     return alpha
 
 
@@ -121,8 +122,8 @@ def is_eta_conflation(i: ChainMap, p: ChainMap) -> Optional[EtaConflation]:
     alpha = solution_chain_map(sol, "a", a_degs, W, X1)
     t = {n: sol[("t", n)] for n in t_degs}
     conf = EtaConflation(pair, alpha, t)
-    assert validate_chain_map(alpha)
-    assert HomotopyCertificate(t).validate(conf.h_tilde(), h)
+    verify(validate_chain_map(alpha), "is_eta_conflation: alpha is not a chain map")
+    verify(HomotopyCertificate(t).validate(conf.h_tilde(), h), "is_eta_conflation: t is not a homotopy")
     return conf
 
 
@@ -157,7 +158,7 @@ def eta_homotopic(f: ChainMap, g: ChainMap) -> Optional[HomotopyCertificate]:
     if sol is None:
         return None
     cert = HomotopyCertificate({n: sol[("s", n)] for n in s_degs}, eta_twisted=True)
-    assert cert.validate(f, g)
+    verify(cert.validate(f, g), "eta_homotopic: the certificate fails the eta-homotopy equation")
     return cert
 
 
@@ -230,8 +231,8 @@ def projective_lift(g: ChainMap, V: Complex, defl: StandardConflation) -> ChainM
             [[g1n, g2n], [None, br]], [Z.obj(n), X.obj(n)], [v_top, v_bot]
         )
     lift = ChainMap(P, defl.middle, comps)
-    assert validate_chain_map(lift)
-    assert compose_chain_maps(defl.p, lift) == g
+    verify(validate_chain_map(lift), "projective_lift: the lift is not a chain map")
+    verify(compose_chain_maps(defl.p, lift) == g, "projective_lift: p . lift != g")
     return lift
 
 
@@ -261,8 +262,8 @@ def injective_extend(g: ChainMap, V: Complex, infl: StandardConflation) -> Chain
             [[tl, g1n], [None, g2n]], [v_top, v_bot], [Z.obj(n), X.obj(n)]
         )
     ext = ChainMap(infl.middle, P, comps)
-    assert validate_chain_map(ext)
-    assert compose_chain_maps(ext, infl.i) == g
+    verify(validate_chain_map(ext), "injective_extend: the extension is not a chain map")
+    verify(compose_chain_maps(ext, infl.i) == g, "injective_extend: ext . i != g")
     return ext
 
 
@@ -279,7 +280,7 @@ def cover_deflation(X: Complex) -> StandardConflation:
     W = shift_complex(apply_auto(X, -1), -1)
     conf = StandardConflation(id_chain_map(apply_auto(W, 1)))
     # conf.Z = W(1)[1] = X exactly
-    assert conf.Z == X
+    verify(conf.Z == X, "cover_deflation: the quotient is not X")
     return conf
 
 
@@ -301,8 +302,8 @@ def factors_through_env(f: ChainMap) -> Optional[ChainMap]:
     if sol is None:
         return None
     u = solution_chain_map(sol, "u", degs, P, Y)
-    assert validate_chain_map(u)
-    assert compose_chain_maps(u, i) == f
+    verify(validate_chain_map(u), "factors_through_env: u is not a chain map")
+    verify(compose_chain_maps(u, i) == f, "factors_through_env: u . i != f")
     return u
 
 
@@ -341,7 +342,7 @@ def suspend_map(f: ChainMap) -> ChainMap:
         )[0][0]
         comps[n] = blk
     sf = ChainMap(SX, SY, comps)
-    assert validate_chain_map(sf)
+    verify(validate_chain_map(sf), "suspend_map: the result is not a chain map")
     return sf
 
 
@@ -457,7 +458,7 @@ def ex2_pullback(defl: StandardConflation, h: ChainMap) -> Tuple[bool, Optional[
     hm1 = shift_chain_map(h, -1)
     fh = compose_chain_maps(defl.f, hm1)  # Z'[-1] -> X
     pull = StandardConflation(compose_chain_maps(alpha, hm1))
-    assert pull.f == fh
+    verify(pull.f == fh, "ex2_pullback: the pulled-back map is not f . h[-1]")
     # the square: middle map [[h, 0], [0, Id]] : cone(f h[-1]) -> cone(f)
     mid = ChainMap(pull.middle, defl.middle, {
         n: inst.block_mor(
@@ -484,7 +485,7 @@ def ex1_op_composite(infl1: StandardConflation, gamma: ChainMap) -> bool:
     inst = infl1.instance
     X, Z, Y = infl1.X, infl1.Z, infl1.middle
     infl2 = StandardConflation(gamma)
-    assert infl2.X == Y
+    verify(infl2.X == Y, "ex1_op_composite: the second inflation does not start at Y")
     W = infl2.middle
     U = infl2.Z
     composite = compose_chain_maps(infl2.i, infl1.i)  # X -> W

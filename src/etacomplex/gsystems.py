@@ -8,13 +8,21 @@ are supported and are exchanged by the reindexing ``psi``/``psi_inv``:
   graded objects (degree i is the complex direction, j the grading).
 * ``GA``: d_n has bidegree (1-n, n).
 
+A CgrA system is a complex over the ``Graded`` instance
+(``gsystem_to_complex``), a morphism a chain map, and the convolution
+relations are d^2 = 0 and f d = d f there, so they are checked by the
+complex layer, through ``psi`` for GA.
+
 ``DeltaComplex`` is the weaker input datum: a bigraded family with a strict
 differential delta0 in the i direction and a strictly commuting delta1 in
 the j direction whose square is only null-homotopic.  ``theta_extend``
 completes it to a full GSystem by solving the level-n relations
 inductively; ``totalize`` collapses a GSystem to an ordinary complex by
-summing the grading; ``phi`` is the composite.  ``eta_null_complete``
-grows a two-term homotopy seed into a full eta-homotopy certificate.
+summing the grading; ``phi`` is the composite.  ``theta_extend_mor``
+extends a column-wise map, and ``eta_null_complete`` grows a two-term
+homotopy seed into a full eta-homotopy certificate; each solves all levels
+of its family as one system and re-solves level prefixes only to locate an
+obstruction.
 """
 
 from __future__ import annotations
@@ -33,6 +41,9 @@ from .complexes import (
     eta_chain_map,
     id_chain_map,
     null_homotopic,
+    validate_chain_map,
+    validate_complex,
+    verify,
     zero_chain_map,
 )
 from .matrix import RingMatrix
@@ -236,58 +247,15 @@ class GMorphism:
 
 
 def validate_gsystem(x: GSystem) -> bool:
-    """The convolution relations: sum_{p+q=n} d_p d_q = 0 at every position."""
-    top = 2 * x.max_level()
-    for n in range(top + 1):
-        for (i, j) in x.positions:
-            acc = None
-            for q in range(n + 1):
-                dq = x.diffs.get((q, i, j))
-                if dq is None:
-                    continue
-                mi, mj = x.target_pos(q, i, j)
-                dp = x.diffs.get((n - q, mi, mj))
-                if dp is None:
-                    continue
-                term = dp @ dq
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
-                return False
-    return True
+    """The convolution relations sum_{p+q=n} d_p d_q = 0: d^2 = 0 over Graded."""
+    return validate_complex(gsystem_to_complex(x if x.convention == CGRA else psi(x)))
 
 
 def validate_gmorphism(f: GMorphism) -> bool:
-    """The intertwining relations: sum f_p d_{X,q} = sum d_{Y,p} f_q levelwise."""
-    X, Y = f.source, f.target
-    top = f.max_level() + max(X.max_level(), Y.max_level())
-    for n in range(top + 1):
-        for (i, j) in X.positions:
-            acc = None
-            for q in range(n + 1):
-                dq = X.diffs.get((q, i, j))
-                if dq is not None:
-                    mi, mj = X.target_pos(q, i, j)
-                    fp = f.components.get((n - q, mi, mj))
-                    if fp is not None:
-                        term = fp @ dq
-                        acc = term if acc is None else acc + term
-                fq = f.components.get((q, i, j))
-                if fq is not None:
-                    mi, mj = f.comp_target(q, i, j)
-                    dp = Y.diffs.get((n - q, mi, mj))
-                    if dp is not None:
-                        term = -(dp @ fq)
-                        acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
-                return False
-    return True
-
-
-def gs_identity(x: GSystem) -> GMorphism:
-    comps = {
-        (0, i, j): RingMatrix.identity(x.ring, r) for (i, j), r in x.ranks.items()
-    }
-    return GMorphism(x, x, comps)
+    """The intertwining relations sum f_p d_{X,q} = sum d_{Y,p} f_q: a chain map over Graded."""
+    return validate_chain_map(
+        gmorphism_to_chain_map(f if f.source.convention == CGRA else psi_mor(f))
+    )
 
 
 def gs_compose(g: GMorphism, f: GMorphism) -> GMorphism:
@@ -303,24 +271,6 @@ def gs_compose(g: GMorphism, f: GMorphism) -> GMorphism:
             prod = gm @ fm
             comps[key] = comps[key] + prod if key in comps else prod
     return GMorphism(f.source, g.target, comps)
-
-
-def gs_auto(x: GSystem, k: int = 1) -> GSystem:
-    """The grading shift (k): (X(k))^{ij} = X^{i,j+k} (CGRA only)."""
-    if x.convention != CGRA:
-        raise ValueError("grading shift is defined in the CgrA convention")
-    ranks = {(i, j - k): r for (i, j), r in x.ranks.items()}
-    diffs = {(n, i, j - k): m for (n, i, j), m in x.diffs.items()}
-    return GSystem(x.ring, ranks, diffs, CGRA)
-
-
-def gs_eta(x: GSystem) -> GMorphism:
-    """eta_X: X(1) -> X with the identity in level 1 (CGRA only)."""
-    src = gs_auto(x, 1)
-    comps = {
-        (1, i, j - 1): RingMatrix.identity(x.ring, r) for (i, j), r in x.ranks.items()
-    }
-    return GMorphism(src, x, comps)
 
 
 def shift_gsystem(x: GSystem) -> GSystem:
@@ -870,7 +820,6 @@ def theta_extend(x: DeltaComplex, parity: Optional[str] = None):
         ]
         for (i, j) in slots:
             prob.add_unknown((i, j), sys.rank(i + 1, j + n), sys.rank(i, j))
-        have = set(slots)
         for (i, j) in sorted(ranks):
             er, ec = sys.rank(i + 2, j + n), sys.rank(i, j)
             if not er or not ec:
@@ -879,9 +828,9 @@ def theta_extend(x: DeltaComplex, parity: Optional[str] = None):
             for p in range(1, n):
                 rhs = rhs + (-(dd(p, i + 1, j + n - p) @ dd(n - p, i, j)))
             terms = []
-            if (i, j) in have:
+            if (i, j) in prob.unknowns:
                 terms.append(((i, j), dd(0, i + 1, j + n), None, 1))
-            if (i + 1, j) in have:
+            if (i + 1, j) in prob.unknowns:
                 terms.append(((i + 1, j), None, dd(0, i, j), 1))
             if not terms and rhs.is_zero():
                 continue
@@ -896,23 +845,38 @@ def theta_extend(x: DeltaComplex, parity: Optional[str] = None):
             if not m.is_zero():
                 diffs[(n, i, j)] = m
     out = GSystem(ring, ranks, diffs, CGRA)
-    assert validate_gsystem(out)
+    verify(validate_gsystem(out), "theta_extend: the completion fails the convolution relations")
     return out
 
 
-def theta_extend_mor(
-    alpha: DeltaMap, xhat: GSystem, yhat: GSystem, parity: Optional[str] = None
-):
+def _solve_levels(ring: CoeffRing, top: int, add_level):
+    """Solve levels 1..top, each registered by ``add_level(prob, n)``, as one system.
+
+    Returns (solution, None), or (None, n) for the first n whose system of
+    levels 1..n is inconsistent.  The joint system is consistent iff every
+    such prefix is, so the prefixes are solved only after it fails.
+    """
+
+    def through(n):
+        prob = MatrixProblem(ring)
+        for k in range(1, n + 1):
+            add_level(prob, k)
+        return prob.solve()
+
+    sol = through(top) if top >= 1 else {}
+    if sol is not None:
+        return sol, None
+    return None, next((n for n in range(1, top) if through(n) is None), top)
+
+
+def theta_extend_mor(alpha: DeltaMap, xhat: GSystem, yhat: GSystem):
     """Extend a column-wise chain map to a morphism of the extensions.
 
     Every intertwining equation is linear in the whole family {f_n}, so
-    levels are solved cumulatively: step n adds the level-n unknowns and
-    equations to one joint system.  The reported obstruction level is the
-    first n whose joint system (levels <= n) is inconsistent, which is
-    independent of any choice made at lower levels.
+    all levels are solved as one joint system.  The reported obstruction
+    level is the first n whose system of levels <= n is inconsistent,
+    which is independent of any choice made at lower levels.
     """
-    if parity is None:
-        parity = _THETA_PARITY
     ring = xhat.ring
     f0: Dict[Tuple[int, int], RingMatrix] = {}
     for (r, j), m in alpha.components.items():
@@ -939,15 +903,11 @@ def theta_extend_mor(
     yj = [j for (_, j) in yhat.ranks]
     if not xj or not yj:
         return GMorphism(xhat, yhat, comps)
-    n_max = max(0, max(yj) - min(xj))
-    prob = MatrixProblem(ring)
-    have = set()
-    sol = {}
-    for n in range(1, n_max + 1):
+
+    def add_level(prob, n):
         for (i, j) in xhat.positions:
             if yhat.rank(i, j + n):
                 prob.add_unknown((n, i, j), yhat.rank(i, j + n), xhat.rank(i, j))
-                have.add((n, i, j))
         for (i, j) in xhat.positions:
             er, ec = yhat.rank(i + 1, j + n), xhat.rank(i, j)
             if not er or not ec:
@@ -959,26 +919,27 @@ def theta_extend_mor(
             terms = []
             for q in range(n):  # unknown f_{n-q}, level >= 1
                 key = (n - q, i + 1, j + q)
-                if key in have:
+                if key in prob.unknowns:
                     terms.append((key, None, xhat.diff(q, i, j), 1))
             for q in range(1, n + 1):  # unknown f_q on the target side
                 key = (q, i, j)
-                if key in have:
+                if key in prob.unknowns:
                     terms.append((key, yhat.diff(n - q, i, j + q), None, -1))
             if not terms and rhs.is_zero():
                 continue
             prob.add_equation((er, ec), terms, rhs)
-        sol = prob.solve()
-        if sol is None:
-            return Obstruction(
-                "theta-extend-mor", n, None,
-                f"the joint component system through level {n} is inconsistent",
-            )
+
+    sol, level = _solve_levels(ring, max(0, max(yj) - min(xj)), add_level)
+    if sol is None:
+        return Obstruction(
+            "theta-extend-mor", level, None,
+            f"the joint component system through level {level} is inconsistent",
+        )
     for (n, i, j), m in sol.items():
         if not m.is_zero():
             comps[(n, i, j)] = m
     out = GMorphism(xhat, yhat, comps)
-    assert validate_gmorphism(out)
+    verify(validate_gmorphism(out), "theta_extend_mor: the extension is not a morphism")
     return out
 
 
@@ -1031,7 +992,7 @@ def theta_triangle_check(alpha: DeltaMap, parity: Optional[str] = None):
     yhat = theta_extend(Y, parity)
     if isinstance(yhat, Obstruction):
         return yhat
-    fhat = theta_extend_mor(alpha, xhat, yhat, parity)
+    fhat = theta_extend_mor(alpha, xhat, yhat)
     if isinstance(fhat, Obstruction):
         return fhat
     # cone identity: the display equals the honest cone of fhat . eta
@@ -1082,7 +1043,7 @@ def phi_mor(alpha: DeltaMap, parity: Optional[str] = None):
     yhat = theta_extend(alpha.target, parity)
     if isinstance(yhat, Obstruction):
         return yhat
-    fhat = theta_extend_mor(alpha, xhat, yhat, parity)
+    fhat = theta_extend_mor(alpha, xhat, yhat)
     if isinstance(fhat, Obstruction):
         return fhat
     return totalize_mor(fhat)
@@ -1093,38 +1054,22 @@ def phi_mor(alpha: DeltaMap, parity: Optional[str] = None):
 # ---------------------------------------------------------------------------
 
 
+def _null_residuals(
+    f: GMorphism, s: Dict[int, Dict[Tuple[int, int], RingMatrix]]
+) -> Dict[int, GradedMorphism]:
+    """Residuals of f eta = s d + d s over Graded; level n holds the equation of f_{n-1}."""
+    fc = gmorphism_to_chain_map(f)
+    return _family_to_certificate(f, s).residuals(fc, zero_chain_map(fc.source, fc.target))
+
+
 def seed_equations_hold(
     f: GMorphism,
     s0: Dict[Tuple[int, int], RingMatrix],
     s1: Dict[Tuple[int, int], RingMatrix],
 ) -> bool:
-    X, Y = f.source, f.target
-    ring = X.ring
-
-    def sv(s, i, j, n):
-        m = s.get((i, j))
-        if m is None:
-            return RingMatrix.zero(ring, Y.rank(i - 1, j + n - 1), X.rank(i, j))
-        return m
-
-    for (i, j) in X.positions:
-        ra = Y.rank(i, j - 1)
-        if ra or X.rank(i, j):
-            res = Y.diff(0, i - 1, j - 1) @ sv(s0, i, j, 0) + sv(
-                s0, i + 1, j, 0
-            ) @ X.diff(0, i, j)
-            if not res.is_zero():
-                return False
-        lhs = f.comp(0, i, j)
-        rhs = (
-            Y.diff(1, i - 1, j - 1) @ sv(s0, i, j, 0)
-            + Y.diff(0, i - 1, j) @ sv(s1, i, j, 1)
-            + sv(s0, i + 1, j + 1, 0) @ X.diff(1, i, j)
-            + sv(s1, i + 1, j, 1) @ X.diff(0, i, j)
-        )
-        if lhs != rhs:
-            return False
-    return True
+    """The two seed equations: every residual of (s_0, s_1) in levels 0 and 1 vanishes."""
+    res = _null_residuals(f, {0: s0, 1: s1})
+    return all(n > 1 for r in res.values() for (n, _) in r.components)
 
 
 def find_seed(f: GMorphism):
@@ -1142,14 +1087,13 @@ def find_seed(f: GMorphism):
         prob.add_unknown(("s0", i, j), Y.rank(i - 1, j - 1), X.rank(i, j))
     for (i, j) in slots1:
         prob.add_unknown(("s1", i, j), Y.rank(i - 1, j), X.rank(i, j))
-    h0, h1 = set(slots0), set(slots1)
     for (i, j) in X.positions:
         er, ec = Y.rank(i, j - 1), X.rank(i, j)
         if er and ec:
             terms = []
-            if (i, j) in h0:
+            if ("s0", i, j) in prob.unknowns:
                 terms.append((("s0", i, j), Y.diff(0, i - 1, j - 1), None, 1))
-            if (i + 1, j) in h0:
+            if ("s0", i + 1, j) in prob.unknowns:
                 terms.append((("s0", i + 1, j), None, X.diff(0, i, j), 1))
             if terms:
                 prob.add_equation((er, ec), terms, None)
@@ -1157,13 +1101,13 @@ def find_seed(f: GMorphism):
         if not er or not ec:
             continue
         terms = []
-        if (i, j) in h0:
+        if ("s0", i, j) in prob.unknowns:
             terms.append((("s0", i, j), Y.diff(1, i - 1, j - 1), None, 1))
-        if (i, j) in h1:
+        if ("s1", i, j) in prob.unknowns:
             terms.append((("s1", i, j), Y.diff(0, i - 1, j), None, 1))
-        if (i + 1, j + 1) in h0:
+        if ("s0", i + 1, j + 1) in prob.unknowns:
             terms.append((("s0", i + 1, j + 1), None, X.diff(1, i, j), 1))
-        if (i + 1, j) in h1:
+        if ("s1", i + 1, j) in prob.unknowns:
             terms.append((("s1", i + 1, j), None, X.diff(0, i, j), 1))
         prob.add_equation((er, ec), terms, f.comp(0, i, j))
     sol = prob.solve()
@@ -1178,39 +1122,7 @@ def corollary_equations_hold(
     f: GMorphism, s: Dict[int, Dict[Tuple[int, int], RingMatrix]]
 ) -> bool:
     """The full eta-null-homotopy equation set for a family {s_n}."""
-    X, Y = f.source, f.target
-    ring = X.ring
-
-    def sv(n, i, j):
-        m = s.get(n, {}).get((i, j))
-        if m is None:
-            return RingMatrix.zero(ring, Y.rank(i - 1, j + n - 1), X.rank(i, j))
-        return m
-
-    yj = [j for (_, j) in Y.ranks]
-    xj = [j for (_, j) in X.ranks]
-    top = f.max_level() + 1
-    if yj and xj:
-        top = max(top, max(yj) - min(xj) + 2)
-    for (i, j) in X.positions:
-        if Y.rank(i, j - 1) or X.rank(i, j):
-            res = Y.diff(0, i - 1, j - 1) @ sv(0, i, j) + sv(0, i + 1, j) @ X.diff(
-                0, i, j
-            )
-            if not res.is_zero():
-                return False
-        for n in range(top + 1):
-            er, ec = Y.rank(i, j + n), X.rank(i, j)
-            if not ec:
-                continue
-            acc = RingMatrix.zero(ring, er, ec)
-            for q in range(n + 2):
-                p = n + 1 - q
-                acc = acc + sv(p, i + 1, j + q) @ X.diff(q, i, j)
-                acc = acc + Y.diff(p, i - 1, j + q - 1) @ sv(q, i, j)
-            if f.comp(n, i, j) != acc:
-                return False
-    return True
+    return not _null_residuals(f, s)
 
 
 def eta_null_complete(
@@ -1220,81 +1132,71 @@ def eta_null_complete(
 ):
     """Grow a validated (s_0, s_1) seed to a full certificate.
 
-    Each step k solves  d_{Y,0} s_{k+1} + s_{k+1} d_{X,0} = defect_k  for
-    the next family member; an inconsistent step is reported as an
-    Obstruction (the point where the relevant stable hom group fails to
-    vanish).  The returned certificate is the eta-twisted homotopy on the
-    corresponding complexes over the graded instance.
+    The level-k equations  d_{Y,0} s_{k+1} + s_{k+1} d_{X,0} = defect_k  are
+    linear in the family {s_n} and are solved as one system; the first
+    inconsistent level is reported as an Obstruction (the point where the
+    relevant stable hom group fails to vanish).  The returned certificate
+    is the eta-twisted homotopy on the corresponding complexes over the
+    graded instance.
     """
     X, Y = f.source, f.target
     ring = X.ring
-    if not seed_equations_hold(f, s0, s1):
-        raise ValueError("seed pair does not satisfy the two seed equations")
     seeds: Dict[int, Dict[Tuple[int, int], RingMatrix]] = {0: dict(s0), 1: dict(s1)}
+    # levels 0 and 1 of the seeds' residual are the seed equations (as in
+    # seed_equations_hold); level k + 1 is f_k minus every term in s_0, s_1
+    defect = _null_residuals(f, seeds)
+    if any(n <= 1 for r in defect.values() for (n, _) in r.components):
+        raise ValueError("seed pair does not satisfy the two seed equations")
 
-    def seedv(n, i, j):
-        m = seeds.get(n, {}).get((i, j))
-        if m is None:
-            return RingMatrix.zero(ring, Y.rank(i - 1, j + n - 1), X.rank(i, j))
-        return m
+    def defect_k(k, i, j):
+        r = defect.get(i)
+        if r is None:
+            return RingMatrix.zero(ring, Y.rank(i, j + k), X.rank(i, j))
+        return r.component(k + 1, j - 1, ring)
 
     yj = [j for (_, j) in Y.ranks]
     xj = [j for (_, j) in X.ranks]
     k_top = f.max_level()
     if yj and xj:
         k_top = max(k_top, max(yj) - min(xj) + 1)
-    # every equation is linear in the whole family {s_n}, so solve the
-    # levels cumulatively: step k adds the s_{k+1} unknowns and the
-    # level-k equations to one joint system
-    prob = MatrixProblem(ring)
-    have = set()
-    sol = {}
-    for k in range(1, k_top + 1):
+
+    def add_level(prob, k):
+        # the s_{k+1} unknowns, then the level-k equations
         for (i, j) in X.positions:
             if Y.rank(i - 1, j + k):
                 prob.add_unknown((k + 1, i, j), Y.rank(i - 1, j + k), X.rank(i, j))
-                have.add((k + 1, i, j))
         for (i, j) in X.positions:
             er, ec = Y.rank(i, j + k), X.rank(i, j)
             if not er or not ec:
                 continue
             # level-k equation: f_k = sum_{p+q=k+1} (s_p dX_q + dY_p s_q);
             # s_0, s_1 are the fixed seeds, s_p for p >= 2 are unknowns
-            rhs = f.comp(k, i, j)
-            for p in (0, 1):
-                q = k + 1 - p
-                rhs = rhs + (-(seedv(p, i + 1, j + q) @ X.diff(q, i, j)))
-            for q in (0, 1):
-                p = k + 1 - q
-                rhs = rhs + (-(Y.diff(p, i - 1, j + q - 1) @ seedv(q, i, j)))
+            rhs = defect_k(k, i, j)
             terms = []
             for q in range(k):  # unknown s_{k+1-q}, level >= 2
                 key = (k + 1 - q, i + 1, j + q)
-                if key in have:
+                if key in prob.unknowns:
                     terms.append((key, None, X.diff(q, i, j), 1))
             for q in range(2, k + 2):  # unknown s_q on the target side
                 key = (q, i, j)
-                if key in have:
+                if key in prob.unknowns:
                     terms.append((key, Y.diff(k + 1 - q, i - 1, j + q - 1), None, 1))
             if not terms and rhs.is_zero():
                 continue
             prob.add_equation((er, ec), terms, rhs)
-        sol = prob.solve()
-        if sol is None:
-            return Obstruction(
-                "eta-null-complete", k, None,
-                f"the joint homotopy system through level {k} is inconsistent",
-            )
+
+    sol, level = _solve_levels(ring, k_top, add_level)
+    if sol is None:
+        return Obstruction(
+            "eta-null-complete", level, None,
+            f"the joint homotopy system through level {level} is inconsistent",
+        )
     s: Dict[int, Dict[Tuple[int, int], RingMatrix]] = dict(seeds)
     for (p, i, j), m in sol.items():
         if not m.is_zero():
             s.setdefault(p, {})[(i, j)] = m
-    if not corollary_equations_hold(f, s):  # pragma: no cover - defensive
-        return Obstruction("eta-null-complete", k_top + 1, None, "re-validation failed")
-    cert = _family_to_certificate(f, s)
-    fc = gmorphism_to_chain_map(f)
-    assert cert.validate(fc, zero_chain_map(fc.source, fc.target))
-    return cert
+    verify(corollary_equations_hold(f, s), "eta_null_complete: the family fails the equations")
+    return _family_to_certificate(f, s)
 
 
 def _family_to_certificate(

@@ -69,7 +69,7 @@ from .gsystems import (
     find_seed,
     gmorphism_to_chain_map,
     gs_compose,
-    gs_eta,
+    gsystem_to_complex,
     phi_mor,
     psi,
     psi_inv,
@@ -345,8 +345,7 @@ def prop_totalize_functor(rng):
 
 def totalize_mor_eta(x) -> bool:
     """Totalized structural twist equals the identity chain map."""
-    eta = gs_eta(x)
-    t = totalize_chain_map(gmorphism_to_chain_map(eta))
+    t = totalize_chain_map(eta_chain_map(gsystem_to_complex(x)))
     return t == id_chain_map(t.target)
 
 

@@ -6,16 +6,22 @@ Oracle notes:
   independently hand-built matrices.
 - [DERIVED] completions are re-validated through the full relation
   checker, and certificates through the complex-level homotopy checker.
+- [DERIVED] the relation checkers, which go through the complex layer over
+  Graded, agree with the levelwise convolution sums kept here verbatim.
 - [TRIVIAL] shape/constructor errors.
 """
 
 import random
+from typing import Dict, Tuple
 
 import pytest
 
 from etacomplex.complexes import (
     Complex,
+    PostconditionError,
     compose_chain_maps,
+    eta_chain_map,
+    id_chain_map,
     null_homotopic,
     validate_chain_map,
     validate_complex,
@@ -47,10 +53,7 @@ from etacomplex.gsystems import (
     find_seed,
     gmorphism_to_chain_map,
     graded_complex_instance,
-    gs_auto,
     gs_compose,
-    gs_eta,
-    gs_identity,
     gsystem_to_complex,
     phi,
     phi_mor,
@@ -65,6 +68,7 @@ from etacomplex.gsystems import (
     theta_extend_mor,
     theta_triangle_check,
     totalize,
+    totalize_chain_map,
     totalize_mor,
     validate_delta,
     validate_delta_map,
@@ -138,8 +142,8 @@ class TestGSystemBasics:
             y = random_gsystem(Z4, random.Random(200 + trial))
             f = random_gmorphism(x, y, rng)
             assert validate_gmorphism(f)
-            assert gs_compose(f, gs_identity(x)) == f
-            assert gs_compose(gs_identity(y), f) == f
+            assert gs_compose(f, chain_map_to_gmorphism(id_chain_map(gsystem_to_complex(x)))) == f
+            assert gs_compose(chain_map_to_gmorphism(id_chain_map(gsystem_to_complex(y))), f) == f
 
     def test_composition_is_valid_morphism(self):
         rng = random.Random(6)
@@ -228,14 +232,14 @@ class TestTotalize:
             tf, tg = totalize_mor(f), totalize_mor(g)
             assert validate_chain_map(tf)
             assert totalize_mor(gs_compose(g, f)) == compose_chain_maps(tg, tf)
-            ti = totalize_mor(gs_identity(x))
+            ti = totalize_chain_map(id_chain_map(gsystem_to_complex(x)))
             for n in ti.source.objects:
                 assert ti.component(n) == RingMatrix.identity(x.ring, ti.source.obj(n))
 
     def test_eta_totalizes_to_identity(self):
         for trial in range(30):
             x = random_gsystem(Z4, random.Random(12000 + trial))
-            te = totalize_mor(gs_eta(x))
+            te = totalize_chain_map(eta_chain_map(gsystem_to_complex(x)))
             assert te.source == te.target
             for n in te.source.objects:
                 assert te.component(n) == RingMatrix.identity(Z4, te.source.obj(n))
@@ -252,12 +256,13 @@ class TestTotalize:
         x = None
         for trial in range(50):
             cand = random_gsystem(Z4, random.Random(14000 + trial))
-            if any(n == 1 for (n, _, _) in gs_eta(cand).components):
+            eta = eta_chain_map(gsystem_to_complex(cand))
+            if any(n == 1 for g in eta.components.values() for (n, _) in g.components):
                 x = cand
                 break
         assert x is not None
         monkeypatch.setattr(gs, "_XI_SIGN", -1)
-        te = totalize_mor(gs_eta(x))
+        te = totalize_chain_map(eta_chain_map(gsystem_to_complex(x)))
         assert any(
             te.component(n) != RingMatrix.identity(Z4, te.source.obj(n))
             for n in te.source.objects
@@ -415,7 +420,7 @@ class TestThetaExtendMor:
                 {pos: RingMatrix.identity(Z4, r) for pos, r in x.ranks.items()},
             )
             fhat = theta_extend_mor(ident, xhat, xhat)
-            assert fhat == gs_identity(xhat)
+            assert fhat == chain_map_to_gmorphism(id_chain_map(gsystem_to_complex(xhat)))
 
     def test_zero_extends_to_zero(self):
         x = random_delta_complex(Z4, random.Random(41000))
@@ -426,6 +431,20 @@ class TestThetaExtendMor:
         assert isinstance(fhat, GMorphism)
         assert fhat.is_zero()
         assert validate_gmorphism(fhat)
+
+    def test_first_inconsistent_level_below_top(self):
+        # the level-2 equation at (0,0) reads 0 = d_2 f_0 = [1]; level 3
+        # (the top) has no equation, so the joint system through level 3
+        # fails but the reported level is 2
+        xhat = GSystem(Z4, {(0, 0): 1}, {})
+        yhat = GSystem(Z4, {(0, 0): 1, (1, 2): 1, (0, 3): 1}, {(2, 0, 0): M(Z4, [[1]])})
+        assert validate_gsystem(yhat)
+        x = DeltaComplex(Z4, {(0, 0): 1}, {}, {})
+        y = DeltaComplex(Z4, {(0, 0): 1, (-1, 2): 1, (-3, 3): 1}, {}, {})
+        out = theta_extend_mor(DeltaMap(x, y, {(0, 0): M(Z4, [[1]])}), xhat, yhat)
+        assert isinstance(out, Obstruction)
+        assert out.stage == "theta-extend-mor"
+        assert out.level == 2
 
     @pytest.mark.parametrize("ring", [Z4, Zmod(9), GF(5)])
     def test_random_maps_extend(self, ring):
@@ -515,6 +534,26 @@ class TestEtaNullComplete:
         assert isinstance(out, Obstruction)
         assert out.stage == "eta-null-complete"
         assert out.level == 1
+
+    def test_first_inconsistent_level_below_top(self):
+        # X a stalk at (0,0), Y a stalk at (0,2): f_2 = [1] is the level-2
+        # equation with no unknown; the top level is 3
+        x = GSystem(Z4, {(0, 0): 1}, {})
+        y = GSystem(Z4, {(0, 2): 1}, {})
+        f = GMorphism(x, y, {(2, 0, 0): M(Z4, [[1]])})
+        out = eta_null_complete(f, {}, {})
+        assert isinstance(out, Obstruction)
+        assert out.stage == "eta-null-complete"
+        assert out.level == 2
+
+    def test_failed_revalidation_raises_under_any_optimization(self, monkeypatch):
+        import etacomplex.gsystems as gs
+
+        x = GSystem(Z4, {(0, 0): 1}, {})
+        f = GMorphism(x, x, {})
+        monkeypatch.setattr(gs, "corollary_equations_hold", lambda f, s: False)
+        with pytest.raises(PostconditionError):
+            eta_null_complete(f, {}, {})
 
     @pytest.mark.parametrize("ring", [Z4, Zmod(8), GF(5)])
     def test_columnwise_null_maps_complete(self, ring):
@@ -681,3 +720,226 @@ class TestMatrixProblem:
             ]
             assert coeffs == RingMatrix.from_rows(ring, expected)
             assert rhs_col.entries == rhs.entries
+
+
+# -- oracle: the hand-written convolution checkers --------------------------
+#
+# The four checkers below are the levelwise convolution sums that the
+# library used before its relations went through the complex layer over
+# Graded; they are kept verbatim as an independent oracle.
+
+
+def ref_validate_gsystem(x: GSystem) -> bool:
+    """The convolution relations: sum_{p+q=n} d_p d_q = 0 at every position."""
+    top = 2 * x.max_level()
+    for n in range(top + 1):
+        for (i, j) in x.positions:
+            acc = None
+            for q in range(n + 1):
+                dq = x.diffs.get((q, i, j))
+                if dq is None:
+                    continue
+                mi, mj = x.target_pos(q, i, j)
+                dp = x.diffs.get((n - q, mi, mj))
+                if dp is None:
+                    continue
+                term = dp @ dq
+                acc = term if acc is None else acc + term
+            if acc is not None and not acc.is_zero():
+                return False
+    return True
+
+
+def ref_validate_gmorphism(f: GMorphism) -> bool:
+    """The intertwining relations: sum f_p d_{X,q} = sum d_{Y,p} f_q levelwise."""
+    X, Y = f.source, f.target
+    top = f.max_level() + max(X.max_level(), Y.max_level())
+    for n in range(top + 1):
+        for (i, j) in X.positions:
+            acc = None
+            for q in range(n + 1):
+                dq = X.diffs.get((q, i, j))
+                if dq is not None:
+                    mi, mj = X.target_pos(q, i, j)
+                    fp = f.components.get((n - q, mi, mj))
+                    if fp is not None:
+                        term = fp @ dq
+                        acc = term if acc is None else acc + term
+                fq = f.components.get((q, i, j))
+                if fq is not None:
+                    mi, mj = f.comp_target(q, i, j)
+                    dp = Y.diffs.get((n - q, mi, mj))
+                    if dp is not None:
+                        term = -(dp @ fq)
+                        acc = term if acc is None else acc + term
+            if acc is not None and not acc.is_zero():
+                return False
+    return True
+
+
+def ref_seed_equations_hold(
+    f: GMorphism,
+    s0: Dict[Tuple[int, int], RingMatrix],
+    s1: Dict[Tuple[int, int], RingMatrix],
+) -> bool:
+    X, Y = f.source, f.target
+    ring = X.ring
+
+    def sv(s, i, j, n):
+        m = s.get((i, j))
+        if m is None:
+            return RingMatrix.zero(ring, Y.rank(i - 1, j + n - 1), X.rank(i, j))
+        return m
+
+    for (i, j) in X.positions:
+        ra = Y.rank(i, j - 1)
+        if ra or X.rank(i, j):
+            res = Y.diff(0, i - 1, j - 1) @ sv(s0, i, j, 0) + sv(
+                s0, i + 1, j, 0
+            ) @ X.diff(0, i, j)
+            if not res.is_zero():
+                return False
+        lhs = f.comp(0, i, j)
+        rhs = (
+            Y.diff(1, i - 1, j - 1) @ sv(s0, i, j, 0)
+            + Y.diff(0, i - 1, j) @ sv(s1, i, j, 1)
+            + sv(s0, i + 1, j + 1, 0) @ X.diff(1, i, j)
+            + sv(s1, i + 1, j, 1) @ X.diff(0, i, j)
+        )
+        if lhs != rhs:
+            return False
+    return True
+
+
+def ref_corollary_equations_hold(
+    f: GMorphism, s: Dict[int, Dict[Tuple[int, int], RingMatrix]]
+) -> bool:
+    """The full eta-null-homotopy equation set for a family {s_n}."""
+    X, Y = f.source, f.target
+    ring = X.ring
+
+    def sv(n, i, j):
+        m = s.get(n, {}).get((i, j))
+        if m is None:
+            return RingMatrix.zero(ring, Y.rank(i - 1, j + n - 1), X.rank(i, j))
+        return m
+
+    yj = [j for (_, j) in Y.ranks]
+    xj = [j for (_, j) in X.ranks]
+    top = f.max_level() + 1
+    if yj and xj:
+        top = max(top, max(yj) - min(xj) + 2)
+    for (i, j) in X.positions:
+        if Y.rank(i, j - 1) or X.rank(i, j):
+            res = Y.diff(0, i - 1, j - 1) @ sv(0, i, j) + sv(0, i + 1, j) @ X.diff(
+                0, i, j
+            )
+            if not res.is_zero():
+                return False
+        for n in range(top + 1):
+            er, ec = Y.rank(i, j + n), X.rank(i, j)
+            if not ec:
+                continue
+            acc = RingMatrix.zero(ring, er, ec)
+            for q in range(n + 2):
+                p = n + 1 - q
+                acc = acc + sv(p, i + 1, j + q) @ X.diff(q, i, j)
+                acc = acc + Y.diff(p, i - 1, j + q - 1) @ sv(q, i, j)
+            if f.comp(n, i, j) != acc:
+                return False
+    return True
+
+
+def _perturb_entry(m: RingMatrix, rng) -> RingMatrix:
+    """m with one entry raised by one."""
+    entries = list(m.entries)
+    k = rng.randrange(len(entries))
+    entries[k] = m.ring.canon(entries[k] + 1)
+    return RingMatrix(m.ring, m.rows, m.cols, entries)
+
+
+def _perturb_dict(d, rng):
+    """d with one matrix value perturbed, or None when d holds no matrix."""
+    keys = sorted(k for k, m in d.items() if m.rows and m.cols)
+    if not keys:
+        return None
+    key = rng.choice(keys)
+    return {**d, key: _perturb_entry(d[key], rng)}
+
+
+def _family(cert):
+    """The family {s_n^{ij}} of an eta-null certificate over Graded."""
+    s = {}
+    for i, g in cert.s.items():
+        for (n, j), m in g.components.items():
+            s.setdefault(n, {})[(i, j + 1)] = m
+    return s
+
+
+class TestFoldedCheckersOracle:
+    @pytest.mark.parametrize("ring", [ZZ, Z4, Zmod(9), GF(5)], ids=str)
+    def test_systems_and_morphisms(self, ring):
+        rng = random.Random(91)
+        seen = set()
+        for trial in range(25):
+            x = random_gsystem(ring, random.Random(90000 + trial))
+            y = random_gsystem(ring, random.Random(90500 + trial))
+            f = random_gmorphism(x, y, rng)
+            xs = [x]
+            fs = [f]
+            diffs = _perturb_dict(x.diffs, rng)
+            if diffs is not None:
+                xs.append(GSystem(ring, x.ranks, diffs))
+                fs.append(GMorphism(xs[-1], y, f.components))
+            comps = _perturb_dict(f.components, rng)
+            if comps is not None:
+                fs.append(GMorphism(x, y, comps))
+            for a in xs:
+                for b in (a, psi_inv(a)):
+                    got = validate_gsystem(b)
+                    assert got == ref_validate_gsystem(b)
+                    seen.add(("system", got))
+            for g in fs:
+                for h in (g, psi_inv_mor(g)):
+                    got = validate_gmorphism(h)
+                    assert got == ref_validate_gmorphism(h)
+                    seen.add(("morphism", got))
+        assert seen == {(k, v) for k in ("system", "morphism") for v in (True, False)}
+
+    @pytest.mark.parametrize("ring", [Z4, Zmod(8), GF(5)], ids=str)
+    def test_seeds_and_families(self, ring):
+        rng = random.Random(92)
+        seen = set()
+        for trial in range(25):
+            x = random_strip_delta_complex(ring, random.Random(92000 + trial))
+            alpha = columnwise_null_delta_map(x, x, rng)
+            xhat = theta_extend(x)
+            fhat = theta_extend_mor(alpha, xhat, xhat)
+            seed = find_seed(fhat)
+            assert seed is not None
+            s0, s1 = seed
+            cert = eta_null_complete(fhat, s0, s1)
+            assert not isinstance(cert, Obstruction)
+            s = _family(cert)
+            bad_f = _perturb_dict(fhat.components, rng)
+            fs = [fhat] + ([] if bad_f is None else [GMorphism(xhat, xhat, bad_f)])
+            seeds = [(s0, s1)]
+            for k in (0, 1):
+                bad = _perturb_dict(seed[k], rng)
+                if bad is not None:
+                    seeds.append((bad, s1) if k == 0 else (s0, bad))
+            families = [s]
+            for n in sorted(s):
+                bad = _perturb_dict(s[n], rng)
+                if bad is not None:
+                    families.append({**s, n: bad})
+            for f in fs:
+                for a, b in seeds:
+                    got = seed_equations_hold(f, a, b)
+                    assert got == ref_seed_equations_hold(f, a, b)
+                    seen.add(("seed", got))
+                for fam in families:
+                    got = corollary_equations_hold(f, fam)
+                    assert got == ref_corollary_equations_hold(f, fam)
+                    seen.add(("family", got))
+        assert seen == {(k, v) for k in ("seed", "family") for v in (True, False)}
