@@ -248,7 +248,10 @@ class ScalarEta(BaseInstance):
         return X
 
     def obj_from_json(self, d):
-        return int(d)
+        r = int(d)
+        if r < 0:
+            raise ValueError("negative rank")
+        return r
 
     def mor_to_json(self, f):
         return f.to_json()

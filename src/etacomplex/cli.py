@@ -38,6 +38,7 @@ from .frobenius import (
     is_eta_conflation,
 )
 from .gsystems import (
+    CGRA,
     Obstruction,
     phi,
     phi_mor,
@@ -169,6 +170,8 @@ def cmd_check(path: str, op: str, seed: int) -> (int, List[dict]):
     if op == "totalize":
         _need_kind(kind, ("gsystem", "complex"), op)
         if kind == "gsystem":
+            if obj.convention != CGRA:
+                raise _Usage("totalize needs a gsystem in the CgrA convention")
             if not validate_gsystem(obj):
                 return 1, [_check_record(op, "FAIL", detail="input relations fail")]
             tot = totalize(obj)
@@ -201,9 +204,10 @@ def cmd_check(path: str, op: str, seed: int) -> (int, List[dict]):
 
     if op == "phi":
         _need_kind(kind, ("delta-complex", "delta-map"), op)
+        ends = (obj,) if kind == "delta-complex" else (obj.source, obj.target)
+        if not all(validate_delta(x) for x in ends):
+            return 1, [_check_record(op, "FAIL", detail="input is not a valid completion problem")]
         if kind == "delta-complex":
-            if not validate_delta(obj):
-                return 1, [_check_record(op, "FAIL", detail="input is not a valid completion problem")]
             out = phi(obj)
             if isinstance(out, Obstruction):
                 return 1, [_check_record(op, "OBSTRUCTED", obstruction=out.to_json())]
@@ -221,6 +225,8 @@ def cmd_check(path: str, op: str, seed: int) -> (int, List[dict]):
 
     if op == "triangle-check":
         _need_kind(kind, "delta-map", op)
+        if not (validate_delta(obj.source) and validate_delta(obj.target)):
+            return 1, [_check_record(op, "FAIL", detail="input is not a valid completion problem")]
         res = theta_triangle_check(obj)
         if isinstance(res, Obstruction):
             return 1, [_check_record(op, "OBSTRUCTED", obstruction=res.to_json())]

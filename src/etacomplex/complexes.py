@@ -467,34 +467,50 @@ class HomotopyCertificate:
         return not self.residuals(f, g)
 
 
-def homotopic(f: ChainMap, g: ChainMap) -> Optional[HomotopyCertificate]:
-    """Classical homotopy: SOME s with f - g = s d + d s, else NONE."""
+def _homotopy(f: ChainMap, g: ChainMap, eta_twisted: bool, what: str) -> Optional[HomotopyCertificate]:
+    """SOME s solving the (eta-)homotopy equation of ``HomotopyCertificate``, else NONE.
+
+    The eta twist shifts the source of each unknown s^n and d_X by (1) and
+    composes the right-hand side f - g with eta_X.
+    """
     if f.source != g.source or f.target != g.target:
         raise ValueError("endpoint mismatch")
     inst = f.instance
     X, Y = f.source, f.target
+
+    def src(n):
+        return inst.shift_obj(X.obj(n), 1) if eta_twisted else X.obj(n)
+
     prob = LinearProblem(inst)
     s_degs = [
         n for n in sorted(set(X.objects))
         if not inst.obj_is_zero(X.obj(n)) and not inst.obj_is_zero(Y.obj(n - 1))
     ]
     for n in s_degs:
-        prob.add_unknown(("s", n), X.obj(n), Y.obj(n - 1))
+        prob.add_unknown(("s", n), src(n), Y.obj(n - 1))
     have = set(s_degs)
     for n in sorted(set(X.objects) | set(f.components) | set(g.components)):
         terms = []
         if n + 1 in have:
-            terms.append((("s", n + 1), None, X.diff(n), 1))
+            dx = X.diff(n)
+            terms.append((("s", n + 1), None, inst.shift_mor(dx, 1) if eta_twisted else dx, 1))
         if n in have:
             terms.append((("s", n), Y.diff(n - 1), None, 1))
         rhs = inst.hom_sub(f.component(n), g.component(n))
-        prob.add_equation(X.obj(n), Y.obj(n), terms, rhs)
+        if eta_twisted:
+            rhs = inst.compose(rhs, inst.eta(X.obj(n)))
+        prob.add_equation(src(n), Y.obj(n), terms, rhs)
     sol = prob.solve()
     if sol is None:
         return None
-    cert = HomotopyCertificate({n: sol[("s", n)] for n in s_degs}, eta_twisted=False)
-    verify(cert.validate(f, g), "homotopic: the certificate fails the homotopy equation")
+    cert = HomotopyCertificate({n: sol[("s", n)] for n in s_degs}, eta_twisted)
+    verify(cert.validate(f, g), what)
     return cert
+
+
+def homotopic(f: ChainMap, g: ChainMap) -> Optional[HomotopyCertificate]:
+    """Classical homotopy: SOME s with f - g = s d + d s, else NONE."""
+    return _homotopy(f, g, False, "homotopic: the certificate fails the homotopy equation")
 
 
 def null_homotopic(f: ChainMap) -> Optional[HomotopyCertificate]:

@@ -19,6 +19,7 @@ from .complexes import (
     HomotopyCertificate,
     LinearProblem,
     NotChainwiseSplit,
+    _homotopy,
     apply_auto,
     apply_auto_map,
     chain_map_problem,
@@ -132,34 +133,7 @@ def is_eta_conflation(i: ChainMap, p: ChainMap) -> Optional[EtaConflation]:
 
 def eta_homotopic(f: ChainMap, g: ChainMap) -> Optional[HomotopyCertificate]:
     """SOME s with (f - g) eta_X = s^{n+1} d_X^n(1) + d_Y^{n-1} s^n, else NONE."""
-    if f.source != g.source or f.target != g.target:
-        raise ValueError("endpoint mismatch")
-    inst = f.instance
-    X, Y = f.source, f.target
-    prob = LinearProblem(inst)
-    s_degs = [
-        n for n in sorted(set(X.objects))
-        if not inst.obj_is_zero(X.obj(n)) and not inst.obj_is_zero(Y.obj(n - 1))
-    ]
-    for n in s_degs:
-        prob.add_unknown(("s", n), inst.shift_obj(X.obj(n), 1), Y.obj(n - 1))
-    have = set(s_degs)
-    for n in sorted(set(X.objects) | set(f.components) | set(g.components)):
-        terms = []
-        if n + 1 in have:
-            terms.append((("s", n + 1), None, inst.shift_mor(X.diff(n), 1), 1))
-        if n in have:
-            terms.append((("s", n), Y.diff(n - 1), None, 1))
-        rhs = inst.compose(
-            inst.hom_sub(f.component(n), g.component(n)), inst.eta(X.obj(n))
-        )
-        prob.add_equation(inst.shift_obj(X.obj(n), 1), Y.obj(n), terms, rhs)
-    sol = prob.solve()
-    if sol is None:
-        return None
-    cert = HomotopyCertificate({n: sol[("s", n)] for n in s_degs}, eta_twisted=True)
-    verify(cert.validate(f, g), "eta_homotopic: the certificate fails the eta-homotopy equation")
-    return cert
+    return _homotopy(f, g, True, "eta_homotopic: the certificate fails the eta-homotopy equation")
 
 
 def eta_null_homotopic(f: ChainMap) -> Optional[HomotopyCertificate]:

@@ -1,17 +1,21 @@
 """Bigraded systems with higher differentials and the totalization pipeline.
 
 A ``GSystem`` is a bigraded family of free modules X^{ij} with higher
-differentials d_n subject to convolution relations; two index conventions
-are supported and are exchanged by the reindexing ``psi``/``psi_inv``:
+differentials d_n subject to convolution relations.  It stores one complex
+over the ``Graded`` instance: X^{ij} is degree j of its object in degree i,
+and d_n^{ij} is component (n, j) of its differential in degree i.  A
+``GMorphism`` stores one chain map between its endpoints' complexes.  The
+convolution relations are d^2 = 0 and f d = d f over Graded, so the complex
+layer checks them.  Two index conventions read the stored form:
 
-* ``CGRA``: d_n: X^{ij} -> X^{i+1,j+n} -- the unfolding of a complex of
-  graded objects (degree i is the complex direction, j the grading).
-* ``GA``: d_n has bidegree (1-n, n).
+* ``CGRA``: d_n: X^{ij} -> X^{i+1,j+n} -- the complex's own indices, the
+  unfolding of a complex of graded objects (degree i is the complex
+  direction, j the grading).
+* ``GA``: d_n has bidegree (1-n, n); position (a, j) is complex degree a + j.
 
-A CgrA system is a complex over the ``Graded`` instance
-(``gsystem_to_complex``), a morphism a chain map, and the convolution
-relations are d^2 = 0 and f d = d f there, so they are checked by the
-complex layer, through ``psi`` for GA.
+``psi``/``psi_inv`` exchange the conventions by relabelling, without copying,
+and ``gsystem_to_complex``/``gmorphism_to_chain_map`` return the stored
+objects.
 
 ``DeltaComplex`` is the weaker input datum: a bigraded family with a strict
 differential delta0 in the i direction and a strictly commuting delta1 in
@@ -22,7 +26,8 @@ summing the grading; ``phi`` is the composite.  ``theta_extend_mor``
 extends a column-wise map, and ``eta_null_complete`` grows a two-term
 homotopy seed into a full eta-homotopy certificate; each solves all levels
 of its family as one system and re-solves level prefixes only to locate an
-obstruction.
+obstruction.  All three pose their level-n equations u d_X +- d_Y u = rhs
+through one builder, ``_add_level``.
 """
 
 from __future__ import annotations
@@ -36,11 +41,13 @@ from .complexes import (
     Complex,
     HomotopyCertificate,
     LinearProblem,
+    apply_auto,
     cone,
     compose_chain_maps,
     eta_chain_map,
     id_chain_map,
     null_homotopic,
+    shift_complex,
     validate_chain_map,
     validate_complex,
     verify,
@@ -92,9 +99,17 @@ class Obstruction:
 
 
 class GSystem:
-    """Bigraded object with higher differentials under a fixed convention."""
+    """Bigraded object with higher differentials, stored as one complex over Graded.
 
-    __slots__ = ("ring", "convention", "ranks", "diffs")
+    ``complex`` lives over ``graded_complex_instance(ring)``: X^{ij} is
+    degree j of its object in degree i, and d_n^{ij} is component (n, j) of
+    its differential in degree i (the CgrA reading).  A GA system is the
+    same complex read through ``psi``: its position (a, j) is complex degree
+    a + j.  ``ranks`` and ``diffs`` are views: dicts computed from the
+    complex on each read, keyed in the system's own convention.
+    """
+
+    __slots__ = ("convention", "complex")
 
     def __init__(
         self,
@@ -105,35 +120,64 @@ class GSystem:
     ):
         if convention not in (CGRA, GA):
             raise ValueError(f"unknown convention {convention!r}")
-        self.ring = ring
         self.convention = convention
-        self.ranks = {
-            (int(i), int(j)): int(r) for (i, j), r in ranks.items() if r
-        }
-        clean: Dict[Tuple[int, int, int], RingMatrix] = {}
+        by_i: Dict[int, Dict[int, int]] = {}
+        for (i, j), r in ranks.items():
+            by_i.setdefault(self._degree(i, j), {})[j] = r
+        objects = {i: GradedObject(rs) for i, rs in by_i.items()}
+        comps: Dict[int, Dict[Tuple[int, int], RingMatrix]] = {}
         for (n, i, j), m in diffs.items():
-            if n < 0:
-                raise ValueError("differential level must be >= 0")
-            ti, tj = self.target_pos(n, i, j)
-            if (m.rows, m.cols) != (self.rank(ti, tj), self.rank(i, j)):
-                raise ValueError(
-                    f"diff ({n},{i},{j}) has shape {m.rows}x{m.cols}, "
-                    f"expected {self.rank(ti, tj)}x{self.rank(i, j)}"
-                )
-            if not m.is_zero():
-                clean[(n, i, j)] = m
-        self.diffs = clean
+            comps.setdefault(self._degree(i, j), {})[(n, j)] = m
+        zero = GradedObject({})
+        self.complex = Complex(graded_complex_instance(ring), objects, {
+            i: GradedMorphism(objects.get(i, zero), objects.get(i + 1, zero), cs)
+            for i, cs in comps.items()
+        })
+
+    @staticmethod
+    def _of(c: Complex, convention: str) -> "GSystem":
+        """The system whose stored complex is c, read in ``convention``."""
+        x = object.__new__(GSystem)
+        x.convention = convention
+        x.complex = c
+        return x
+
+    @property
+    def ring(self) -> CoeffRing:
+        return self.complex.instance.ring
+
+    def _degree(self, i: int, j: int) -> int:
+        """The complex degree of position (i, j)."""
+        return i + j if self.convention == GA else i
 
     def target_pos(self, n: int, i: int, j: int) -> Tuple[int, int]:
         if self.convention == CGRA:
             return (i + 1, j + n)
         return (i + 1 - n, j + n)
 
+    @property
+    def ranks(self) -> Dict[Tuple[int, int], int]:
+        ga = self.convention == GA
+        return {
+            (i - j if ga else i, j): r
+            for i, X in self.complex.objects.items() for j, r in X.ranks.items()
+        }
+
+    @property
+    def diffs(self) -> Dict[Tuple[int, int, int], RingMatrix]:
+        ga = self.convention == GA
+        return {
+            (n, i - j if ga else i, j): m
+            for i, d in self.complex.diffs.items() for (n, j), m in d.components.items()
+        }
+
     def rank(self, i: int, j: int) -> int:
-        return self.ranks.get((i, j), 0)
+        X = self.complex.objects.get(i + j if self.convention == GA else i)
+        return 0 if X is None else X.ranks.get(j, 0)
 
     def diff(self, n: int, i: int, j: int) -> RingMatrix:
-        m = self.diffs.get((n, i, j))
+        d = self.complex.diffs.get(i + j if self.convention == GA else i)
+        m = None if d is None else d.components.get((n, j))
         if m is None:
             ti, tj = self.target_pos(n, i, j)
             return RingMatrix.zero(self.ring, self.rank(ti, tj), self.rank(i, j))
@@ -144,18 +188,16 @@ class GSystem:
         return sorted(self.ranks)
 
     def max_level(self) -> int:
-        return max((n for (n, _, _) in self.diffs), default=0)
+        return max((n for d in self.complex.diffs.values() for (n, _) in d.components), default=0)
 
     def is_zero(self) -> bool:
-        return not self.ranks
+        return self.complex.is_zero()
 
     def __eq__(self, other):
         return (
             isinstance(other, GSystem)
-            and self.ring == other.ring
             and self.convention == other.convention
-            and self.ranks == other.ranks
-            and self.diffs == other.diffs
+            and self.complex == other.complex
         )
 
     def __repr__(self):
@@ -186,9 +228,15 @@ class GSystem:
 
 
 class GMorphism:
-    """Morphism of GSystems: components f_n of degree (0,n) (CGRA) / (-n,n) (GA)."""
+    """Morphism of GSystems: components f_n of degree (0,n) (CGRA) / (-n,n) (GA).
 
-    __slots__ = ("source", "target", "components")
+    Stored as one ``chain_map`` between the endpoints' complexes: f_n^{ij}
+    is component (n, j) of its graded morphism in the complex degree of
+    (i, j).  ``components`` is a view in the same way, keyed in the
+    endpoints' convention.
+    """
+
+    __slots__ = ("source", "target", "chain_map")
 
     def __init__(
         self,
@@ -200,27 +248,39 @@ class GMorphism:
             raise ValueError("GMorphism endpoints disagree on ring or convention")
         self.source = source
         self.target = target
-        clean: Dict[Tuple[int, int, int], RingMatrix] = {}
+        by_i: Dict[int, Dict[Tuple[int, int], RingMatrix]] = {}
         for (n, i, j), m in components.items():
-            if n < 0:
-                raise ValueError("component level must be >= 0")
-            ti, tj = self.comp_target(n, i, j)
-            if (m.rows, m.cols) != (target.rank(ti, tj), source.rank(i, j)):
-                raise ValueError(
-                    f"component ({n},{i},{j}) has shape {m.rows}x{m.cols}, "
-                    f"expected {target.rank(ti, tj)}x{source.rank(i, j)}"
-                )
-            if not m.is_zero():
-                clean[(n, i, j)] = m
-        self.components = clean
+            by_i.setdefault(source._degree(i, j), {})[(n, j)] = m
+        cx, cy = source.complex, target.complex
+        self.chain_map = ChainMap(cx, cy, {
+            i: GradedMorphism(cx.obj(i), cy.obj(i), cs) for i, cs in by_i.items()
+        })
+
+    @staticmethod
+    def _of(source: GSystem, target: GSystem, f: ChainMap) -> "GMorphism":
+        """The morphism whose stored chain map is f, between source and target."""
+        g = object.__new__(GMorphism)
+        g.source = source
+        g.target = target
+        g.chain_map = f
+        return g
 
     def comp_target(self, n: int, i: int, j: int) -> Tuple[int, int]:
         if self.source.convention == CGRA:
             return (i, j + n)
         return (i - n, j + n)
 
+    @property
+    def components(self) -> Dict[Tuple[int, int, int], RingMatrix]:
+        ga = self.source.convention == GA
+        return {
+            (n, i - j if ga else i, j): m
+            for i, g in self.chain_map.components.items() for (n, j), m in g.components.items()
+        }
+
     def comp(self, n: int, i: int, j: int) -> RingMatrix:
-        m = self.components.get((n, i, j))
+        g = self.chain_map.components.get(self.source._degree(i, j))
+        m = None if g is None else g.components.get((n, j))
         if m is None:
             ti, tj = self.comp_target(n, i, j)
             return RingMatrix.zero(
@@ -229,17 +289,19 @@ class GMorphism:
         return m
 
     def max_level(self) -> int:
-        return max((n for (n, _, _) in self.components), default=0)
+        return max(
+            (n for g in self.chain_map.components.values() for (n, _) in g.components),
+            default=0,
+        )
 
     def is_zero(self) -> bool:
-        return not self.components
+        return self.chain_map.is_zero()
 
     def __eq__(self, other):
         return (
             isinstance(other, GMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.components == other.components
+            and self.source.convention == other.source.convention
+            and self.chain_map == other.chain_map
         )
 
     def __repr__(self):
@@ -248,38 +310,25 @@ class GMorphism:
 
 def validate_gsystem(x: GSystem) -> bool:
     """The convolution relations sum_{p+q=n} d_p d_q = 0: d^2 = 0 over Graded."""
-    return validate_complex(gsystem_to_complex(x if x.convention == CGRA else psi(x)))
+    return validate_complex(x.complex)
 
 
 def validate_gmorphism(f: GMorphism) -> bool:
     """The intertwining relations sum f_p d_{X,q} = sum d_{Y,p} f_q: a chain map over Graded."""
-    return validate_chain_map(
-        gmorphism_to_chain_map(f if f.source.convention == CGRA else psi_mor(f))
-    )
+    return validate_chain_map(f.chain_map)
 
 
 def gs_compose(g: GMorphism, f: GMorphism) -> GMorphism:
     if f.target != g.source:
         raise ValueError("GMorphisms not composable")
-    comps: Dict[Tuple[int, int, int], RingMatrix] = {}
-    for (q, i, j), fm in f.components.items():
-        mi, mj = f.comp_target(q, i, j)
-        for (p, gi, gj), gm in g.components.items():
-            if (gi, gj) != (mi, mj):
-                continue
-            key = (p + q, i, j)
-            prod = gm @ fm
-            comps[key] = comps[key] + prod if key in comps else prod
-    return GMorphism(f.source, g.target, comps)
+    return GMorphism._of(f.source, g.target, compose_chain_maps(g.chain_map, f.chain_map))
 
 
 def shift_gsystem(x: GSystem) -> GSystem:
     """The composite [1](1): reindex by (i+1, j+1) and negate every level."""
     if x.convention != CGRA:
         raise ValueError("shift_gsystem is defined in the CgrA convention")
-    ranks = {(i - 1, j - 1): r for (i, j), r in x.ranks.items()}
-    diffs = {(n, i - 1, j - 1): -m for (n, i, j), m in x.diffs.items()}
-    return GSystem(x.ring, ranks, diffs, CGRA)
+    return GSystem._of(apply_auto(shift_complex(x.complex, 1), 1), CGRA)
 
 
 # ---------------------------------------------------------------------------
@@ -291,34 +340,22 @@ def psi(x: GSystem) -> GSystem:
     """GA -> CgrA, position (a, j) lands at (a + j, j)."""
     if x.convention != GA:
         raise ValueError("psi expects the GA convention")
-    ranks = {(a + j, j): r for (a, j), r in x.ranks.items()}
-    diffs = {(n, a + j, j): m for (n, a, j), m in x.diffs.items()}
-    return GSystem(x.ring, ranks, diffs, CGRA)
+    return GSystem._of(x.complex, CGRA)
 
 
 def psi_inv(x: GSystem) -> GSystem:
     """CgrA -> GA, position (i, j) lands at (i - j, j)."""
     if x.convention != CGRA:
         raise ValueError("psi_inv expects the CgrA convention")
-    ranks = {(i - j, j): r for (i, j), r in x.ranks.items()}
-    diffs = {(n, i - j, j): m for (n, i, j), m in x.diffs.items()}
-    return GSystem(x.ring, ranks, diffs, GA)
+    return GSystem._of(x.complex, GA)
 
 
 def psi_mor(f: GMorphism) -> GMorphism:
-    return GMorphism(
-        psi(f.source),
-        psi(f.target),
-        {(n, a + j, j): m for (n, a, j), m in f.components.items()},
-    )
+    return GMorphism._of(psi(f.source), psi(f.target), f.chain_map)
 
 
 def psi_inv_mor(f: GMorphism) -> GMorphism:
-    return GMorphism(
-        psi_inv(f.source),
-        psi_inv(f.target),
-        {(n, i - j, j): m for (n, i, j), m in f.components.items()},
-    )
+    return GMorphism._of(psi_inv(f.source), psi_inv(f.target), f.chain_map)
 
 
 # ---------------------------------------------------------------------------
@@ -333,57 +370,26 @@ def graded_complex_instance(ring: CoeffRing) -> Graded:
 def gsystem_to_complex(x: GSystem) -> Complex:
     if x.convention != CGRA:
         raise ValueError("conversion expects the CgrA convention")
-    inst = graded_complex_instance(x.ring)
-    by_i: Dict[int, Dict[int, int]] = {}
-    for (i, j), r in x.ranks.items():
-        by_i.setdefault(i, {})[j] = r
-    objects = {i: GradedObject(ranks) for i, ranks in by_i.items()}
-    diffs: Dict[int, GradedMorphism] = {}
-    comp_by_i: Dict[int, Dict[Tuple[int, int], RingMatrix]] = {}
-    for (n, i, j), m in x.diffs.items():
-        comp_by_i.setdefault(i, {})[(n, j)] = m
-    for i, comps in comp_by_i.items():
-        src = objects.get(i, GradedObject({}))
-        tgt = objects.get(i + 1, GradedObject({}))
-        diffs[i] = GradedMorphism(src, tgt, comps)
-    return Complex(inst, objects, diffs)
+    return x.complex
 
 
 def complex_to_gsystem(c: Complex) -> GSystem:
     inst = c.instance
     if not isinstance(inst, Graded):
         raise ValueError("conversion expects a complex over a Graded instance")
-    ranks: Dict[Tuple[int, int], int] = {}
-    for i, X in c.objects.items():
-        for j, r in X.ranks.items():
-            ranks[(i, j)] = r
-    diffs: Dict[Tuple[int, int, int], RingMatrix] = {}
-    for i, d in c.diffs.items():
-        for (n, j), m in d.components.items():
-            diffs[(n, i, j)] = m
-    return GSystem(inst.ring, ranks, diffs, CGRA)
+    return GSystem._of(Complex(graded_complex_instance(inst.ring), c.objects, c.diffs), CGRA)
 
 
 def gmorphism_to_chain_map(f: GMorphism) -> ChainMap:
-    cx = gsystem_to_complex(f.source)
-    cy = gsystem_to_complex(f.target)
-    comp_by_i: Dict[int, Dict[Tuple[int, int], RingMatrix]] = {}
-    for (n, i, j), m in f.components.items():
-        comp_by_i.setdefault(i, {})[(n, j)] = m
-    comps = {
-        i: GradedMorphism(cx.obj(i), cy.obj(i), cs) for i, cs in comp_by_i.items()
-    }
-    return ChainMap(cx, cy, comps)
+    if f.source.convention != CGRA:
+        raise ValueError("conversion expects the CgrA convention")
+    return f.chain_map
 
 
 def chain_map_to_gmorphism(f: ChainMap) -> GMorphism:
     src = complex_to_gsystem(f.source)
     tgt = complex_to_gsystem(f.target)
-    comps: Dict[Tuple[int, int, int], RingMatrix] = {}
-    for i, g in f.components.items():
-        for (n, j), m in g.components.items():
-            comps[(n, i, j)] = m
-    return GMorphism(src, tgt, comps)
+    return GMorphism._of(src, tgt, ChainMap(src.complex, tgt.complex, f.components))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +450,7 @@ def totalize_chain_map(f: ChainMap) -> ChainMap:
 def totalize(x: GSystem) -> Complex:
     if x.convention != CGRA:
         raise ValueError("totalize expects the CgrA convention")
-    return totalize_complex(gsystem_to_complex(x))
+    return totalize_complex(x.complex)
 
 
 def totalize_mor(f: GMorphism) -> ChainMap:
@@ -565,6 +571,8 @@ class DeltaComplex:
         delta0: Dict[Tuple[int, int], RingMatrix],
         delta1: Dict[Tuple[int, int], RingMatrix],
     ):
+        if any(r < 0 for r in ranks.values()):
+            raise ValueError("negative rank")
         self.ring = ring
         self.ranks = {(int(i), int(j)): int(r) for (i, j), r in ranks.items() if r}
         d0: Dict[Tuple[int, int], RingMatrix] = {}
@@ -768,89 +776,97 @@ def cone_delta(f: DeltaMap) -> DeltaComplex:
 # ---------------------------------------------------------------------------
 
 
-def _theta_sign(parity: str, i: int, j: int):
-    if parity == "column":
+def _theta_sign(i: int, j: int):
+    if _THETA_PARITY == "column":
         return -1 if j % 2 else 1
-    if parity == "total":
+    if _THETA_PARITY == "total":
         return -1 if i % 2 else 1
-    raise ValueError(f"unknown parity {parity!r}")
+    raise ValueError(f"unknown parity {_THETA_PARITY!r}")
 
 
-def theta_extend(x: DeltaComplex, parity: Optional[str] = None):
+def _add_level(prob: MatrixProblem, X: GSystem, Y: GSystem, n: int, di: int, sign: int, rhs):
+    """Register the level-n unknowns u_n: X^{ij} -> Y^{i+di, j+n}, keyed (n, i, j),
+    then the level-n equations of  u d_X + sign * d_Y u = rhs(n, i, j).
+
+    A term enters only if its unknown is already registered: the levels that
+    ``prob`` does not hold are known, and their terms belong in rhs.  An
+    equation with no term and a zero rhs is left out.
+    """
+    for (i, j) in X.positions:
+        if Y.rank(i + di, j + n):
+            prob.add_unknown((n, i, j), Y.rank(i + di, j + n), X.rank(i, j))
+    for (i, j) in X.positions:
+        er, ec = Y.rank(i + di + 1, j + n), X.rank(i, j)
+        if not er or not ec:
+            continue
+        b = rhs(n, i, j)
+        terms = []
+        for q in range(n):  # u_{n-q} d_{X,q}
+            key = (n - q, i + 1, j + q)
+            if key in prob.unknowns:
+                terms.append((key, None, X.diff(q, i, j), 1))
+        for q in range(1, n + 1):  # d_{Y,n-q} u_q
+            key = (q, i, j)
+            if key in prob.unknowns:
+                terms.append((key, Y.diff(n - q, i + di, j + q), None, sign))
+        if terms or not b.is_zero():
+            prob.add_equation((er, ec), terms, b)
+
+
+def theta_extend(x: DeltaComplex):
     """Complete (delta0, delta1) to a full system; Obstruction on failure.
 
     Level 0 and 1 are fixed by the convention (d_0 the reindexed delta0,
-    d_1 the parity-signed reindexed delta1); each level n >= 2 is one
-    joint linear solve of  d_0 d_n + d_n d_0 = -sum_{0<p<n} d_p d_{n-p}.
+    d_1 the reindexed delta1 signed by ``_THETA_PARITY``); each level
+    n >= 2 is one joint linear solve of
+    d_0 d_n + d_n d_0 = -sum_{0<p<n} d_p d_{n-p}.
     """
-    if parity is None:
-        parity = _THETA_PARITY
     ring = x.ring
     ranks = {(r + j, j): rk for (r, j), rk in x.ranks.items()}
-    sys = GSystem(ring, ranks, {}, CGRA)
     diffs: Dict[Tuple[int, int, int], RingMatrix] = {}
     for (r, j), m in x.delta0.items():
         diffs[(0, r + j, j)] = m
     for (r, j), m in x.delta1.items():
-        s = _theta_sign(parity, r + j, j)
-        diffs[(1, r + j, j)] = m if s == 1 else -m
-
-    def dd(n, i, j):
-        m = diffs.get((n, i, j))
-        if m is None:
-            return RingMatrix.zero(ring, sys.rank(i + 1, j + n), sys.rank(i, j))
-        return m
-
+        diffs[(1, r + j, j)] = m if _theta_sign(r + j, j) == 1 else -m
+    sys = GSystem(ring, ranks, diffs, CGRA)
     # level 1 is a check, not a solve: d_0 d_1 + d_1 d_0 must vanish
-    for (i, j) in sorted(ranks):
-        res = dd(0, i + 1, j + 1) @ dd(1, i, j) + dd(1, i + 1, j) @ dd(0, i, j)
+    for (i, j) in sys.positions:
+        res = sys.diff(0, i + 1, j + 1) @ sys.diff(1, i, j) + sys.diff(1, i + 1, j) @ sys.diff(0, i, j)
         if not res.is_zero():
             return Obstruction(
                 "theta-extend", 1, (i, j),
                 "level-1 relation fails: the signed j-map does not "
                 "anticommute with the i-differential",
             )
+
+    def rhs(n, i, j):
+        # the levels below n are fixed in sys
+        out = RingMatrix.zero(ring, sys.rank(i + 2, j + n), sys.rank(i, j))
+        for p in range(1, n):
+            out = out + (-(sys.diff(p, i + 1, j + n - p) @ sys.diff(n - p, i, j)))
+        return out
+
     cols = x.columns
     width = (max(cols) - min(cols)) if cols else 0
     for n in range(2, width + 1):
         prob = MatrixProblem(ring)
-        slots = [
-            (i, j) for (i, j) in sorted(ranks)
-            if sys.rank(i, j) and sys.rank(i + 1, j + n)
-        ]
-        for (i, j) in slots:
-            prob.add_unknown((i, j), sys.rank(i + 1, j + n), sys.rank(i, j))
-        for (i, j) in sorted(ranks):
-            er, ec = sys.rank(i + 2, j + n), sys.rank(i, j)
-            if not er or not ec:
-                continue
-            rhs = RingMatrix.zero(ring, er, ec)
-            for p in range(1, n):
-                rhs = rhs + (-(dd(p, i + 1, j + n - p) @ dd(n - p, i, j)))
-            terms = []
-            if (i, j) in prob.unknowns:
-                terms.append(((i, j), dd(0, i + 1, j + n), None, 1))
-            if (i + 1, j) in prob.unknowns:
-                terms.append(((i + 1, j), None, dd(0, i, j), 1))
-            if not terms and rhs.is_zero():
-                continue
-            prob.add_equation((er, ec), terms, rhs)
+        _add_level(prob, sys, sys, n, 1, 1, rhs)
         sol = prob.solve()
         if sol is None:
             return Obstruction(
                 "theta-extend", n, None,
                 f"level-{n} correction system is inconsistent",
             )
-        for (i, j), m in sol.items():
-            if not m.is_zero():
-                diffs[(n, i, j)] = m
-    out = GSystem(ring, ranks, diffs, CGRA)
-    verify(validate_gsystem(out), "theta_extend: the completion fails the convolution relations")
-    return out
+        new = {key: m for key, m in sol.items() if not m.is_zero()}
+        if new:
+            diffs.update(new)
+            sys = GSystem(ring, ranks, diffs, CGRA)
+    verify(validate_gsystem(sys), "theta_extend: the completion fails the convolution relations")
+    return sys
 
 
-def _solve_levels(ring: CoeffRing, top: int, add_level):
-    """Solve levels 1..top, each registered by ``add_level(prob, n)``, as one system.
+def _solve_levels(X: GSystem, Y: GSystem, top: int, di: int, sign: int, rhs):
+    """Solve levels 1..top of ``_add_level(prob, X, Y, n, di, sign, rhs)`` as one system.
 
     Returns (solution, None), or (None, n) for the first n whose system of
     levels 1..n is inconsistent.  The joint system is consistent iff every
@@ -858,9 +874,9 @@ def _solve_levels(ring: CoeffRing, top: int, add_level):
     """
 
     def through(n):
-        prob = MatrixProblem(ring)
+        prob = MatrixProblem(X.ring)
         for k in range(1, n + 1):
-            add_level(prob, k)
+            _add_level(prob, X, Y, k, di, sign, rhs)
         return prob.solve()
 
     sol = through(top) if top >= 1 else {}
@@ -877,68 +893,32 @@ def theta_extend_mor(alpha: DeltaMap, xhat: GSystem, yhat: GSystem):
     level is the first n whose system of levels <= n is inconsistent,
     which is independent of any choice made at lower levels.
     """
-    ring = xhat.ring
-    f0: Dict[Tuple[int, int], RingMatrix] = {}
-    for (r, j), m in alpha.components.items():
-        f0[(r + j, j)] = m
-
-    def f0c(i, j):
-        m = f0.get((i, j))
-        if m is None:
-            return RingMatrix.zero(ring, yhat.rank(i, j), xhat.rank(i, j))
-        return m
-
+    f0 = GMorphism(xhat, yhat, {(0, r + j, j): m for (r, j), m in alpha.components.items()})
     # level 0: f_0 must already intertwine the strict differentials
     for (i, j) in xhat.positions:
-        res = f0c(i + 1, j) @ xhat.diff(0, i, j) - yhat.diff(0, i, j) @ f0c(i, j)
+        res = f0.comp(0, i + 1, j) @ xhat.diff(0, i, j) - yhat.diff(0, i, j) @ f0.comp(0, i, j)
         if not res.is_zero():
             return Obstruction(
                 "theta-extend-mor", 0, (i, j),
                 "the column-wise map does not commute with the i-differential",
             )
-    comps: Dict[Tuple[int, int, int], RingMatrix] = {
-        (0, i, j): m for (i, j), m in f0.items()
-    }
-    xj = [j for (_, j) in xhat.ranks]
-    yj = [j for (_, j) in yhat.ranks]
-    if not xj or not yj:
-        return GMorphism(xhat, yhat, comps)
+    if xhat.is_zero() or yhat.is_zero():
+        return f0
 
-    def add_level(prob, n):
-        for (i, j) in xhat.positions:
-            if yhat.rank(i, j + n):
-                prob.add_unknown((n, i, j), yhat.rank(i, j + n), xhat.rank(i, j))
-        for (i, j) in xhat.positions:
-            er, ec = yhat.rank(i + 1, j + n), xhat.rank(i, j)
-            if not er or not ec:
-                continue
-            # level-n equation: sum_q f_{n-q} dX_q - sum_q dY_{n-q} f_q = 0
-            rhs = -(f0c(i + 1, j + n) @ xhat.diff(n, i, j)) + (
-                yhat.diff(n, i, j) @ f0c(i, j)
-            )
-            terms = []
-            for q in range(n):  # unknown f_{n-q}, level >= 1
-                key = (n - q, i + 1, j + q)
-                if key in prob.unknowns:
-                    terms.append((key, None, xhat.diff(q, i, j), 1))
-            for q in range(1, n + 1):  # unknown f_q on the target side
-                key = (q, i, j)
-                if key in prob.unknowns:
-                    terms.append((key, yhat.diff(n - q, i, j + q), None, -1))
-            if not terms and rhs.is_zero():
-                continue
-            prob.add_equation((er, ec), terms, rhs)
+    def rhs(n, i, j):
+        # level-n equation: sum_q f_{n-q} dX_q - sum_q dY_{n-q} f_q = 0
+        return -(f0.comp(0, i + 1, j + n) @ xhat.diff(n, i, j)) + (
+            yhat.diff(n, i, j) @ f0.comp(0, i, j)
+        )
 
-    sol, level = _solve_levels(ring, max(0, max(yj) - min(xj)), add_level)
+    top = max(j for _, j in yhat.positions) - min(j for _, j in xhat.positions)
+    sol, level = _solve_levels(xhat, yhat, max(0, top), 0, -1, rhs)
     if sol is None:
         return Obstruction(
             "theta-extend-mor", level, None,
             f"the joint component system through level {level} is inconsistent",
         )
-    for (n, i, j), m in sol.items():
-        if not m.is_zero():
-            comps[(n, i, j)] = m
-    out = GMorphism(xhat, yhat, comps)
+    out = GMorphism(xhat, yhat, {**f0.components, **sol})
     verify(validate_gmorphism(out), "theta_extend_mor: the extension is not a morphism")
     return out
 
@@ -976,7 +956,18 @@ def theta_cone_system(fhat: GMorphism) -> GSystem:
     return GSystem(ring, ranks, diffs, CGRA)
 
 
-def theta_triangle_check(alpha: DeltaMap, parity: Optional[str] = None):
+def _extend_map(alpha: DeltaMap):
+    """theta_extend_mor of alpha between the extensions of its ends; the first Obstruction on failure."""
+    xhat = theta_extend(alpha.source)
+    if isinstance(xhat, Obstruction):
+        return xhat
+    yhat = theta_extend(alpha.target)
+    if isinstance(yhat, Obstruction):
+        return yhat
+    return theta_extend_mor(alpha, xhat, yhat)
+
+
+def theta_triangle_check(alpha: DeltaMap):
     """Verify the cone and shift identities for the constructed extensions.
 
     Returns True, or an Obstruction from a failed extension, or False if
@@ -985,42 +976,31 @@ def theta_triangle_check(alpha: DeltaMap, parity: Optional[str] = None):
     identity checks that reindex-and-negate is a valid extension of the
     shifted input.
     """
-    X, Y = alpha.source, alpha.target
-    xhat = theta_extend(X, parity)
-    if isinstance(xhat, Obstruction):
-        return xhat
-    yhat = theta_extend(Y, parity)
-    if isinstance(yhat, Obstruction):
-        return yhat
-    fhat = theta_extend_mor(alpha, xhat, yhat)
+    fhat = _extend_map(alpha)
     if isinstance(fhat, Obstruction):
         return fhat
     # cone identity: the display equals the honest cone of fhat . eta
     cone_sys = theta_cone_system(fhat)
     fc = gmorphism_to_chain_map(fhat)
     g = compose_chain_maps(fc, eta_chain_map(fc.source))
-    honest = complex_to_gsystem(cone(g)[0])
-    if honest != cone_sys:
+    if cone(g)[0] != cone_sys.complex:
         return False
     if not validate_gsystem(cone_sys):
         return False
     # the cone system's underlying ranks agree with the cone of the inputs
     cd = cone_delta(alpha)
-    if {(r + j, j): rk for (r, j), rk in cd.ranks.items()} != dict(cone_sys.ranks):
+    if {(r + j, j): rk for (r, j), rk in cd.ranks.items()} != cone_sys.ranks:
         return False
     # shift identity: reindex-and-negate extends the shifted DeltaComplex
-    shifted = shift_gsystem(xhat)
-    sx = shift_delta(X)
-    if parity is None:
-        parity = _THETA_PARITY
-    if {(r + j, j): rk for (r, j), rk in sx.ranks.items()} != dict(shifted.ranks):
+    shifted = shift_gsystem(fhat.source)
+    sx = shift_delta(alpha.source)
+    if {(r + j, j): rk for (r, j), rk in sx.ranks.items()} != shifted.ranks:
         return False
     for (r, j), rk in sx.ranks.items():
         i = r + j
         if shifted.diff(0, i, j) != sx.d0(r, j):
             return False
-        s = _theta_sign(parity, i, j)
-        want = sx.d1(r, j) if s == 1 else -sx.d1(r, j)
+        want = sx.d1(r, j) if _theta_sign(i, j) == 1 else -sx.d1(r, j)
         if shifted.diff(1, i, j) != want:
             return False
     if not validate_gsystem(shifted):
@@ -1028,22 +1008,16 @@ def theta_triangle_check(alpha: DeltaMap, parity: Optional[str] = None):
     return True
 
 
-def phi(x: DeltaComplex, parity: Optional[str] = None):
+def phi(x: DeltaComplex):
     """totalize . theta_extend; propagates the Obstruction on failure."""
-    xhat = theta_extend(x, parity)
+    xhat = theta_extend(x)
     if isinstance(xhat, Obstruction):
         return xhat
     return totalize(xhat)
 
 
-def phi_mor(alpha: DeltaMap, parity: Optional[str] = None):
-    xhat = theta_extend(alpha.source, parity)
-    if isinstance(xhat, Obstruction):
-        return xhat
-    yhat = theta_extend(alpha.target, parity)
-    if isinstance(yhat, Obstruction):
-        return yhat
-    fhat = theta_extend_mor(alpha, xhat, yhat)
+def phi_mor(alpha: DeltaMap):
+    fhat = _extend_map(alpha)
     if isinstance(fhat, Obstruction):
         return fhat
     return totalize_mor(fhat)
@@ -1148,53 +1122,26 @@ def eta_null_complete(
     if any(n <= 1 for r in defect.values() for (n, _) in r.components):
         raise ValueError("seed pair does not satisfy the two seed equations")
 
-    def defect_k(k, i, j):
+    def rhs(k, i, j):
         r = defect.get(i)
         if r is None:
             return RingMatrix.zero(ring, Y.rank(i, j + k), X.rank(i, j))
         return r.component(k + 1, j - 1, ring)
 
-    yj = [j for (_, j) in Y.ranks]
-    xj = [j for (_, j) in X.ranks]
     k_top = f.max_level()
-    if yj and xj:
-        k_top = max(k_top, max(yj) - min(xj) + 1)
-
-    def add_level(prob, k):
-        # the s_{k+1} unknowns, then the level-k equations
-        for (i, j) in X.positions:
-            if Y.rank(i - 1, j + k):
-                prob.add_unknown((k + 1, i, j), Y.rank(i - 1, j + k), X.rank(i, j))
-        for (i, j) in X.positions:
-            er, ec = Y.rank(i, j + k), X.rank(i, j)
-            if not er or not ec:
-                continue
-            # level-k equation: f_k = sum_{p+q=k+1} (s_p dX_q + dY_p s_q);
-            # s_0, s_1 are the fixed seeds, s_p for p >= 2 are unknowns
-            rhs = defect_k(k, i, j)
-            terms = []
-            for q in range(k):  # unknown s_{k+1-q}, level >= 2
-                key = (k + 1 - q, i + 1, j + q)
-                if key in prob.unknowns:
-                    terms.append((key, None, X.diff(q, i, j), 1))
-            for q in range(2, k + 2):  # unknown s_q on the target side
-                key = (q, i, j)
-                if key in prob.unknowns:
-                    terms.append((key, Y.diff(k + 1 - q, i - 1, j + q - 1), None, 1))
-            if not terms and rhs.is_zero():
-                continue
-            prob.add_equation((er, ec), terms, rhs)
-
-    sol, level = _solve_levels(ring, k_top, add_level)
+    if not X.is_zero() and not Y.is_zero():
+        k_top = max(k_top, max(j for _, j in Y.positions) - min(j for _, j in X.positions) + 1)
+    # u_k: X^{ij} -> Y^{i-1,j+k} is s_{k+1}
+    sol, level = _solve_levels(X, Y, k_top, -1, 1, rhs)
     if sol is None:
         return Obstruction(
             "eta-null-complete", level, None,
             f"the joint homotopy system through level {level} is inconsistent",
         )
     s: Dict[int, Dict[Tuple[int, int], RingMatrix]] = dict(seeds)
-    for (p, i, j), m in sol.items():
+    for (k, i, j), m in sol.items():
         if not m.is_zero():
-            s.setdefault(p, {})[(i, j)] = m
+            s.setdefault(k + 1, {})[(i, j)] = m
     verify(corollary_equations_hold(f, s), "eta_null_complete: the family fails the equations")
     return _family_to_certificate(f, s)
 
@@ -1203,9 +1150,7 @@ def _family_to_certificate(
     f: GMorphism, s: Dict[int, Dict[Tuple[int, int], RingMatrix]]
 ) -> HomotopyCertificate:
     """Repackage {s_n^{ij}} as the graded-complex homotopy {s^i}."""
-    X, Y = f.source, f.target
-    cx = gsystem_to_complex(X)
-    cy = gsystem_to_complex(Y)
+    cx, cy = f.chain_map.source, f.chain_map.target
     inst = cx.instance
     out: Dict[int, GradedMorphism] = {}
     by_i: Dict[int, Dict[Tuple[int, int], RingMatrix]] = {}

@@ -16,6 +16,7 @@ from etacomplex.generators import (
     random_gsystem,
     random_std_conflation,
 )
+from etacomplex.gsystems import DeltaComplex, DeltaMap, GSystem, psi_inv
 from etacomplex.matrix import RingMatrix
 from etacomplex.rings import GF, ZZ, Zmod
 from etacomplex.serialize import (
@@ -194,6 +195,73 @@ class TestCheck:
         names = {r["check"] for r in recs}
         assert {"axioms/ex0", "axioms/ex1", "axioms/ex1-op", "axioms/ex2", "axioms/ex2-op"} <= names
         assert all(r["verdict"] == "PASS" for r in recs)
+
+    def test_totalize_ga_gsystem_exit_two(self, tmp_path, capsys):
+        x = psi_inv(random_gsystem(Zmod(4), random.Random(3)))
+        p = tmp_path / "ga.json"
+        save_instance_file(str(p), "gsystem", x)
+        assert main(["check", str(p), "--op", "totalize"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("op", ["phi", "triangle-check"])
+    @pytest.mark.parametrize("bad_end", ["source", "target"])
+    def test_invalid_delta_map_end_fails(self, tmp_path, capsys, op, bad_end):
+        # a column whose delta0 squares to the identity completes to no system
+        ranks = {(0, 0): 1, (1, 0): 1, (2, 0): 1}
+        one = RingMatrix.from_rows(Zmod(4), [[1]])
+        bad = DeltaComplex(Zmod(4), ranks, {(0, 0): one, (1, 0): one}, {})
+        good = DeltaComplex(Zmod(4), ranks, {}, {})
+        ends = (bad, good) if bad_end == "source" else (good, bad)
+        p = tmp_path / "dm.json"
+        save_instance_file(str(p), "delta-map", DeltaMap(*ends, {}))
+        code, out = run(capsys, ["check", str(p), "--op", op])
+        assert code == 1
+        rec = records_of(out)[0]
+        assert rec["verdict"] == "FAIL"
+        assert rec["detail"] == "input is not a valid completion problem"
+
+    @pytest.mark.parametrize("kind, op", [
+        ("chain-maps", "eta-homotopic"),
+        ("pair", "is-eta-conflation"),
+        ("gsystem", "totalize"),
+        ("delta-complex", "theta-extend"),
+        ("delta-map", "phi"),
+    ])
+    def test_negative_rank_exit_two(self, tmp_path, capsys, kind, op):
+        """Every rank 1 in a stalk instance of the kind is rewritten to -1."""
+        ring = Zmod(4)
+        stalk = Complex(ScalarEta(ring, 2), {0: 1}, {})
+        zero = zero_chain_map(stalk, stalk)
+        delta = DeltaComplex(ring, {(0, 0): 1}, {}, {})
+        obj = {
+            "chain-maps": (zero, zero),
+            "pair": (zero, zero),
+            "gsystem": GSystem(ring, {(0, 0): 1}, {}),
+            "delta-complex": delta,
+            "delta-map": DeltaMap(delta, delta, {}),
+        }[kind]
+        p = tmp_path / "neg.json"
+        save_instance_file(str(p), kind, obj)
+        edited = []
+
+        def edit(node):
+            if isinstance(node, dict):
+                for key in ("object", "rank"):
+                    if node.get(key) == 1:
+                        node[key] = -1
+                        edited.append(node)
+                for v in node.values():
+                    edit(v)
+            elif isinstance(node, list):
+                for v in node:
+                    edit(v)
+
+        doc = json.loads(p.read_text())
+        edit(doc)
+        assert edited
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p), "--op", op]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -8,16 +8,22 @@ Oracle notes:
   checker, and certificates through the complex-level homotopy checker.
 - [DERIVED] the relation checkers, which go through the complex layer over
   Graded, agree with the levelwise convolution sums kept here verbatim.
+- [DERIVED] the stored-complex GSystem and GMorphism agree with the flat-dict
+  definitions kept here verbatim, and so do the maps between them; the level
+  systems of the three constructions agree entry for entry with their
+  hand-written registrations, also kept verbatim.
 - [TRIVIAL] shape/constructor errors.
 """
 
 import random
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
 from etacomplex.complexes import (
+    ChainMap,
     Complex,
+    HomotopyCertificate,
     PostconditionError,
     compose_chain_maps,
     eta_chain_map,
@@ -25,14 +31,17 @@ from etacomplex.complexes import (
     null_homotopic,
     validate_chain_map,
     validate_complex,
+    verify,
 )
 from etacomplex.generators import (
     columnwise_null_delta_map,
     inductive_delta_complex,
     obstructed_delta_complex,
     random_delta_complex,
+    random_chain_map,
     random_delta_map,
     random_gmorphism,
+    random_graded_complex,
     random_gsystem,
     random_strip_delta_complex,
 )
@@ -77,9 +86,10 @@ from etacomplex.gsystems import (
     xi_cone_identity,
     xi_mor,
 )
-from etacomplex.base import GradedMorphism, GradedObject, ScalarEta
+from etacomplex.base import Graded, GradedMorphism, GradedObject, ScalarEta
 from etacomplex.matrix import RingMatrix
-from etacomplex.rings import GF, ZZ, Zmod
+from etacomplex.rings import GF, ZZ, CoeffRing, Zmod
+import etacomplex.gsystems as gs
 
 RINGS = [ZZ, Zmod(4), Zmod(8), Zmod(9), GF(5)]
 Z4 = Zmod(4)
@@ -387,10 +397,13 @@ class TestThetaExtend:
         assert out.level == 1
         assert out.position is not None
 
-    def test_total_parity_resolves_strict_commutation(self):
+    def test_total_parity_resolves_strict_commutation(self, monkeypatch):
         # with the (-1)^i twist the level-1 relation is the commutator, so
         # the same instance completes
-        out = theta_extend(obstructed_delta_complex(Z4), parity="total")
+        import etacomplex.gsystems as gs
+
+        monkeypatch.setattr(gs, "_THETA_PARITY", "total")
+        out = theta_extend(obstructed_delta_complex(Z4))
         assert isinstance(out, GSystem)
         assert validate_gsystem(out)
 
@@ -943,3 +956,747 @@ class TestFoldedCheckersOracle:
                     assert got == ref_corollary_equations_hold(f, fam)
                     seen.add(("family", got))
         assert seen == {(k, v) for k in ("seed", "family") for v in (True, False)}
+
+
+# -- oracle: the flat storage and the hand-written level systems -------------
+#
+# The definitions below are the library's before a GSystem stored one complex
+# over Graded: flat (n, i, j) dicts, the reindexing maps, composition, shift
+# and the converters.  They are kept verbatim, renamed, as the reference for
+# the views and maps of the stored form.
+
+
+class RefGSystem:
+    """Bigraded object with higher differentials under a fixed convention."""
+
+    __slots__ = ("ring", "convention", "ranks", "diffs")
+
+    def __init__(
+        self,
+        ring: CoeffRing,
+        ranks: Dict[Tuple[int, int], int],
+        diffs: Dict[Tuple[int, int, int], RingMatrix],
+        convention: str = CGRA,
+    ):
+        if convention not in (CGRA, GA):
+            raise ValueError(f"unknown convention {convention!r}")
+        self.ring = ring
+        self.convention = convention
+        self.ranks = {
+            (int(i), int(j)): int(r) for (i, j), r in ranks.items() if r
+        }
+        clean: Dict[Tuple[int, int, int], RingMatrix] = {}
+        for (n, i, j), m in diffs.items():
+            if n < 0:
+                raise ValueError("differential level must be >= 0")
+            ti, tj = self.target_pos(n, i, j)
+            if (m.rows, m.cols) != (self.rank(ti, tj), self.rank(i, j)):
+                raise ValueError(
+                    f"diff ({n},{i},{j}) has shape {m.rows}x{m.cols}, "
+                    f"expected {self.rank(ti, tj)}x{self.rank(i, j)}"
+                )
+            if not m.is_zero():
+                clean[(n, i, j)] = m
+        self.diffs = clean
+
+    def target_pos(self, n: int, i: int, j: int) -> Tuple[int, int]:
+        if self.convention == CGRA:
+            return (i + 1, j + n)
+        return (i + 1 - n, j + n)
+
+    def rank(self, i: int, j: int) -> int:
+        return self.ranks.get((i, j), 0)
+
+    def diff(self, n: int, i: int, j: int) -> RingMatrix:
+        m = self.diffs.get((n, i, j))
+        if m is None:
+            ti, tj = self.target_pos(n, i, j)
+            return RingMatrix.zero(self.ring, self.rank(ti, tj), self.rank(i, j))
+        return m
+
+    @property
+    def positions(self) -> List[Tuple[int, int]]:
+        return sorted(self.ranks)
+
+    def max_level(self) -> int:
+        return max((n for (n, _, _) in self.diffs), default=0)
+
+    def is_zero(self) -> bool:
+        return not self.ranks
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, RefGSystem)
+            and self.ring == other.ring
+            and self.convention == other.convention
+            and self.ranks == other.ranks
+            and self.diffs == other.diffs
+        )
+
+    def __repr__(self):
+        return f"RefGSystem({self.convention}, positions={self.positions})"
+
+    def to_json(self):
+        return {
+            "convention": self.convention,
+            "ring": self.ring.to_json(),
+            "ranks": [
+                {"i": i, "j": j, "rank": r} for (i, j), r in sorted(self.ranks.items())
+            ],
+            "diffs": [
+                {"n": n, "i": i, "j": j, "matrix": m.to_json()}
+                for (n, i, j), m in sorted(self.diffs.items())
+            ],
+        }
+
+    @staticmethod
+    def from_json(d) -> "RefGSystem":
+        ring = CoeffRing.from_json(d["ring"])
+        ranks = {(e["i"], e["j"]): e["rank"] for e in d["ranks"]}
+        diffs = {
+            (e["n"], e["i"], e["j"]): RingMatrix.from_json(e["matrix"])
+            for e in d["diffs"]
+        }
+        return RefGSystem(ring, ranks, diffs, d["convention"])
+
+
+class RefGMorphism:
+    """Morphism of GSystems: components f_n of degree (0,n) (CGRA) / (-n,n) (GA)."""
+
+    __slots__ = ("source", "target", "components")
+
+    def __init__(
+        self,
+        source: RefGSystem,
+        target: RefGSystem,
+        components: Dict[Tuple[int, int, int], RingMatrix],
+    ):
+        if source.ring != target.ring or source.convention != target.convention:
+            raise ValueError("RefGMorphism endpoints disagree on ring or convention")
+        self.source = source
+        self.target = target
+        clean: Dict[Tuple[int, int, int], RingMatrix] = {}
+        for (n, i, j), m in components.items():
+            if n < 0:
+                raise ValueError("component level must be >= 0")
+            ti, tj = self.comp_target(n, i, j)
+            if (m.rows, m.cols) != (target.rank(ti, tj), source.rank(i, j)):
+                raise ValueError(
+                    f"component ({n},{i},{j}) has shape {m.rows}x{m.cols}, "
+                    f"expected {target.rank(ti, tj)}x{source.rank(i, j)}"
+                )
+            if not m.is_zero():
+                clean[(n, i, j)] = m
+        self.components = clean
+
+    def comp_target(self, n: int, i: int, j: int) -> Tuple[int, int]:
+        if self.source.convention == CGRA:
+            return (i, j + n)
+        return (i - n, j + n)
+
+    def comp(self, n: int, i: int, j: int) -> RingMatrix:
+        m = self.components.get((n, i, j))
+        if m is None:
+            ti, tj = self.comp_target(n, i, j)
+            return RingMatrix.zero(
+                self.source.ring, self.target.rank(ti, tj), self.source.rank(i, j)
+            )
+        return m
+
+    def max_level(self) -> int:
+        return max((n for (n, _, _) in self.components), default=0)
+
+    def is_zero(self) -> bool:
+        return not self.components
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, RefGMorphism)
+            and self.source == other.source
+            and self.target == other.target
+            and self.components == other.components
+        )
+
+    def __repr__(self):
+        return f"RefGMorphism(levels at {sorted(self.components)})"
+
+
+def ref_gs_compose(g: RefGMorphism, f: RefGMorphism) -> RefGMorphism:
+    if f.target != g.source:
+        raise ValueError("GMorphisms not composable")
+    comps: Dict[Tuple[int, int, int], RingMatrix] = {}
+    for (q, i, j), fm in f.components.items():
+        mi, mj = f.comp_target(q, i, j)
+        for (p, gi, gj), gm in g.components.items():
+            if (gi, gj) != (mi, mj):
+                continue
+            key = (p + q, i, j)
+            prod = gm @ fm
+            comps[key] = comps[key] + prod if key in comps else prod
+    return RefGMorphism(f.source, g.target, comps)
+
+
+def ref_shift_gsystem(x: RefGSystem) -> RefGSystem:
+    """The composite [1](1): reindex by (i+1, j+1) and negate every level."""
+    if x.convention != CGRA:
+        raise ValueError("ref_shift_gsystem is defined in the CgrA convention")
+    ranks = {(i - 1, j - 1): r for (i, j), r in x.ranks.items()}
+    diffs = {(n, i - 1, j - 1): -m for (n, i, j), m in x.diffs.items()}
+    return RefGSystem(x.ring, ranks, diffs, CGRA)
+
+
+def ref_psi(x: RefGSystem) -> RefGSystem:
+    """GA -> CgrA, position (a, j) lands at (a + j, j)."""
+    if x.convention != GA:
+        raise ValueError("ref_psi expects the GA convention")
+    ranks = {(a + j, j): r for (a, j), r in x.ranks.items()}
+    diffs = {(n, a + j, j): m for (n, a, j), m in x.diffs.items()}
+    return RefGSystem(x.ring, ranks, diffs, CGRA)
+
+
+def ref_psi_inv(x: RefGSystem) -> RefGSystem:
+    """CgrA -> GA, position (i, j) lands at (i - j, j)."""
+    if x.convention != CGRA:
+        raise ValueError("ref_psi_inv expects the CgrA convention")
+    ranks = {(i - j, j): r for (i, j), r in x.ranks.items()}
+    diffs = {(n, i - j, j): m for (n, i, j), m in x.diffs.items()}
+    return RefGSystem(x.ring, ranks, diffs, GA)
+
+
+def ref_psi_mor(f: RefGMorphism) -> RefGMorphism:
+    return RefGMorphism(
+        ref_psi(f.source),
+        ref_psi(f.target),
+        {(n, a + j, j): m for (n, a, j), m in f.components.items()},
+    )
+
+
+def ref_psi_inv_mor(f: RefGMorphism) -> RefGMorphism:
+    return RefGMorphism(
+        ref_psi_inv(f.source),
+        ref_psi_inv(f.target),
+        {(n, i - j, j): m for (n, i, j), m in f.components.items()},
+    )
+
+
+def ref_gsystem_to_complex(x: RefGSystem) -> Complex:
+    if x.convention != CGRA:
+        raise ValueError("conversion expects the CgrA convention")
+    inst = graded_complex_instance(x.ring)
+    by_i: Dict[int, Dict[int, int]] = {}
+    for (i, j), r in x.ranks.items():
+        by_i.setdefault(i, {})[j] = r
+    objects = {i: GradedObject(ranks) for i, ranks in by_i.items()}
+    diffs: Dict[int, GradedMorphism] = {}
+    comp_by_i: Dict[int, Dict[Tuple[int, int], RingMatrix]] = {}
+    for (n, i, j), m in x.diffs.items():
+        comp_by_i.setdefault(i, {})[(n, j)] = m
+    for i, comps in comp_by_i.items():
+        src = objects.get(i, GradedObject({}))
+        tgt = objects.get(i + 1, GradedObject({}))
+        diffs[i] = GradedMorphism(src, tgt, comps)
+    return Complex(inst, objects, diffs)
+
+
+def ref_complex_to_gsystem(c: Complex) -> RefGSystem:
+    inst = c.instance
+    if not isinstance(inst, Graded):
+        raise ValueError("conversion expects a complex over a Graded instance")
+    ranks: Dict[Tuple[int, int], int] = {}
+    for i, X in c.objects.items():
+        for j, r in X.ranks.items():
+            ranks[(i, j)] = r
+    diffs: Dict[Tuple[int, int, int], RingMatrix] = {}
+    for i, d in c.diffs.items():
+        for (n, j), m in d.components.items():
+            diffs[(n, i, j)] = m
+    return RefGSystem(inst.ring, ranks, diffs, CGRA)
+
+
+def ref_gmorphism_to_chain_map(f: RefGMorphism) -> ChainMap:
+    cx = ref_gsystem_to_complex(f.source)
+    cy = ref_gsystem_to_complex(f.target)
+    comp_by_i: Dict[int, Dict[Tuple[int, int], RingMatrix]] = {}
+    for (n, i, j), m in f.components.items():
+        comp_by_i.setdefault(i, {})[(n, j)] = m
+    comps = {
+        i: GradedMorphism(cx.obj(i), cy.obj(i), cs) for i, cs in comp_by_i.items()
+    }
+    return ChainMap(cx, cy, comps)
+
+
+def ref_chain_map_to_gmorphism(f: ChainMap) -> RefGMorphism:
+    src = ref_complex_to_gsystem(f.source)
+    tgt = ref_complex_to_gsystem(f.target)
+    comps: Dict[Tuple[int, int, int], RingMatrix] = {}
+    for i, g in f.components.items():
+        for (n, j), m in g.components.items():
+            comps[(n, i, j)] = m
+    return RefGMorphism(src, tgt, comps)
+
+
+# The three constructions as they were before their level systems shared one
+# builder, kept verbatim (renamed) as the reference for every assembled system.
+
+
+def ref_theta_sign(parity: str, i: int, j: int):
+    if parity == "column":
+        return -1 if j % 2 else 1
+    if parity == "total":
+        return -1 if i % 2 else 1
+    raise ValueError(f"unknown parity {parity!r}")
+
+
+def ref_theta_extend(x: DeltaComplex, parity: Optional[str] = None):
+    """Complete (delta0, delta1) to a full system; Obstruction on failure.
+
+    Level 0 and 1 are fixed by the convention (d_0 the reindexed delta0,
+    d_1 the parity-signed reindexed delta1); each level n >= 2 is one
+    joint linear solve of  d_0 d_n + d_n d_0 = -sum_{0<p<n} d_p d_{n-p}.
+    """
+    if parity is None:
+        parity = gs._THETA_PARITY
+    ring = x.ring
+    ranks = {(r + j, j): rk for (r, j), rk in x.ranks.items()}
+    sys = GSystem(ring, ranks, {}, CGRA)
+    diffs: Dict[Tuple[int, int, int], RingMatrix] = {}
+    for (r, j), m in x.delta0.items():
+        diffs[(0, r + j, j)] = m
+    for (r, j), m in x.delta1.items():
+        s = ref_theta_sign(parity, r + j, j)
+        diffs[(1, r + j, j)] = m if s == 1 else -m
+
+    def dd(n, i, j):
+        m = diffs.get((n, i, j))
+        if m is None:
+            return RingMatrix.zero(ring, sys.rank(i + 1, j + n), sys.rank(i, j))
+        return m
+
+    # level 1 is a check, not a solve: d_0 d_1 + d_1 d_0 must vanish
+    for (i, j) in sorted(ranks):
+        res = dd(0, i + 1, j + 1) @ dd(1, i, j) + dd(1, i + 1, j) @ dd(0, i, j)
+        if not res.is_zero():
+            return Obstruction(
+                "theta-extend", 1, (i, j),
+                "level-1 relation fails: the signed j-map does not "
+                "anticommute with the i-differential",
+            )
+    cols = x.columns
+    width = (max(cols) - min(cols)) if cols else 0
+    for n in range(2, width + 1):
+        prob = MatrixProblem(ring)
+        slots = [
+            (i, j) for (i, j) in sorted(ranks)
+            if sys.rank(i, j) and sys.rank(i + 1, j + n)
+        ]
+        for (i, j) in slots:
+            prob.add_unknown((i, j), sys.rank(i + 1, j + n), sys.rank(i, j))
+        for (i, j) in sorted(ranks):
+            er, ec = sys.rank(i + 2, j + n), sys.rank(i, j)
+            if not er or not ec:
+                continue
+            rhs = RingMatrix.zero(ring, er, ec)
+            for p in range(1, n):
+                rhs = rhs + (-(dd(p, i + 1, j + n - p) @ dd(n - p, i, j)))
+            terms = []
+            if (i, j) in prob.unknowns:
+                terms.append(((i, j), dd(0, i + 1, j + n), None, 1))
+            if (i + 1, j) in prob.unknowns:
+                terms.append(((i + 1, j), None, dd(0, i, j), 1))
+            if not terms and rhs.is_zero():
+                continue
+            prob.add_equation((er, ec), terms, rhs)
+        sol = prob.solve()
+        if sol is None:
+            return Obstruction(
+                "theta-extend", n, None,
+                f"level-{n} correction system is inconsistent",
+            )
+        for (i, j), m in sol.items():
+            if not m.is_zero():
+                diffs[(n, i, j)] = m
+    out = GSystem(ring, ranks, diffs, CGRA)
+    verify(validate_gsystem(out), "ref_theta_extend: the completion fails the convolution relations")
+    return out
+
+
+def ref_solve_levels(ring: CoeffRing, top: int, add_level):
+    """Solve levels 1..top, each registered by ``add_level(prob, n)``, as one system.
+
+    Returns (solution, None), or (None, n) for the first n whose system of
+    levels 1..n is inconsistent.  The joint system is consistent iff every
+    such prefix is, so the prefixes are solved only after it fails.
+    """
+
+    def through(n):
+        prob = MatrixProblem(ring)
+        for k in range(1, n + 1):
+            add_level(prob, k)
+        return prob.solve()
+
+    sol = through(top) if top >= 1 else {}
+    if sol is not None:
+        return sol, None
+    return None, next((n for n in range(1, top) if through(n) is None), top)
+
+
+def ref_theta_extend_mor(alpha: DeltaMap, xhat: GSystem, yhat: GSystem):
+    """Extend a column-wise chain map to a morphism of the extensions.
+
+    Every intertwining equation is linear in the whole family {f_n}, so
+    all levels are solved as one joint system.  The reported obstruction
+    level is the first n whose system of levels <= n is inconsistent,
+    which is independent of any choice made at lower levels.
+    """
+    ring = xhat.ring
+    f0: Dict[Tuple[int, int], RingMatrix] = {}
+    for (r, j), m in alpha.components.items():
+        f0[(r + j, j)] = m
+
+    def f0c(i, j):
+        m = f0.get((i, j))
+        if m is None:
+            return RingMatrix.zero(ring, yhat.rank(i, j), xhat.rank(i, j))
+        return m
+
+    # level 0: f_0 must already intertwine the strict differentials
+    for (i, j) in xhat.positions:
+        res = f0c(i + 1, j) @ xhat.diff(0, i, j) - yhat.diff(0, i, j) @ f0c(i, j)
+        if not res.is_zero():
+            return Obstruction(
+                "theta-extend-mor", 0, (i, j),
+                "the column-wise map does not commute with the i-differential",
+            )
+    comps: Dict[Tuple[int, int, int], RingMatrix] = {
+        (0, i, j): m for (i, j), m in f0.items()
+    }
+    xj = [j for (_, j) in xhat.ranks]
+    yj = [j for (_, j) in yhat.ranks]
+    if not xj or not yj:
+        return GMorphism(xhat, yhat, comps)
+
+    def add_level(prob, n):
+        for (i, j) in xhat.positions:
+            if yhat.rank(i, j + n):
+                prob.add_unknown((n, i, j), yhat.rank(i, j + n), xhat.rank(i, j))
+        for (i, j) in xhat.positions:
+            er, ec = yhat.rank(i + 1, j + n), xhat.rank(i, j)
+            if not er or not ec:
+                continue
+            # level-n equation: sum_q f_{n-q} dX_q - sum_q dY_{n-q} f_q = 0
+            rhs = -(f0c(i + 1, j + n) @ xhat.diff(n, i, j)) + (
+                yhat.diff(n, i, j) @ f0c(i, j)
+            )
+            terms = []
+            for q in range(n):  # unknown f_{n-q}, level >= 1
+                key = (n - q, i + 1, j + q)
+                if key in prob.unknowns:
+                    terms.append((key, None, xhat.diff(q, i, j), 1))
+            for q in range(1, n + 1):  # unknown f_q on the target side
+                key = (q, i, j)
+                if key in prob.unknowns:
+                    terms.append((key, yhat.diff(n - q, i, j + q), None, -1))
+            if not terms and rhs.is_zero():
+                continue
+            prob.add_equation((er, ec), terms, rhs)
+
+    sol, level = ref_solve_levels(ring, max(0, max(yj) - min(xj)), add_level)
+    if sol is None:
+        return Obstruction(
+            "theta-extend-mor", level, None,
+            f"the joint component system through level {level} is inconsistent",
+        )
+    for (n, i, j), m in sol.items():
+        if not m.is_zero():
+            comps[(n, i, j)] = m
+    out = GMorphism(xhat, yhat, comps)
+    verify(validate_gmorphism(out), "ref_theta_extend_mor: the extension is not a morphism")
+    return out
+
+
+def ref_eta_null_complete(
+    f: GMorphism,
+    s0: Dict[Tuple[int, int], RingMatrix],
+    s1: Dict[Tuple[int, int], RingMatrix],
+):
+    """Grow a validated (s_0, s_1) seed to a full certificate.
+
+    The level-k equations  d_{Y,0} s_{k+1} + s_{k+1} d_{X,0} = defect_k  are
+    linear in the family {s_n} and are solved as one system; the first
+    inconsistent level is reported as an Obstruction (the point where the
+    relevant stable hom group fails to vanish).  The returned certificate
+    is the eta-twisted homotopy on the corresponding complexes over the
+    graded instance.
+    """
+    X, Y = f.source, f.target
+    ring = X.ring
+    seeds: Dict[int, Dict[Tuple[int, int], RingMatrix]] = {0: dict(s0), 1: dict(s1)}
+    # levels 0 and 1 of the seeds' residual are the seed equations (as in
+    # seed_equations_hold); level k + 1 is f_k minus every term in s_0, s_1
+    defect = gs._null_residuals(f, seeds)
+    if any(n <= 1 for r in defect.values() for (n, _) in r.components):
+        raise ValueError("seed pair does not satisfy the two seed equations")
+
+    def defect_k(k, i, j):
+        r = defect.get(i)
+        if r is None:
+            return RingMatrix.zero(ring, Y.rank(i, j + k), X.rank(i, j))
+        return r.component(k + 1, j - 1, ring)
+
+    yj = [j for (_, j) in Y.ranks]
+    xj = [j for (_, j) in X.ranks]
+    k_top = f.max_level()
+    if yj and xj:
+        k_top = max(k_top, max(yj) - min(xj) + 1)
+
+    def add_level(prob, k):
+        # the s_{k+1} unknowns, then the level-k equations
+        for (i, j) in X.positions:
+            if Y.rank(i - 1, j + k):
+                prob.add_unknown((k + 1, i, j), Y.rank(i - 1, j + k), X.rank(i, j))
+        for (i, j) in X.positions:
+            er, ec = Y.rank(i, j + k), X.rank(i, j)
+            if not er or not ec:
+                continue
+            # level-k equation: f_k = sum_{p+q=k+1} (s_p dX_q + dY_p s_q);
+            # s_0, s_1 are the fixed seeds, s_p for p >= 2 are unknowns
+            rhs = defect_k(k, i, j)
+            terms = []
+            for q in range(k):  # unknown s_{k+1-q}, level >= 2
+                key = (k + 1 - q, i + 1, j + q)
+                if key in prob.unknowns:
+                    terms.append((key, None, X.diff(q, i, j), 1))
+            for q in range(2, k + 2):  # unknown s_q on the target side
+                key = (q, i, j)
+                if key in prob.unknowns:
+                    terms.append((key, Y.diff(k + 1 - q, i - 1, j + q - 1), None, 1))
+            if not terms and rhs.is_zero():
+                continue
+            prob.add_equation((er, ec), terms, rhs)
+
+    sol, level = ref_solve_levels(ring, k_top, add_level)
+    if sol is None:
+        return Obstruction(
+            "eta-null-complete", level, None,
+            f"the joint homotopy system through level {level} is inconsistent",
+        )
+    s: Dict[int, Dict[Tuple[int, int], RingMatrix]] = dict(seeds)
+    for (p, i, j), m in sol.items():
+        if not m.is_zero():
+            s.setdefault(p, {})[(i, j)] = m
+    verify(corollary_equations_hold(f, s), "ref_eta_null_complete: the family fails the equations")
+    return gs._family_to_certificate(f, s)
+
+
+def _box(positions):
+    """Every position within one step of the given ones."""
+    return sorted({(i + a, j + b) for (i, j) in positions for a in (-1, 0, 1) for b in (-1, 0, 1)})
+
+
+def _same_system(x: GSystem, r: RefGSystem):
+    assert (x.ring, x.convention) == (r.ring, r.convention)
+    assert x.ranks == r.ranks
+    assert x.diffs == r.diffs
+    assert x.positions == r.positions
+    assert (x.max_level(), x.is_zero()) == (r.max_level(), r.is_zero())
+    assert x.to_json() == r.to_json()
+    for (i, j) in _box(r.positions):
+        assert x.rank(i, j) == r.rank(i, j)
+        for n in range(r.max_level() + 2):
+            assert x.diff(n, i, j) == r.diff(n, i, j)
+    assert x == GSystem(r.ring, r.ranks, r.diffs, r.convention)
+    assert GSystem.from_json(r.to_json()) == x
+
+
+def _same_morphism(f: GMorphism, r: RefGMorphism):
+    _same_system(f.source, r.source)
+    _same_system(f.target, r.target)
+    assert f.components == r.components
+    assert (f.max_level(), f.is_zero()) == (r.max_level(), r.is_zero())
+    for (i, j) in _box(r.source.positions):
+        for n in range(r.max_level() + 2):
+            assert f.comp(n, i, j) == r.comp(n, i, j)
+    assert f == GMorphism(f.source, f.target, r.components)
+
+
+class TestStorageOracle:
+    @pytest.mark.parametrize("ring", [ZZ, Z4, Zmod(9), GF(5)], ids=str)
+    def test_views_and_maps_match_flat_reference(self, ring):
+        rng = random.Random(95)
+        inst = graded_complex_instance(ring)
+        seen = set()
+        for trial in range(15):
+            cs = [random_graded_complex(inst, random.Random(95000 + 3 * trial + k)) for k in range(3)]
+            xs = [complex_to_gsystem(c) for c in cs]
+            rs = [ref_complex_to_gsystem(c) for c in cs]
+            maps = [random_chain_map(cs[0], cs[1], rng), random_chain_map(cs[1], cs[2], rng)]
+            f, g = (chain_map_to_gmorphism(m) for m in maps)
+            rf, rg = (ref_chain_map_to_gmorphism(m) for m in maps)
+            for x, r in zip(xs, rs):
+                assert gsystem_to_complex(x) is gsystem_to_complex(x)
+                assert gsystem_to_complex(x) == ref_gsystem_to_complex(r)
+                _same_system(x, r)
+                _same_system(psi_inv(x), ref_psi_inv(r))
+                _same_system(psi(psi_inv(x)), ref_psi(ref_psi_inv(r)))
+                _same_system(shift_gsystem(x), ref_shift_gsystem(r))
+                ga = ref_psi_inv(r)
+                _same_system(GSystem(ring, ga.ranks, ga.diffs, GA), ga)
+            systems = xs + [psi_inv(xs[0]), complex_to_gsystem(cs[0])]
+            refs = rs + [ref_psi_inv(rs[0]), ref_complex_to_gsystem(cs[0])]
+            for a in range(len(systems)):
+                for b in range(len(systems)):
+                    assert (systems[a] == systems[b]) == (refs[a] == refs[b])
+                    seen.add(("system equal", refs[a] == refs[b]))
+            assert gmorphism_to_chain_map(f) is gmorphism_to_chain_map(f)
+            assert gmorphism_to_chain_map(f) == ref_gmorphism_to_chain_map(rf)
+            for h, rh in ((f, rf), (g, rg)):
+                _same_morphism(h, rh)
+                _same_morphism(psi_inv_mor(h), ref_psi_inv_mor(rh))
+                _same_morphism(psi_mor(psi_inv_mor(h)), ref_psi_mor(ref_psi_inv_mor(rh)))
+            _same_morphism(gs_compose(g, f), ref_gs_compose(rg, rf))
+            _same_morphism(
+                gs_compose(psi_inv_mor(g), psi_inv_mor(f)),
+                ref_gs_compose(ref_psi_inv_mor(rg), ref_psi_inv_mor(rf)),
+            )
+            mors = [f, g, psi_inv_mor(f), chain_map_to_gmorphism(maps[0])]
+            rmors = [rf, rg, ref_psi_inv_mor(rf), ref_chain_map_to_gmorphism(maps[0])]
+            for a in range(len(mors)):
+                for b in range(len(mors)):
+                    assert (mors[a] == mors[b]) == (rmors[a] == rmors[b])
+                    seen.add(("morphism equal", rmors[a] == rmors[b]))
+            seen.add(("nonzero morphism", not rf.is_zero()))
+            seen.add(("GA system moved", ref_psi_inv(rs[0]).ranks != rs[0].ranks))
+        assert {("system equal", False), ("morphism equal", False), ("nonzero morphism", True),
+                ("GA system moved", True)} <= seen
+
+
+class _Unknowns(dict):
+    """An unknowns table that remembers every key it was asked about."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = set()
+
+    def __contains__(self, key):
+        self.asked.add(key)
+        return super().__contains__(key)
+
+
+def _record_problems(monkeypatch):
+    """Log (coeffs, rhs, problem) for every MatrixProblem solved from now on."""
+    log = []
+    init, solve = MatrixProblem.__init__, MatrixProblem.solve
+
+    def recording_init(self, ring):
+        init(self, ring)
+        self.unknowns = _Unknowns()
+
+    def recording_solve(self):
+        coeffs, rhs = self._build()
+        log.append((coeffs, rhs, self))
+        return solve(self)
+
+    monkeypatch.setattr(MatrixProblem, "__init__", recording_init)
+    monkeypatch.setattr(MatrixProblem, "solve", recording_solve)
+    return log
+
+
+def _same_problems(log, run, ref_run, seen):
+    """run() and ref_run() solve entry-for-entry equal systems and give equal results."""
+    start = len(log)
+    out = run()
+    mid = len(log)
+    ref = ref_run()
+    new, old = log[start:mid], log[mid:]
+    assert len(new) == len(old)
+    for (coeffs, rhs, prob), (ref_coeffs, ref_rhs, _) in zip(new, old):
+        assert (coeffs.rows, coeffs.cols) == (ref_coeffs.rows, ref_coeffs.cols)
+        assert coeffs.entries == ref_coeffs.entries
+        assert rhs.entries == ref_rhs.entries
+        if any(rhs.entries):
+            seen.add("nonzero rhs")
+        if set(prob.unknowns.asked) - set(prob.unknowns):
+            seen.add("skipped unknown")
+        for _, _, _, terms, _ in prob.equations:
+            seen.update(f"sign {sign}" for _, _, _, sign in terms)
+    del log[start:]
+    if isinstance(out, HomotopyCertificate):
+        assert out.s == ref.s
+    else:
+        assert out == ref
+    return out
+
+
+class TestLevelSystemOracle:
+    def test_level_systems_match_hand_written(self, monkeypatch):
+        log = _record_problems(monkeypatch)
+        seen = set()
+        outcomes = set()
+
+        def compare(run, ref_run, what):
+            found = set()
+            out = _same_problems(log, run, ref_run, found)
+            seen.update(found | {f"{what} {tag}" for tag in found})
+            outcomes.add((what, type(out).__name__))
+            if isinstance(out, HomotopyCertificate) and any(
+                n >= 2 for g in out.s.values() for (n, _) in g.components
+            ):
+                seen.add("eta nonzero s_n, n >= 2")
+            return out
+
+        for ring in (ZZ, Z4, Zmod(9), GF(5)):
+            rng = random.Random(96)
+            inputs = [x for x in [inductive_delta_complex()] if x.ring == ring]
+            for trial in range(8):
+                inputs.append(random_delta_complex(ring, random.Random(96000 + trial)))
+                inputs.append(random_strip_delta_complex(ring, random.Random(96500 + trial)))
+            for k in range(0, len(inputs) - 1, 2):
+                x, y = inputs[k], inputs[k + 1]
+                xhat = compare(lambda: theta_extend(x), lambda: ref_theta_extend(x), "theta")
+                yhat = compare(lambda: theta_extend(y), lambda: ref_theta_extend(y), "theta")
+                ident = DeltaMap(x, x, {pos: RingMatrix.identity(ring, r) for pos, r in x.ranks.items()})
+                for alpha, a, b in ((random_delta_map(x, y, rng), xhat, yhat), (ident, xhat, xhat)):
+                    compare(
+                        lambda: theta_extend_mor(alpha, a, b),
+                        lambda: ref_theta_extend_mor(alpha, a, b),
+                        "mor",
+                    )
+            strips = [random_strip_delta_complex(ring, random.Random(97000 + t)) for t in range(20)]
+            for x in inputs + strips:
+                if x.delta0:
+                    continue
+                xhat = theta_extend(x)
+                fhat = theta_extend_mor(columnwise_null_delta_map(x, x, rng), xhat, xhat)
+                s0, s1 = find_seed(fhat)
+                compare(
+                    lambda: eta_null_complete(fhat, s0, s1),
+                    lambda: ref_eta_null_complete(fhat, s0, s1),
+                    "eta",
+                )
+            # f_1 = [1] into a contractible target: the only homotopy has s_2 = [1]
+            x1 = GSystem(ring, {(1, 0): 1}, {})
+            y1 = GSystem(ring, {(0, 1): 1, (1, 1): 1}, {(0, 0, 1): M(ring, [[1]])})
+            f = GMorphism(x1, y1, {(1, 1, 0): M(ring, [[1]])})
+            compare(lambda: eta_null_complete(f, {}, {}), lambda: ref_eta_null_complete(f, {}, {}), "eta")
+            # the hand-built obstructions at level 1 and below the top level
+            stalk = GSystem(ring, {(0, 0): 1}, {})
+            for t, n in (((0, 1), 1), ((0, 2), 2)):
+                f = GMorphism(stalk, GSystem(ring, {t: 1}, {}), {(n, 0, 0): M(ring, [[1]])})
+                compare(lambda: eta_null_complete(f, {}, {}), lambda: ref_eta_null_complete(f, {}, {}), "eta")
+            yhat = GSystem(ring, {(0, 0): 1, (1, 2): 1, (0, 3): 1}, {(2, 0, 0): M(ring, [[1]])})
+            x = DeltaComplex(ring, {(0, 0): 1}, {}, {})
+            y = DeltaComplex(ring, {(0, 0): 1, (-1, 2): 1, (-3, 3): 1}, {}, {})
+            alpha = DeltaMap(x, y, {(0, 0): M(ring, [[1]])})
+            compare(
+                lambda: theta_extend_mor(alpha, stalk, yhat),
+                lambda: ref_theta_extend_mor(alpha, stalk, yhat),
+                "mor",
+            )
+        assert {"nonzero rhs", "skipped unknown", "sign 1", "sign -1"} <= seen
+        assert {f"{what} {tag}" for what in ("theta", "mor", "eta")
+                for tag in ("nonzero rhs", "skipped unknown")} <= seen
+        assert {"theta sign 1", "mor sign -1", "eta sign 1", "eta nonzero s_n, n >= 2"} <= seen
+        assert outcomes == {
+            ("theta", "GSystem"), ("mor", "GMorphism"), ("mor", "Obstruction"),
+            ("eta", "HomotopyCertificate"), ("eta", "Obstruction"),
+        }
