@@ -24,10 +24,30 @@ single block for ``ScalarEta``, one block per term of the convolution for
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .matrix import RingMatrix
 from .rings import CoeffRing
+
+
+def json_int(v, what: str) -> int:
+    """A rank, degree or position read from an instance file; it must be an integer."""
+    if type(v) is not int:
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def json_pos(e) -> Tuple[int, int]:
+    """The position (i, j) of an instance-file entry."""
+    return json_int(e["i"], "i"), json_int(e["j"], "j")
+
+
+def json_matrix(d, ring: CoeffRing) -> RingMatrix:
+    """A matrix read from an instance file over ``ring``; one over another ring is rejected."""
+    m = RingMatrix.from_json(d)
+    if m.ring != ring:
+        raise ValueError(f"ring mismatch: a matrix over {m.ring} in an instance over {ring}")
+    return m
 
 
 class BaseInstance:
@@ -248,7 +268,7 @@ class ScalarEta(BaseInstance):
         return X
 
     def obj_from_json(self, d):
-        r = int(d)
+        r = json_int(d, "rank")
         if r < 0:
             raise ValueError("negative rank")
         return r
@@ -257,7 +277,10 @@ class ScalarEta(BaseInstance):
         return f.to_json()
 
     def mor_from_json(self, d, X, Y):
-        return RingMatrix.from_json(d)
+        m = json_matrix(d, self.ring)
+        if (m.rows, m.cols) != (Y, X):
+            raise ValueError(f"a {m.rows}x{m.cols} matrix where a {Y}x{X} morphism belongs")
+        return m
 
     def to_json(self):
         return {"kind": self.kind, "ring": self.ring.to_json(), "r": self.ring.elem_to_str(self.r)}
@@ -309,7 +332,7 @@ class GradedObject:
 
     @staticmethod
     def from_json(d) -> "GradedObject":
-        return GradedObject({int(j): r for j, r in d["ranks"].items()})
+        return GradedObject({int(j): json_int(r, "rank") for j, r in d["ranks"].items()})
 
 
 class GradedMorphism:
@@ -580,7 +603,8 @@ class Graded(BaseInstance):
 
     def mor_from_json(self, d, X, Y):
         comps = {
-            (c["n"], c["j"]): RingMatrix.from_json(c["matrix"]) for c in d["components"]
+            (json_int(c["n"], "n"), json_int(c["j"], "j")): json_matrix(c["matrix"], self.ring)
+            for c in d["components"]
         }
         return GradedMorphism(X, Y, comps)
 
@@ -645,5 +669,5 @@ def instance_from_json(d) -> BaseInstance:
     if kind == "graded":
         return Graded(instance_from_json(d["inner"]))
     if kind == "eta-power":
-        return EtaPower(instance_from_json(d["inner"]), d["m"])
+        return EtaPower(instance_from_json(d["inner"]), json_int(d["m"], "eta power"))
     raise ValueError(f"unknown instance kind {kind!r}")

@@ -79,6 +79,15 @@ PROFILES = (
 )
 
 
+# the checks that run a construction on completion inputs, and the payload
+# kinds each accepts
+_CONSTRUCTION_KINDS = {
+    "theta-extend": ("delta-complex",),
+    "phi": ("delta-complex", "delta-map"),
+    "triangle-check": ("delta-map",),
+}
+
+
 class _Usage(Exception):
     """Input that cannot be understood: maps to exit code 2."""
 
@@ -176,7 +185,6 @@ def cmd_check(path: str, op: str, seed: int) -> (int, List[dict]):
                 return 1, [_check_record(op, "FAIL", detail="input relations fail")]
             tot = totalize(obj)
         else:
-            from .complexes import Complex
             from .gsystems import totalize_complex
 
             if not isinstance(obj.instance, Graded):
@@ -190,53 +198,34 @@ def cmd_check(path: str, op: str, seed: int) -> (int, List[dict]):
         )
         return (0 if ok else 1), [rec]
 
-    if op == "theta-extend":
-        _need_kind(kind, "delta-complex", op)
-        if not validate_delta(obj):
-            return 1, [_check_record(op, "FAIL", detail="input is not a valid completion problem")]
-        out = theta_extend(obj)
-        if isinstance(out, Obstruction):
-            return 1, [_check_record(op, "OBSTRUCTED", obstruction=out.to_json())]
-        ok = validate_gsystem(out)
-        return (0 if ok else 1), [
-            _check_record(op, "PASS" if ok else "FAIL", result=out.to_json())
-        ]
-
-    if op == "phi":
-        _need_kind(kind, ("delta-complex", "delta-map"), op)
+    if op in _CONSTRUCTION_KINDS:
+        _need_kind(kind, _CONSTRUCTION_KINDS[op], op)
         ends = (obj,) if kind == "delta-complex" else (obj.source, obj.target)
         if not all(validate_delta(x) for x in ends):
             return 1, [_check_record(op, "FAIL", detail="input is not a valid completion problem")]
+        if op == "theta-extend":
+            return _verdict(op, theta_extend(obj), validate_gsystem, lambda x: x.to_json())
+        if op == "triangle-check":
+            return _verdict(op, theta_triangle_check(obj), bool, None)
         if kind == "delta-complex":
-            out = phi(obj)
-            if isinstance(out, Obstruction):
-                return 1, [_check_record(op, "OBSTRUCTED", obstruction=out.to_json())]
-            ok = validate_complex(out)
-            return (0 if ok else 1), [
-                _check_record(op, "PASS" if ok else "FAIL", result=complex_to_json(out))
-            ]
-        out = phi_mor(obj)
-        if isinstance(out, Obstruction):
-            return 1, [_check_record(op, "OBSTRUCTED", obstruction=out.to_json())]
-        ok = validate_chain_map(out)
-        return (0 if ok else 1), [
-            _check_record(op, "PASS" if ok else "FAIL", result=chain_map_to_json(out))
-        ]
-
-    if op == "triangle-check":
-        _need_kind(kind, "delta-map", op)
-        if not (validate_delta(obj.source) and validate_delta(obj.target)):
-            return 1, [_check_record(op, "FAIL", detail="input is not a valid completion problem")]
-        res = theta_triangle_check(obj)
-        if isinstance(res, Obstruction):
-            return 1, [_check_record(op, "OBSTRUCTED", obstruction=res.to_json())]
-        return (0 if res else 1), [_check_record(op, "PASS" if res else "FAIL")]
+            return _verdict(op, phi(obj), validate_complex, complex_to_json)
+        return _verdict(op, phi_mor(obj), validate_chain_map, chain_map_to_json)
 
     if op == "axioms":
         _need_kind(kind, "pair", op)
         return _check_axioms(obj, seed)
 
     raise _Usage(f"unknown check op {op!r}")
+
+
+def _verdict(op: str, out, validate, encode) -> (int, List[dict]):
+    """OBSTRUCTED for an Obstruction, else PASS or FAIL by ``validate(out)``,
+    with ``encode(out)`` as the result unless encode is None."""
+    if isinstance(out, Obstruction):
+        return 1, [_check_record(op, "OBSTRUCTED", obstruction=out.to_json())]
+    ok = validate(out)
+    extra = {} if encode is None else {"result": encode(out)}
+    return (0 if ok else 1), [_check_record(op, "PASS" if ok else "FAIL", **extra)]
 
 
 def _check_axioms(pair, seed: int) -> (int, List[dict]):
@@ -373,22 +362,14 @@ def cmd_suite(
 
     if trials < 1:
         raise _Usage("--trials must be at least 1")
-    rings = None
-    if ring_name:
-        rings = [_parse_ring(ring_name)]
+    rings = [_parse_ring(ring_name)] if ring_name else suite_mod.RINGS
     if names:
         unknown = [n for n in names if n not in suite_mod.PROPERTIES]
         if unknown:
             raise _Usage(f"unknown properties: {', '.join(unknown)}")
-    old = suite_mod.RINGS
-    if rings is not None:
-        suite_mod.RINGS = rings
-    try:
-        ok, records = suite_mod.run_suite(
-            seed=seed, trials=trials, names=names, fail_dir=fail_dir
-        )
-    finally:
-        suite_mod.RINGS = old
+    ok, records = suite_mod.run_suite(
+        seed=seed, trials=trials, names=names, fail_dir=fail_dir, rings=rings
+    )
     summary = {
         "suite": "etacomplex",
         "seed": seed,

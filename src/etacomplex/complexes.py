@@ -597,8 +597,9 @@ def normalize_exact_pair(i: ChainMap, p: ChainMap) -> ExactPair:
         raise ValueError("pair legs do not share the middle complex")
     inst = i.instance
     X, Y, Z = i.source, i.target, p.target
-    if not compose_chain_maps(p, i).is_zero():
-        raise ValueError("p . i != 0")
+    pi = compose_chain_maps(p, i)
+    if not pi.is_zero():
+        raise NotChainwiseSplit(min(pi.components))
     r: Dict[int, object] = {}
     q: Dict[int, object] = {}
     for n in sorted(set(Y.objects) | set(X.objects) | set(Z.objects)):

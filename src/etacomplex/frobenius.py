@@ -9,7 +9,7 @@ with the standard triangles of the stable category and the eta^m towers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .base import BaseInstance, EtaPower
 from .complexes import (
@@ -32,7 +32,6 @@ from .complexes import (
     shift_chain_map,
     shift_complex,
     solution_chain_map,
-    sub_chain_maps,
     validate_chain_map,
     verify,
     zero_chain_map,

@@ -93,7 +93,7 @@ def random_automorphism(inst: BaseInstance, X, rng: random.Random):
 # -- elementary complexes ---------------------------------------------------
 
 
-def _nilpotent_entries(ring: CoeffRing, length: int, rng: random.Random) -> Optional[List]:
+def _nilpotent_entries(ring: CoeffRing, length: int) -> Optional[List]:
     """A chain z_1, ..., z_{length-1} with z_{k+1} z_k = 0, for rank-1 chains."""
     if length < 2:
         return []
@@ -140,7 +140,7 @@ def random_scalar_complex(
             ranks[n + 1] += 1
             diag[n].append((ranks[n] - 1, ranks[n + 1] - 1, ring.one()))
         else:
-            chain = _nilpotent_entries(ring, length, rng)
+            chain = _nilpotent_entries(ring, length)
             if not chain:
                 n = rng.choice(degs)
                 ranks[n] += 1
@@ -168,10 +168,10 @@ def random_scalar_complex(
     return Complex(inst, objects, new_diffs)
 
 
-def random_graded_object(rng: random.Random, max_rank: int = 2, span: int = 2) -> GradedObject:
+def random_graded_object(rng: random.Random, max_rank: int = 2) -> GradedObject:
     base = rng.randint(-1, 1)
     ranks = {}
-    for j in range(base, base + span + 1):
+    for j in range(base, base + 3):
         if rng.random() < 0.6:
             ranks[j] = rng.randint(1, max_rank)
     return GradedObject(ranks)
@@ -254,7 +254,7 @@ def random_complex(inst: BaseInstance, rng: random.Random, max_len: int = 4, max
 # -- random chain maps ------------------------------------------------------
 
 
-def random_chain_map(A: Complex, B: Complex, rng: random.Random, spread: int = 2) -> ChainMap:
+def random_chain_map(A: Complex, B: Complex, rng: random.Random) -> ChainMap:
     """A random chain map A -> B: small combination of a kernel basis of the
     chain-map constraint system."""
     inst = A.instance
@@ -268,10 +268,10 @@ def random_chain_map(A: Complex, B: Complex, rng: random.Random, spread: int = 2
     picks = rng.sample(gens, min(len(gens), 3))
     total = None
     for g in picks:
-        c = inst.ring.canon(rng.randint(-spread, spread))
+        c = inst.ring.canon(rng.randint(-2, 2))
         if c == inst.ring.zero():
             continue
-        scaled = {k: v if c == inst.ring.one() else _scale_mor(inst, v, c) for k, v in g.items()}
+        scaled = {k: v if c == inst.ring.one() else _scale_mor(v, c) for k, v in g.items()}
         if total is None:
             total = scaled
         else:
@@ -281,7 +281,7 @@ def random_chain_map(A: Complex, B: Complex, rng: random.Random, spread: int = 2
     return solution_chain_map(total, "f", degs, A, B)
 
 
-def _scale_mor(inst: BaseInstance, f, c):
+def _scale_mor(f, c):
     if isinstance(f, RingMatrix):
         return f.scale(c)
     return GradedMorphism(f.source, f.target, {k: m.scale(c) for k, m in f.components.items()})
@@ -292,7 +292,7 @@ def _scale_mor(inst: BaseInstance, f, c):
 
 def random_std_conflation(inst: BaseInstance, rng: random.Random, max_len: int = 3, max_rank: int = 2):
     """A random normalized eta-conflation X -> cone(eta_X alpha) -> Z."""
-    from .complexes import apply_auto, shift_complex
+    from .complexes import apply_auto
     from .frobenius import StandardConflation
 
     X = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
@@ -305,7 +305,7 @@ def random_split_pair(inst: BaseInstance, rng: random.Random, max_len: int = 3, 
     """A random chainwise-split pair: the standard pair of cone(f) for a
     random chain map f (its invariant is f, usually NOT factoring through
     eta)."""
-    from .complexes import cone, shift_complex
+    from .complexes import cone
 
     X = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
     W = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
@@ -316,7 +316,7 @@ def random_split_pair(inst: BaseInstance, rng: random.Random, max_len: int = 3, 
 
 def conjugate_pair(i, p, rng: random.Random):
     """Disguise a pair by a random degreewise automorphism of the middle."""
-    from .complexes import ChainMap, Complex, compose_chain_maps
+    from .complexes import ChainMap, Complex
 
     inst = i.instance
     Y = i.target
@@ -465,12 +465,7 @@ def _delta_conjugate(x, rng: random.Random):
     return DeltaComplex(x.ring, x.ranks, d0, d1)
 
 
-def random_delta_complex(
-    ring: CoeffRing,
-    rng: random.Random,
-    max_rank: int = 2,
-    allow_inductive: bool = True,
-):
+def random_delta_complex(ring: CoeffRing, rng: random.Random, max_rank: int = 2):
     """A random completable instance: columns, strips and (over Z/4) the
     inductive template, summed block-diagonally and conjugated degreewise.
 
@@ -482,9 +477,7 @@ def random_delta_complex(
         kind = rng.random()
         if kind < 0.45:
             pieces.append(_delta_column_piece(ring, rng, max_rank))
-        elif kind < 0.85 or not (
-            allow_inductive and ring.kind == "Zmod" and ring.modulus == 4
-        ):
+        elif kind < 0.85 or not (ring.kind == "Zmod" and ring.modulus == 4):
             pieces.append(_delta_strip_piece(ring, rng, max_rank))
         else:
             t = inductive_delta_complex(rng)
@@ -501,7 +494,7 @@ def random_strip_delta_complex(ring: CoeffRing, rng: random.Random, max_rank: in
     return _delta_conjugate(_delta_direct_sum(ring, pieces), rng)
 
 
-def random_delta_map(X, Y, rng: random.Random, spread: int = 2):
+def random_delta_map(X, Y, rng: random.Random):
     """A random strict column-wise chain map X -> Y (kernel-basis combination
     of the joint commutation system)."""
     from .gsystems import DeltaMap, MatrixProblem
@@ -534,7 +527,7 @@ def random_delta_map(X, Y, rng: random.Random, spread: int = 2):
         return DeltaMap(X, Y, {})
     comps = None
     for g in rng.sample(gens, min(len(gens), 3)):
-        c = ring.canon(rng.randint(-spread, spread))
+        c = ring.canon(rng.randint(-2, 2))
         if c == ring.zero():
             continue
         scaled = {k: m.scale(c) for k, m in g.items()}

@@ -24,10 +24,12 @@ completes it to a full GSystem by solving the level-n relations
 inductively; ``totalize`` collapses a GSystem to an ordinary complex by
 summing the grading; ``phi`` is the composite.  ``theta_extend_mor``
 extends a column-wise map, and ``eta_null_complete`` grows a two-term
-homotopy seed into a full eta-homotopy certificate; each solves all levels
-of its family as one system and re-solves level prefixes only to locate an
-obstruction.  All three pose their level-n equations u d_X +- d_Y u = rhs
-through one builder, ``_add_level``.
+homotopy seed, found by ``find_seed``, into a full eta-homotopy
+certificate; each solves all levels of its family as one system and
+re-solves level prefixes only to locate an obstruction.  All four bigraded
+solves pose their level-n equations u d_X +- d_Y u = rhs through one
+builder: ``_add_unknowns`` registers a level's unknowns and
+``_add_equation`` writes one equation.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .base import Graded, GradedMorphism, GradedObject, ScalarEta
+from .base import Graded, GradedMorphism, GradedObject, ScalarEta, json_int, json_matrix, json_pos
 from .complexes import (
     ChainMap,
     Complex,
@@ -66,10 +68,6 @@ GA = "GA"
 # convention), "total" means (-1)**i (exposed for comparison only).
 _XI_SIGN = 1
 _THETA_PARITY = "column"
-
-
-class UnboundedSupport(Exception):
-    """Raised when a totalization would need an infinite direct sum."""
 
 
 @dataclass
@@ -219,9 +217,9 @@ class GSystem:
     @staticmethod
     def from_json(d) -> "GSystem":
         ring = CoeffRing.from_json(d["ring"])
-        ranks = {(e["i"], e["j"]): e["rank"] for e in d["ranks"]}
+        ranks = {json_pos(e): json_int(e["rank"], "rank") for e in d["ranks"]}
         diffs = {
-            (e["n"], e["i"], e["j"]): RingMatrix.from_json(e["matrix"])
+            (json_int(e["n"], "n"), *json_pos(e)): json_matrix(e["matrix"], ring)
             for e in d["diffs"]
         }
         return GSystem(ring, ranks, diffs, d["convention"])
@@ -397,10 +395,6 @@ def chain_map_to_gmorphism(f: ChainMap) -> GMorphism:
 # ---------------------------------------------------------------------------
 
 
-def xi_obj(X: GradedObject) -> int:
-    return X.total_rank()
-
-
 def xi_mor(f: GradedMorphism, ring: CoeffRing) -> RingMatrix:
     """Collapse a graded morphism to the lower-triangular block matrix."""
     src = f.source.support
@@ -429,7 +423,7 @@ def totalize_complex(c: Complex) -> Complex:
         raise ValueError("totalization expects a complex over a Graded instance")
     ring = inst.ring
     tot = ScalarEta(ring, ring.one())
-    objects = {i: xi_obj(X) for i, X in c.objects.items()}
+    objects = {i: X.total_rank() for i, X in c.objects.items()}
     diffs = {}
     for i in c.degree_range():
         d = c.diffs.get(i)
@@ -657,9 +651,9 @@ class DeltaComplex:
     @staticmethod
     def from_json(d) -> "DeltaComplex":
         ring = CoeffRing.from_json(d["ring"])
-        ranks = {(e["i"], e["j"]): e["rank"] for e in d["ranks"]}
-        d0 = {(e["i"], e["j"]): RingMatrix.from_json(e["matrix"]) for e in d["delta0"]}
-        d1 = {(e["i"], e["j"]): RingMatrix.from_json(e["matrix"]) for e in d["delta1"]}
+        ranks = {json_pos(e): json_int(e["rank"], "rank") for e in d["ranks"]}
+        d0 = {json_pos(e): json_matrix(e["matrix"], ring) for e in d["delta0"]}
+        d1 = {json_pos(e): json_matrix(e["matrix"], ring) for e in d["delta1"]}
         return DeltaComplex(ring, ranks, d0, d1)
 
 
@@ -784,33 +778,47 @@ def _theta_sign(i: int, j: int):
     raise ValueError(f"unknown parity {_THETA_PARITY!r}")
 
 
-def _add_level(prob: MatrixProblem, X: GSystem, Y: GSystem, n: int, di: int, sign: int, rhs):
-    """Register the level-n unknowns u_n: X^{ij} -> Y^{i+di, j+n}, keyed (n, i, j),
-    then the level-n equations of  u d_X + sign * d_Y u = rhs(n, i, j).
+def _theta_seed(x: DeltaComplex) -> GSystem:
+    """Levels 0 and 1 of the extension: delta0 and the signed delta1, reindexed to CgrA."""
+    diffs = {(0, r + j, j): m for (r, j), m in x.delta0.items()}
+    for (r, j), m in x.delta1.items():
+        diffs[(1, r + j, j)] = m if _theta_sign(r + j, j) == 1 else -m
+    return GSystem(x.ring, {(r + j, j): rk for (r, j), rk in x.ranks.items()}, diffs, CGRA)
 
-    A term enters only if its unknown is already registered: the levels that
-    ``prob`` does not hold are known, and their terms belong in rhs.  An
-    equation with no term and a zero rhs is left out.
-    """
+
+def _add_unknowns(prob: MatrixProblem, X: GSystem, Y: GSystem, n: int, di: int):
+    """Register the level-n unknowns u_n: X^{ij} -> Y^{i+di, j+n}, keyed (n, i, j)."""
     for (i, j) in X.positions:
         if Y.rank(i + di, j + n):
             prob.add_unknown((n, i, j), Y.rank(i + di, j + n), X.rank(i, j))
-    for (i, j) in X.positions:
-        er, ec = Y.rank(i + di + 1, j + n), X.rank(i, j)
-        if not er or not ec:
-            continue
-        b = rhs(n, i, j)
-        terms = []
-        for q in range(n):  # u_{n-q} d_{X,q}
-            key = (n - q, i + 1, j + q)
-            if key in prob.unknowns:
-                terms.append((key, None, X.diff(q, i, j), 1))
-        for q in range(1, n + 1):  # d_{Y,n-q} u_q
-            key = (q, i, j)
-            if key in prob.unknowns:
-                terms.append((key, Y.diff(n - q, i + di, j + q), None, sign))
-        if terms or not b.is_zero():
-            prob.add_equation((er, ec), terms, b)
+
+
+def _add_equation(
+    prob: MatrixProblem, X: GSystem, Y: GSystem, n: int, i: int, j: int,
+    di: int, sign: int, rhs, keep: bool = False,
+):
+    """Write the level-n equation of  u d_X + sign * d_Y u = rhs(n, i, j)  at (i, j).
+
+    A term in u_k (-1 <= k <= n) enters only if u_k is registered: the
+    levels that ``prob`` does not hold are known, and their terms belong in
+    rhs.  An equation with no term is left out when rhs is None or zero,
+    unless ``keep``.
+    """
+    er, ec = Y.rank(i + di + 1, j + n), X.rank(i, j)
+    if not er or not ec:
+        return
+    b = rhs(n, i, j)
+    terms = []
+    for k in range(n, -2, -1):  # u_k d_{X,n-k}
+        key = (k, i + 1, j + n - k)
+        if key in prob.unknowns:
+            terms.append((key, None, X.diff(n - k, i, j), 1))
+    for k in range(-1, n + 1):  # d_{Y,n-k} u_k
+        key = (k, i, j)
+        if key in prob.unknowns:
+            terms.append((key, Y.diff(n - k, i + di, j + k), None, sign))
+    if terms or keep or (b is not None and not b.is_zero()):
+        prob.add_equation((er, ec), terms, b)
 
 
 def theta_extend(x: DeltaComplex):
@@ -822,13 +830,8 @@ def theta_extend(x: DeltaComplex):
     d_0 d_n + d_n d_0 = -sum_{0<p<n} d_p d_{n-p}.
     """
     ring = x.ring
-    ranks = {(r + j, j): rk for (r, j), rk in x.ranks.items()}
-    diffs: Dict[Tuple[int, int, int], RingMatrix] = {}
-    for (r, j), m in x.delta0.items():
-        diffs[(0, r + j, j)] = m
-    for (r, j), m in x.delta1.items():
-        diffs[(1, r + j, j)] = m if _theta_sign(r + j, j) == 1 else -m
-    sys = GSystem(ring, ranks, diffs, CGRA)
+    sys = _theta_seed(x)
+    ranks, diffs = sys.ranks, sys.diffs
     # level 1 is a check, not a solve: d_0 d_1 + d_1 d_0 must vanish
     for (i, j) in sys.positions:
         res = sys.diff(0, i + 1, j + 1) @ sys.diff(1, i, j) + sys.diff(1, i + 1, j) @ sys.diff(0, i, j)
@@ -850,7 +853,9 @@ def theta_extend(x: DeltaComplex):
     width = (max(cols) - min(cols)) if cols else 0
     for n in range(2, width + 1):
         prob = MatrixProblem(ring)
-        _add_level(prob, sys, sys, n, 1, 1, rhs)
+        _add_unknowns(prob, sys, sys, n, 1)
+        for (i, j) in sys.positions:
+            _add_equation(prob, sys, sys, n, i, j, 1, 1, rhs)
         sol = prob.solve()
         if sol is None:
             return Obstruction(
@@ -866,7 +871,7 @@ def theta_extend(x: DeltaComplex):
 
 
 def _solve_levels(X: GSystem, Y: GSystem, top: int, di: int, sign: int, rhs):
-    """Solve levels 1..top of ``_add_level(prob, X, Y, n, di, sign, rhs)`` as one system.
+    """Solve the level-n equations of ``_add_equation`` for n = 1..top as one system.
 
     Returns (solution, None), or (None, n) for the first n whose system of
     levels 1..n is inconsistent.  The joint system is consistent iff every
@@ -876,7 +881,9 @@ def _solve_levels(X: GSystem, Y: GSystem, top: int, di: int, sign: int, rhs):
     def through(n):
         prob = MatrixProblem(X.ring)
         for k in range(1, n + 1):
-            _add_level(prob, X, Y, k, di, sign, rhs)
+            _add_unknowns(prob, X, Y, k, di)
+            for (i, j) in X.positions:
+                _add_equation(prob, X, Y, k, i, j, di, sign, rhs)
         return prob.solve()
 
     sol = through(top) if top >= 1 else {}
@@ -993,16 +1000,9 @@ def theta_triangle_check(alpha: DeltaMap):
         return False
     # shift identity: reindex-and-negate extends the shifted DeltaComplex
     shifted = shift_gsystem(fhat.source)
-    sx = shift_delta(alpha.source)
-    if {(r + j, j): rk for (r, j), rk in sx.ranks.items()} != shifted.ranks:
+    low = {key: m for key, m in shifted.diffs.items() if key[0] <= 1}
+    if GSystem(shifted.ring, shifted.ranks, low, CGRA) != _theta_seed(shift_delta(alpha.source)):
         return False
-    for (r, j), rk in sx.ranks.items():
-        i = r + j
-        if shifted.diff(0, i, j) != sx.d0(r, j):
-            return False
-        want = sx.d1(r, j) if _theta_sign(i, j) == 1 else -sx.d1(r, j)
-        if shifted.diff(1, i, j) != want:
-            return False
     if not validate_gsystem(shifted):
         return False
     return True
@@ -1047,48 +1047,23 @@ def seed_equations_hold(
 
 
 def find_seed(f: GMorphism):
-    """Solve the two seed equations jointly; None when no seed exists."""
+    """Solve the two seed equations jointly; None when no seed exists.
+
+    s_0 and s_1 are the unknowns u_{-1} and u_0 of ``eta_null_complete``'s
+    levels, and the seed equations are its levels -1 and 0.
+    """
     X, Y = f.source, f.target
-    ring = X.ring
-    prob = MatrixProblem(ring)
-    slots0 = [
-        (i, j) for (i, j) in X.positions if X.rank(i, j) and Y.rank(i - 1, j - 1)
-    ]
-    slots1 = [
-        (i, j) for (i, j) in X.positions if X.rank(i, j) and Y.rank(i - 1, j)
-    ]
-    for (i, j) in slots0:
-        prob.add_unknown(("s0", i, j), Y.rank(i - 1, j - 1), X.rank(i, j))
-    for (i, j) in slots1:
-        prob.add_unknown(("s1", i, j), Y.rank(i - 1, j), X.rank(i, j))
+    prob = MatrixProblem(X.ring)
+    for n in (-1, 0):
+        _add_unknowns(prob, X, Y, n, -1)
     for (i, j) in X.positions:
-        er, ec = Y.rank(i, j - 1), X.rank(i, j)
-        if er and ec:
-            terms = []
-            if ("s0", i, j) in prob.unknowns:
-                terms.append((("s0", i, j), Y.diff(0, i - 1, j - 1), None, 1))
-            if ("s0", i + 1, j) in prob.unknowns:
-                terms.append((("s0", i + 1, j), None, X.diff(0, i, j), 1))
-            if terms:
-                prob.add_equation((er, ec), terms, None)
-        er = Y.rank(i, j)
-        if not er or not ec:
-            continue
-        terms = []
-        if ("s0", i, j) in prob.unknowns:
-            terms.append((("s0", i, j), Y.diff(1, i - 1, j - 1), None, 1))
-        if ("s1", i, j) in prob.unknowns:
-            terms.append((("s1", i, j), Y.diff(0, i - 1, j), None, 1))
-        if ("s0", i + 1, j + 1) in prob.unknowns:
-            terms.append((("s0", i + 1, j + 1), None, X.diff(1, i, j), 1))
-        if ("s1", i + 1, j) in prob.unknowns:
-            terms.append((("s1", i + 1, j), None, X.diff(0, i, j), 1))
-        prob.add_equation((er, ec), terms, f.comp(0, i, j))
+        _add_equation(prob, X, Y, -1, i, j, -1, 1, lambda n, i, j: None)
+        _add_equation(prob, X, Y, 0, i, j, -1, 1, lambda n, i, j: f.comp(0, i, j), keep=True)
     sol = prob.solve()
     if sol is None:
         return None
-    s0 = {(i, j): sol[("s0", i, j)] for (i, j) in slots0}
-    s1 = {(i, j): sol[("s1", i, j)] for (i, j) in slots1}
+    s0 = {(i, j): m for (n, i, j), m in sol.items() if n == -1}
+    s1 = {(i, j): m for (n, i, j), m in sol.items() if n == 0}
     return s0, s1
 
 

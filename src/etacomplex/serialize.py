@@ -18,14 +18,11 @@ from __future__ import annotations
 import json
 from typing import Tuple
 
-from .base import instance_from_json
+from .base import instance_from_json, json_int, json_matrix, json_pos
 from .complexes import ChainMap, Complex
 from .gsystems import DeltaComplex, DeltaMap, GSystem
-from .matrix import RingMatrix
 
 FORMAT = "etacomplex/1"
-
-KINDS = ("complex", "chain-maps", "pair", "gsystem", "delta-complex", "delta-map")
 
 
 # -- complexes and chain maps ----------------------------------------------
@@ -48,17 +45,17 @@ def complex_to_json(c: Complex) -> dict:
 
 def complex_from_json(d: dict) -> Complex:
     inst = instance_from_json(d["instance"])
-    objects = {e["degree"]: inst.obj_from_json(e["object"]) for e in d["objects"]}
+    objects = {
+        json_int(e["degree"], "degree"): inst.obj_from_json(e["object"]) for e in d["objects"]
+    }
 
     def obj(n):
         return objects.get(n, inst.zero_obj())
 
-    diffs = {
-        e["degree"]: inst.mor_from_json(
-            e["morphism"], obj(e["degree"]), obj(e["degree"] + 1)
-        )
-        for e in d["diffs"]
-    }
+    diffs = {}
+    for e in d["diffs"]:
+        n = json_int(e["degree"], "degree")
+        diffs[n] = inst.mor_from_json(e["morphism"], obj(n), obj(n + 1))
     return Complex(inst, objects, diffs)
 
 
@@ -78,12 +75,10 @@ def chain_map_from_json(d: dict) -> ChainMap:
     src = complex_from_json(d["source"])
     tgt = complex_from_json(d["target"])
     inst = src.instance
-    comps = {
-        e["degree"]: inst.mor_from_json(
-            e["morphism"], src.obj(e["degree"]), tgt.obj(e["degree"])
-        )
-        for e in d["components"]
-    }
+    comps = {}
+    for e in d["components"]:
+        n = json_int(e["degree"], "degree")
+        comps[n] = inst.mor_from_json(e["morphism"], src.obj(n), tgt.obj(n))
     return ChainMap(src, tgt, comps)
 
 
@@ -101,9 +96,7 @@ def delta_map_to_json(f: DeltaMap) -> dict:
 def delta_map_from_json(d: dict) -> DeltaMap:
     src = DeltaComplex.from_json(d["source"])
     tgt = DeltaComplex.from_json(d["target"])
-    comps = {
-        (e["i"], e["j"]): RingMatrix.from_json(e["matrix"]) for e in d["components"]
-    }
+    comps = {json_pos(e): json_matrix(e["matrix"], src.ring) for e in d["components"]}
     return DeltaMap(src, tgt, comps)
 
 
@@ -140,9 +133,15 @@ def payload_from_json(d: dict) -> Tuple[str, object]:
     if kind == "complex":
         return kind, complex_from_json(body)
     if kind == "chain-maps":
-        return kind, (chain_map_from_json(body["f"]), chain_map_from_json(body["g"]))
+        f, g = chain_map_from_json(body["f"]), chain_map_from_json(body["g"])
+        if (f.source, f.target) != (g.source, g.target):
+            raise ValueError("the chain maps do not share their source and target")
+        return kind, (f, g)
     if kind == "pair":
-        return kind, (chain_map_from_json(body["i"]), chain_map_from_json(body["p"]))
+        i, p = chain_map_from_json(body["i"]), chain_map_from_json(body["p"])
+        if i.target != p.source:
+            raise ValueError("p does not start where i ends")
+        return kind, (i, p)
     if kind == "gsystem":
         return kind, GSystem.from_json(body)
     if kind == "delta-complex":

@@ -1,7 +1,8 @@
 """Seeded property-suite runner with machine-readable reports.
 
 Every invariant of the library has a named property here.  A property is a
-function ``prop(rng) -> (ok, detail, payload)`` where ``payload`` is an
+function ``prop(rng, rings) -> (ok, detail, payload)``: ``rings`` is the pool
+its random instances draw their coefficient ring from, and ``payload`` is an
 optional ``(kind, object)`` pair that can be written to an instance file for
 replay when the property fails.
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .base import Graded, ScalarEta
 from .complexes import (
@@ -76,6 +77,7 @@ from .gsystems import (
     psi_inv_mor,
     psi_mor,
     theta_extend,
+    theta_extend_mor,
     theta_triangle_check,
     totalize_chain_map,
     validate_delta,
@@ -83,29 +85,29 @@ from .gsystems import (
     validate_gsystem,
     xi_cone_identity,
 )
-from .rings import GF, ZZ, Zmod
+from .rings import GF, ZZ, CoeffRing, Zmod
 from .serialize import payload_to_json
 
 RINGS = [ZZ, Zmod(4), Zmod(8), Zmod(9), GF(5)]
 
 
-def _scalar_instance(rng: random.Random) -> ScalarEta:
-    ring = rng.choice(RINGS)
+def _scalar_instance(rng: random.Random, rings: Sequence[CoeffRing]) -> ScalarEta:
+    ring = rng.choice(rings)
     r = ring.canon(rng.choice([0, 1, 2, 3]))
     return ScalarEta(ring, r)
 
 
-def _mixed_instance(rng: random.Random):
-    inst = _scalar_instance(rng)
+def _mixed_instance(rng: random.Random, rings: Sequence[CoeffRing]):
+    inst = _scalar_instance(rng, rings)
     if rng.random() < 0.3:
         return Graded(inst)
     return inst
 
 
-def _light_instance(rng: random.Random):
+def _light_instance(rng: random.Random, rings: Sequence[CoeffRing]):
     """Like _mixed_instance but graded only occasionally; for properties
     whose recognizers solve large linear systems per trial."""
-    inst = _scalar_instance(rng)
+    inst = _scalar_instance(rng, rings)
     if rng.random() < 0.12:
         return Graded(inst)
     return inst
@@ -114,11 +116,11 @@ def _light_instance(rng: random.Random):
 # -- conflation axioms ------------------------------------------------------
 
 
-def prop_axiom_ex0(rng):
+def prop_axiom_ex0(rng, rings):
     """The identity deflation onto any object is a conflation."""
     from .complexes import Complex, ChainMap
 
-    inst = _mixed_instance(rng)
+    inst = _mixed_instance(rng, rings)
     x = random_complex(inst, rng, max_len=2)
     zero = Complex(inst, {}, {})
     i = zero_chain_map(zero, x)
@@ -127,9 +129,9 @@ def prop_axiom_ex0(rng):
     return ok, "identity deflation recognized" if ok else "not recognized", ("pair", (i, p))
 
 
-def prop_axiom_ex1(rng):
+def prop_axiom_ex1(rng, rings):
     """Composites of standard deflations are deflations, with witness."""
-    inst = _light_instance(rng)
+    inst = _light_instance(rng, rings)
     rank = 1 if isinstance(inst, Graded) else 2
     defl1 = random_std_conflation(inst, rng, max_len=2, max_rank=rank)
     V = random_complex(inst, rng, max_len=2, max_rank=1)
@@ -139,9 +141,9 @@ def prop_axiom_ex1(rng):
     return ok, "", ("pair", (defl1.i, defl1.p))
 
 
-def prop_axiom_ex1_op(rng):
+def prop_axiom_ex1_op(rng, rings):
     """Composites of standard inflations are inflations."""
-    inst = _light_instance(rng)
+    inst = _light_instance(rng, rings)
     rank = 1 if isinstance(inst, Graded) else 2
     infl1 = random_std_conflation(inst, rng, max_len=2, max_rank=rank)
     U = random_complex(inst, rng, max_len=2, max_rank=1)
@@ -150,9 +152,9 @@ def prop_axiom_ex1_op(rng):
     return ok, "", ("pair", (infl1.i, infl1.p))
 
 
-def prop_axiom_ex2(rng):
+def prop_axiom_ex2(rng, rings):
     """Pullbacks of deflations along arbitrary maps are deflations."""
-    inst = _light_instance(rng)
+    inst = _light_instance(rng, rings)
     rank = 1 if isinstance(inst, Graded) else 2
     defl = random_std_conflation(inst, rng, max_len=2, max_rank=rank)
     zp = random_complex(inst, rng, max_len=2, max_rank=1)
@@ -162,9 +164,9 @@ def prop_axiom_ex2(rng):
     return ok, "", ("pair", (defl.i, defl.p))
 
 
-def prop_axiom_ex2_op(rng):
+def prop_axiom_ex2_op(rng, rings):
     """Pushouts of inflations along arbitrary maps are inflations."""
-    inst = _light_instance(rng)
+    inst = _light_instance(rng, rings)
     rank = 1 if isinstance(inst, Graded) else 2
     infl = random_std_conflation(inst, rng, max_len=2, max_rank=rank)
     xp = random_complex(inst, rng, max_len=2, max_rank=1)
@@ -176,9 +178,9 @@ def prop_axiom_ex2_op(rng):
 # -- Frobenius property -----------------------------------------------------
 
 
-def prop_projective_lift(rng):
+def prop_projective_lift(rng, rings):
     """cone_eta(V) lifts exactly against every generated deflation."""
-    inst = _mixed_instance(rng)
+    inst = _mixed_instance(rng, rings)
     defl = random_std_conflation(inst, rng, max_len=2)
     V = random_complex(inst, rng, max_len=2)
     P = cone_eta(V)
@@ -188,9 +190,9 @@ def prop_projective_lift(rng):
     return ok, "", ("pair", (defl.i, defl.p))
 
 
-def prop_injective_extend(rng):
+def prop_injective_extend(rng, rings):
     """cone_eta(V) extends exactly against every generated inflation."""
-    inst = _mixed_instance(rng)
+    inst = _mixed_instance(rng, rings)
     infl = random_std_conflation(inst, rng, max_len=2)
     V = random_complex(inst, rng, max_len=2)
     P = cone_eta(V)
@@ -200,9 +202,9 @@ def prop_injective_extend(rng):
     return ok, "", ("pair", (infl.i, infl.p))
 
 
-def prop_env_cover_conflations(rng):
+def prop_env_cover_conflations(rng, rings):
     """Envelope inflations and cover deflations are recognized conflations."""
-    inst = _light_instance(rng)
+    inst = _light_instance(rng, rings)
     rank = 1 if isinstance(inst, Graded) else 2
     x = random_complex(inst, rng, max_len=2, max_rank=rank)
     conf = env_inflation(x) if rng.random() < 0.5 else cover_deflation(x)
@@ -213,16 +215,16 @@ def prop_env_cover_conflations(rng):
 # -- conflation recognition and normalization -------------------------------
 
 
-def prop_conflation_recognized(rng):
+def prop_conflation_recognized(rng, rings):
     """Conjugated standard conflations pass the recognizer with a witness."""
-    inst = _light_instance(rng)
+    inst = _light_instance(rng, rings)
     defl = random_std_conflation(inst, rng, max_len=2, max_rank=1 if isinstance(inst, Graded) else 2)
     i2, p2 = conjugate_pair(defl.i, defl.p, rng)
     ok = is_eta_conflation(i2, p2) is not None
     return ok, "", ("pair", (i2, p2))
 
 
-def prop_cone_normalize(rng):
+def prop_cone_normalize(rng, rings):
     """The standard pair of a cone normalizes back to its invariant and the
     twist acts on the cone by the expected triangle rotation identity."""
     from .complexes import Complex, ChainMap
@@ -239,7 +241,7 @@ def prop_cone_normalize(rng):
     if not validate_complex(c0):
         return False, "cone differential does not square to zero", ("complex", c0)
 
-    inst = _mixed_instance(rng)
+    inst = _mixed_instance(rng, rings)
     W = random_complex(inst, rng, max_len=2)
     X = random_complex(inst, rng, max_len=2)
     f = random_chain_map(W, X, rng)
@@ -252,10 +254,10 @@ def prop_cone_normalize(rng):
     return ok, "", ("chain-maps", (i, p))
 
 
-def prop_calibration_unit(rng):
+def prop_calibration_unit(rng, rings):
     """With an invertible twist scalar every chainwise split pair is a
     conflation."""
-    ring = rng.choice(RINGS)
+    ring = rng.choice(rings)
     inst = ScalarEta(ring, ring.one())
     i, p = random_split_pair(inst, rng, max_len=2)
     i, p = conjugate_pair(i, p, rng)
@@ -263,10 +265,10 @@ def prop_calibration_unit(rng):
     return ok, "", ("pair", (i, p))
 
 
-def prop_calibration_zero(rng):
+def prop_calibration_zero(rng, rings):
     """With twist scalar zero, conflation recognition equals split-pair
     recognition."""
-    ring = rng.choice(RINGS)
+    ring = rng.choice(rings)
     inst = ScalarEta(ring, ring.zero())
     i, p = random_split_pair(inst, rng, max_len=2)
     ok = (is_eta_conflation(i, p) is not None) == is_split_pair(i, p)
@@ -276,10 +278,10 @@ def prop_calibration_zero(rng):
 # -- homotopy ----------------------------------------------------------------
 
 
-def prop_homotopy_agreement(rng):
+def prop_homotopy_agreement(rng, rings):
     """Twisted homotopy of f, g is equivalent to ordinary homotopy after
     precomposition with the structural map eta."""
-    inst = _mixed_instance(rng)
+    inst = _mixed_instance(rng, rings)
     a = random_complex(inst, rng, max_len=3)
     b = random_complex(inst, rng, max_len=3)
     f = random_chain_map(a, b, rng)
@@ -292,10 +294,10 @@ def prop_homotopy_agreement(rng):
     return lhs == rhs, f"twisted={lhs} precomposed={rhs}", ("chain-maps", (f, g))
 
 
-def prop_null_factorization(rng):
+def prop_null_factorization(rng, rings):
     """A map is twisted-null-homotopic iff it factors through the envelope
     inflation of its source."""
-    inst = _mixed_instance(rng)
+    inst = _mixed_instance(rng, rings)
     a = random_complex(inst, rng, max_len=3)
     b = random_complex(inst, rng, max_len=3)
     f = random_chain_map(a, b, rng)
@@ -307,10 +309,10 @@ def prop_null_factorization(rng):
 # -- bridge: reindexing and totalization ------------------------------------
 
 
-def prop_psi_roundtrip(rng):
+def prop_psi_roundtrip(rng, rings):
     """The position reindexing between the two bigraded conventions is an
     exact involution that preserves composition."""
-    ring = rng.choice(RINGS)
+    ring = rng.choice(rings)
     x = random_gsystem(ring, rng)
     y = random_gsystem(ring, rng)
     gx = psi_inv(x)
@@ -325,10 +327,10 @@ def prop_psi_roundtrip(rng):
     return ok, "", ("gsystem", x)
 
 
-def prop_totalize_functor(rng):
+def prop_totalize_functor(rng, rings):
     """Totalization is functorial and sends graded identities and the
     structural twist map to the identity."""
-    ring = rng.choice(RINGS)
+    ring = rng.choice(rings)
     x = random_gsystem(ring, rng)
     y = random_gsystem(ring, rng)
     z = random_gsystem(ring, rng)
@@ -349,10 +351,10 @@ def totalize_mor_eta(x) -> bool:
     return t == id_chain_map(t.target)
 
 
-def prop_xi_cone_eta(rng):
+def prop_xi_cone_eta(rng, rings):
     """Totalization carries the cone of the structural twist to the cone of
     the identity, up to the canonical interleave permutation."""
-    ring = rng.choice(RINGS)
+    ring = rng.choice(rings)
     v = random_gsystem(ring, rng)
     return xi_cone_identity(v), "", ("gsystem", v)
 
@@ -360,10 +362,10 @@ def prop_xi_cone_eta(rng):
 # -- bridge: inductive completion -------------------------------------------
 
 
-def prop_theta_revalidates(rng):
+def prop_theta_revalidates(rng, rings):
     """Completion outputs always satisfy the full higher square-zero
     relations, and strip inputs complete with the signed level-one part."""
-    ring = rng.choice(RINGS)
+    ring = rng.choice(rings)
     x = random_delta_complex(ring, rng)
     if not validate_delta(x):
         return False, "generator produced invalid completion input", ("delta-complex", x)
@@ -376,7 +378,7 @@ def prop_theta_revalidates(rng):
     return ok, "", ("delta-complex", x)
 
 
-def prop_theta_obstruction_reported(rng):
+def prop_theta_obstruction_reported(rng, rings):
     """Engineered non-completable inputs yield a reported obstruction with a
     level and position, never a silent pass, while the inductive template
     genuinely needs and gets a level-two correction."""
@@ -391,10 +393,10 @@ def prop_theta_obstruction_reported(rng):
     return ok, "", ("delta-complex", bad)
 
 
-def prop_theta_triangle(rng):
+def prop_theta_triangle(rng, rings):
     """On strictly solvable strip instances the completion intertwines cones
     and shifts exactly."""
-    ring = rng.choice(RINGS)
+    ring = rng.choice(rings)
     X = random_strip_delta_complex(ring, rng)
     Y = random_strip_delta_complex(ring, rng)
     alpha = random_delta_map(X, Y, rng)
@@ -407,10 +409,10 @@ def prop_theta_triangle(rng):
     return bool(res), "", ("delta-map", alpha)
 
 
-def prop_eta_null_complete(rng):
+def prop_eta_null_complete(rng, rings):
     """Column-wise null-homotopic endomorphisms complete to a full twisted
     homotopy family whose certificate validates."""
-    ring = rng.choice(RINGS)
+    ring = rng.choice(rings)
     x = random_strip_delta_complex(ring, rng)
     if not x.columns:
         return True, "empty instance", None
@@ -418,8 +420,8 @@ def prop_eta_null_complete(rng):
     xhat = theta_extend(x)
     if isinstance(xhat, Obstruction):
         return False, "source did not complete", ("delta-complex", x)
-    fhat = _extend_or_none(alpha, xhat)
-    if fhat is None:
+    fhat = theta_extend_mor(alpha, xhat, xhat)
+    if isinstance(fhat, Obstruction):
         return True, "morphism extension obstructed (reported)", None
     seed = find_seed(fhat)
     if seed is None:
@@ -429,19 +431,10 @@ def prop_eta_null_complete(rng):
     return ok, "", ("delta-map", alpha)
 
 
-def _extend_or_none(alpha, xhat):
-    from .gsystems import theta_extend_mor
-
-    out = theta_extend_mor(alpha, xhat, xhat)
-    if isinstance(out, Obstruction):
-        return None
-    return out
-
-
-def prop_phi_null(rng):
+def prop_phi_null(rng, rings):
     """The composite realization sends column-wise null-homotopic
     endomorphisms to classically null-homotopic totalized maps."""
-    ring = rng.choice(RINGS)
+    ring = rng.choice(rings)
     x = random_strip_delta_complex(ring, rng)
     if not x.columns:
         return True, "empty instance", None
@@ -454,19 +447,19 @@ def prop_phi_null(rng):
     return ok, "", ("delta-map", alpha)
 
 
-def prop_serialize_roundtrip(rng):
+def prop_serialize_roundtrip(rng, rings):
     """Instance files are canonical: parse then serialize is the identity on
     serialized form."""
     import json
 
     from .serialize import payload_from_json
 
-    ring = rng.choice(RINGS)
+    ring = rng.choice(rings)
     x = random_delta_complex(ring, rng)
     first = json.dumps(payload_to_json("delta-complex", x), sort_keys=True)
     kind, back = payload_from_json(json.loads(first))
     second = json.dumps(payload_to_json(kind, back), sort_keys=True)
-    inst = _mixed_instance(rng)
+    inst = _mixed_instance(rng, rings)
     c = random_complex(inst, rng, max_len=3)
     cf = json.dumps(payload_to_json("complex", c), sort_keys=True)
     kind2, c2 = payload_from_json(json.loads(cf))
@@ -511,8 +504,9 @@ def run_property(
     seed: int,
     trials: int,
     fail_dir: Optional[str] = None,
+    rings: Sequence[CoeffRing] = RINGS,
 ) -> List[dict]:
-    """Run one named property for the given number of trials.
+    """Run one named property for the given number of trials, drawing rings from ``rings``.
 
     Returns one record per trial, ordered by trial index.
     """
@@ -522,7 +516,7 @@ def run_property(
         rng = trial_rng(seed, name, t)
         start = time.perf_counter()
         try:
-            ok, detail, payload = prop(rng)
+            ok, detail, payload = prop(rng, rings)
         except Exception as exc:  # a crash is a failure, not a report gap
             ok, detail, payload = False, f"exception: {exc!r}", None
         elapsed = time.perf_counter() - start
@@ -556,13 +550,14 @@ def run_suite(
     trials: int,
     names: Optional[List[str]] = None,
     fail_dir: Optional[str] = None,
+    rings: Sequence[CoeffRing] = RINGS,
 ) -> Tuple[bool, List[dict]]:
-    """Run every named property; returns (all_passed, records)."""
+    """Run every named property over the ring pool ``rings``; returns (all_passed, records)."""
     names = list(PROPERTIES) if names is None else names
     records: List[dict] = []
     ok = True
     for name in names:
-        recs = run_property(name, seed, trials, fail_dir=fail_dir)
+        recs = run_property(name, seed, trials, fail_dir=fail_dir, rings=rings)
         records.extend(recs)
         ok = ok and all(r["verdict"] == "pass" for r in recs)
     return ok, records

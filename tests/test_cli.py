@@ -228,7 +228,7 @@ class TestCheck:
         ("delta-map", "phi"),
     ])
     def test_negative_rank_exit_two(self, tmp_path, capsys, kind, op):
-        """Every rank 1 in a stalk instance of the kind is rewritten to -1."""
+        """Every rank 1 in a stalk instance of the kind is rewritten to -1, then to 1.5."""
         ring = Zmod(4)
         stalk = Complex(ScalarEta(ring, 2), {0: 1}, {})
         zero = zero_chain_map(stalk, stalk)
@@ -242,26 +242,94 @@ class TestCheck:
         }[kind]
         p = tmp_path / "neg.json"
         save_instance_file(str(p), kind, obj)
-        edited = []
+        original = p.read_text()
+        for value in (-1, 1.5):
+            edited = []
 
-        def edit(node):
+            def edit(node):
+                if isinstance(node, dict):
+                    for key in ("object", "rank"):
+                        if node.get(key) == 1:
+                            node[key] = value
+                            edited.append(node)
+                    for v in node.values():
+                        edit(v)
+                elif isinstance(node, list):
+                    for v in node:
+                        edit(v)
+
+            doc = json.loads(original)
+            edit(doc)
+            assert edited
+            p.write_text(json.dumps(doc))
+            assert main(["check", str(p), "--op", op]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("case, op, code", [
+        ("endpoints", "eta-homotopic", 2),
+        ("legs", "is-eta-conflation", 2),
+        ("legs", "axioms", 2),
+        ("extra-row", "eta-homotopic", 2),
+        ("component-ring", "eta-homotopic", 2),
+        ("delta1-ring", "theta-extend", 2),
+        ("gsystem-ring", "totalize", 2),
+        ("fractional-degree", "eta-homotopic", 2),
+        ("nonzero-p-i", "is-eta-conflation", 1),
+    ])
+    def test_inconsistent_instance(self, tmp_path, capsys, case, op, code):
+        """Hand-edited Z/4 files: a structural inconsistency exits 2, and p i != 0 answers NONE."""
+        ring = Zmod(4)
+        one = RingMatrix.from_rows(ring, [[1]])
+        a, b = (Complex(ScalarEta(ring, 2), {0: r}, {}) for r in (1, 2))
+        ident = ChainMap(a, a, {0: one})
+
+        def matrix(doc, *path):
+            node = doc["payload"]
+            for key in path:
+                node = node[key]
+            return node
+
+        def extra_row(doc):
+            m = matrix(doc, "f", "components", 0, "morphism")
+            m["rows"], m["entries"] = 2, m["entries"] + ["0"]
+
+        def degrees(node):
             if isinstance(node, dict):
-                for key in ("object", "rank"):
-                    if node.get(key) == 1:
-                        node[key] = -1
-                        edited.append(node)
+                if node.get("degree") == 0:
+                    node["degree"] = 0.5
                 for v in node.values():
-                    edit(v)
+                    degrees(v)
             elif isinstance(node, list):
                 for v in node:
-                    edit(v)
+                    degrees(v)
 
+        z8 = Zmod(8).to_json()
+        kind, obj, edit = {
+            "endpoints": ("chain-maps", (zero_chain_map(a, a), zero_chain_map(b, a)), None),
+            "legs": ("pair", (zero_chain_map(a, a), zero_chain_map(b, a)), None),
+            "extra-row": ("chain-maps", (ident, ident), extra_row),
+            "component-ring": ("chain-maps", (ident, ident), lambda doc: matrix(
+                doc, "f", "components", 0, "morphism").update(ring=z8)),
+            "delta1-ring": ("delta-complex", DeltaComplex(ring, {(0, 0): 1, (0, 1): 1}, {}, {(0, 0): one}),
+                            lambda doc: matrix(doc, "delta1", 0, "matrix").update(ring=z8)),
+            "gsystem-ring": ("gsystem", GSystem(ring, {(0, 0): 1, (1, 0): 1}, {(0, 0, 0): one}),
+                             lambda doc: matrix(doc, "diffs", 0, "matrix").update(ring=z8)),
+            "fractional-degree": ("chain-maps", (ident, ident), degrees),
+            "nonzero-p-i": ("pair", (ident, ident), None),
+        }[case]
+        p = tmp_path / "edited.json"
+        save_instance_file(str(p), kind, obj)
         doc = json.loads(p.read_text())
-        edit(doc)
-        assert edited
+        if edit is not None:
+            edit(doc)
         p.write_text(json.dumps(doc))
-        assert main(["check", str(p), "--op", op]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["check", str(p), "--op", op]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err.startswith("error: ")
+        else:
+            rec = records_of(captured.out)[0]
+            assert rec["verdict"] == "NONE" and rec["detail"].startswith("not chainwise split")
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -375,7 +443,7 @@ class TestSuiteCommand:
     def test_failure_writes_replay_file(self, tmp_path, capsys, monkeypatch):
         import etacomplex.suite as suite_mod
 
-        def always_fails(rng):
+        def always_fails(rng, rings):
             from etacomplex.generators import random_delta_complex
             from etacomplex.rings import Zmod
 

@@ -10,8 +10,8 @@ Oracle notes:
   Graded, agree with the levelwise convolution sums kept here verbatim.
 - [DERIVED] the stored-complex GSystem and GMorphism agree with the flat-dict
   definitions kept here verbatim, and so do the maps between them; the level
-  systems of the three constructions agree entry for entry with their
-  hand-written registrations, also kept verbatim.
+  systems of the three constructions and of ``find_seed`` agree entry for
+  entry with their hand-written registrations, also kept verbatim.
 - [TRIVIAL] shape/constructor errors.
 """
 
@@ -1488,6 +1488,52 @@ def ref_eta_null_complete(
     return gs._family_to_certificate(f, s)
 
 
+def ref_find_seed(f: GMorphism):
+    """Solve the two seed equations jointly; None when no seed exists."""
+    X, Y = f.source, f.target
+    ring = X.ring
+    prob = MatrixProblem(ring)
+    slots0 = [
+        (i, j) for (i, j) in X.positions if X.rank(i, j) and Y.rank(i - 1, j - 1)
+    ]
+    slots1 = [
+        (i, j) for (i, j) in X.positions if X.rank(i, j) and Y.rank(i - 1, j)
+    ]
+    for (i, j) in slots0:
+        prob.add_unknown(("s0", i, j), Y.rank(i - 1, j - 1), X.rank(i, j))
+    for (i, j) in slots1:
+        prob.add_unknown(("s1", i, j), Y.rank(i - 1, j), X.rank(i, j))
+    for (i, j) in X.positions:
+        er, ec = Y.rank(i, j - 1), X.rank(i, j)
+        if er and ec:
+            terms = []
+            if ("s0", i, j) in prob.unknowns:
+                terms.append((("s0", i, j), Y.diff(0, i - 1, j - 1), None, 1))
+            if ("s0", i + 1, j) in prob.unknowns:
+                terms.append((("s0", i + 1, j), None, X.diff(0, i, j), 1))
+            if terms:
+                prob.add_equation((er, ec), terms, None)
+        er = Y.rank(i, j)
+        if not er or not ec:
+            continue
+        terms = []
+        if ("s0", i, j) in prob.unknowns:
+            terms.append((("s0", i, j), Y.diff(1, i - 1, j - 1), None, 1))
+        if ("s1", i, j) in prob.unknowns:
+            terms.append((("s1", i, j), Y.diff(0, i - 1, j), None, 1))
+        if ("s0", i + 1, j + 1) in prob.unknowns:
+            terms.append((("s0", i + 1, j + 1), None, X.diff(1, i, j), 1))
+        if ("s1", i + 1, j) in prob.unknowns:
+            terms.append((("s1", i + 1, j), None, X.diff(0, i, j), 1))
+        prob.add_equation((er, ec), terms, f.comp(0, i, j))
+    sol = prob.solve()
+    if sol is None:
+        return None
+    s0 = {(i, j): sol[("s0", i, j)] for (i, j) in slots0}
+    s1 = {(i, j): sol[("s1", i, j)] for (i, j) in slots1}
+    return s0, s1
+
+
 def _box(positions):
     """Every position within one step of the given ones."""
     return sorted({(i + a, j + b) for (i, j) in positions for a in (-1, 0, 1) for b in (-1, 0, 1)})
@@ -1700,3 +1746,41 @@ class TestLevelSystemOracle:
             ("theta", "GSystem"), ("mor", "GMorphism"), ("mor", "Obstruction"),
             ("eta", "HomotopyCertificate"), ("eta", "Obstruction"),
         }
+
+
+class TestFindSeedOracle:
+    def test_seed_systems_match_hand_written(self, monkeypatch):
+        log = _record_problems(monkeypatch)
+        seen = set()
+        outcomes = set()
+
+        def run(f):
+            out = find_seed(f)
+            if any(not terms for _, _, _, terms, _ in log[-1][2].equations):
+                seen.add("equation without terms")
+            return out
+
+        for ring in (ZZ, Z4, Zmod(9), GF(5)):
+            rng = random.Random(98)
+            inputs = [x for x in [inductive_delta_complex()] if x.ring == ring]
+            for trial in range(8):
+                inputs.append(random_delta_complex(ring, random.Random(96000 + trial)))
+                inputs.append(random_strip_delta_complex(ring, random.Random(96500 + trial)))
+            inputs += [random_strip_delta_complex(ring, random.Random(97000 + t)) for t in range(20)]
+            hats = [theta_extend(x) for x in inputs]
+            maps = []
+            for k in range(len(inputs) - 1):
+                x, y, xhat, yhat = inputs[k], inputs[k + 1], hats[k], hats[k + 1]
+                maps.append(theta_extend_mor(random_delta_map(x, y, rng), xhat, yhat))
+                if not x.delta0:
+                    maps.append(theta_extend_mor(columnwise_null_delta_map(x, x, rng), xhat, xhat))
+            for t in range(20):
+                x = random_gsystem(ring, random.Random(98000 + 2 * t))
+                y = random_gsystem(ring, random.Random(98001 + 2 * t))
+                maps.append(random_gmorphism(x, y, rng))
+            for f in maps:
+                if isinstance(f, GMorphism):
+                    out = _same_problems(log, lambda: run(f), lambda: ref_find_seed(f), seen)
+                    outcomes.add(out is None)
+        assert outcomes == {True, False}
+        assert {"equation without terms", "nonzero rhs", "skipped unknown"} <= seen
