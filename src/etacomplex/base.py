@@ -27,14 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .matrix import RingMatrix
-from .rings import CoeffRing
-
-
-def json_int(v, what: str) -> int:
-    """A rank, degree or position read from an instance file; it must be an integer."""
-    if type(v) is not int:
-        raise ValueError(f"{what} must be an integer, got {v!r}")
-    return v
+from .rings import CoeffRing, json_int
 
 
 def json_pos(e) -> Tuple[int, int]:
@@ -126,6 +119,8 @@ class BaseInstance:
         raise NotImplementedError
 
     def vec_to_mor(self, vec: Sequence, X, Y):
+        """The morphism with hom coordinates ``vec``, canonical ring elements
+        as ``mor_to_vec`` and the solvers give them."""
         raise NotImplementedError
 
     def hom_blocks(self, left, right, X, Y, A, B) -> List[Tuple]:
@@ -255,7 +250,7 @@ class ScalarEta(BaseInstance):
         return list(f.entries)
 
     def vec_to_mor(self, vec, X, Y):
-        return RingMatrix(self.ring, Y, X, list(vec))
+        return RingMatrix._trusted(self.ring, Y, X, list(vec))
 
     def hom_blocks(self, left, right, X, Y, A, B):
         left_shape = (Y, Y) if left is None else (left.rows, left.cols)
@@ -550,7 +545,7 @@ class Graded(BaseInstance):
         pos = 0
         for n, j in self._slots(X, Y):
             r, c = Y.rank(j + n), X.rank(j)
-            comps[(n, j)] = RingMatrix(self.ring, r, c, list(vec[pos : pos + r * c]))
+            comps[(n, j)] = RingMatrix._trusted(self.ring, r, c, list(vec[pos : pos + r * c]))
             pos += r * c
         if pos != len(vec):
             raise ValueError("coordinate vector has wrong length")

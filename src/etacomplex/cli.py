@@ -410,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("suite", help="run the full property suite")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--trials", type=int, default=5)
-    s.add_argument("--ring", default=None, help="restrict the ring pool to one ring")
+    s.add_argument("--ring", default=None,
+                   help="draw random instances over this ring only; theta-obstruction-reported "
+                        "and cone-normalize keep their fixture rings")
     s.add_argument("--property", action="append", default=None, dest="properties",
                    help="run only this property (repeatable)")
     s.add_argument("-o", "--out", default=None)

@@ -325,13 +325,16 @@ def eta_on_cone(f: ChainMap) -> bool:
 # -- linear problems over hom coordinates -----------------------------------
 
 
-def _add_kron(entries, width, r0, c0, L, R, ru, cu, sign, one):
-    """Add sign * L (x) R^T, unreduced, into row-major entries of row length width.
+def _add_kron(entries, width, r0, c0, L, R, ru, cu, sign, ring):
+    """Add sign * L (x) R^T into row-major entries of row length width.
 
     Unknown entry (a, b) of the ru x cu block, at column c0 + a*cu + b, gets
     coefficient sign * L[p, a] * R[b, q] in equation entry (p, q), at row
-    r0 + p*ec + q.  L or R None is the identity.
+    r0 + p*ec + q.  L or R None is the identity.  Over Z/m and GF(p) each
+    cell written is reduced mod m, so the entries stay canonical; over Z and
+    Q sums of products of canonical entries already are.
     """
+    mod, one = ring.modulus, ring.one()
     ec = cu if R is None else R.cols
     r_nz = [[(b, one)] if R is None else [(q, v) for q, v in enumerate(R.row(b)) if v]
             for b in range(cu)]
@@ -343,7 +346,10 @@ def _add_kron(entries, width, r0, c0, L, R, ru, cu, sign, one):
             col = base + a * cu
             for b, rrow in enumerate(r_nz):
                 for q, rv in rrow:
-                    entries[col + q * width + b] += lv * rv
+                    k = col + q * width + b
+                    entries[k] += lv * rv
+                    if mod:
+                        entries[k] %= mod
 
 
 class LinearProblem:
@@ -382,20 +388,19 @@ class LinearProblem:
     def _build(self):
         inst = self.instance
         ring = inst.ring
-        one = ring.one()
         entries = [ring.zero()] * (self.rows * self.cols)
         rhs_entries: List = []
         for A, B, row, terms, rhs in self.equations:
             for key, left, right, sign in terms:
                 X, Y, col = self.unknowns[key]
                 for r, c, L, R, ru, cu in inst.hom_blocks(left, right, X, Y, A, B):
-                    _add_kron(entries, self.cols, row + r, col + c, L, R, ru, cu, sign, one)
+                    _add_kron(entries, self.cols, row + r, col + c, L, R, ru, cu, sign, ring)
             if rhs is None:
                 rhs_entries.extend([ring.zero()] * inst.hom_dim(A, B))
             else:
                 rhs_entries.extend(inst.mor_to_vec(rhs, A, B))
-        coeffs = RingMatrix(ring, self.rows, self.cols, entries)
-        return coeffs, RingMatrix(ring, self.rows, 1, rhs_entries)
+        coeffs = RingMatrix._trusted(ring, self.rows, self.cols, entries)
+        return coeffs, RingMatrix._trusted(ring, self.rows, 1, rhs_entries)
 
     def _unpack(self, vec: Sequence) -> Dict[object, object]:
         inst = self.instance

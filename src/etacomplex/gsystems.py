@@ -410,7 +410,7 @@ def xi_mor(f: GradedMorphism, ring: CoeffRing) -> RingMatrix:
                 continue
             m = f.components.get((t - j, j))
             if m is not None and _XI_SIGN != 1 and (t - j) % 2 == 1:
-                m = m.scale(ring.canon(_XI_SIGN))
+                m = m.scale(_XI_SIGN)
             row.append(m)
         grid.append(row)
     return RingMatrix.block(ring, grid, rows, cols)
@@ -478,7 +478,7 @@ def xi_dsum_permutation(
     one = ring.one()
     for r, key in enumerate(tgt_order):
         entries[r * n + pos[key]] = one
-    return RingMatrix(ring, n, n, entries)
+    return RingMatrix._trusted(ring, n, n, entries)
 
 
 def xi_cone_identity(v: GSystem) -> bool:

@@ -104,9 +104,9 @@ def smith_normal_form(a: RingMatrix) -> Tuple[RingMatrix, RingMatrix, RingMatrix
                 U[t][j] = -U[t][j]
         t += 1
 
-    Um = RingMatrix.from_rows(ZZ, U) if n else RingMatrix(ZZ, 0, 0, [])
-    Vm = RingMatrix.from_rows(ZZ, V) if m else RingMatrix(ZZ, 0, 0, [])
-    Dm = RingMatrix(ZZ, n, m, [A[i][j] for i in range(n) for j in range(m)])
+    Um = RingMatrix._trusted(ZZ, n, n, [x for row in U for x in row])
+    Vm = RingMatrix._trusted(ZZ, m, m, [x for row in V for x in row])
+    Dm = RingMatrix._trusted(ZZ, n, m, [x for row in A for x in row])
     return Um, Dm, Vm
 
 
@@ -249,8 +249,8 @@ def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
     # every pivot and free column is cleared from the rows left over
     rest = [row for row in rows if row is not None]
     if any(j < m for row in rest for j in row):
-        res = RingMatrix(ring, len(rest), len(skipped),
-                         [row.get(j, 0) for row in rest for j in skipped])
+        res = RingMatrix._trusted(ring, len(rest), len(skipped),
+                                  [row.get(j, 0) for row in rest for j in skipped])
         res_sols, res_kern = _solve_integer(
             res, [[row.get(m + t, 0) for row in rest] for t in range(len(rhs_cols))],
             want_kernel)
@@ -283,7 +283,7 @@ def _solve_crt(a: RingMatrix, rhs_cols: List[List], want_kernel: bool, factors):
     for p, k in factors:
         q = p ** k
         e = (mod // q) * pow(mod // q, -1, q)
-        part = RingMatrix(Zmod(q), a.rows, a.cols, a.entries)
+        part = RingMatrix._trusted(Zmod(q), a.rows, a.cols, [x % q for x in a.entries])
         part_sols, part_kern = _solve(part, [[x % q for x in col] for col in rhs_cols],
                                       want_kernel)
         for t, y in enumerate(part_sols):
@@ -340,7 +340,7 @@ def solve_linear_system(coeffs: RingMatrix, rhs: RingMatrix) -> Optional[RingMat
     sols, _ = _solve(coeffs, [rhs.column(0)], want_kernel=False)
     if sols[0] is None:
         return None
-    return RingMatrix(coeffs.ring, coeffs.cols, 1, sols[0])
+    return RingMatrix._trusted(coeffs.ring, coeffs.cols, 1, sols[0])
 
 
 def solve_with_kernel(
@@ -349,8 +349,8 @@ def solve_with_kernel(
     """Like solve_linear_system, but also return generators of the kernel."""
     _check_rhs(coeffs, rhs)
     sols, kern = _solve(coeffs, [rhs.column(0)], want_kernel=True)
-    part = None if sols[0] is None else RingMatrix(coeffs.ring, coeffs.cols, 1, sols[0])
-    gens = [RingMatrix(coeffs.ring, coeffs.cols, 1, v) for v in kern]
+    part = None if sols[0] is None else RingMatrix._trusted(coeffs.ring, coeffs.cols, 1, sols[0])
+    gens = [RingMatrix._trusted(coeffs.ring, coeffs.cols, 1, v) for v in kern]
     return part, gens
 
 

@@ -3,13 +3,27 @@
 Row-major, immutable by convention (operations return fresh matrices). These
 carry every component morphism in the package; all sparsity is handled by
 block assembly in the higher layers.
+
+Every entry is in its ring's canonical form (see ``rings``): an int in
+[0, m) over Z/m and GF(p), an int over Z, a reduced ``Fraction`` over Q.
+The invariant holds by construction, not by a check on every cell.  The
+public constructor ``RingMatrix(...)``, ``from_rows`` and ``from_json``
+canonicalize each entry; they are the boundary for input from users, files
+and generators.  Every other construction (``zero``, ``identity``,
+``scalar``, ``block``, ``submatrix``, ``+``, ``-``, negation, ``scale``,
+``mat_mul``, and in the other layers the solver's results, hom-coordinate
+vectors and assembled linear systems) goes through ``RingMatrix._trusted``
+on entries computed from canonical ones.  Each reduces only where its own
+arithmetic can leave the canonical range: one ``% m`` per computed value
+over Z/m and GF(p), nothing over Z, and nothing over Q, where sums and
+products of ``Fraction``s are already reduced.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from .rings import CoeffRing
+from .rings import CoeffRing, json_int
 
 
 class RingMatrix:
@@ -24,6 +38,17 @@ class RingMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = [ring.canon(x) for x in entries]
+
+    @staticmethod
+    def _trusted(ring: CoeffRing, rows: int, cols: int, entries: List) -> "RingMatrix":
+        """A matrix over ``entries`` as given, without checks: a fresh list of
+        rows * cols elements already in the ring's canonical form."""
+        m = object.__new__(RingMatrix)
+        m.ring = ring
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
 
     # -- constructors -------------------------------------------------------
 
@@ -40,7 +65,7 @@ class RingMatrix:
 
     @staticmethod
     def zero(ring: CoeffRing, rows: int, cols: int) -> "RingMatrix":
-        return RingMatrix(ring, rows, cols, [ring.zero()] * (rows * cols))
+        return RingMatrix._trusted(ring, rows, cols, [ring.zero()] * (rows * cols))
 
     @staticmethod
     def identity(ring: CoeffRing, n: int) -> "RingMatrix":
@@ -82,29 +107,30 @@ class RingMatrix:
         self._check_same_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in addition")
-        add = self.ring.add
-        return RingMatrix(
-            self.ring, self.rows, self.cols,
-            [add(a, b) for a, b in zip(self.entries, other.entries)],
-        )
+        q = self.ring.modulus
+        pairs = zip(self.entries, other.entries)
+        out = [(a + b) % q for a, b in pairs] if q else [a + b for a, b in pairs]
+        return RingMatrix._trusted(self.ring, self.rows, self.cols, out)
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RingMatrix":
-        neg = self.ring.neg
-        return RingMatrix(self.ring, self.rows, self.cols, [neg(a) for a in self.entries])
+        q = self.ring.modulus
+        out = [-a % q for a in self.entries] if q else [-a for a in self.entries]
+        return RingMatrix._trusted(self.ring, self.rows, self.cols, out)
 
     def scale(self, a) -> "RingMatrix":
-        mul = self.ring.mul
-        return RingMatrix(self.ring, self.rows, self.cols, [mul(a, x) for x in self.entries])
+        a = self.ring.canon(a)
+        q = self.ring.modulus
+        out = [a * x % q for x in self.entries] if q else [a * x for x in self.entries]
+        return RingMatrix._trusted(self.ring, self.rows, self.cols, out)
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         return mat_mul(self, other)
 
     def is_zero(self) -> bool:
-        z = self.ring.zero()
-        return all(x == z for x in self.entries)
+        return not any(self.entries)  # a canonical zero is 0 or Fraction(0)
 
     def __eq__(self, other):
         return (
@@ -124,9 +150,11 @@ class RingMatrix:
     # -- block assembly -----------------------------------------------------
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "RingMatrix":
-        rows = [self.row(i)[c0:c1] for i in range(r0, r1)]
-        flat = [x for row in rows for x in row]
-        return RingMatrix(self.ring, r1 - r0, c1 - c0, flat)
+        flat: List = []
+        for i in range(r0, r1):
+            base = i * self.cols
+            flat.extend(self.entries[base + c0 : base + c1])
+        return RingMatrix._trusted(self.ring, r1 - r0, c1 - c0, flat)
 
     @staticmethod
     def block(ring: CoeffRing, grid, row_sizes: Sequence[int], col_sizes: Sequence[int]) -> "RingMatrix":
@@ -161,8 +189,10 @@ class RingMatrix:
     @staticmethod
     def from_json(d: dict) -> "RingMatrix":
         ring = CoeffRing.from_json(d["ring"])
+        if type(d["entries"]) is not list:
+            raise ValueError(f"matrix entries must be a list, got {d['entries']!r}")
         entries = [ring.elem_from_str(s) for s in d["entries"]]
-        return RingMatrix(ring, d["rows"], d["cols"], entries)
+        return RingMatrix(ring, json_int(d["rows"], "rows"), json_int(d["cols"], "cols"), entries)
 
 
 def mat_mul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
@@ -172,8 +202,9 @@ def mat_mul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     ring = a.ring
+    q = ring.modulus
     out = RingMatrix.zero(ring, a.rows, b.cols)
-    canon = ring.canon
+    entries = out.entries
     for i in range(a.rows):
         arow = a.row(i)
         base = i * b.cols
@@ -182,7 +213,8 @@ def mat_mul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
                 continue
             brow = b.row(k)
             for j in range(b.cols):
-                out.entries[base + j] += aik * brow[j]
-        for j in range(b.cols):
-            out.entries[base + j] = canon(out.entries[base + j])
+                entries[base + j] += aik * brow[j]
+        if q:
+            for j in range(b.cols):
+                entries[base + j] %= q
     return out

@@ -2,13 +2,27 @@
 
 Ring elements are plain Python ints (Fraction for the rationals), always kept
 in canonical form: representatives in [0, m) for Z/m and GF(p), reduced
-fractions for Q.
+fractions for Q.  ``CoeffRing.canon`` maps any value to that form; it is
+applied where values enter the package (matrix constructors fed by users,
+files and generators, and the scalar methods ``add``, ``mul``, ...).  Code
+that computes on canonical elements only reduces what its arithmetic can
+push out of range: a ``% m`` over Z/m and GF(p), nothing over Z and Q (see
+``matrix``).  In instance files an element is a string (``elem_to_str``)
+and every integer field a JSON integer (``json_int``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+def json_int(v, what: str) -> int:
+    """An integer read from an instance file (a rank, degree, position, shape
+    or modulus); a float or a bool is rejected, not truncated."""
+    if type(v) is not int:
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
 
 
 def _is_prime(n: int) -> bool:
@@ -101,6 +115,10 @@ class CoeffRing:
         return str(a)
 
     def elem_from_str(self, s: str):
+        """Parse an element written by ``elem_to_str``; anything but a string
+        of an integer (or a fraction over Q) is rejected."""
+        if type(s) is not str:
+            raise ValueError(f"a ring element must be a string, got {s!r}")
         if self.kind == "Q":
             if "/" in s:
                 num, den = s.split("/")
@@ -118,7 +136,7 @@ class CoeffRing:
 
     @staticmethod
     def from_json(d: dict) -> "CoeffRing":
-        return CoeffRing(d["kind"], d.get("modulus", 0))
+        return CoeffRing(d["kind"], json_int(d.get("modulus", 0), "modulus"))
 
     def __str__(self):
         if self.kind == "Z":

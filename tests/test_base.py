@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -12,8 +14,10 @@ from etacomplex.base import (
     check_eta_natural,
     instance_from_json,
 )
+from etacomplex.cli import main
 from etacomplex.matrix import RingMatrix
-from etacomplex.rings import GF, ZZ, Zmod
+from etacomplex.rings import GF, QQ, ZZ, Zmod
+from etacomplex.suite import run_suite
 
 
 def random_graded_obj(rng, max_deg=2, max_rank=2):
@@ -231,3 +235,52 @@ class TestSerialization:
     def test_instance_round_trip(self):
         for inst in (ScalarEta(Zmod(4), 2), Graded(ScalarEta(GF(5), 0))):
             assert instance_from_json(inst.to_json()) == inst
+
+
+class TestTrustedConstruction:
+    """Every matrix the package builds without canonicalizing already holds
+    canonical entries: reduced Fractions over Q, ints (not bools) in range
+    elsewhere.  The trusted constructor is wrapped to check each entry it
+    receives over the suite and over CLI checks of generated files."""
+
+    RINGS = [ZZ, Zmod(4), Zmod(8), Zmod(9), Zmod(12), Zmod(27), GF(5), QQ, GF(2)]
+
+    @pytest.fixture
+    def trusted(self, monkeypatch):
+        original = RingMatrix._trusted
+        hits = Counter()
+        bad = []
+
+        def checked(ring, rows, cols, entries):
+            want = Fraction if ring.kind == "Q" else int
+            for x in entries:
+                if type(x) is not want or x != ring.canon(x):
+                    bad.append((str(ring), repr(x)))
+            hits[ring] += 1
+            return original(ring, rows, cols, entries)
+
+        monkeypatch.setattr(RingMatrix, "_trusted", staticmethod(checked))
+        return hits, bad
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_suite_builds_canonical_entries(self, trusted, ring):
+        hits, bad = trusted
+        ok, _ = run_suite(5, trials=2, rings=[ring])
+        assert ok
+        assert not bad, bad[:10]
+        assert hits[ring] > 0
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_cli_check_builds_canonical_entries(self, trusted, ring, tmp_path, capsys):
+        hits, bad = trusted
+        p = tmp_path / "in.json"
+        # at these seeds and sizes both profiles pose systems whose cells sum several products
+        for seed in (5, 6):
+            for profile, op in (("chain-maps", "eta-homotopic"), ("pair", "is-eta-conflation")):
+                assert main(["gen", "--seed", str(seed), "--profile", profile, "--ring", str(ring),
+                             "--max-len", "4", "--max-rank", "6", "-o", str(p)]) == 0
+                hits.clear()
+                assert main(["check", str(p), "--op", op]) in (0, 1)
+                assert hits[ring] > 0
+        capsys.readouterr()
+        assert not bad, bad[:10]

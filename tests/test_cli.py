@@ -365,6 +365,48 @@ class TestCheck:
         assert main(["check", str(p), "--op", "eta-homotopic"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("ring, case", [
+        (ring, case) for ring in (ZZ, Zmod(4)) for case in (
+            "float-entry", "bool-entry", "number-entry", "string-entries", "float-rows",
+            "float-cols", "float-r")
+    ] + [(Zmod(4), "float-modulus")], ids=str)
+    def test_matrix_entries_parsed_exactly(self, tmp_path, capsys, ring, case):
+        """A matrix entry or twist that is not a string, or a non-integer shape
+        or modulus, exits 2 instead of being truncated."""
+        one = RingMatrix.from_rows(ring, [[1]])
+        a = Complex(ScalarEta(ring, 2), {0: 1}, {})
+        ident = ChainMap(a, a, {0: one})
+        p = tmp_path / "edited.json"
+        save_instance_file(str(p), "chain-maps", (ident, ident))
+        doc = json.loads(p.read_text())
+        m = doc["payload"]["f"]["components"][0]["morphism"]
+        if case == "float-modulus":
+            def edit(node):
+                if isinstance(node, dict):
+                    if "modulus" in node:
+                        node["modulus"] = float(node["modulus"])
+                    for v in node.values():
+                        edit(v)
+                elif isinstance(node, list):
+                    for v in node:
+                        edit(v)
+
+            edit(doc)
+        else:
+            node, key, value = {
+                "float-entry": (m["entries"], 0, 1.5),
+                "bool-entry": (m["entries"], 0, True),
+                "number-entry": (m["entries"], 0, 1),
+                "string-entries": (m, "entries", "1"),
+                "float-rows": (m, "rows", 1.0),
+                "float-cols": (m, "cols", 1.0),
+                "float-r": (doc["payload"]["f"]["source"]["instance"], "r", 2.5),
+            }[case]
+            node[key] = value
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p), "--op", "eta-homotopic"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("text", ["[]", '"str"'])
     def test_json_not_an_object_exit_two(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
