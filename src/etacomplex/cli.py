@@ -328,9 +328,16 @@ def cmd_gen(
         obj = (defl.i, defl.p)
         kind = "pair"
     elif profile == "chain-maps":
+        # redraw until Y meets supp X (chain maps) and supp X - 1 (homotopy
+        # unknowns s^n: X^n(1) -> Y^{n-1}); that needs two degrees
+        if max_len < 2:
+            raise _Usage("--profile chain-maps needs --max-len of at least 2")
         inst = ScalarEta(ring, ring.canon(r_value))
-        a = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
-        b = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
+        while True:
+            a = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
+            b = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
+            if any(n in b.objects for n in a.objects) and any(n - 1 in b.objects for n in a.objects):
+                break
         obj = (random_chain_map(a, b, rng), random_chain_map(a, b, rng))
         kind = "chain-maps"
     elif profile == "delta-map":

@@ -7,6 +7,13 @@ coefficient ring through the uniform hom-coordinate API of the base
 instance; ``LinearProblem`` is that bridge and the only assembler of such
 systems.  It writes each term sign * left . u . right as the Kronecker
 blocks that the instance's ``hom_blocks`` returns.
+
+Chain maps, homotopies and the factorizations in ``frobenius`` pose their
+systems through two writers: ``add_family`` registers a family
+u^n: A^n -> B^{n+k}, and ``family_terms`` writes its terms
+u^{n+1} d_A^n +- d_B^{n+k} u^n.  The eta-twist of a homotopy is the shifted
+complex X(1) = ``apply_auto(X, 1)``: its unknowns start there, and its left
+side is the chain map (f - g) eta_X: X(1) -> Y.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ class Complex:
         return list(range(lo, hi + 1))
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Complex)
             and self.instance == other.instance
             and self.objects == other.objects
@@ -424,14 +431,46 @@ class LinearProblem:
         return sol, [self._unpack(g.column(0)) for g in gens]
 
 
+# -- degree-shifted families ------------------------------------------------
+
+
+def add_family(prob: LinearProblem, key, A: Complex, B: Complex, k: int) -> List[int]:
+    """Register u^n: A^n -> B^{n+k} as the unknown (key, n) wherever both ends
+    are nonzero; return those degrees n."""
+    inst = prob.instance
+    degs = [n for n in A.support if not inst.obj_is_zero(B.obj(n + k))]
+    for n in degs:
+        prob.add_unknown((key, n), A.obj(n), B.obj(n + k))
+    return degs
+
+
+def family_terms(prob: LinearProblem, key, A: Complex, B: Complex, k: int, n: int, signs=(1, 1)) -> list:
+    """The terms signs[0] u^{n+1} d_A^n + signs[1] d_B^{n+k} u^n of an equation
+    in the slot (A^n, B^{n+k+1}), for those of (key, n+1), (key, n) that prob holds."""
+    terms = []
+    if (key, n + 1) in prob.unknowns:
+        terms.append(((key, n + 1), None, A.diff(n), signs[0]))
+    if (key, n) in prob.unknowns:
+        terms.append(((key, n), B.diff(n + k), None, signs[1]))
+    return terms
+
+
 # -- homotopy ---------------------------------------------------------------
+
+
+def _homotopy_lhs(f: ChainMap, g: ChainMap, eta_twisted: bool) -> ChainMap:
+    """f - g, or (f - g) eta_X: X(1) -> Y when twisted; its source is where the
+    homotopy's unknowns start."""
+    diff = sub_chain_maps(f, g)
+    return compose_chain_maps(diff, eta_chain_map(f.source)) if eta_twisted else diff
 
 
 class HomotopyCertificate:
     """Family {s^n} witnessing (eta-)null-homotopy of f - g.
 
     Classical: s^n: X^n -> Y^{n-1} with f - g = s^{n+1} d_X^n + d_Y^{n-1} s^n.
-    Eta: s^n: X^n(1) -> Y^{n-1} with (f-g) eta = s^{n+1} d_X^n(1) + d_Y^{n-1} s^n.
+    Eta: the same over X(1): s^n: X^n(1) -> Y^{n-1} with
+    (f-g) eta = s^{n+1} d_{X(1)}^n + d_Y^{n-1} s^n.
     """
 
     __slots__ = ("s", "eta_twisted")
@@ -443,29 +482,15 @@ class HomotopyCertificate:
     def residuals(self, f: ChainMap, g: ChainMap) -> Dict[int, object]:
         """Degree n -> lhs^n - rhs^n of the homotopy equation, where nonzero."""
         inst = f.instance
-        X, Y = f.source, f.target
-        degs = set(X.objects) | set(f.components) | set(g.components)
+        lhs = _homotopy_lhs(f, g, self.eta_twisted)
+        A, Y = lhs.source, lhs.target
         out: Dict[int, object] = {}
-        for n in sorted(degs):
-            diff = inst.hom_sub(f.component(n), g.component(n))
-            if self.eta_twisted:
-                lhs = inst.compose(diff, inst.eta(X.obj(n)))
-                src_n = inst.shift_obj(X.obj(n), 1)
-                dx = inst.shift_mor(X.diff(n), 1)
-            else:
-                lhs = diff
-                src_n = X.obj(n)
-                dx = X.diff(n)
-            s_n = self.s.get(n, inst.zero_mor(src_n, Y.obj(n - 1)))
-            s_n1 = self.s.get(
-                n + 1, inst.zero_mor(
-                    inst.shift_obj(X.obj(n + 1), 1) if self.eta_twisted else X.obj(n + 1),
-                    Y.obj(n),
-                )
-            )
-            rhs = inst.hom_add(inst.compose(s_n1, dx), inst.compose(Y.diff(n - 1), s_n))
-            if not inst.mor_eq(lhs, rhs):
-                out[n] = inst.hom_sub(lhs, rhs)
+        for n in sorted(set(A.objects) | set(f.components) | set(g.components)):
+            s_n = self.s.get(n, inst.zero_mor(A.obj(n), Y.obj(n - 1)))
+            s_n1 = self.s.get(n + 1, inst.zero_mor(A.obj(n + 1), Y.obj(n)))
+            rhs = inst.hom_add(inst.compose(s_n1, A.diff(n)), inst.compose(Y.diff(n - 1), s_n))
+            if not inst.mor_eq(lhs.component(n), rhs):
+                out[n] = inst.hom_sub(lhs.component(n), rhs)
         return out
 
     def validate(self, f: ChainMap, g: ChainMap) -> bool:
@@ -473,42 +498,17 @@ class HomotopyCertificate:
 
 
 def _homotopy(f: ChainMap, g: ChainMap, eta_twisted: bool, what: str) -> Optional[HomotopyCertificate]:
-    """SOME s solving the (eta-)homotopy equation of ``HomotopyCertificate``, else NONE.
-
-    The eta twist shifts the source of each unknown s^n and d_X by (1) and
-    composes the right-hand side f - g with eta_X.
-    """
-    if f.source != g.source or f.target != g.target:
-        raise ValueError("endpoint mismatch")
-    inst = f.instance
-    X, Y = f.source, f.target
-
-    def src(n):
-        return inst.shift_obj(X.obj(n), 1) if eta_twisted else X.obj(n)
-
-    prob = LinearProblem(inst)
-    s_degs = [
-        n for n in sorted(set(X.objects))
-        if not inst.obj_is_zero(X.obj(n)) and not inst.obj_is_zero(Y.obj(n - 1))
-    ]
-    for n in s_degs:
-        prob.add_unknown(("s", n), src(n), Y.obj(n - 1))
-    have = set(s_degs)
-    for n in sorted(set(X.objects) | set(f.components) | set(g.components)):
-        terms = []
-        if n + 1 in have:
-            dx = X.diff(n)
-            terms.append((("s", n + 1), None, inst.shift_mor(dx, 1) if eta_twisted else dx, 1))
-        if n in have:
-            terms.append((("s", n), Y.diff(n - 1), None, 1))
-        rhs = inst.hom_sub(f.component(n), g.component(n))
-        if eta_twisted:
-            rhs = inst.compose(rhs, inst.eta(X.obj(n)))
-        prob.add_equation(src(n), Y.obj(n), terms, rhs)
+    """SOME s solving the (eta-)homotopy equation of ``HomotopyCertificate``, else NONE."""
+    lhs = _homotopy_lhs(f, g, eta_twisted)
+    A, Y = lhs.source, lhs.target
+    prob = LinearProblem(f.instance)
+    degs = add_family(prob, "s", A, Y, -1)
+    for n in A.support:
+        prob.add_equation(A.obj(n), Y.obj(n), family_terms(prob, "s", A, Y, -1, n), lhs.component(n))
     sol = prob.solve()
     if sol is None:
         return None
-    cert = HomotopyCertificate({n: sol[("s", n)] for n in s_degs}, eta_twisted)
+    cert = HomotopyCertificate({n: sol[("s", n)] for n in degs}, eta_twisted)
     verify(cert.validate(f, g), what)
     return cert
 
@@ -527,21 +527,9 @@ def chain_map_problem(prob: LinearProblem, key_prefix, A: Complex, B: Complex):
 
     Returns the list of degrees that carry an unknown component.
     """
-    inst = prob.instance
-    degs = [
-        n for n in A.support
-        if not inst.obj_is_zero(B.obj(n))
-    ]
-    for n in degs:
-        prob.add_unknown((key_prefix, n), A.obj(n), B.obj(n))
-    have = set(degs)
-    for n in sorted(set(A.objects)):
-        terms = []
-        if n + 1 in have:
-            terms.append(((key_prefix, n + 1), None, A.diff(n), 1))
-        if n in have:
-            terms.append(((key_prefix, n), B.diff(n), None, -1))
-        prob.add_equation(A.obj(n), B.obj(n + 1), terms, None)
+    degs = add_family(prob, key_prefix, A, B, 0)
+    for n in A.support:
+        prob.add_equation(A.obj(n), B.obj(n + 1), family_terms(prob, key_prefix, A, B, 0, n, (1, -1)))
     return degs
 
 

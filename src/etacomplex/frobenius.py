@@ -20,12 +20,14 @@ from .complexes import (
     LinearProblem,
     NotChainwiseSplit,
     _homotopy,
+    add_family,
     apply_auto,
     apply_auto_map,
     chain_map_problem,
     compose_chain_maps,
     cone,
     eta_chain_map,
+    family_terms,
     homotopic,
     id_chain_map,
     normalize_exact_pair,
@@ -66,25 +68,35 @@ class EtaConflation:
 # -- factorization through eta ----------------------------------------------
 
 
-def factor_through_eta(h: ChainMap) -> Optional[ChainMap]:
-    """SOME chain map alpha: W -> X(1) with eta_X . alpha = h, else NONE."""
+def _factor_through_eta(h: ChainMap, up_to_homotopy: bool):
+    """Solve eta_X a^n - d_X^{n-1} t^n - t^{n+1} d_W^n = h^n for a chain map
+    a: W -> X(1) and, when up_to_homotopy, a homotopy t^n: W^n -> X^{n-1}
+    (else t = 0).  Returns (a, t) or None."""
     inst = h.instance
     W, X = h.source, h.target
     X1 = apply_auto(X, 1)
     prob = LinearProblem(inst)
-    degs = chain_map_problem(prob, "a", W, X1)
-    have = set(degs)
-    for n in sorted(set(W.objects) | set(h.components)):
-        terms = []
-        if n in have:
+    a_degs = chain_map_problem(prob, "a", W, X1)
+    t_degs = add_family(prob, "t", W, X, -1) if up_to_homotopy else []
+    for n in W.support:
+        terms = family_terms(prob, "t", W, X, -1, n, (-1, -1))
+        if ("a", n) in prob.unknowns:
             terms.append((("a", n), inst.eta(X.obj(n)), None, 1))
         prob.add_equation(W.obj(n), X.obj(n), terms, h.component(n))
     sol = prob.solve()
     if sol is None:
         return None
-    alpha = solution_chain_map(sol, "a", degs, W, X1)
+    return solution_chain_map(sol, "a", a_degs, W, X1), {n: sol[("t", n)] for n in t_degs}
+
+
+def factor_through_eta(h: ChainMap) -> Optional[ChainMap]:
+    """SOME chain map alpha: W -> X(1) with eta_X . alpha = h, else NONE."""
+    found = _factor_through_eta(h, False)
+    if found is None:
+        return None
+    alpha = found[0]
     verify(validate_chain_map(alpha), "factor_through_eta: the factor is not a chain map")
-    verify(compose_chain_maps(eta_chain_map(X), alpha) == h, "factor_through_eta: eta . alpha != h")
+    verify(compose_chain_maps(eta_chain_map(h.target), alpha) == h, "factor_through_eta: eta . alpha != h")
     return alpha
 
 
@@ -92,38 +104,12 @@ def is_eta_conflation(i: ChainMap, p: ChainMap) -> Optional[EtaConflation]:
     """SOME witness iff some homotopic representative of the invariant of
     (i, p) factors through eta_X; raises NotChainwiseSplit if not split."""
     pair = normalize_exact_pair(i, p)
-    inst = i.instance
-    X = pair.sub
-    h = pair.h
-    W = h.source  # Z[-1]
-    X1 = apply_auto(X, 1)
-    prob = LinearProblem(inst)
-    a_degs = chain_map_problem(prob, "a", W, X1)
-    t_degs = [
-        n for n in sorted(set(W.objects))
-        if not inst.obj_is_zero(W.obj(n)) and not inst.obj_is_zero(X.obj(n - 1))
-    ]
-    for n in t_degs:
-        prob.add_unknown(("t", n), W.obj(n), X.obj(n - 1))
-    a_have, t_have = set(a_degs), set(t_degs)
-    for n in sorted(set(W.objects) | set(h.components)):
-        # eta_X^n a^n - d_X^{n-1} t^n - t^{n+1} d_W^n = h^n
-        terms = []
-        if n in a_have:
-            terms.append((("a", n), inst.eta(X.obj(n)), None, 1))
-        if n in t_have:
-            terms.append((("t", n), X.diff(n - 1), None, -1))
-        if n + 1 in t_have:
-            terms.append((("t", n + 1), None, W.diff(n), -1))
-        prob.add_equation(W.obj(n), X.obj(n), terms, h.component(n))
-    sol = prob.solve()
-    if sol is None:
+    found = _factor_through_eta(pair.h, True)
+    if found is None:
         return None
-    alpha = solution_chain_map(sol, "a", a_degs, W, X1)
-    t = {n: sol[("t", n)] for n in t_degs}
-    conf = EtaConflation(pair, alpha, t)
-    verify(validate_chain_map(alpha), "is_eta_conflation: alpha is not a chain map")
-    verify(HomotopyCertificate(t).validate(conf.h_tilde(), h), "is_eta_conflation: t is not a homotopy")
+    conf = EtaConflation(pair, *found)
+    verify(validate_chain_map(conf.alpha), "is_eta_conflation: alpha is not a chain map")
+    verify(HomotopyCertificate(conf.t).validate(conf.h_tilde(), pair.h), "is_eta_conflation: t is not a homotopy")
     return conf
 
 
@@ -265,10 +251,9 @@ def factors_through_env(f: ChainMap) -> Optional[ChainMap]:
     P, i = env.middle, env.i
     prob = LinearProblem(inst)
     degs = chain_map_problem(prob, "u", P, Y)
-    have = set(degs)
-    for n in sorted(set(X.objects) | set(f.components)):
+    for n in X.support:
         terms = []
-        if n in have:
+        if ("u", n) in prob.unknowns:
             terms.append((("u", n), None, i.component(n), 1))
         prob.add_equation(X.obj(n), Y.obj(n), terms, f.component(n))
     sol = prob.solve()

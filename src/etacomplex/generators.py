@@ -12,18 +12,29 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from .base import BaseInstance, Graded, GradedMorphism, GradedObject, ScalarEta
+from .base import BaseInstance, EtaPower, Graded, GradedMorphism, GradedObject, ScalarEta
 from .complexes import (
     ChainMap,
     Complex,
     LinearProblem,
+    apply_auto,
     chain_map_problem,
     cone,
     solution_chain_map,
     zero_chain_map,
 )
+from .frobenius import StandardConflation
+from .gsystems import (
+    DeltaComplex,
+    DeltaMap,
+    MatrixProblem,
+    chain_map_to_gmorphism,
+    complex_to_gsystem,
+    graded_complex_instance,
+    gsystem_to_complex,
+)
 from .matrix import RingMatrix
-from .rings import CoeffRing
+from .rings import CoeffRing, Zmod
 
 
 # -- invertible ingredients -------------------------------------------------
@@ -82,8 +93,6 @@ def random_graded_automorphism(inst: Graded, X: GradedObject, rng: random.Random
 
 
 def random_automorphism(inst: BaseInstance, X, rng: random.Random):
-    from .base import EtaPower
-
     core = inst.inner if isinstance(inst, EtaPower) else inst
     if isinstance(core, Graded):
         return random_graded_automorphism(core, X, rng)
@@ -243,8 +252,6 @@ def random_graded_complex(
 
 
 def random_complex(inst: BaseInstance, rng: random.Random, max_len: int = 4, max_rank: int = 2) -> Complex:
-    from .base import EtaPower
-
     core = inst.inner if isinstance(inst, EtaPower) else inst
     if isinstance(core, Graded):
         return random_graded_complex(inst, rng, max_len=min(max_len, 3), max_rank=max_rank)
@@ -292,9 +299,6 @@ def _scale_mor(f, c):
 
 def random_std_conflation(inst: BaseInstance, rng: random.Random, max_len: int = 3, max_rank: int = 2):
     """A random normalized eta-conflation X -> cone(eta_X alpha) -> Z."""
-    from .complexes import apply_auto
-    from .frobenius import StandardConflation
-
     X = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
     W = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)  # Z[-1]
     alpha = random_chain_map(W, apply_auto(X, 1), rng)
@@ -305,8 +309,6 @@ def random_split_pair(inst: BaseInstance, rng: random.Random, max_len: int = 3, 
     """A random chainwise-split pair: the standard pair of cone(f) for a
     random chain map f (its invariant is f, usually NOT factoring through
     eta)."""
-    from .complexes import cone
-
     X = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
     W = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
     f = random_chain_map(W, X, rng)  # W plays Z[-1]
@@ -316,8 +318,6 @@ def random_split_pair(inst: BaseInstance, rng: random.Random, max_len: int = 3, 
 
 def conjugate_pair(i, p, rng: random.Random):
     """Disguise a pair by a random degreewise automorphism of the middle."""
-    from .complexes import ChainMap, Complex
-
     inst = i.instance
     Y = i.target
     autos = {n: random_automorphism(inst, Y.obj(n), rng) for n in Y.objects}
@@ -346,16 +346,12 @@ def conjugate_pair(i, p, rng: random.Random):
 
 def random_gsystem(ring: CoeffRing, rng: random.Random, max_len: int = 3, max_rank: int = 2):
     """A random valid system in the complex-of-graded-objects convention."""
-    from .gsystems import complex_to_gsystem, graded_complex_instance
-
     inst = graded_complex_instance(ring)
     return complex_to_gsystem(random_graded_complex(inst, rng, max_len=max_len, max_rank=max_rank))
 
 
 def random_gmorphism(x, y, rng: random.Random):
     """A random morphism between two systems (via the chain-map solver)."""
-    from .gsystems import chain_map_to_gmorphism, gsystem_to_complex
-
     f = random_chain_map(gsystem_to_complex(x), gsystem_to_complex(y), rng)
     return chain_map_to_gmorphism(f)
 
@@ -387,9 +383,6 @@ def inductive_delta_complex(rng: Optional[random.Random] = None):
     commute with N, compose to zero with it, and square to 2-torsion that
     is only null-homotopic.  Any completion must carry a nonzero level-2
     component (the column-square homotopy)."""
-    from .rings import Zmod
-    from .gsystems import DeltaComplex
-
     ring = Zmod(4)
     c12 = rng.choice([1, 3]) if rng else 1
     e12 = rng.choice([1, 3]) if rng else 1
@@ -411,8 +404,6 @@ def obstructed_delta_complex(ring: CoeffRing):
     The identity j-map commutes with N strictly, yet N . Id is nonzero, so
     the signed level-1 relation of the completion fails (in any
     characteristic other than 2)."""
-    from .gsystems import DeltaComplex
-
     N = RingMatrix.from_rows(ring, [[0, 1], [0, 0]])
     I = RingMatrix.identity(ring, 2)
     ranks = {(i, j): 2 for i in (0, 1) for j in (0, 1)}
@@ -422,8 +413,6 @@ def obstructed_delta_complex(ring: CoeffRing):
 
 
 def _delta_direct_sum(ring: CoeffRing, pieces):
-    from .gsystems import DeltaComplex
-
     keys = sorted({pos for rk, _, _ in pieces for pos in rk})
     ranks = {pos: sum(rk.get(pos, 0) for rk, _, _ in pieces) for pos in keys}
 
@@ -448,8 +437,6 @@ def _delta_direct_sum(ring: CoeffRing, pieces):
 
 def _delta_conjugate(x, rng: random.Random):
     """Disguise by degreewise unimodular changes of basis."""
-    from .gsystems import DeltaComplex
-
     autos = {pos: random_unimodular(x.ring, r, rng) for pos, r in x.ranks.items()}
 
     def u(i, j):
@@ -497,8 +484,6 @@ def random_strip_delta_complex(ring: CoeffRing, rng: random.Random, max_rank: in
 def random_delta_map(X, Y, rng: random.Random):
     """A random strict column-wise chain map X -> Y (kernel-basis combination
     of the joint commutation system)."""
-    from .gsystems import DeltaMap, MatrixProblem
-
     ring = X.ring
     prob = MatrixProblem(ring)
     slots = [pos for pos in X.positions if Y.rank(*pos)]
@@ -557,8 +542,6 @@ def columnwise_null_delta_map(X, Y, rng: random.Random):
         if m is None:
             return RingMatrix.zero(ring, Y.rank(i, j - 1), X.rank(i, j))
         return m
-
-    from .gsystems import DeltaMap
 
     comps = {}
     for (i, j) in X.positions:

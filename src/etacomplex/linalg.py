@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .matrix import RingMatrix, mat_mul
+from .matrix import RingMatrix
 from .rings import ZZ, Zmod
 
 
@@ -352,51 +352,3 @@ def solve_with_kernel(
     part = None if sols[0] is None else RingMatrix._trusted(coeffs.ring, coeffs.cols, 1, sols[0])
     gens = [RingMatrix._trusted(coeffs.ring, coeffs.cols, 1, v) for v in kern]
     return part, gens
-
-
-def kernel_generators(coeffs: RingMatrix) -> List[RingMatrix]:
-    zero = RingMatrix.zero(coeffs.ring, coeffs.rows, 1)
-    _, gens = solve_with_kernel(coeffs, zero)
-    return gens
-
-
-def verify_snf(a: RingMatrix, U: RingMatrix, D: RingMatrix, V: RingMatrix) -> bool:
-    """Check U*a*V = D, diagonality, divisibility chain and unimodularity."""
-    if mat_mul(mat_mul(U, a), V) != D:
-        return False
-    for i in range(D.rows):
-        for j in range(D.cols):
-            if i != j and D[(i, j)] != 0:
-                return False
-    diag = [D[(i, i)] for i in range(min(D.rows, D.cols))]
-    for x, y in zip(diag, diag[1:]):
-        if x == 0 and y != 0:
-            return False
-        if x != 0 and y % x != 0:
-            return False
-    return abs(_det(U)) == 1 and abs(_det(V)) == 1
-
-
-def _det(m: RingMatrix) -> int:
-    """Integer determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(m.row(i)) for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

@@ -13,12 +13,16 @@ so replaying with the same suite seed reproduces identical verdicts.
 
 from __future__ import annotations
 
+import json
+import os
 import random
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .base import Graded, ScalarEta
 from .complexes import (
+    ChainMap,
+    Complex,
     compose_chain_maps,
     cone,
     eta_chain_map,
@@ -85,8 +89,9 @@ from .gsystems import (
     validate_gsystem,
     xi_cone_identity,
 )
+from .matrix import RingMatrix
 from .rings import GF, ZZ, CoeffRing, Zmod
-from .serialize import payload_to_json
+from .serialize import payload_from_json, payload_to_json, save_instance_file
 
 RINGS = [ZZ, Zmod(4), Zmod(8), Zmod(9), GF(5)]
 
@@ -118,8 +123,6 @@ def _light_instance(rng: random.Random, rings: Sequence[CoeffRing]):
 
 def prop_axiom_ex0(rng, rings):
     """The identity deflation onto any object is a conflation."""
-    from .complexes import Complex, ChainMap
-
     inst = _mixed_instance(rng, rings)
     x = random_complex(inst, rng, max_len=2)
     zero = Complex(inst, {}, {})
@@ -227,9 +230,6 @@ def prop_conflation_recognized(rng, rings):
 def prop_cone_normalize(rng, rings):
     """The standard pair of a cone normalizes back to its invariant and the
     twist acts on the cone by the expected triangle rotation identity."""
-    from .complexes import Complex, ChainMap
-    from .matrix import RingMatrix
-
     # deterministic fixture with f d_X != 0: catches a wrong sign in the
     # cone differential even when the random trials happen to commute
     inst0 = ScalarEta(ZZ, 1)
@@ -450,10 +450,6 @@ def prop_phi_null(rng, rings):
 def prop_serialize_roundtrip(rng, rings):
     """Instance files are canonical: parse then serialize is the identity on
     serialized form."""
-    import json
-
-    from .serialize import payload_from_json
-
     ring = rng.choice(rings)
     x = random_delta_complex(ring, rng)
     first = json.dumps(payload_to_json("delta-complex", x), sort_keys=True)
@@ -530,10 +526,6 @@ def run_property(
         if detail:
             rec["detail"] = detail
         if not ok and payload is not None and fail_dir is not None:
-            import os
-
-            from .serialize import save_instance_file
-
             os.makedirs(fail_dir, exist_ok=True)
             path = os.path.join(fail_dir, f"{name}-trial{t}.json")
             try:

@@ -3,10 +3,18 @@ import random
 
 import pytest
 
-from etacomplex.base import Graded, ScalarEta
+from etacomplex.base import Graded, GradedObject, ScalarEta
 from etacomplex import cli
 from etacomplex.cli import main
-from etacomplex.complexes import ChainMap, Complex, cone, zero_chain_map
+from etacomplex.complexes import (
+    ChainMap,
+    Complex,
+    LinearProblem,
+    cone,
+    id_chain_map,
+    validate_complex,
+    zero_chain_map,
+)
 from etacomplex.generators import (
     obstructed_delta_complex,
     random_chain_map,
@@ -16,10 +24,12 @@ from etacomplex.generators import (
     random_gsystem,
     random_std_conflation,
 )
-from etacomplex.gsystems import DeltaComplex, DeltaMap, GSystem, psi_inv
+from etacomplex.gsystems import DeltaComplex, DeltaMap, GSystem, phi, psi_inv
 from etacomplex.matrix import RingMatrix
 from etacomplex.rings import GF, ZZ, Zmod
 from etacomplex.serialize import (
+    chain_map_from_json,
+    complex_from_json,
     load_instance_file,
     payload_from_json,
     payload_to_json,
@@ -121,6 +131,33 @@ class TestGen:
         p = tmp_path / "x.json"
         assert main(["gen", "--seed", "1", "--profile", "gsystem", "-o", str(p), "--ring", "nope"]) == 2
 
+    @pytest.mark.parametrize("ring", ["Z", "Z/4", "Q"])
+    def test_chain_maps_pose_unknowns(self, tmp_path, capsys, monkeypatch, ring):
+        """The eta-homotopic system of every generated chain-maps file has an unknown."""
+        cols = []
+        solve = LinearProblem.solve
+
+        def recording(prob):
+            cols.append(prob.cols)
+            return solve(prob)
+
+        monkeypatch.setattr(LinearProblem, "solve", recording)
+        p = tmp_path / "maps.json"
+        for size in ([], ["--max-len", "4", "--max-rank", "6"]):
+            for seed in range(1, 9):
+                argv = ["gen", "--seed", str(seed), "--profile", "chain-maps", "--ring", ring, "-o", str(p)]
+                assert main(argv + size) == 0
+                cols.clear()
+                assert main(["check", str(p), "--op", "eta-homotopic"]) in (0, 1)
+                assert cols == [cols[0]] and cols[0] >= 1, (seed, size)
+        capsys.readouterr()
+
+    def test_chain_maps_need_two_degrees(self, tmp_path, capsys):
+        p = tmp_path / "maps.json"
+        assert main(["gen", "--seed", "1", "--profile", "chain-maps", "-o", str(p), "--max-len", "1"]) == 2
+        assert "--max-len" in capsys.readouterr().err
+        assert not p.exists()
+
 
 class TestCheck:
     def test_conflation_pass(self, tmp_path, capsys):
@@ -185,6 +222,41 @@ class TestCheck:
         code, out = run(capsys, ["check", str(gs), "--op", "totalize"])
         assert code == 0
         assert records_of(out)[0]["verdict"] == "PASS"
+
+    def test_totalize_complex_file(self, tmp_path, capsys):
+        good = tmp_path / "graded.json"
+        main(["gen", "--seed", "3", "--profile", "graded", "-o", str(good), "--ring", "Z/4"])
+        code, out = run(capsys, ["check", str(good), "--op", "totalize"])
+        rec = records_of(out)[0]
+        assert code == 0 and rec["verdict"] == "PASS"
+        tot = complex_from_json(rec["result"])
+        assert not tot.is_zero() and validate_complex(tot)
+        # d^1 d^0 = Id on a graded stalk repeated in three degrees
+        inst = Graded(ScalarEta(Zmod(4), 1))
+        v = GradedObject({0: 1})
+        bad = tmp_path / "bad.json"
+        save_instance_file(str(bad), "complex", Complex(
+            inst, {n: v for n in range(3)}, {0: inst.id_mor(v), 1: inst.id_mor(v)}
+        ))
+        code, out = run(capsys, ["check", str(bad), "--op", "totalize"])
+        assert code == 1
+        assert records_of(out) == [{"check": "totalize", "verdict": "FAIL", "detail": "d^2 != 0"}]
+        scalar = tmp_path / "scalar.json"
+        main(["gen", "--seed", "3", "--profile", "scalar-eta", "-o", str(scalar), "--ring", "Z/4"])
+        assert main(["check", str(scalar), "--op", "totalize"]) == 2
+        assert "graded instance" in capsys.readouterr().err
+
+    def test_phi_on_delta_map(self, tmp_path, capsys):
+        x = random_delta_complex(Zmod(4), random.Random(40000))
+        ident = DeltaMap(x, x, {pos: RingMatrix.identity(Zmod(4), r) for pos, r in x.ranks.items()})
+        p = tmp_path / "dm.json"
+        save_instance_file(str(p), "delta-map", ident)
+        code, out = run(capsys, ["check", str(p), "--op", "phi"])
+        rec = records_of(out)[0]
+        assert code == 0 and rec["verdict"] == "PASS"
+        total = phi(x)
+        assert not total.is_zero()
+        assert chain_map_from_json(rec["result"]) == id_chain_map(total)
 
     def test_axioms(self, tmp_path, capsys):
         p = tmp_path / "pair.json"

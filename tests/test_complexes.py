@@ -12,6 +12,7 @@ from etacomplex.complexes import (
     NotChainwiseSplit,
     add_chain_maps,
     apply_auto,
+    chain_map_problem,
     apply_auto_map,
     compose_chain_maps,
     cone,
@@ -29,8 +30,20 @@ from etacomplex.complexes import (
     validate_complex,
     zero_chain_map,
 )
-from etacomplex.frobenius import eta_homotopic, is_eta_conflation
-from etacomplex.generators import random_chain_map, random_complex, random_split_pair
+from etacomplex.frobenius import (
+    env_inflation,
+    eta_homotopic,
+    factor_through_eta,
+    factors_through_env,
+    is_eta_conflation,
+)
+from etacomplex.generators import (
+    conjugate_pair,
+    random_chain_map,
+    random_complex,
+    random_split_pair,
+    random_std_conflation,
+)
 from etacomplex.matrix import RingMatrix
 from etacomplex.rings import GF, QQ, ZZ, Zmod
 
@@ -448,3 +461,175 @@ class TestAssemblyOracle:
                 is_eta_conflation(i, p)
         assert len(built) > 50 and max(built) > 0
 
+
+# -- the family writers against hand-written builders -----------------------
+#
+# Each reference below poses its system the way the builder did before the
+# systems went through ``add_family`` and ``family_terms``: its own unknown
+# registration, ``have`` sets and hand-written u d +- d u terms, with the
+# eta-twist applied degree by degree.
+
+
+def ref_chain_map_problem(prob, key_prefix, A, B):
+    inst = prob.instance
+    degs = [n for n in A.support if not inst.obj_is_zero(B.obj(n))]
+    for n in degs:
+        prob.add_unknown((key_prefix, n), A.obj(n), B.obj(n))
+    have = set(degs)
+    for n in sorted(set(A.objects)):
+        terms = []
+        if n + 1 in have:
+            terms.append(((key_prefix, n + 1), None, A.diff(n), 1))
+        if n in have:
+            terms.append(((key_prefix, n), B.diff(n), None, -1))
+        prob.add_equation(A.obj(n), B.obj(n + 1), terms, None)
+    return degs
+
+
+def ref_homotopy_problem(f, g, eta_twisted):
+    inst = f.instance
+    X, Y = f.source, f.target
+
+    def src(n):
+        return inst.shift_obj(X.obj(n), 1) if eta_twisted else X.obj(n)
+
+    prob = LinearProblem(inst)
+    s_degs = [
+        n for n in sorted(set(X.objects))
+        if not inst.obj_is_zero(X.obj(n)) and not inst.obj_is_zero(Y.obj(n - 1))
+    ]
+    for n in s_degs:
+        prob.add_unknown(("s", n), src(n), Y.obj(n - 1))
+    have = set(s_degs)
+    for n in sorted(set(X.objects) | set(f.components) | set(g.components)):
+        terms = []
+        if n + 1 in have:
+            dx = X.diff(n)
+            terms.append((("s", n + 1), None, inst.shift_mor(dx, 1) if eta_twisted else dx, 1))
+        if n in have:
+            terms.append((("s", n), Y.diff(n - 1), None, 1))
+        rhs = inst.hom_sub(f.component(n), g.component(n))
+        if eta_twisted:
+            rhs = inst.compose(rhs, inst.eta(X.obj(n)))
+        prob.add_equation(src(n), Y.obj(n), terms, rhs)
+    return prob
+
+
+def ref_factor_through_eta_problem(h):
+    inst = h.instance
+    W, X = h.source, h.target
+    X1 = apply_auto(X, 1)
+    prob = LinearProblem(inst)
+    degs = ref_chain_map_problem(prob, "a", W, X1)
+    have = set(degs)
+    for n in sorted(set(W.objects) | set(h.components)):
+        terms = []
+        if n in have:
+            terms.append((("a", n), inst.eta(X.obj(n)), None, 1))
+        prob.add_equation(W.obj(n), X.obj(n), terms, h.component(n))
+    return prob
+
+
+def ref_is_eta_conflation_problem(i, p):
+    pair = normalize_exact_pair(i, p)
+    inst = i.instance
+    X = pair.sub
+    h = pair.h
+    W = h.source
+    X1 = apply_auto(X, 1)
+    prob = LinearProblem(inst)
+    a_degs = ref_chain_map_problem(prob, "a", W, X1)
+    t_degs = [
+        n for n in sorted(set(W.objects))
+        if not inst.obj_is_zero(W.obj(n)) and not inst.obj_is_zero(X.obj(n - 1))
+    ]
+    for n in t_degs:
+        prob.add_unknown(("t", n), W.obj(n), X.obj(n - 1))
+    a_have, t_have = set(a_degs), set(t_degs)
+    for n in sorted(set(W.objects) | set(h.components)):
+        terms = []
+        if n in a_have:
+            terms.append((("a", n), inst.eta(X.obj(n)), None, 1))
+        if n in t_have:
+            terms.append((("t", n), X.diff(n - 1), None, -1))
+        if n + 1 in t_have:
+            terms.append((("t", n + 1), None, W.diff(n), -1))
+        prob.add_equation(W.obj(n), X.obj(n), terms, h.component(n))
+    return prob
+
+
+def ref_factors_through_env_problem(f):
+    inst = f.instance
+    X, Y = f.source, f.target
+    env = env_inflation(X)
+    P, i = env.middle, env.i
+    prob = LinearProblem(inst)
+    degs = ref_chain_map_problem(prob, "u", P, Y)
+    have = set(degs)
+    for n in sorted(set(X.objects) | set(f.components)):
+        terms = []
+        if n in have:
+            terms.append((("u", n), None, i.component(n), 1))
+        prob.add_equation(X.obj(n), Y.obj(n), terms, f.component(n))
+    return prob
+
+
+FAMILY_RINGS = [ZZ, Zmod(8), Zmod(9), GF(5), QQ]
+
+
+class TestFamilyWriterOracle:
+    @pytest.mark.parametrize("graded", [False, True], ids=["scalar", "graded"])
+    def test_builders_pose_the_reference_systems(self, monkeypatch, graded):
+        solved = []
+        solve = LinearProblem.solve
+
+        def recording(prob):
+            solved.append(prob)
+            return solve(prob)
+
+        monkeypatch.setattr(LinearProblem, "solve", recording)
+        seen = set()
+
+        def same(run, ref, what):
+            solved.clear()
+            out = run()
+            prob = solved[-1]
+            coeffs, rhs = prob._build()
+            ref_coeffs, ref_rhs = ref._build()
+            assert list(prob.unknowns) == list(ref.unknowns), what
+            assert (coeffs.rows, coeffs.cols) == (ref_coeffs.rows, ref_coeffs.cols), what
+            assert coeffs.entries == ref_coeffs.entries, what
+            assert rhs.entries == ref_rhs.entries, what
+            if coeffs.cols and any(coeffs.entries):
+                seen.add(f"{what} unknowns")
+            if any(rhs.entries):
+                seen.add(f"{what} rhs")
+            seen.add(f"{what} {'NONE' if out is None else 'SOME'}")
+
+        for ring in FAMILY_RINGS:
+            inst = Graded(ScalarEta(ring, ring.one())) if graded else ScalarEta(ring, ring.canon(2))
+            self._compare_builders(inst, random.Random(61), same)
+        for what in ("homotopic", "eta", "env", "conflation", "factor"):
+            assert {f"{what} unknowns", f"{what} rhs"} <= seen, (what, seen)
+        assert {"eta SOME", "eta NONE", "conflation SOME", "conflation NONE"} <= seen, seen
+
+    @staticmethod
+    def _compare_builders(inst, rng, same):
+        for _ in range(12):
+            a = random_complex(inst, rng)
+            b = random_complex(inst, rng)
+            prob, ref = LinearProblem(inst), LinearProblem(inst)
+            assert chain_map_problem(prob, "f", a, b) == ref_chain_map_problem(ref, "f", a, b)
+            assert prob._build() == ref._build()
+            f = random_chain_map(a, b, rng)
+            g = random_chain_map(a, b, rng)
+            same(lambda: homotopic(f, g), ref_homotopy_problem(f, g, False), "homotopic")
+            same(lambda: eta_homotopic(f, g), ref_homotopy_problem(f, g, True), "eta")
+            same(lambda: factors_through_env(f), ref_factors_through_env_problem(f), "env")
+            i, p = random_split_pair(inst, rng)
+            if rng.random() < 0.5:
+                defl = random_std_conflation(inst, rng)
+                i, p = conjugate_pair(defl.i, defl.p, rng)
+            same(lambda: is_eta_conflation(i, p), ref_is_eta_conflation_problem(i, p), "conflation")
+            h = normalize_exact_pair(i, p).h
+            same(lambda: factor_through_eta(h), ref_factor_through_eta_problem(h), "factor")

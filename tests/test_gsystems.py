@@ -397,6 +397,23 @@ class TestThetaExtend:
         assert out.level == 1
         assert out.position is not None
 
+    @pytest.mark.parametrize("ring", [ZZ, Z4, GF(5)])
+    def test_level_two_obstruction(self, ring):
+        # a strip of rank 1 at j = 0, 1, 2 with delta0 = 0 and delta1 = Id:
+        # delta1^2 = Id is not null-homotopic, so d_0 d_2 + d_2 d_0 = -d_1 d_1
+        # has no solution (no d_2 can even be registered)
+        x = DeltaComplex(
+            ring,
+            {(0, j): 1 for j in (0, 1, 2)},
+            {},
+            {(0, 0): M(ring, [[1]]), (0, 1): M(ring, [[1]])},
+        )
+        assert not validate_delta(x)
+        out = theta_extend(x)
+        assert isinstance(out, Obstruction)
+        assert (out.stage, out.level, out.position) == ("theta-extend", 2, None)
+        assert out.detail == "level-2 correction system is inconsistent"
+
     def test_total_parity_resolves_strict_commutation(self, monkeypatch):
         # with the (-1)^i twist the level-1 relation is the commutator, so
         # the same instance completes
@@ -458,6 +475,17 @@ class TestThetaExtendMor:
         assert isinstance(out, Obstruction)
         assert out.stage == "theta-extend-mor"
         assert out.level == 2
+
+    def test_level_zero_obstruction(self):
+        # Id at (0,0) and 0 at (1,0) between copies of the column Z --1--> Z:
+        # f^1 delta0 - delta0 f^0 = -1 at the column's first position
+        x = DeltaComplex(Z4, {(0, 0): 1, (1, 0): 1}, {(0, 0): M(Z4, [[1]])}, {})
+        xhat = theta_extend(x)
+        assert isinstance(xhat, GSystem)
+        out = theta_extend_mor(DeltaMap(x, x, {(0, 0): M(Z4, [[1]])}), xhat, xhat)
+        assert isinstance(out, Obstruction)
+        assert (out.stage, out.level, out.position) == ("theta-extend-mor", 0, (0, 0))
+        assert out.detail == "the column-wise map does not commute with the i-differential"
 
     @pytest.mark.parametrize("ring", [Z4, Zmod(9), GF(5)])
     def test_random_maps_extend(self, ring):

@@ -12,11 +12,9 @@ from etacomplex.linalg import (
     _prime_powers,
     _solve,
     _solve_integer,
-    kernel_generators,
     smith_normal_form,
     solve_linear_system,
     solve_with_kernel,
-    verify_snf,
 )
 from etacomplex.matrix import RingMatrix, mat_mul
 from etacomplex.rings import GF, QQ, ZZ, CoeffRing, Zmod
@@ -63,6 +61,54 @@ def _reached(part, gens, m):
         ]
         reached.update(frontier)
     return reached
+
+
+def kernel_generators(coeffs: RingMatrix) -> List[RingMatrix]:
+    zero = RingMatrix.zero(coeffs.ring, coeffs.rows, 1)
+    _, gens = solve_with_kernel(coeffs, zero)
+    return gens
+
+
+def verify_snf(a: RingMatrix, U: RingMatrix, D: RingMatrix, V: RingMatrix) -> bool:
+    """Check U*a*V = D, diagonality, divisibility chain and unimodularity."""
+    if mat_mul(mat_mul(U, a), V) != D:
+        return False
+    for i in range(D.rows):
+        for j in range(D.cols):
+            if i != j and D[(i, j)] != 0:
+                return False
+    diag = [D[(i, i)] for i in range(min(D.rows, D.cols))]
+    for x, y in zip(diag, diag[1:]):
+        if x == 0 and y != 0:
+            return False
+        if x != 0 and y % x != 0:
+            return False
+    return abs(_det(U)) == 1 and abs(_det(V)) == 1
+
+
+def _det(m: RingMatrix) -> int:
+    """Integer determinant by fraction-free Gaussian elimination (Bareiss)."""
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(m.row(i)) for i in range(n)]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def _dense_gauss_jordan(a, rhs_cols, want_kernel):
