@@ -4,7 +4,8 @@ Layers:
 
 * ``rings`` / ``matrix`` / ``linalg`` — exact linear algebra over Z, Z/m,
   F_p and Q (one sparse solver: valuation tiers over Z/p^k, a CRT split
-  for composite m, Smith normal form for the non-unit residual over Z).
+  for composite m, and over Z Smith's pivot steps on the non-unit residual
+  with the rhs carried, after coefficient-free rows have decided NONE).
 * ``base`` — base-category instances: scalar twist, graded objects,
   iterated twist powers.
 * ``complexes`` — bounded complexes, chain maps, cones, chainwise-split

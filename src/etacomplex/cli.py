@@ -323,8 +323,15 @@ def cmd_gen(
         verify(validate_delta(obj), "gen: the generated delta-complex is invalid")
         kind = "delta-complex"
     elif profile == "pair":
+        # redraw until W = Z[-1] meets supp X(1) (the unknowns a^n: W^n ->
+        # X^n(1)) or supp X + 1 (t^n: W^n -> X^{n-1}) of is-eta-conflation
+        if max_len < 1:
+            raise _Usage("--profile pair needs --max-len of at least 1")
         inst = ScalarEta(ring, ring.canon(r_value))
-        defl = random_std_conflation(inst, rng, max_len=max_len, max_rank=max_rank)
+        while True:
+            defl = random_std_conflation(inst, rng, max_len=max_len, max_rank=max_rank)
+            if any(n in defl.X.objects or n - 1 in defl.X.objects for n in defl.alpha.source.objects):
+                break
         obj = (defl.i, defl.p)
         kind = "pair"
     elif profile == "chain-maps":

@@ -6,9 +6,11 @@ back-substituted.  Over GF(p) and Q every nonzero is a pivot candidate.
 Over Z/p^k the pivots are taken in valuation tiers, p^0 first, and nothing
 is left over; Z/m with several primes is split by CRT into such parts.
 Over Z the pivots are +-1 and the columns without one, with the rows left
-over, form a small dense residual solved by Smith normal form.  The solver
-returns one arbitrary solution of a consistent system, never "the"
-solution.
+over, form a small dense residual.  A left-over row with no coefficient but
+an rhs entry decides NONE for that rhs first; otherwise the residual is
+diagonalized by Smith's pivot steps with the rhs carried, so U is never
+formed.  The solver returns one arbitrary solution of a consistent system,
+never "the" solution.
 """
 
 from __future__ import annotations
@@ -22,91 +24,78 @@ from .rings import ZZ, Zmod
 # -- Smith normal form over Z ----------------------------------------------
 
 
+def _smith(A: List[List[int]], m: int) -> Tuple[int, List[List[int]]]:
+    """Diagonalize columns 0..m-1 of the integer rows A in place, d1 | d2 | ...;
+    return the rank and V, the m x m product of the column steps.
+
+    Row steps act on whole rows, so the columns after m-1 are carried: the
+    identity there becomes U of U*a*V = D, an rhs becomes U*rhs.  Each pass
+    pivots on the trailing entry of least magnitude, first in row-major
+    order, and clears its column and row by division with remainder; a
+    nonzero remainder means another pass, with a smaller pivot.  A pivot
+    that does not divide the trailing block gets the first row holding an
+    entry it does not divide folded in.
+    """
+    n = len(A)
+    V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    t = 0
+    while t < min(n, m):
+        while True:
+            piv, best = None, 0
+            for i in range(t, n):
+                seg = A[i][t:m]
+                if any(seg):
+                    b = min(map(abs, filter(None, seg)))
+                    if piv is None or b < best:
+                        piv, best = (i, t + min(seg.index(x) for x in (b, -b) if x in seg)), b
+                        if b == 1:  # nothing later is smaller
+                            break
+            if piv is None:
+                return t, V
+            i, j = piv
+            A[t], A[i] = A[i], A[t]
+            if j != t:
+                for row in A + V:
+                    row[t], row[j] = row[j], row[t]
+            At, p = A[t], A[t][t]
+            dirty = False
+            for i in range(t + 1, n):
+                if A[i][t]:
+                    c = A[i][t] // p
+                    A[i] = [x - c * y for x, y in zip(A[i], At)]
+                    dirty = dirty or A[i][t] != 0  # a smaller pivot next pass
+            rows = [row for row in A[t:] + V if row[t]]
+            for j in range(t + 1, m):
+                if At[j]:
+                    c = At[j] // p
+                    for row in rows:
+                        row[j] -= c * row[t]
+                    dirty = dirty or At[j] != 0
+            if dirty:
+                continue
+            # the pivot must divide the trailing block, for d_t | d_t+1
+            if p in (1, -1):
+                break
+            bad = next((i for i in range(t + 1, n) if any(x % p for x in A[i][t + 1:m])), None)
+            if bad is None:
+                break
+            A[t] = [x + y for x, y in zip(At, A[bad])]  # the next pass shrinks the pivot
+        if A[t][t] < 0:
+            A[t] = [-x for x in A[t]]
+        t += 1
+    return t, V
+
+
 def smith_normal_form(a: RingMatrix) -> Tuple[RingMatrix, RingMatrix, RingMatrix]:
     """Return (U, D, V) with U*a*V = D diagonal, d1 | d2 | ..., U,V unimodular."""
     if a.ring != ZZ:
         raise ValueError(f"Smith normal form requires ring Z, got {a.ring}")
     n, m = a.rows, a.cols
-    A = [a.row(i) for i in range(n)]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def row_op(i, k, c):  # row_i -= c * row_k  (on A and U)
-        Ai, Ak = A[i], A[k]
-        for j in range(m):
-            Ai[j] -= c * Ak[j]
-        Ui, Uk = U[i], U[k]
-        for j in range(n):
-            Ui[j] -= c * Uk[j]
-
-    def col_op(j, k, c):  # col_j -= c * col_k  (on A and V)
-        for i in range(n):
-            A[i][j] -= c * A[i][k]
-        for i in range(m):
-            V[i][j] -= c * V[i][k]
-
-    def swap_rows(i, k):
-        A[i], A[k] = A[k], A[i]
-        U[i], U[k] = U[k], U[i]
-
-    def swap_cols(j, k):
-        for row in A:
-            row[j], row[k] = row[k], row[j]
-        for row in V:
-            row[j], row[k] = row[k], row[j]
-
-    t = 0
-    while t < min(n, m):
-        while True:
-            # bring the entry of least magnitude to the pivot; re-selecting on
-            # every pass keeps intermediate entries from exploding
-            piv = None
-            for i in range(t, n):
-                for j in range(t, m):
-                    x = A[i][j]
-                    if x and (piv is None or abs(x) < abs(A[piv[0]][piv[1]])):
-                        piv = (i, j)
-            if piv is None:
-                break
-            swap_rows(t, piv[0])
-            swap_cols(t, piv[1])
-            dirty = False
-            for i in range(t + 1, n):
-                if A[i][t]:
-                    row_op(i, t, A[i][t] // A[t][t])
-                    if A[i][t]:  # nonzero remainder: smaller pivot next pass
-                        dirty = True
-            for j in range(t + 1, m):
-                if A[t][j]:
-                    col_op(j, t, A[t][j] // A[t][t])
-                    if A[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the trailing block for the chain d_k | d_{k+1}
-            bad = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if A[i][j] % A[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            row_op(t, bad, -1)  # fold the offending row in; next pass shrinks the pivot
-        if A[t][t] == 0:
-            break
-        if A[t][t] < 0:
-            for j in range(m):
-                A[t][j] = -A[t][j]
-            for j in range(n):
-                U[t][j] = -U[t][j]
-        t += 1
-
-    Um = RingMatrix._trusted(ZZ, n, n, [x for row in U for x in row])
+    A = [a.row(i) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
+    _, V = _smith(A, m)
+    Um = RingMatrix._trusted(ZZ, n, n, [x for row in A for x in row[m:]])
     Vm = RingMatrix._trusted(ZZ, m, m, [x for row in V for x in row])
-    Dm = RingMatrix._trusted(ZZ, n, m, [x for row in A for x in row])
+    Dm = RingMatrix._trusted(ZZ, n, m, [x for row in A for x in row[:m]])
     return Um, Dm, Vm
 
 
@@ -144,10 +133,13 @@ def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
     other active rows, forward only, with the factor entry / p^v.  Z/p^k is
     local, so after tier v every active entry has valuation above v, and
     after tier k-1 no coefficient is left.  Over Z the columns without a +-1
-    pivot and the rows left over form a residual; if it has a coefficient it
-    goes to Smith normal form (Dumas, Saunders & Villard, J. Symbolic
-    Comput. 32, 2001).  Otherwise the system is consistent exactly when no
-    rhs entry is left, and every column without a pivot is free.
+    pivot and the rows left over form a residual.  A left-over row with no
+    coefficient but an rhs entry makes that rhs inconsistent; when that
+    settles every rhs and no kernel is asked for, the residual is never
+    built.  If the residual has a coefficient, `_solve_integer` diagonalizes
+    it with the rhs carried (Dumas, Saunders & Villard, J. Symbolic Comput.
+    32, 2001).  Otherwise the system is consistent exactly when no rhs
+    entry is left, and every column without a pivot is free.
 
     Back substitution, every free variable 0, completes each solution: the
     other coefficients of a tier-v pivot row are divisible by p^v, so it is
@@ -249,6 +241,10 @@ def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
     # every pivot and free column is cleared from the rows left over
     rest = [row for row in rows if row is not None]
     if any(j < m for row in rest for j in row):
+        # a row with no coefficient but an rhs entry makes that rhs inconsistent
+        dead = {j - m for row in rest if min(row, default=m) >= m for j in row}
+        if not want_kernel and len(dead) == len(rhs_cols):
+            return [None] * len(rhs_cols), []
         res = RingMatrix._trusted(ring, len(rest), len(skipped),
                                   [row.get(j, 0) for row in rest for j in skipped])
         res_sols, res_kern = _solve_integer(
@@ -296,34 +292,20 @@ def _solve_crt(a: RingMatrix, rhs_cols: List[List], want_kernel: bool, factors):
 
 
 def _solve_integer(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
-    """Solve over Z via Smith normal form.  rhs entries are ints."""
+    """Solve over Z by diagonalizing [a | rhs] with `_smith`: a column is
+    solvable iff d_i divides its carried entry c_i for i < rank and c_i = 0
+    below; then y_i = c_i / d_i and x = V y.  U is never formed."""
     n, m = a.rows, a.cols
-    U, D, V = smith_normal_form(a)
-    diag = [D[(i, i)] for i in range(min(n, m))]
-    rank = sum(1 for d in diag if d != 0)
+    A = [a.entries[i * m:(i + 1) * m] + [col[i] for col in rhs_cols] for i in range(n)]
+    rank, V = _smith(A, m)
     sols = []
-    for rhs in rhs_cols:
-        ub = [sum(U[(i, j)] * rhs[j] for j in range(n)) for i in range(n)]
-        y = [0] * m
-        ok = True
-        for i in range(n):
-            if i < rank:
-                if ub[i] % diag[i] != 0:
-                    ok = False
-                    break
-                y[i] = ub[i] // diag[i]
-            elif ub[i] != 0:
-                ok = False
-                break
-        if not ok:
+    for t in range(m, m + len(rhs_cols)):
+        if any(A[i][t] % A[i][i] for i in range(rank)) or any(A[i][t] for i in range(rank, n)):
             sols.append(None)
             continue
-        x = [sum(V[(i, j)] * y[j] for j in range(m)) for i in range(m)]
-        sols.append(x)
-    kern = []
-    if want_kernel:
-        for j in range(rank, m):
-            kern.append(V.column(j))
+        y = [A[i][t] // A[i][i] for i in range(rank)]
+        sols.append([sum(v * z for v, z in zip(row, y)) for row in V])
+    kern = [[row[j] for row in V] for j in range(rank, m)] if want_kernel else []
     return sols, kern
 
 

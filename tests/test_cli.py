@@ -152,6 +152,33 @@ class TestGen:
                 assert cols == [cols[0]] and cols[0] >= 1, (seed, size)
         capsys.readouterr()
 
+    @pytest.mark.parametrize("ring", ["Z", "Z/8", "F5"])
+    def test_pairs_pose_unknowns(self, tmp_path, capsys, monkeypatch, ring):
+        """The factor-through-eta system of every generated pair file has an unknown."""
+        cols = []
+        solve = LinearProblem.solve
+
+        def recording(prob):
+            cols.append(prob.cols)
+            return solve(prob)
+
+        monkeypatch.setattr(LinearProblem, "solve", recording)
+        p = tmp_path / "pair.json"
+        for size in ([], ["--max-len", "4", "--max-rank", "6"]):
+            for seed in range(1, 9):
+                argv = ["gen", "--seed", str(seed), "--profile", "pair", "--ring", ring, "-o", str(p)]
+                assert main(argv + size) == 0
+                cols.clear()
+                assert main(["check", str(p), "--op", "is-eta-conflation"]) in (0, 1)
+                assert cols and cols[-1] >= 1, (seed, size)
+        capsys.readouterr()
+
+    def test_pairs_need_one_degree(self, tmp_path, capsys):
+        p = tmp_path / "pair.json"
+        assert main(["gen", "--seed", "1", "--profile", "pair", "-o", str(p), "--max-len", "0"]) == 2
+        assert "--max-len" in capsys.readouterr().err
+        assert not p.exists()
+
     def test_chain_maps_need_two_degrees(self, tmp_path, capsys):
         p = tmp_path / "maps.json"
         assert main(["gen", "--seed", "1", "--profile", "chain-maps", "-o", str(p), "--max-len", "1"]) == 2

@@ -756,6 +756,199 @@ class TestUnitPivotOracle:
             assert solve_with_kernel(a, bad)[0] is None
 
 
+def _reference_snf(a: RingMatrix) -> Tuple[RingMatrix, RingMatrix, RingMatrix]:
+    """Reference: the Smith pivot loop that forms U and V alongside A, as
+    `smith_normal_form` ran it before the rhs was carried."""
+    n, m = a.rows, a.cols
+    A = [a.row(i) for i in range(n)]
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+    def row_op(i, k, c):  # row_i -= c * row_k  (on A and U)
+        Ai, Ak = A[i], A[k]
+        for j in range(m):
+            Ai[j] -= c * Ak[j]
+        Ui, Uk = U[i], U[k]
+        for j in range(n):
+            Ui[j] -= c * Uk[j]
+
+    def col_op(j, k, c):  # col_j -= c * col_k  (on A and V)
+        for i in range(n):
+            A[i][j] -= c * A[i][k]
+        for i in range(m):
+            V[i][j] -= c * V[i][k]
+
+    def swap_rows(i, k):
+        A[i], A[k] = A[k], A[i]
+        U[i], U[k] = U[k], U[i]
+
+    def swap_cols(j, k):
+        for row in A:
+            row[j], row[k] = row[k], row[j]
+        for row in V:
+            row[j], row[k] = row[k], row[j]
+
+    t = 0
+    while t < min(n, m):
+        while True:
+            # bring the entry of least magnitude to the pivot; re-selecting on
+            # every pass keeps intermediate entries from exploding
+            piv = None
+            for i in range(t, n):
+                for j in range(t, m):
+                    x = A[i][j]
+                    if x and (piv is None or abs(x) < abs(A[piv[0]][piv[1]])):
+                        piv = (i, j)
+            if piv is None:
+                break
+            swap_rows(t, piv[0])
+            swap_cols(t, piv[1])
+            dirty = False
+            for i in range(t + 1, n):
+                if A[i][t]:
+                    row_op(i, t, A[i][t] // A[t][t])
+                    if A[i][t]:  # nonzero remainder: smaller pivot next pass
+                        dirty = True
+            for j in range(t + 1, m):
+                if A[t][j]:
+                    col_op(j, t, A[t][j] // A[t][t])
+                    if A[t][j]:
+                        dirty = True
+            if dirty:
+                continue
+            # pivot must divide the trailing block for the chain d_k | d_{k+1}
+            bad = None
+            for i in range(t + 1, n):
+                for j in range(t + 1, m):
+                    if A[i][j] % A[t][t] != 0:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            row_op(t, bad, -1)  # fold the offending row in; next pass shrinks the pivot
+        if A[t][t] == 0:
+            break
+        if A[t][t] < 0:
+            for j in range(m):
+                A[t][j] = -A[t][j]
+            for j in range(n):
+                U[t][j] = -U[t][j]
+        t += 1
+
+    Um = RingMatrix._trusted(ZZ, n, n, [x for row in U for x in row])
+    Vm = RingMatrix._trusted(ZZ, m, m, [x for row in V for x in row])
+    Dm = RingMatrix._trusted(ZZ, n, m, [x for row in A for x in row])
+    return Um, Dm, Vm
+
+
+def _reference_solve_integer(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
+    """Reference: solve over Z through the formed U, D, V of `_reference_snf`."""
+    n, m = a.rows, a.cols
+    U, D, V = _reference_snf(a)
+    diag = [D[(i, i)] for i in range(min(n, m))]
+    rank = sum(1 for d in diag if d != 0)
+    sols = []
+    for rhs in rhs_cols:
+        ub = [sum(U[(i, j)] * rhs[j] for j in range(n)) for i in range(n)]
+        y = [0] * m
+        ok = True
+        for i in range(n):
+            if i < rank:
+                if ub[i] % diag[i] != 0:
+                    ok = False
+                    break
+                y[i] = ub[i] // diag[i]
+            elif ub[i] != 0:
+                ok = False
+                break
+        if not ok:
+            sols.append(None)
+            continue
+        x = [sum(V[(i, j)] * y[j] for j in range(m)) for i in range(m)]
+        sols.append(x)
+    kern = []
+    if want_kernel:
+        for j in range(rank, m):
+            kern.append(V.column(j))
+    return sols, kern
+
+
+def _random_residual(rng, m):
+    """A system shaped like a Z residual: 3-5 times as many rows as columns,
+    entries in -20..20, one or two rhs columns (the first a x0 half the
+    time), a few rows with no coefficient, their rhs kept or cleared, and
+    now and then a zero column, so that the kernel is not zero."""
+    n = m * rng.randint(3, 5)
+    density = rng.choice([0.3, 0.6, 1.0])
+    rows = [[rng.randint(-20, 20) if rng.random() < density else 0 for _ in range(m)]
+            for _ in range(n)]
+    if rng.random() < 0.3:
+        j = rng.randrange(m)
+        for row in rows:
+            row[j] = 0
+    rhs_cols = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.5:
+        x0 = [rng.randint(-3, 3) for _ in range(m)]
+        rhs_cols[0] = [sum(x * y for x, y in zip(row, x0)) for row in rows]
+    for i in rng.sample(range(n), rng.randint(0, 3)):
+        rows[i] = [0] * m
+        keep = rng.random() < 0.5
+        for col in rhs_cols:
+            col[i] = rng.choice([-3, 5, 7]) if keep else 0
+    return RingMatrix(ZZ, n, m, [x for row in rows for x in row]), rhs_cols
+
+
+class TestResidualSolveOracle:
+    """The Z residual solve, which carries the rhs through the Smith pivot
+    loop, against the reference that forms U: the same solutions and kernel
+    generators entry for entry, and the same (U, D, V)."""
+
+    def test_matches_formed_u(self, monkeypatch):
+        rng = random.Random(1201)
+        calls = []
+
+        def recording(solver):
+            def solve(a, rhs_cols, want_kernel):
+                calls.append(solver)
+                return solver(a, rhs_cols, want_kernel)
+            return solve
+
+        seen = {"early NONE": 0, "dense": 0, "NONE": 0, "SOME": 0, "kernel": 0}
+        for _ in range(150):
+            a, rhs_cols = _random_residual(rng, rng.randint(1, 8))
+            want_kernel = rng.random() < 0.5
+            ref = _reference_solve_integer(a, rhs_cols, want_kernel)
+            assert _solve_integer(a, rhs_cols, want_kernel) == ref
+            assert smith_normal_form(a) == _reference_snf(a)
+
+            # the reference _solve: the formed-U residual solve, with a kernel
+            # asked for, so that it never returns before building the residual
+            calls.clear()
+            monkeypatch.setattr(linalg, "_solve_integer", recording(_reference_solve_integer))
+            ref_sols, ref_kern = _solve(a, rhs_cols, True)
+            monkeypatch.setattr(linalg, "_solve_integer", recording(_solve_integer))
+            sols, kern = _solve(a, rhs_cols, want_kernel)
+            assert sols == ref_sols
+            assert kern == (ref_kern if want_kernel else [])
+            if calls == [_reference_solve_integer]:  # the residual was never built
+                assert not want_kernel and all(s is None for s in sols)
+                seen["early NONE"] += 1
+            seen["dense"] += _solve_integer in calls
+            seen["NONE"] += None in sols
+            seen["SOME"] += any(s is not None for s in sols)
+            seen["kernel"] += len(kern) > 0
+        assert all(seen.values()), seen
+
+    def test_snf_matches_reference(self):
+        rng = random.Random(1202)
+        for _ in range(60):
+            r, c = rng.randint(0, 7), rng.randint(0, 7)
+            a = RingMatrix(ZZ, r, c, [rng.randint(-20, 20) for _ in range(r * c)])
+            assert smith_normal_form(a) == _reference_snf(a)
+
+
 class TestRings:
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
