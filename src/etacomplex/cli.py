@@ -19,8 +19,7 @@ from typing import List, Optional
 
 from .base import Graded, ScalarEta
 from .complexes import (
-    shift_complex,
-    apply_auto,
+    Complex,
     id_chain_map,
     validate_chain_map,
     validate_complex,
@@ -230,51 +229,29 @@ def _verdict(op: str, out, validate, encode) -> (int, List[dict]):
 
 def _check_axioms(pair, seed: int) -> (int, List[dict]):
     """Recognize the pair and verify the closure axioms around it."""
-    from .generators import random_chain_map, random_complex
+    from .suite import ex1_op_witness, ex1_witness, ex2_op_witness, ex2_witness
 
     i, p = pair
-    records = []
     try:
         conf = is_eta_conflation(i, p)
     except NotChainwiseSplit as exc:
         return 1, [_check_record("axioms", "NONE", detail=f"not chainwise split: {exc}")]
     if conf is None:
         return 1, [_check_record("axioms", "NONE", detail="pair is not a conflation")]
-    records.append(_check_record("axioms/recognized", "PASS"))
     defl = StandardConflation(conf.alpha)
-    inst = defl.instance
     rng = random.Random(seed)
-
-    from .complexes import Complex
-
-    zero = Complex(inst, {}, {})
+    zero = Complex(defl.instance, {}, {})
     ok0 = is_eta_conflation(zero_chain_map(zero, defl.Z), id_chain_map(defl.Z)) is not None
-    records.append(_check_record("axioms/ex0", "PASS" if ok0 else "FAIL"))
-
-    V = random_complex(inst, rng, max_len=2)
-    beta = random_chain_map(shift_complex(defl.middle, -1), apply_auto(V, 1), rng)
-    ok1, conf1 = ex1_composite(defl, beta)
+    ok1, conf1 = ex1_composite(defl, ex1_witness(defl, rng))
     ok1 = ok1 and conf1 is not None
-    records.append(_check_record("axioms/ex1", "PASS" if ok1 else "FAIL"))
-
-    U = random_complex(inst, rng, max_len=2)
-    gamma = random_chain_map(shift_complex(U, -1), apply_auto(defl.middle, 1), rng)
-    ok1op = ex1_op_composite(defl, gamma)
-    records.append(_check_record("axioms/ex1-op", "PASS" if ok1op else "FAIL"))
-
-    zp = random_complex(inst, rng, max_len=2)
-    h = random_chain_map(zp, defl.Z, rng)
-    ok2, conf2 = ex2_pullback(defl, h)
+    ok1op = ex1_op_composite(defl, ex1_op_witness(defl, rng))
+    ok2, conf2 = ex2_pullback(defl, ex2_witness(defl, rng))
     ok2 = ok2 and conf2 is not None
-    records.append(_check_record("axioms/ex2", "PASS" if ok2 else "FAIL"))
-
-    xp = random_complex(inst, rng, max_len=2)
-    hx = random_chain_map(defl.X, xp, rng)
-    ok2op = ex2_op_pushout(defl, hx)
-    records.append(_check_record("axioms/ex2-op", "PASS" if ok2op else "FAIL"))
-
-    allok = ok0 and ok1 and ok1op and ok2 and ok2op
-    return (0 if allok else 1), records
+    ok2op = ex2_op_pushout(defl, ex2_op_witness(defl, rng))
+    checks = [("recognized", True), ("ex0", ok0), ("ex1", ok1), ("ex1-op", ok1op),
+              ("ex2", ok2), ("ex2-op", ok2op)]
+    records = [_check_record(f"axioms/{name}", "PASS" if ok else "FAIL") for name, ok in checks]
+    return (0 if all(ok for _, ok in checks) else 1), records
 
 
 # -- gen --------------------------------------------------------------------
@@ -381,6 +358,11 @@ def cmd_suite(
         unknown = [n for n in names if n not in suite_mod.PROPERTIES]
         if unknown:
             raise _Usage(f"unknown properties: {', '.join(unknown)}")
+    if fail_dir is not None:
+        try:
+            os.makedirs(fail_dir, exist_ok=True)
+        except OSError as exc:
+            raise _Usage(f"cannot use --fail-dir {fail_dir}: {exc.strerror}")
     ok, records = suite_mod.run_suite(
         seed=seed, trials=trials, names=names, fail_dir=fail_dir, rings=rings
     )

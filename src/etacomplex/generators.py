@@ -2,9 +2,19 @@
 
 All generators take an explicit ``random.Random`` so runs are reproducible
 from a seed (the PRNG is Python's Mersenne Twister, fixed across builds).
-Complexes are produced as direct sums of elementary pieces (stalks, disks,
-nilpotent chains, eta-disks) conjugated by random degreewise automorphisms,
-so every output is valid by construction.
+
+Every random complex follows one recipe, the one of the paper's examples:
+draw elementary pieces (stalks, disks, nilpotent chains, eta-disks
+V(1) -> V) as small complexes, sum them block-diagonally in draw order, and
+conjugate the sum by a random automorphism u^n of each object, drawn in
+degree order, so that d^n becomes u^{n+1} d^n (u^n)^{-1}.  Every output is
+valid by construction.  ``conjugate_pair`` disguises a pair by the same
+conjugation of its middle complex.
+
+Random maps are kernel draws: a small combination of the kernel generators
+that the solver returns for the map's constraint system.  A solver change
+that keeps every verdict but returns another kernel basis therefore still
+changes every instance drawn after such a map.
 """
 
 from __future__ import annotations
@@ -37,6 +47,11 @@ from .matrix import RingMatrix
 from .rings import CoeffRing, Zmod
 
 
+def _is_graded(inst: BaseInstance) -> bool:
+    """True for a graded instance, also under ``EtaPower``."""
+    return isinstance(inst.inner if isinstance(inst, EtaPower) else inst, Graded)
+
+
 # -- invertible ingredients -------------------------------------------------
 
 
@@ -44,20 +59,24 @@ def random_unimodular(ring: CoeffRing, n: int, rng: random.Random, ops: int = 4)
     """A random invertible matrix together with its exact inverse."""
     u = RingMatrix.identity(ring, n)
     v = RingMatrix.identity(ring, n)  # v = u^{-1}, updated in lockstep
+    ue, ve, q = u.entries, v.entries, ring.modulus
     for _ in range(ops if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         c = ring.canon(rng.choice([-2, -1, 1, 2]))
         # row_i += c * row_j on u  <->  col_j -= c * col_i on v
         for t in range(n):
-            u.entries[i * n + t] = ring.add(u.entries[i * n + t], ring.mul(c, u.entries[j * n + t]))
-        for t in range(n):
-            v.entries[t * n + j] = ring.sub(v.entries[t * n + j], ring.mul(c, v.entries[t * n + i]))
+            a, b = i * n + t, t * n + j
+            ue[a] += c * ue[j * n + t]
+            ve[b] -= c * ve[t * n + i]
+            if q:
+                ue[a] %= q
+                ve[b] %= q
     if n and rng.random() < 0.5:
         i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
         for t in range(n):
-            u.entries[i * n + t], u.entries[j * n + t] = u.entries[j * n + t], u.entries[i * n + t]
+            ue[i * n + t], ue[j * n + t] = ue[j * n + t], ue[i * n + t]
         for t in range(n):
-            v.entries[t * n + i], v.entries[t * n + j] = v.entries[t * n + j], v.entries[t * n + i]
+            ve[t * n + i], ve[t * n + j] = ve[t * n + j], ve[t * n + i]
     return u, v
 
 
@@ -93,10 +112,37 @@ def random_graded_automorphism(inst: Graded, X: GradedObject, rng: random.Random
 
 
 def random_automorphism(inst: BaseInstance, X, rng: random.Random):
-    core = inst.inner if isinstance(inst, EtaPower) else inst
-    if isinstance(core, Graded):
-        return random_graded_automorphism(core, X, rng)
+    if _is_graded(inst):
+        return random_graded_automorphism(inst, X, rng)
     return random_unimodular(inst.ring, X, rng)
+
+
+def _conjugate(c: Complex, rng: random.Random):
+    """c disguised by a random automorphism u^n of each object, drawn in
+    degree order: d^n becomes u^{n+1} d^n (u^n)^{-1}.  Returns the new
+    complex and the pairs (u^n, (u^n)^{-1})."""
+    inst = c.instance
+    autos = {n: random_automorphism(inst, X, rng) for n, X in sorted(c.objects.items())}
+    diffs = {
+        n: inst.compose(autos[n + 1][0], inst.compose(d, autos[n][1]))
+        for n, d in sorted(c.diffs.items())
+    }
+    return Complex(inst, c.objects, diffs), autos
+
+
+def _sum_conjugate(inst: BaseInstance, parts: List[Complex], rng: random.Random) -> Complex:
+    """The block-diagonal sum of ``parts`` in draw order, conjugated."""
+    degs = sorted({n for p in parts for n in p.objects})
+    objects = {n: inst.dsum([p.obj(n) for p in parts]) for n in degs}
+    diffs = {
+        n: inst.block_mor(
+            [[p.diff(n) if a == b else None for b in range(len(parts))] for a, p in enumerate(parts)],
+            [p.obj(n + 1) for p in parts],
+            [p.obj(n) for p in parts],
+        )
+        for n in degs
+    }
+    return _conjugate(Complex(inst, objects, diffs), rng)[0]
 
 
 # -- elementary complexes ---------------------------------------------------
@@ -133,48 +179,28 @@ def random_scalar_complex(
         return Complex(inst, {}, {})
     base = rng.randint(min_deg, min_deg + 2)
     degs = list(range(base, base + length))
-    ranks = {n: 0 for n in degs}
-    diag: Dict[int, List] = {n: [] for n in degs[:-1]}  # diagonal entries of d^n
-    pieces = rng.randint(1, 3)
-    for _ in range(pieces):
+    parts: List[Complex] = []
+    for _ in range(rng.randint(1, 3)):
         kind = rng.random()
         if kind < 0.45 or length == 1:
             n = rng.choice(degs)  # stalk
-            r = rng.randint(1, max_rank)
-            for _ in range(r):
-                ranks[n] += 1
+            parts.append(Complex(inst, {n: rng.randint(1, max_rank)}, {}))
         elif kind < 0.8:
             n = rng.choice(degs[:-1])  # disk: Id from n to n+1
-            ranks[n] += 1
-            ranks[n + 1] += 1
-            diag[n].append((ranks[n] - 1, ranks[n + 1] - 1, ring.one()))
+            parts.append(Complex(inst, {n: 1, n + 1: 1}, {n: inst.id_mor(1)}))
         else:
             chain = _nilpotent_entries(ring, length)
             if not chain:
-                n = rng.choice(degs)
-                ranks[n] += 1
+                parts.append(Complex(inst, {rng.choice(degs): 1}, {}))
                 continue
             ln = rng.randint(2, length)
             start = rng.choice(degs[: length - ln + 1])
-            idx = {}
-            for t in range(ln):
-                ranks[start + t] += 1
-                idx[t] = ranks[start + t] - 1
-            for t in range(ln - 1):
-                diag[start + t].append((idx[t], idx[t + 1], ring.canon(chain[t])))
-    objects = {n: r for n, r in ranks.items() if r}
-    diffs = {}
-    for n in degs[:-1]:
-        m = RingMatrix.zero(ring, ranks[n + 1], ranks[n])
-        for src, tgt, val in diag[n]:
-            m.entries[tgt * ranks[n] + src] = val
-        diffs[n] = m
-    # conjugate by random degreewise automorphisms: d' = u_{n+1} d u_n^{-1}
-    autos = {n: random_unimodular(ring, ranks[n], rng) for n in degs}
-    new_diffs = {}
-    for n in degs[:-1]:
-        new_diffs[n] = autos[n + 1][0] @ diffs[n] @ autos[n][1]
-    return Complex(inst, objects, new_diffs)
+            parts.append(Complex(
+                inst,
+                {start + t: 1 for t in range(ln)},
+                {start + t: RingMatrix(ring, 1, 1, [chain[t]]) for t in range(ln - 1)},
+            ))
+    return _sum_conjugate(inst, parts, rng)
 
 
 def random_graded_object(rng: random.Random, max_rank: int = 2) -> GradedObject:
@@ -198,62 +224,25 @@ def random_graded_complex(
         return Complex(inst, {}, {})
     base = rng.randint(-1, 1)
     degs = list(range(base, base + length))
-    summands: List[Tuple[Complex, None]] = []
     parts: List[Complex] = []
-    pieces = rng.randint(1, 3)
-    for _ in range(pieces):
+    for _ in range(rng.randint(1, 3)):
         kind = rng.random()
         if kind < 0.4 or length == 1:
             n = rng.choice(degs)
-            V = random_graded_object(rng, max_rank)
-            parts.append(Complex(inst, {n: V}, {}))
+            parts.append(Complex(inst, {n: random_graded_object(rng, max_rank)}, {}))
         elif kind < 0.7:
             n = rng.choice(degs[:-1])
             V = random_graded_object(rng, max_rank)
-            if V.is_zero():
-                continue
             parts.append(Complex(inst, {n: V, n + 1: V}, {n: inst.id_mor(V)}))
         else:
             n = rng.choice(degs[:-1])  # eta-disk: eta_V: V(1) -> V
             V = random_graded_object(rng, max_rank)
-            if V.is_zero():
-                continue
-            parts.append(
-                Complex(inst, {n: inst.shift_obj(V, 1), n + 1: V}, {n: inst.eta(V)})
-            )
-    if not parts:
-        return Complex(inst, {}, {})
-    total_objects: Dict[int, GradedObject] = {}
-    total_diffs: Dict[int, GradedMorphism] = {}
-    all_degs = sorted({n for p in parts for n in p.objects})
-    for n in all_degs:
-        total_objects[n] = inst.dsum([p.obj(n) for p in parts])
-    for n in all_degs:
-        tgt = [p.obj(n + 1) for p in parts]
-        src = [p.obj(n) for p in parts]
-        grid = [
-            [p.diff(n) if bi == bj else None for bj, _ in enumerate(parts)]
-            for bi, p in enumerate(parts)
-        ]
-        total_diffs[n] = inst.block_mor(grid, tgt, src)
-    c = Complex(inst, total_objects, total_diffs)
-    autos = {n: random_graded_automorphism(inst, c.obj(n), rng) for n in c.objects}
-    new_diffs = {}
-    for n in list(c.diffs):
-        u_next = autos.get(n + 1)
-        u_this = autos.get(n)
-        d = c.diff(n)
-        if u_this is not None:
-            d = inst.compose(d, u_this[1])
-        if u_next is not None:
-            d = inst.compose(u_next[0], d)
-        new_diffs[n] = d
-    return Complex(inst, c.objects, new_diffs)
+            parts.append(Complex(inst, {n: inst.shift_obj(V, 1), n + 1: V}, {n: inst.eta(V)}))
+    return _sum_conjugate(inst, parts, rng)
 
 
 def random_complex(inst: BaseInstance, rng: random.Random, max_len: int = 4, max_rank: int = 2) -> Complex:
-    core = inst.inner if isinstance(inst, EtaPower) else inst
-    if isinstance(core, Graded):
+    if _is_graded(inst):
         return random_graded_complex(inst, rng, max_len=min(max_len, 3), max_rank=max_rank)
     return random_scalar_complex(inst, rng, max_len=max_len, max_rank=max_rank)
 
@@ -261,37 +250,37 @@ def random_complex(inst: BaseInstance, rng: random.Random, max_len: int = 4, max
 # -- random chain maps ------------------------------------------------------
 
 
-def random_chain_map(A: Complex, B: Complex, rng: random.Random) -> ChainMap:
-    """A random chain map A -> B: small combination of a kernel basis of the
-    chain-map constraint system."""
-    inst = A.instance
-    prob = LinearProblem(inst)
-    degs = chain_map_problem(prob, "f", A, B)
-    if not degs:
-        return zero_chain_map(A, B)
-    _, gens = prob.solve_full()
-    if not gens:
-        return zero_chain_map(A, B)
-    picks = rng.sample(gens, min(len(gens), 3))
+def _kernel_draw(prob: LinearProblem, rng: random.Random) -> Optional[Dict]:
+    """A random combination of the kernel generators of ``prob``: up to three
+    of them, each times a coefficient in -2..2, zero coefficients skipped.
+    None when nothing is drawn."""
+    inst = prob.instance
+    gens = prob.solve_full()[1] if prob.unknowns else []
     total = None
-    for g in picks:
+    for g in rng.sample(gens, min(len(gens), 3)):
         c = inst.ring.canon(rng.randint(-2, 2))
         if c == inst.ring.zero():
             continue
-        scaled = {k: v if c == inst.ring.one() else _scale_mor(v, c) for k, v in g.items()}
-        if total is None:
-            total = scaled
-        else:
-            total = {k: inst.hom_add(total[k], scaled[k]) for k in total}
-    if total is None:
-        return zero_chain_map(A, B)
-    return solution_chain_map(total, "f", degs, A, B)
+        scaled = {k: _scale_mor(v, c) for k, v in g.items()}
+        total = scaled if total is None else {k: inst.hom_add(total[k], scaled[k]) for k in total}
+    return total
 
 
 def _scale_mor(f, c):
     if isinstance(f, RingMatrix):
         return f.scale(c)
     return GradedMorphism(f.source, f.target, {k: m.scale(c) for k, m in f.components.items()})
+
+
+def random_chain_map(A: Complex, B: Complex, rng: random.Random) -> ChainMap:
+    """A random chain map A -> B: a kernel draw from the chain-map constraint
+    system."""
+    prob = LinearProblem(A.instance)
+    degs = chain_map_problem(prob, "f", A, B)
+    total = _kernel_draw(prob, rng)
+    if total is None:
+        return zero_chain_map(A, B)
+    return solution_chain_map(total, "f", degs, A, B)
 
 
 # -- eta-conflations --------------------------------------------------------
@@ -319,25 +308,9 @@ def random_split_pair(inst: BaseInstance, rng: random.Random, max_len: int = 3, 
 def conjugate_pair(i, p, rng: random.Random):
     """Disguise a pair by a random degreewise automorphism of the middle."""
     inst = i.instance
-    Y = i.target
-    autos = {n: random_automorphism(inst, Y.obj(n), rng) for n in Y.objects}
-    new_diffs = {}
-    for n in Y.degree_range():
-        d = Y.diff(n)
-        if n in autos:
-            d = inst.compose(d, autos[n][1])
-        if n + 1 in autos:
-            d = inst.compose(autos[n + 1][0], d)
-        new_diffs[n] = d
-    Y2 = Complex(inst, dict(Y.objects), new_diffs)
-    i2 = ChainMap(i.source, Y2, {
-        n: inst.compose(autos[n][0], i.component(n)) if n in autos else i.component(n)
-        for n in set(i.components) | set(autos)
-    })
-    p2 = ChainMap(Y2, p.target, {
-        n: inst.compose(p.component(n), autos[n][1]) if n in autos else p.component(n)
-        for n in set(p.components) | set(autos)
-    })
+    Y2, autos = _conjugate(i.target, rng)
+    i2 = ChainMap(i.source, Y2, {n: inst.compose(u, i.component(n)) for n, (u, _) in autos.items()})
+    p2 = ChainMap(Y2, p.target, {n: inst.compose(p.component(n), v) for n, (_, v) in autos.items()})
     return i2, p2
 
 
@@ -482,14 +455,12 @@ def random_strip_delta_complex(ring: CoeffRing, rng: random.Random, max_rank: in
 
 
 def random_delta_map(X, Y, rng: random.Random):
-    """A random strict column-wise chain map X -> Y (kernel-basis combination
-    of the joint commutation system)."""
-    ring = X.ring
-    prob = MatrixProblem(ring)
-    slots = [pos for pos in X.positions if Y.rank(*pos)]
-    for (i, j) in slots:
-        prob.add_unknown((i, j), Y.rank(i, j), X.rank(i, j))
-    have = set(slots)
+    """A random strict column-wise chain map X -> Y: a kernel draw from the
+    joint commutation system."""
+    prob = MatrixProblem(X.ring)
+    for (i, j) in X.positions:
+        if Y.rank(i, j):
+            prob.add_unknown((i, j), Y.rank(i, j), X.rank(i, j))
     for (i, j) in sorted(set(X.positions) | set(Y.positions)):
         for (ti, tj, xd, yd) in (
             (i + 1, j, X.d0(i, j), Y.d0(i, j)),
@@ -499,25 +470,13 @@ def random_delta_map(X, Y, rng: random.Random):
             if not er or not ec:
                 continue
             terms = []
-            if (i, j) in have:
+            if (i, j) in prob.unknowns:
                 terms.append(((i, j), yd, None, 1))
-            if (ti, tj) in have:
+            if (ti, tj) in prob.unknowns:
                 terms.append(((ti, tj), None, xd, -1))
             if terms:
                 prob.add_equation((er, ec), terms, None)
-    if not slots:
-        return DeltaMap(X, Y, {})
-    _, gens = prob.solve_full()
-    if not gens:
-        return DeltaMap(X, Y, {})
-    comps = None
-    for g in rng.sample(gens, min(len(gens), 3)):
-        c = ring.canon(rng.randint(-2, 2))
-        if c == ring.zero():
-            continue
-        scaled = {k: m.scale(c) for k, m in g.items()}
-        comps = scaled if comps is None else {k: comps[k] + scaled[k] for k in comps}
-    return DeltaMap(X, Y, comps or {})
+    return DeltaMap(X, Y, _kernel_draw(prob, rng) or {})
 
 
 def columnwise_null_delta_map(X, Y, rng: random.Random):

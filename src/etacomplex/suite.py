@@ -119,6 +119,34 @@ def _light_instance(rng: random.Random, rings: Sequence[CoeffRing]):
 
 
 # -- conflation axioms ------------------------------------------------------
+#
+# The random witness of each closure axiom: a complex of length at most 2 and
+# ranks at most ``max_rank``, and a chain map between it and the conflation.
+# ``etacomplex check --op axioms`` draws the same witnesses at the default rank.
+
+
+def ex1_witness(defl, rng, max_rank=2):
+    """beta: Y[-1] -> V(1) for a random V, to compose with the deflation."""
+    V = random_complex(defl.instance, rng, max_len=2, max_rank=max_rank)
+    return random_chain_map(shift_complex(defl.middle, -1), apply_auto(V, 1), rng)
+
+
+def ex1_op_witness(infl, rng, max_rank=2):
+    """gamma: U[-1] -> Y(1) for a random U, to compose with the inflation."""
+    U = random_complex(infl.instance, rng, max_len=2, max_rank=max_rank)
+    return random_chain_map(shift_complex(U, -1), apply_auto(infl.middle, 1), rng)
+
+
+def ex2_witness(defl, rng, max_rank=2):
+    """h: Z' -> Z for a random Z', to pull the deflation back along."""
+    zp = random_complex(defl.instance, rng, max_len=2, max_rank=max_rank)
+    return random_chain_map(zp, defl.Z, rng)
+
+
+def ex2_op_witness(infl, rng, max_rank=2):
+    """h: X -> X' for a random X', to push the inflation out along."""
+    xp = random_complex(infl.instance, rng, max_len=2, max_rank=max_rank)
+    return random_chain_map(infl.X, xp, rng)
 
 
 def prop_axiom_ex0(rng, rings):
@@ -137,9 +165,7 @@ def prop_axiom_ex1(rng, rings):
     inst = _light_instance(rng, rings)
     rank = 1 if isinstance(inst, Graded) else 2
     defl1 = random_std_conflation(inst, rng, max_len=2, max_rank=rank)
-    V = random_complex(inst, rng, max_len=2, max_rank=1)
-    beta = random_chain_map(shift_complex(defl1.middle, -1), apply_auto(V, 1), rng)
-    ok, conf = ex1_composite(defl1, beta)
+    ok, conf = ex1_composite(defl1, ex1_witness(defl1, rng, max_rank=1))
     ok = ok and conf is not None
     return ok, "", ("pair", (defl1.i, defl1.p))
 
@@ -149,9 +175,7 @@ def prop_axiom_ex1_op(rng, rings):
     inst = _light_instance(rng, rings)
     rank = 1 if isinstance(inst, Graded) else 2
     infl1 = random_std_conflation(inst, rng, max_len=2, max_rank=rank)
-    U = random_complex(inst, rng, max_len=2, max_rank=1)
-    gamma = random_chain_map(shift_complex(U, -1), apply_auto(infl1.middle, 1), rng)
-    ok = ex1_op_composite(infl1, gamma)
+    ok = ex1_op_composite(infl1, ex1_op_witness(infl1, rng, max_rank=1))
     return ok, "", ("pair", (infl1.i, infl1.p))
 
 
@@ -160,9 +184,7 @@ def prop_axiom_ex2(rng, rings):
     inst = _light_instance(rng, rings)
     rank = 1 if isinstance(inst, Graded) else 2
     defl = random_std_conflation(inst, rng, max_len=2, max_rank=rank)
-    zp = random_complex(inst, rng, max_len=2, max_rank=1)
-    h = random_chain_map(zp, defl.Z, rng)
-    ok, conf = ex2_pullback(defl, h)
+    ok, conf = ex2_pullback(defl, ex2_witness(defl, rng, max_rank=1))
     ok = ok and conf is not None
     return ok, "", ("pair", (defl.i, defl.p))
 
@@ -172,9 +194,7 @@ def prop_axiom_ex2_op(rng, rings):
     inst = _light_instance(rng, rings)
     rank = 1 if isinstance(inst, Graded) else 2
     infl = random_std_conflation(inst, rng, max_len=2, max_rank=rank)
-    xp = random_complex(inst, rng, max_len=2, max_rank=1)
-    h = random_chain_map(infl.X, xp, rng)
-    ok = ex2_op_pushout(infl, h)
+    ok = ex2_op_pushout(infl, ex2_op_witness(infl, rng, max_rank=1))
     return ok, "", ("pair", (infl.i, infl.p))
 
 

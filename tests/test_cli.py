@@ -295,6 +295,44 @@ class TestCheck:
         assert {"axioms/ex0", "axioms/ex1", "axioms/ex1-op", "axioms/ex2", "axioms/ex2-op"} <= names
         assert all(r["verdict"] == "PASS" for r in recs)
 
+    def test_axioms_on_non_conflation(self, tmp_path, capsys):
+        # the standard pair of cone(id_X) has invariant id_X, which cannot
+        # factor through the twist scalar 2 over Z
+        inst = ScalarEta(ZZ, 2)
+        x = Complex(inst, {0: 1}, {})
+        _, i, pr = cone(id_chain_map(x))
+        p = tmp_path / "pair.json"
+        save_instance_file(str(p), "pair", (i, pr))
+        code, out = run(capsys, ["check", str(p), "--op", "axioms"])
+        assert code == 1
+        assert records_of(out) == [
+            {"check": "axioms", "verdict": "NONE", "detail": "pair is not a conflation"}
+        ]
+
+    def test_axioms_on_pair_not_chainwise_split(self, tmp_path, capsys):
+        # i = p = [1] between stalks: p . i != 0
+        x = Complex(ScalarEta(ZZ, 2), {0: 1}, {})
+        one = ChainMap(x, x, {0: RingMatrix.from_rows(ZZ, [[1]])})
+        p = tmp_path / "pair.json"
+        save_instance_file(str(p), "pair", (one, one))
+        code, out = run(capsys, ["check", str(p), "--op", "axioms"])
+        assert code == 1
+        [rec] = records_of(out)
+        assert rec["check"] == "axioms" and rec["verdict"] == "NONE"
+        assert rec["detail"].startswith("not chainwise split")
+
+    def test_totalize_gsystem_failing_relations(self, tmp_path, capsys):
+        # Z -> Z -> Z with both level-0 maps 1: d_0 d_0 != 0
+        one = RingMatrix.from_rows(ZZ, [[1]])
+        x = GSystem(ZZ, {(i, 0): 1 for i in range(3)}, {(0, 0, 0): one, (0, 1, 0): one})
+        p = tmp_path / "gs.json"
+        save_instance_file(str(p), "gsystem", x)
+        code, out = run(capsys, ["check", str(p), "--op", "totalize"])
+        assert code == 1
+        assert records_of(out) == [
+            {"check": "totalize", "verdict": "FAIL", "detail": "input relations fail"}
+        ]
+
     def test_totalize_ga_gsystem_exit_two(self, tmp_path, capsys):
         x = psi_inv(random_gsystem(Zmod(4), random.Random(3)))
         p = tmp_path / "ga.json"
@@ -601,6 +639,34 @@ class TestSuiteCommand:
         assert fail["verdict"] == "fail" and "replay" in fail
         kind, obj = load_instance_file(fail["replay"])
         assert kind == "delta-complex"
+
+    def test_unusable_fail_dir_exit_two(self, tmp_path, capsys, monkeypatch):
+        import etacomplex.suite as suite_mod
+
+        def always_fails(rng, rings):
+            return False, "injected failure", ("complex", Complex(ScalarEta(ZZ, 1), {0: 1}, {}))
+
+        monkeypatch.setitem(suite_mod.PROPERTIES, "injected-failure", always_fails)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = tmp_path / "report.jsonl"
+        argv = ["suite", "--seed", "1", "--trials", "1", "--property", "injected-failure",
+                "--fail-dir", str(blocker / "sub"), "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cannot use --fail-dir ")
+        assert out.read_text() == ""
+
+        # the directory is tried before any property runs
+        def not_called(*args, **kwargs):
+            raise AssertionError("ran before the fail directory was made")
+
+        monkeypatch.setattr(suite_mod, "run_suite", not_called)
+        assert main(argv) == 2
+        fresh = tmp_path / "new" / "failures"
+        monkeypatch.undo()
+        assert main(["suite", "--seed", "1", "--trials", "1", "--property", "axiom-ex0",
+                     "--fail-dir", str(fresh), "-o", str(out)]) == 0
+        assert fresh.is_dir()
 
     def test_ring_restriction(self, capsys):
         code, out = run(capsys, ["suite", "--seed", "2", "--trials", "1",

@@ -537,6 +537,22 @@ class TestTriangle:
         out = theta_triangle_check(f)
         assert isinstance(out, Obstruction)
 
+    def test_wrong_cone_sign_fails(self, monkeypatch):
+        import etacomplex.complexes as cx
+
+        def verdicts():
+            out = []
+            for seed in range(20):
+                rng = random.Random(seed)
+                x = random_strip_delta_complex(Z4, rng)
+                y = random_strip_delta_complex(Z4, rng)
+                out.append(theta_triangle_check(random_delta_map(x, y, rng)))
+            return out
+
+        assert all(v is True for v in verdicts())
+        monkeypatch.setattr(cx, "_CONE_SIGN", 1)
+        assert False in verdicts()
+
     def test_shift_gsystem_validates(self):
         for trial in range(10):
             x = random_delta_complex(Z4, random.Random(54000 + trial))
@@ -677,6 +693,15 @@ class TestPhi:
 
     def test_obstruction_propagates(self):
         assert isinstance(phi(obstructed_delta_complex(Z4)), Obstruction)
+
+    def test_phi_mor_reports_target_obstruction(self):
+        x = inductive_delta_complex()
+        assert isinstance(theta_extend(x), GSystem)
+        bad = obstructed_delta_complex(Z4)
+        out = phi_mor(DeltaMap(x, bad, {}))
+        assert isinstance(out, Obstruction)
+        assert out == theta_extend(bad)
+        assert (out.stage, out.level) == ("theta-extend", 1)
 
 
 def _strip_total_complex(x: DeltaComplex) -> Complex:
