@@ -338,10 +338,11 @@ def _add_kron(entries, width, r0, c0, L, R, ru, cu, sign, ring):
     Unknown entry (a, b) of the ru x cu block, at column c0 + a*cu + b, gets
     coefficient sign * L[p, a] * R[b, q] in equation entry (p, q), at row
     r0 + p*ec + q.  L or R None is the identity.  Over Z/m and GF(p) each
-    cell written is reduced mod m, so the entries stay canonical; over Z and
-    Q sums of products of canonical entries already are.
+    cell written is reduced mod m, and over Q a cell with denominator 1
+    becomes its int, so the entries stay canonical; over Z sums of products
+    of canonical entries already are.
     """
-    mod, one = ring.modulus, ring.one()
+    mod, one, rat = ring.modulus, ring.one(), ring.kind == "Q"
     ec = cu if R is None else R.cols
     r_nz = [[(b, one)] if R is None else [(q, v) for q, v in enumerate(R.row(b)) if v]
             for b in range(cu)]
@@ -357,6 +358,8 @@ def _add_kron(entries, width, r0, c0, L, R, ru, cu, sign, ring):
                     entries[k] += lv * rv
                     if mod:
                         entries[k] %= mod
+                    elif rat and entries[k].denominator == 1:
+                        entries[k] = entries[k].numerator
 
 
 class LinearProblem:

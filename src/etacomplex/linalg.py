@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .matrix import RingMatrix
-from .rings import ZZ, Zmod
+from .rings import ZZ, Zmod, q_canon
 
 
 # -- Smith normal form over Z ----------------------------------------------
@@ -151,6 +151,7 @@ def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
     """
     ring = a.ring
     q = ring.modulus  # 0 for Z and Q, whose entries are not reduced
+    rat = ring.kind == "Q"  # a computed Fraction with denominator 1 becomes its int
     tiers = [1]  # p^v for each tier v
     if ring.kind == "Zmod":
         factors = _prime_powers(q)
@@ -196,7 +197,8 @@ def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
                 R = {j: x * inv % q for j, x in R.items()}
             elif R[c] != 1:
                 inv = ring.inv(R[c])
-                R = {j: x * inv for j, x in R.items()}
+                R = ({j: q_canon(x * inv) for j, x in R.items()} if rat
+                     else {j: x * inv for j, x in R.items()})
             items = list(R.items())
             for i in tuple(below):
                 row = rows[i]
@@ -205,6 +207,8 @@ def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
                     x = row.get(j, 0) - f * y
                     if q:
                         x %= q
+                    elif rat and x.denominator == 1:
+                        x = x.numerator
                     if x:
                         if j < m and j not in row:
                             col_rows[j].add(i)
@@ -234,6 +238,8 @@ def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
                 if s % pv:
                     return None
                 s //= pv
+            elif rat:
+                s = q_canon(s)
             if s:
                 x[c] = s
         return [x.get(j, zero) for j in range(m)]

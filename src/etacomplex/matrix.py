@@ -5,35 +5,35 @@ carry every component morphism in the package; all sparsity is handled by
 block assembly in the higher layers.
 
 Every entry is in its ring's canonical form (see ``rings``): an int in
-[0, m) over Z/m and GF(p), an int over Z, a reduced ``Fraction`` over Q.
-The invariant holds by construction, not by a check on every cell.  The
-public constructor ``RingMatrix(...)``, ``from_rows`` and ``from_json``
-canonicalize each entry; they are the boundary for input from users, files
-and generators.  Every other construction (``zero``, ``identity``,
-``scalar``, ``block``, ``submatrix``, ``+``, ``-``, negation, ``scale``,
-``mat_mul``, and in the other layers the solver's results, hom-coordinate
-vectors and assembled linear systems) goes through ``RingMatrix._trusted``
-on entries computed from canonical ones.  Each reduces only where its own
-arithmetic can leave the canonical range: one ``% m`` per computed value
-over Z/m and GF(p), nothing over Z, and nothing over Q, where sums and
-products of ``Fraction``s are already reduced.
+[0, m) over Z/m and GF(p), an int over Z, over Q an int when integral and
+otherwise a reduced ``Fraction`` with denominator > 1.  The invariant holds
+by construction, not by a check on every cell.  The public constructor
+``RingMatrix(...)`` and ``from_rows`` canonicalize each entry, and
+``from_json`` parses each into canonical form once; they are the boundary
+for input from users, files and generators.  Every other construction
+(``zero``, ``identity``, ``scalar``, ``block``, ``submatrix``, ``+``,
+``-``, negation, ``scale``, ``mat_mul``, and in the other layers the
+solver's results, hom-coordinate vectors and assembled linear systems) goes
+through ``RingMatrix._trusted`` on entries computed from canonical ones.
+Each reduces only where its own arithmetic can leave the canonical form:
+one ``% m`` per computed value over Z/m and GF(p), nothing over Z, and over
+Q a computed value with denominator 1 becomes its int (a sum or product of
+``Fraction``s is reduced but stays a ``Fraction``).  Negation keeps every
+form.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from .rings import CoeffRing, json_int
+from .rings import CoeffRing, json_int, q_canon
 
 
 class RingMatrix:
     __slots__ = ("ring", "rows", "cols", "entries")
 
     def __init__(self, ring: CoeffRing, rows: int, cols: int, entries: Sequence):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions")
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        _check_shape(rows, cols, entries)
         self.ring = ring
         self.rows = rows
         self.cols = cols
@@ -109,7 +109,12 @@ class RingMatrix:
             raise ValueError("dimension mismatch in addition")
         q = self.ring.modulus
         pairs = zip(self.entries, other.entries)
-        out = [(a + b) % q for a, b in pairs] if q else [a + b for a, b in pairs]
+        if q:
+            out = [(a + b) % q for a, b in pairs]
+        elif self.ring.kind == "Q":
+            out = [q_canon(a + b) for a, b in pairs]
+        else:
+            out = [a + b for a, b in pairs]
         return RingMatrix._trusted(self.ring, self.rows, self.cols, out)
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
@@ -123,14 +128,19 @@ class RingMatrix:
     def scale(self, a) -> "RingMatrix":
         a = self.ring.canon(a)
         q = self.ring.modulus
-        out = [a * x % q for x in self.entries] if q else [a * x for x in self.entries]
+        if q:
+            out = [a * x % q for x in self.entries]
+        elif self.ring.kind == "Q":
+            out = [q_canon(a * x) for x in self.entries]
+        else:
+            out = [a * x for x in self.entries]
         return RingMatrix._trusted(self.ring, self.rows, self.cols, out)
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         return mat_mul(self, other)
 
     def is_zero(self) -> bool:
-        return not any(self.entries)  # a canonical zero is 0 or Fraction(0)
+        return not any(self.entries)
 
     def __eq__(self, other):
         return (
@@ -191,8 +201,17 @@ class RingMatrix:
         ring = CoeffRing.from_json(d["ring"])
         if type(d["entries"]) is not list:
             raise ValueError(f"matrix entries must be a list, got {d['entries']!r}")
-        entries = [ring.elem_from_str(s) for s in d["entries"]]
-        return RingMatrix(ring, json_int(d["rows"], "rows"), json_int(d["cols"], "cols"), entries)
+        entries = [ring.elem_from_str(s) for s in d["entries"]]  # canonical already
+        rows, cols = json_int(d["rows"], "rows"), json_int(d["cols"], "cols")
+        _check_shape(rows, cols, entries)
+        return RingMatrix._trusted(ring, rows, cols, entries)
+
+
+def _check_shape(rows: int, cols: int, entries: Sequence):
+    if rows < 0 or cols < 0:
+        raise ValueError("negative dimensions")
+    if len(entries) != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
 
 
 def mat_mul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
@@ -203,6 +222,7 @@ def mat_mul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     ring = a.ring
     q = ring.modulus
+    rat = ring.kind == "Q"
     out = RingMatrix.zero(ring, a.rows, b.cols)
     entries = out.entries
     for i in range(a.rows):
@@ -217,4 +237,6 @@ def mat_mul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
         if q:
             for j in range(b.cols):
                 entries[base + j] %= q
+        elif rat:
+            entries[base:base + b.cols] = map(q_canon, entries[base:base + b.cols])
     return out

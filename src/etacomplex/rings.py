@@ -1,14 +1,17 @@
 """Exact coefficient rings: the integers, Z/m, prime fields and the rationals.
 
-Ring elements are plain Python ints (Fraction for the rationals), always kept
-in canonical form: representatives in [0, m) for Z/m and GF(p), reduced
-fractions for Q.  ``CoeffRing.canon`` maps any value to that form; it is
-applied where values enter the package (matrix constructors fed by users,
-files and generators, and the scalar methods ``add``, ``mul``, ...).  Code
-that computes on canonical elements only reduces what its arithmetic can
-push out of range: a ``% m`` over Z/m and GF(p), nothing over Z and Q (see
-``matrix``).  In instance files an element is a string (``elem_to_str``)
-and every integer field a JSON integer (``json_int``).
+Ring elements are plain Python ints, always kept in canonical form:
+representatives in [0, m) for Z/m and GF(p), any int for Z.  Over Q an
+integral value is its int and any other value a reduced ``Fraction`` with
+denominator > 1, so integral data runs on int arithmetic.  ``CoeffRing.canon``
+maps any value to that form; it is applied where values enter the package
+(matrix constructors fed by users, files and generators, and the scalar
+methods ``add``, ``mul``, ...).  Code that computes on canonical elements
+only reduces what its arithmetic can push out of range: a ``% m`` over Z/m
+and GF(p), nothing over Z, and over Q a computed ``Fraction`` with
+denominator 1 becomes its int (see ``matrix``).  In instance files an
+element is a string (``elem_to_str``) and every integer field a JSON
+integer (``json_int``).
 """
 
 from __future__ import annotations
@@ -25,16 +28,43 @@ def json_int(v, what: str) -> int:
     return v
 
 
+def q_canon(x):
+    """A rational computed from canonical ones (an int or a ``Fraction``) in
+    Q's canonical form: its int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on the bases above is exact below this bound (Sorenson &
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; a ValueError above ``_MR_BOUND``, where
+    these bases no longer decide primality."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: "
+                         f"a GF modulus must be below {_MR_BOUND}")
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -64,15 +94,18 @@ class CoeffRing:
         return self.kind in ("Zmod", "GF")
 
     def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
+        """0, an int in every ring."""
+        return 0
 
     def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
+        """1, an int in every ring."""
+        return 1
 
     def canon(self, x):
-        """Reduce x to the canonical representative."""
+        """Reduce x to the canonical representative: an int, or over Q a
+        reduced ``Fraction`` when x is not integral."""
         if self.kind == "Q":
-            return Fraction(x)
+            return x if type(x) is int else q_canon(Fraction(x))
         x = int(x)
         return x % self.modulus if self.is_modular else x
 
@@ -105,13 +138,11 @@ class CoeffRing:
         if self.kind == "Z":
             return a
         if self.kind == "Q":
-            return Fraction(1) / a
+            return q_canon(Fraction(1) / a)
         return pow(a, -1, self.modulus)
 
     def elem_to_str(self, a) -> str:
-        if self.kind == "Q":
-            f = Fraction(a)
-            return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        """An int as its decimal digits, a non-integral rational as "n/d"."""
         return str(a)
 
     def elem_from_str(self, s: str):
@@ -124,8 +155,8 @@ class CoeffRing:
                 num, den = s.split("/")
                 if int(den) == 0:
                     raise ValueError(f"zero denominator in {s!r}")
-                return Fraction(int(num), int(den))
-            return Fraction(int(s))
+                return q_canon(Fraction(int(num), int(den)))
+            return int(s)
         return self.canon(int(s))
 
     def to_json(self) -> dict:

@@ -131,6 +131,27 @@ class TestGen:
         p = tmp_path / "x.json"
         assert main(["gen", "--seed", "1", "--profile", "gsystem", "-o", str(p), "--ring", "nope"]) == 2
 
+    def test_large_prime_field(self, tmp_path, capsys):
+        """GF(2^61 - 1) is recognized at once, by gen and in a check file."""
+        p = tmp_path / "big.json"
+        assert main(["gen", "--seed", "1", "--profile", "chain-maps", "-o", str(p),
+                     "--ring", "F2305843009213693951"]) == 0
+        assert main(["check", str(p), "--op", "eta-homotopic"]) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("modulus", [(2 ** 61 - 1) * (2 ** 19 - 1), 2 ** 89 - 1])
+    def test_large_gf_modulus_exit_two(self, tmp_path, capsys, modulus):
+        """A composite below the Miller-Rabin bound, and a prime above it."""
+        p = tmp_path / "x.json"
+        assert main(["gen", "--seed", "1", "--profile", "chain-maps", "-o", str(p),
+                     "--ring", f"F{modulus}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["gen", "--seed", "1", "--profile", "chain-maps", "-o", str(p),
+                     "--ring", "F5"]) == 0
+        p.write_text(p.read_text().replace('"modulus": 5', f'"modulus": {modulus}'))
+        assert main(["check", str(p), "--op", "eta-homotopic"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("ring", ["Z", "Z/4", "Q"])
     def test_chain_maps_pose_unknowns(self, tmp_path, capsys, monkeypatch, ring):
         """The eta-homotopic system of every generated chain-maps file has an unknown."""

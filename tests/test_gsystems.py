@@ -553,6 +553,68 @@ class TestTriangle:
         monkeypatch.setattr(cx, "_CONE_SIGN", 1)
         assert False in verdicts()
 
+    def _patched_verdict(self, monkeypatch, **patches):
+        """theta_triangle_check on one strip map that passes, first as is and
+        then with the named gsystems helpers replaced."""
+        import etacomplex.gsystems as gs
+
+        rng = random.Random(0)
+        x = random_strip_delta_complex(Z4, rng)
+        y = random_strip_delta_complex(Z4, rng)
+        alpha = random_delta_map(x, y, rng)
+        assert theta_triangle_check(alpha) is True
+        for name, make in patches.items():
+            monkeypatch.setattr(gs, name, make(getattr(gs, name)))
+        return theta_triangle_check(alpha)
+
+    @staticmethod
+    def _recording(seen):
+        """Wrap a helper so that ``seen`` collects what it returns."""
+        def wrap(real):
+            def helper(*args):
+                seen.append(real(*args))
+                return seen[-1]
+            return helper
+        return wrap
+
+    @staticmethod
+    def _rejecting(seen):
+        """Wrap validate_gsystem so that it rejects exactly the systems in
+        ``seen``; theta_extend's own postcondition still passes."""
+        return lambda real: lambda x: all(x is not s for s in seen) and real(x)
+
+    def test_invalid_cone_system_fails(self, monkeypatch):
+        seen = []
+        assert self._patched_verdict(monkeypatch, theta_cone_system=self._recording(seen),
+                                     validate_gsystem=self._rejecting(seen)) is False
+        assert len(seen) == 1
+
+    def test_cone_rank_mismatch_fails(self, monkeypatch):
+        from types import SimpleNamespace
+
+        def extra_rank(real):
+            return lambda f: SimpleNamespace(ranks={**real(f).ranks, (9, 9): 1})
+
+        assert self._patched_verdict(monkeypatch, cone_delta=extra_rank) is False
+
+    def test_shifted_seed_mismatch_fails(self, monkeypatch):
+        shifted = []
+
+        def empty_seed_of_shift(real):
+            # only the seed of the shifted input is replaced, not theta_extend's
+            return lambda x: (GSystem(x.ring, {}, {}, CGRA) if any(x is s for s in shifted)
+                              else real(x))
+
+        assert self._patched_verdict(monkeypatch, shift_delta=self._recording(shifted),
+                                     _theta_seed=empty_seed_of_shift) is False
+        assert len(shifted) == 1
+
+    def test_invalid_shifted_system_fails(self, monkeypatch):
+        seen = []
+        assert self._patched_verdict(monkeypatch, shift_gsystem=self._recording(seen),
+                                     validate_gsystem=self._rejecting(seen)) is False
+        assert len(seen) == 1
+
     def test_shift_gsystem_validates(self):
         for trial in range(10):
             x = random_delta_complex(Z4, random.Random(54000 + trial))

@@ -17,7 +17,7 @@ from etacomplex.linalg import (
     solve_with_kernel,
 )
 from etacomplex.matrix import RingMatrix, mat_mul
-from etacomplex.rings import GF, QQ, ZZ, CoeffRing, Zmod
+from etacomplex.rings import _MR_BOUND, GF, QQ, ZZ, CoeffRing, Zmod, _is_prime, ring_from_name
 
 
 def M(ring, rows):
@@ -961,6 +961,55 @@ class TestRings:
     def test_canon(self):
         assert Zmod(4).canon(-1) == 3
         assert ZZ.canon(-1) == -1
+
+    def test_rational_canonical_form(self):
+        """Over Q an integral value is an int, any other a Fraction."""
+        for x, want in ((Fraction(4, 2), 2), (Fraction(-3), -3), (True, 1), (0, 0),
+                        ("6/3", 2), (Fraction(1, 2), Fraction(1, 2))):
+            got = QQ.canon(x)
+            assert got == want and type(got) is type(want)
+        assert type(QQ.zero()) is int and type(QQ.one()) is int
+        assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+        assert QQ.inv(2) == Fraction(1, 2)
+        for s, want in (("4/2", 2), ("-7", -7), ("3/-6", Fraction(-1, 2))):
+            got = QQ.elem_from_str(s)
+            assert got == want and type(got) is type(want)
+        assert [QQ.elem_to_str(x) for x in (2, -7, Fraction(-1, 2))] == ["2", "-7", "-1/2"]
+
+    def test_rational_arithmetic_returns_ints(self):
+        """Sums, scalings, products and solutions that come out integral are
+        ints over Q, as a canonical entry must be."""
+        half = M(QQ, [[Fraction(1, 2), Fraction(3, 2)]])
+        for m in (half + half, half.scale(2), mat_mul(M(QQ, [[2]]), half),
+                  solve_linear_system(M(QQ, [[Fraction(1, 3)]]), M(QQ, [[1]]))):
+            assert all(type(x) is int for x in m.entries), m
+
+    def test_is_prime_matches_sieve(self):
+        n_max = 10 ** 5
+        sieve = bytearray([1]) * n_max
+        sieve[0] = sieve[1] = 0
+        for p in range(2, int(n_max ** 0.5) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytearray(len(range(p * p, n_max, p)))
+        assert all(_is_prime(n) == bool(sieve[n]) for n in range(n_max))
+
+    def test_is_prime_strong_pseudoprimes(self):
+        # 3215031751 fools the bases 2, 3, 5, 7; 3825123056546413051 the primes to 23
+        for n in (3215031751, 3825123056546413051, 2 ** 61 + 1, (2 ** 61 - 1) * (2 ** 19 - 1)):
+            assert not _is_prime(n)
+        for n in (2 ** 61 - 1, 2 ** 31 - 1, 1000000007):
+            assert _is_prime(n)
+        with pytest.raises(ValueError, match="must be below"):
+            _is_prime(_MR_BOUND)  # composite, a strong pseudoprime to all 13 bases
+
+    def test_large_prime_field(self):
+        ring = ring_from_name("F2305843009213693951")
+        assert ring == GF(2 ** 61 - 1)
+        a = M(ring, [[2, 3], [5, 7]])
+        x = solve_linear_system(a, M(ring, [[1], [1]]))
+        assert mat_mul(a, x) == M(ring, [[1], [1]])
+        with pytest.raises(ValueError, match="must be below"):
+            GF(2 ** 89 - 1)  # prime, but above the bound
 
     def test_serialization_round_trip(self):
         for ring in (ZZ, QQ, Zmod(8), GF(5)):
