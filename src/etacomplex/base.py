@@ -344,10 +344,11 @@ class GradedMorphism:
         self.source = source
         self.target = target
         clean = {}
+        rows, cols = target.ranks, source.ranks
         for (n, j), m in components.items():
             if n < 0:
                 raise ValueError("component degree must be >= 0")
-            if (m.rows, m.cols) != (target.rank(j + n), source.rank(j)):
+            if (m.rows, m.cols) != (rows.get(j + n, 0), cols.get(j, 0)):
                 raise ValueError(
                     f"component ({n},{j}) has shape {m.rows}x{m.cols}, "
                     f"expected {target.rank(j + n)}x{source.rank(j)}"

@@ -54,7 +54,8 @@ class Complex:
         }
 
     def obj(self, n: int):
-        return self.objects.get(n, self.instance.zero_obj())
+        X = self.objects.get(n)
+        return self.instance.zero_obj() if X is None else X
 
     def diff(self, n: int):
         d = self.diffs.get(n)

@@ -35,6 +35,7 @@ from .complexes import (
 )
 from .frobenius import StandardConflation
 from .gsystems import (
+    GA,
     DeltaComplex,
     DeltaMap,
     MatrixProblem,
@@ -44,7 +45,7 @@ from .gsystems import (
     gsystem_to_complex,
 )
 from .matrix import RingMatrix
-from .rings import CoeffRing, Zmod
+from .rings import CoeffRing, Zmod, _prime_powers
 
 
 def _is_graded(inst: BaseInstance) -> bool:
@@ -130,8 +131,8 @@ def _conjugate(c: Complex, rng: random.Random):
     return Complex(inst, c.objects, diffs), autos
 
 
-def _sum_conjugate(inst: BaseInstance, parts: List[Complex], rng: random.Random) -> Complex:
-    """The block-diagonal sum of ``parts`` in draw order, conjugated."""
+def _block_sum(inst: BaseInstance, parts: List[Complex]) -> Complex:
+    """The block-diagonal sum of ``parts`` in draw order."""
     degs = sorted({n for p in parts for n in p.objects})
     objects = {n: inst.dsum([p.obj(n) for p in parts]) for n in degs}
     diffs = {
@@ -142,7 +143,7 @@ def _sum_conjugate(inst: BaseInstance, parts: List[Complex], rng: random.Random)
         )
         for n in degs
     }
-    return _conjugate(Complex(inst, objects, diffs), rng)[0]
+    return Complex(inst, objects, diffs)
 
 
 # -- elementary complexes ---------------------------------------------------
@@ -154,14 +155,10 @@ def _nilpotent_entries(ring: CoeffRing, length: int) -> Optional[List]:
         return []
     if ring.kind == "Zmod":
         m = ring.modulus
-        # factor m = a*b nontrivially and alternate: b*a = 0 mod m
-        for a in range(2, m):
-            if m % a == 0:
-                b = m // a
-                out = []
-                for k in range(length - 1):
-                    out.append(a if k % 2 == 0 else b)
-                return out
+        # m = a*b with a its least prime factor, alternated: b*a = 0 mod m
+        a = _prime_powers(m)[0][0]
+        if a < m:
+            return [a if k % 2 == 0 else m // a for k in range(length - 1)]
     return None
 
 
@@ -200,7 +197,7 @@ def random_scalar_complex(
                 {start + t: 1 for t in range(ln)},
                 {start + t: RingMatrix(ring, 1, 1, [chain[t]]) for t in range(ln - 1)},
             ))
-    return _sum_conjugate(inst, parts, rng)
+    return _conjugate(_block_sum(inst, parts), rng)[0]
 
 
 def random_graded_object(rng: random.Random, max_rank: int = 2) -> GradedObject:
@@ -238,7 +235,7 @@ def random_graded_complex(
             n = rng.choice(degs[:-1])  # eta-disk: eta_V: V(1) -> V
             V = random_graded_object(rng, max_rank)
             parts.append(Complex(inst, {n: inst.shift_obj(V, 1), n + 1: V}, {n: inst.eta(V)}))
-    return _sum_conjugate(inst, parts, rng)
+    return _conjugate(_block_sum(inst, parts), rng)[0]
 
 
 def random_complex(inst: BaseInstance, rng: random.Random, max_len: int = 4, max_rank: int = 2) -> Complex:
@@ -334,9 +331,9 @@ def _delta_column_piece(ring: CoeffRing, rng: random.Random, max_rank: int = 2):
     inst = ScalarEta(ring, ring.one())
     c = random_scalar_complex(inst, rng, max_len=3, max_rank=max_rank, min_deg=-1)
     j0 = rng.randint(-1, 1)
-    ranks = {(i, j0): r for i, r in c.objects.items()}
-    delta0 = {(i, j0): m for i, m in c.diffs.items()}
-    return ranks, delta0, {}
+    return DeltaComplex(
+        ring, {(i, j0): r for i, r in c.objects.items()}, {(i, j0): m for i, m in c.diffs.items()}, {}
+    )
 
 
 def _delta_strip_piece(ring: CoeffRing, rng: random.Random, max_rank: int = 2):
@@ -344,9 +341,9 @@ def _delta_strip_piece(ring: CoeffRing, rng: random.Random, max_rank: int = 2):
     inst = ScalarEta(ring, ring.one())
     c = random_scalar_complex(inst, rng, max_len=3, max_rank=max_rank, min_deg=-1)
     i0 = rng.randint(-1, 1)
-    ranks = {(i0, j): r for j, r in c.objects.items()}
-    delta1 = {(i0, j): m for j, m in c.diffs.items()}
-    return ranks, {}, delta1
+    return DeltaComplex(
+        ring, {(i0, j): r for j, r in c.objects.items()}, {}, {(i0, j): m for j, m in c.diffs.items()}
+    )
 
 
 def inductive_delta_complex(rng: Optional[random.Random] = None):
@@ -385,43 +382,16 @@ def obstructed_delta_complex(ring: CoeffRing):
     return DeltaComplex(ring, ranks, delta0, delta1)
 
 
-def _delta_direct_sum(ring: CoeffRing, pieces):
-    keys = sorted({pos for rk, _, _ in pieces for pos in rk})
-    ranks = {pos: sum(rk.get(pos, 0) for rk, _, _ in pieces) for pos in keys}
-
-    def assemble(which):
-        out = {}
-        for (i, j) in keys:
-            ti, tj = (i + 1, j) if which == 0 else (i, j + 1)
-            rows = [rk.get((ti, tj), 0) for rk, _, _ in pieces]
-            cols = [rk.get((i, j), 0) for rk, _, _ in pieces]
-            if not sum(rows) or not sum(cols):
-                continue
-            grid = [
-                [pieces[bi][1 + which].get((i, j)) if bi == bj else None
-                 for bj in range(len(pieces))]
-                for bi in range(len(pieces))
-            ]
-            out[(i, j)] = RingMatrix.block(ring, grid, rows, cols)
-        return out
-
-    return DeltaComplex(ring, ranks, assemble(0), assemble(1))
+def _delta_direct_sum(ring: CoeffRing, pieces: List[DeltaComplex]) -> DeltaComplex:
+    """The block-diagonal sum of ``pieces`` in draw order."""
+    return DeltaComplex._of(_block_sum(graded_complex_instance(ring), [p.complex for p in pieces]), GA)
 
 
-def _delta_conjugate(x, rng: random.Random):
-    """Disguise by degreewise unimodular changes of basis."""
+def _delta_conjugate(x: DeltaComplex, rng: random.Random) -> DeltaComplex:
+    """Disguise by degreewise unimodular changes of basis, drawn in (i, j) order."""
     autos = {pos: random_unimodular(x.ring, r, rng) for pos, r in x.ranks.items()}
-
-    def u(i, j):
-        a = autos.get((i, j))
-        return a[0] if a else RingMatrix.identity(x.ring, 0)
-
-    def uinv(i, j):
-        a = autos.get((i, j))
-        return a[1] if a else RingMatrix.identity(x.ring, 0)
-
-    d0 = {(i, j): u(i + 1, j) @ m @ uinv(i, j) for (i, j), m in x.delta0.items()}
-    d1 = {(i, j): u(i, j + 1) @ m @ uinv(i, j) for (i, j), m in x.delta1.items()}
+    d0 = {(i, j): autos[(i + 1, j)][0] @ m @ autos[(i, j)][1] for (i, j), m in x.delta0.items()}
+    d1 = {(i, j): autos[(i, j + 1)][0] @ m @ autos[(i, j)][1] for (i, j), m in x.delta1.items()}
     return DeltaComplex(x.ring, x.ranks, d0, d1)
 
 
@@ -440,8 +410,7 @@ def random_delta_complex(ring: CoeffRing, rng: random.Random, max_rank: int = 2)
         elif kind < 0.85 or not (ring.kind == "Zmod" and ring.modulus == 4):
             pieces.append(_delta_strip_piece(ring, rng, max_rank))
         else:
-            t = inductive_delta_complex(rng)
-            pieces.append((t.ranks, t.delta0, t.delta1))
+            pieces.append(inductive_delta_complex(rng))
     return _delta_conjugate(_delta_direct_sum(ring, pieces), rng)
 
 

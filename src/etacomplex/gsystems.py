@@ -17,12 +17,15 @@ layer checks them.  Two index conventions read the stored form:
 and ``gsystem_to_complex``/``gmorphism_to_chain_map`` return the stored
 objects.
 
-``DeltaComplex`` is the weaker input datum: a bigraded family with a strict
-differential delta0 in the i direction and a strictly commuting delta1 in
-the j direction whose square is only null-homotopic.  ``theta_extend``
-completes it to a full GSystem by solving the level-n relations
-inductively; ``totalize`` collapses a GSystem to an ordinary complex by
-summing the grading; ``phi`` is the composite.  ``theta_extend_mor``
+``DeltaComplex`` is the weaker input datum: the GA system at levels 0 and
+1 only, with a strict differential delta0 = d_0 in the i direction and a
+strictly commuting delta1 = d_1 in the j direction whose square is only
+null-homotopic.  Its relations are ``validate_delta``'s, not the
+convolution relations.  A ``DeltaMap`` stores one level-0 GMorphism, whose
+chain-map relations are the two strict squares.  ``theta_extend``
+completes a DeltaComplex to a full GSystem by solving the level-n
+relations inductively; ``totalize`` collapses a GSystem to an ordinary
+complex by summing the grading; ``phi`` is the composite.  ``theta_extend_mor``
 extends a column-wise map, and ``eta_null_complete`` grows a two-term
 homotopy seed, found by ``find_seed``, into a full eta-homotopy
 certificate; each solves all levels of its family as one system and
@@ -104,7 +107,8 @@ class GSystem:
     its differential in degree i (the CgrA reading).  A GA system is the
     same complex read through ``psi``: its position (a, j) is complex degree
     a + j.  ``ranks`` and ``diffs`` are views: dicts computed from the
-    complex on each read, keyed in the system's own convention.
+    complex on each read, keyed in the system's own convention and in
+    sorted key order.
     """
 
     __slots__ = ("convention", "complex")
@@ -119,23 +123,24 @@ class GSystem:
         if convention not in (CGRA, GA):
             raise ValueError(f"unknown convention {convention!r}")
         self.convention = convention
+        ga = convention == GA
         by_i: Dict[int, Dict[int, int]] = {}
         for (i, j), r in ranks.items():
-            by_i.setdefault(self._degree(i, j), {})[j] = r
+            by_i.setdefault(i + j if ga else i, {})[j] = r
         objects = {i: GradedObject(rs) for i, rs in by_i.items()}
         comps: Dict[int, Dict[Tuple[int, int], RingMatrix]] = {}
         for (n, i, j), m in diffs.items():
-            comps.setdefault(self._degree(i, j), {})[(n, j)] = m
+            comps.setdefault(i + j if ga else i, {})[(n, j)] = m
         zero = GradedObject({})
         self.complex = Complex(graded_complex_instance(ring), objects, {
             i: GradedMorphism(objects.get(i, zero), objects.get(i + 1, zero), cs)
             for i, cs in comps.items()
         })
 
-    @staticmethod
-    def _of(c: Complex, convention: str) -> "GSystem":
+    @classmethod
+    def _of(cls, c: Complex, convention: str) -> "GSystem":
         """The system whose stored complex is c, read in ``convention``."""
-        x = object.__new__(GSystem)
+        x = object.__new__(cls)
         x.convention = convention
         x.complex = c
         return x
@@ -143,10 +148,6 @@ class GSystem:
     @property
     def ring(self) -> CoeffRing:
         return self.complex.instance.ring
-
-    def _degree(self, i: int, j: int) -> int:
-        """The complex degree of position (i, j)."""
-        return i + j if self.convention == GA else i
 
     def target_pos(self, n: int, i: int, j: int) -> Tuple[int, int]:
         if self.convention == CGRA:
@@ -156,34 +157,38 @@ class GSystem:
     @property
     def ranks(self) -> Dict[Tuple[int, int], int]:
         ga = self.convention == GA
-        return {
-            (i - j if ga else i, j): r
+        return dict(sorted([
+            ((i - j if ga else i, j), r)
             for i, X in self.complex.objects.items() for j, r in X.ranks.items()
-        }
+        ]))
 
     @property
     def diffs(self) -> Dict[Tuple[int, int, int], RingMatrix]:
         ga = self.convention == GA
-        return {
-            (n, i - j if ga else i, j): m
+        return dict(sorted([
+            ((n, i - j if ga else i, j), m)
             for i, d in self.complex.diffs.items() for (n, j), m in d.components.items()
-        }
+        ]))
 
     def rank(self, i: int, j: int) -> int:
         X = self.complex.objects.get(i + j if self.convention == GA else i)
         return 0 if X is None else X.ranks.get(j, 0)
 
     def diff(self, n: int, i: int, j: int) -> RingMatrix:
-        d = self.complex.diffs.get(i + j if self.convention == GA else i)
+        c = self.complex
+        k = i + j if self.convention == GA else i
+        d = c.diffs.get(k)
         m = None if d is None else d.components.get((n, j))
-        if m is None:
-            ti, tj = self.target_pos(n, i, j)
-            return RingMatrix.zero(self.ring, self.rank(ti, tj), self.rank(i, j))
+        if m is None:  # d_n maps degree j of X^k to degree j + n of X^{k+1}
+            X, Y = c.objects.get(k), c.objects.get(k + 1)
+            rows = 0 if Y is None else Y.ranks.get(j + n, 0)
+            return RingMatrix.zero(c.instance.ring, rows, 0 if X is None else X.ranks.get(j, 0))
         return m
 
     @property
     def positions(self) -> List[Tuple[int, int]]:
-        return sorted(self.ranks)
+        ga = self.convention == GA
+        return sorted([(i - j if ga else i, j) for i, X in self.complex.objects.items() for j in X.ranks])
 
     def max_level(self) -> int:
         return max((n for d in self.complex.diffs.values() for (n, _) in d.components), default=0)
@@ -193,24 +198,24 @@ class GSystem:
 
     def __eq__(self, other):
         return (
-            isinstance(other, GSystem)
+            type(other) is type(self)
             and self.convention == other.convention
             and self.complex == other.complex
         )
 
     def __repr__(self):
-        return f"GSystem({self.convention}, positions={self.positions})"
+        return f"{type(self).__name__}({self.convention}, positions={self.positions})"
 
     def to_json(self):
         return {
             "convention": self.convention,
             "ring": self.ring.to_json(),
             "ranks": [
-                {"i": i, "j": j, "rank": r} for (i, j), r in sorted(self.ranks.items())
+                {"i": i, "j": j, "rank": r} for (i, j), r in self.ranks.items()
             ],
             "diffs": [
                 {"n": n, "i": i, "j": j, "matrix": m.to_json()}
-                for (n, i, j), m in sorted(self.diffs.items())
+                for (n, i, j), m in self.diffs.items()
             ],
         }
 
@@ -231,7 +236,7 @@ class GMorphism:
     Stored as one ``chain_map`` between the endpoints' complexes: f_n^{ij}
     is component (n, j) of its graded morphism in the complex degree of
     (i, j).  ``components`` is a view in the same way, keyed in the
-    endpoints' convention.
+    endpoints' convention and in sorted key order.
     """
 
     __slots__ = ("source", "target", "chain_map")
@@ -246,9 +251,10 @@ class GMorphism:
             raise ValueError("GMorphism endpoints disagree on ring or convention")
         self.source = source
         self.target = target
+        ga = source.convention == GA
         by_i: Dict[int, Dict[Tuple[int, int], RingMatrix]] = {}
         for (n, i, j), m in components.items():
-            by_i.setdefault(source._degree(i, j), {})[(n, j)] = m
+            by_i.setdefault(i + j if ga else i, {})[(n, j)] = m
         cx, cy = source.complex, target.complex
         self.chain_map = ChainMap(cx, cy, {
             i: GradedMorphism(cx.obj(i), cy.obj(i), cs) for i, cs in by_i.items()
@@ -271,19 +277,19 @@ class GMorphism:
     @property
     def components(self) -> Dict[Tuple[int, int, int], RingMatrix]:
         ga = self.source.convention == GA
-        return {
-            (n, i - j if ga else i, j): m
+        return dict(sorted([
+            ((n, i - j if ga else i, j), m)
             for i, g in self.chain_map.components.items() for (n, j), m in g.components.items()
-        }
+        ]))
 
     def comp(self, n: int, i: int, j: int) -> RingMatrix:
-        g = self.chain_map.components.get(self.source._degree(i, j))
+        k = i + j if self.source.convention == GA else i
+        g = self.chain_map.components.get(k)
         m = None if g is None else g.components.get((n, j))
-        if m is None:
-            ti, tj = self.comp_target(n, i, j)
-            return RingMatrix.zero(
-                self.source.ring, self.target.rank(ti, tj), self.source.rank(i, j)
-            )
+        if m is None:  # f_n maps degree j of X^k to degree j + n of Y^k
+            X, Y = self.source.complex.objects.get(k), self.target.complex.objects.get(k)
+            rows = 0 if Y is None else Y.ranks.get(j + n, 0)
+            return RingMatrix.zero(self.source.ring, rows, 0 if X is None else X.ranks.get(j, 0))
         return m
 
     def max_level(self) -> int:
@@ -548,15 +554,18 @@ class MatrixProblem(LinearProblem):
 # ---------------------------------------------------------------------------
 
 
-class DeltaComplex:
+class DeltaComplex(GSystem):
     """Bigraded family with a strict i-differential and a commuting j-map.
 
-    delta0^{ij}: X^{ij} -> X^{i+1,j} squares to zero; delta1^{ij}:
+    The GA system with levels 0 and 1 only: delta0^{ij} = d_0^{ij}:
+    X^{ij} -> X^{i+1,j} squares to zero; delta1^{ij} = d_1^{ij}:
     X^{ij} -> X^{i,j+1} commutes strictly with delta0 and its square is
-    only required to be null-homotopic with respect to delta0.
+    only required to be null-homotopic with respect to delta0.  Those are
+    ``validate_delta``'s relations, not the convolution relations.
+    ``ranks``, ``delta0`` and ``delta1`` are views in sorted (i, j) order.
     """
 
-    __slots__ = ("ring", "ranks", "delta0", "delta1")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -565,87 +574,50 @@ class DeltaComplex:
         delta0: Dict[Tuple[int, int], RingMatrix],
         delta1: Dict[Tuple[int, int], RingMatrix],
     ):
-        if any(r < 0 for r in ranks.values()):
-            raise ValueError("negative rank")
-        self.ring = ring
-        self.ranks = {(int(i), int(j)): int(r) for (i, j), r in ranks.items() if r}
-        d0: Dict[Tuple[int, int], RingMatrix] = {}
-        for (i, j), m in delta0.items():
-            if (m.rows, m.cols) != (self.rank(i + 1, j), self.rank(i, j)):
-                raise ValueError(f"delta0 at ({i},{j}) has the wrong shape")
-            if not m.is_zero():
-                d0[(i, j)] = m
-        d1: Dict[Tuple[int, int], RingMatrix] = {}
-        for (i, j), m in delta1.items():
-            if (m.rows, m.cols) != (self.rank(i, j + 1), self.rank(i, j)):
-                raise ValueError(f"delta1 at ({i},{j}) has the wrong shape")
-            if not m.is_zero():
-                d1[(i, j)] = m
-        self.delta0 = d0
-        self.delta1 = d1
+        diffs = {(n, i, j): m for n, d in enumerate((delta0, delta1)) for (i, j), m in d.items()}
+        super().__init__(ring, ranks, diffs, GA)
 
-    def rank(self, i: int, j: int) -> int:
-        return self.ranks.get((i, j), 0)
+    def _level(self, n: int) -> Dict[Tuple[int, int], RingMatrix]:
+        return {(i, j): m for (k, i, j), m in self.diffs.items() if k == n}
+
+    @property
+    def delta0(self) -> Dict[Tuple[int, int], RingMatrix]:
+        return self._level(0)
+
+    @property
+    def delta1(self) -> Dict[Tuple[int, int], RingMatrix]:
+        return self._level(1)
 
     def d0(self, i: int, j: int) -> RingMatrix:
-        m = self.delta0.get((i, j))
-        if m is None:
-            return RingMatrix.zero(self.ring, self.rank(i + 1, j), self.rank(i, j))
-        return m
+        return self.diff(0, i, j)
 
     def d1(self, i: int, j: int) -> RingMatrix:
-        m = self.delta1.get((i, j))
-        if m is None:
-            return RingMatrix.zero(self.ring, self.rank(i, j + 1), self.rank(i, j))
-        return m
+        return self.diff(1, i, j)
 
     @property
     def columns(self) -> List[int]:
-        return sorted({j for (_, j) in self.ranks})
+        return sorted({j for X in self.complex.objects.values() for j in X.ranks})
 
-    @property
-    def positions(self) -> List[Tuple[int, int]]:
-        return sorted(self.ranks)
-
-    def is_zero(self) -> bool:
-        return not self.ranks
+    def _column(self, n: int, j: int) -> Dict[int, RingMatrix]:
+        """The level-n components in column j, keyed by i."""
+        return {
+            i - j: d.components[(n, j)]
+            for i, d in sorted(self.complex.diffs.items()) if (n, j) in d.components
+        }
 
     def column_complex(self, j: int) -> Complex:
-        inst = ScalarEta(self.ring, self.ring.one())
-        objects = {i: r for (i, jj), r in self.ranks.items() if jj == j}
-        diffs = {i: m for (i, jj), m in self.delta0.items() if jj == j}
-        return Complex(inst, objects, diffs)
+        objects = {i - j: X.ranks[j] for i, X in sorted(self.complex.objects.items()) if j in X.ranks}
+        return Complex(ScalarEta(self.ring, self.ring.one()), objects, self._column(0, j))
 
     def delta1_map(self, j: int) -> ChainMap:
-        comps = {i: m for (i, jj), m in self.delta1.items() if jj == j}
-        return ChainMap(self.column_complex(j), self.column_complex(j + 1), comps)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DeltaComplex)
-            and self.ring == other.ring
-            and self.ranks == other.ranks
-            and self.delta0 == other.delta0
-            and self.delta1 == other.delta1
-        )
-
-    def __repr__(self):
-        return f"DeltaComplex(positions={self.positions})"
+        return ChainMap(self.column_complex(j), self.column_complex(j + 1), self._column(1, j))
 
     def to_json(self):
         return {
             "ring": self.ring.to_json(),
-            "ranks": [
-                {"i": i, "j": j, "rank": r} for (i, j), r in sorted(self.ranks.items())
-            ],
-            "delta0": [
-                {"i": i, "j": j, "matrix": m.to_json()}
-                for (i, j), m in sorted(self.delta0.items())
-            ],
-            "delta1": [
-                {"i": i, "j": j, "matrix": m.to_json()}
-                for (i, j), m in sorted(self.delta1.items())
-            ],
+            "ranks": [{"i": i, "j": j, "rank": r} for (i, j), r in self.ranks.items()],
+            "delta0": [{"i": i, "j": j, "matrix": m.to_json()} for (i, j), m in self.delta0.items()],
+            "delta1": [{"i": i, "j": j, "matrix": m.to_json()} for (i, j), m in self.delta1.items()],
         }
 
     @staticmethod
@@ -674,9 +646,13 @@ def validate_delta(x: DeltaComplex) -> bool:
 
 
 class DeltaMap:
-    """Column-wise chain map between DeltaComplexes, strict in both directions."""
+    """Column-wise chain map between DeltaComplexes, strict in both directions.
 
-    __slots__ = ("source", "target", "components")
+    Stored as one level-0 ``morphism`` between the endpoints; ``components``
+    is a view in sorted (i, j) order.
+    """
+
+    __slots__ = ("morphism",)
 
     def __init__(
         self,
@@ -684,47 +660,30 @@ class DeltaMap:
         target: DeltaComplex,
         components: Dict[Tuple[int, int], RingMatrix],
     ):
-        if source.ring != target.ring:
-            raise ValueError("ring mismatch")
-        self.source = source
-        self.target = target
-        clean: Dict[Tuple[int, int], RingMatrix] = {}
-        for (i, j), m in components.items():
-            if (m.rows, m.cols) != (target.rank(i, j), source.rank(i, j)):
-                raise ValueError(f"component at ({i},{j}) has the wrong shape")
-            if not m.is_zero():
-                clean[(i, j)] = m
-        self.components = clean
+        self.morphism = GMorphism(source, target, {(0, i, j): m for (i, j), m in components.items()})
+
+    @property
+    def source(self) -> DeltaComplex:
+        return self.morphism.source
+
+    @property
+    def target(self) -> DeltaComplex:
+        return self.morphism.target
+
+    @property
+    def components(self) -> Dict[Tuple[int, int], RingMatrix]:
+        return {(i, j): m for (_, i, j), m in self.morphism.components.items()}
 
     def comp(self, i: int, j: int) -> RingMatrix:
-        m = self.components.get((i, j))
-        if m is None:
-            return RingMatrix.zero(
-                self.source.ring, self.target.rank(i, j), self.source.rank(i, j)
-            )
-        return m
-
-    def is_zero(self) -> bool:
-        return not self.components
+        return self.morphism.comp(0, i, j)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, DeltaMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.components == other.components
-        )
+        return isinstance(other, DeltaMap) and self.morphism == other.morphism
 
 
 def validate_delta_map(f: DeltaMap) -> bool:
-    X, Y = f.source, f.target
-    keys = set(X.positions) | set(f.components)
-    for (i, j) in sorted(keys):
-        if Y.d0(i, j) @ f.comp(i, j) != f.comp(i + 1, j) @ X.d0(i, j):
-            return False
-        if Y.d1(i, j) @ f.comp(i, j) != f.comp(i, j + 1) @ X.d1(i, j):
-            return False
-    return True
+    """f d = d f over Graded: its levels 0 and 1 are the strict squares with delta0 and delta1."""
+    return validate_gmorphism(f.morphism)
 
 
 def shift_delta(x: DeltaComplex) -> DeltaComplex:
@@ -779,11 +738,11 @@ def _theta_sign(i: int, j: int):
 
 
 def _theta_seed(x: DeltaComplex) -> GSystem:
-    """Levels 0 and 1 of the extension: delta0 and the signed delta1, reindexed to CgrA."""
-    diffs = {(0, r + j, j): m for (r, j), m in x.delta0.items()}
-    for (r, j), m in x.delta1.items():
-        diffs[(1, r + j, j)] = m if _theta_sign(r + j, j) == 1 else -m
-    return GSystem(x.ring, {(r + j, j): rk for (r, j), rk in x.ranks.items()}, diffs, CGRA)
+    """Levels 0 and 1 of the extension: psi of x, with level 1 signed."""
+    seed = psi(x)
+    return GSystem(x.ring, seed.ranks, {
+        (n, i, j): -m if n == 1 and _theta_sign(i, j) == -1 else m for (n, i, j), m in seed.diffs.items()
+    }, CGRA)
 
 
 def _add_unknowns(prob: MatrixProblem, X: GSystem, Y: GSystem, n: int, di: int):

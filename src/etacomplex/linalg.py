@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .matrix import RingMatrix
-from .rings import ZZ, Zmod, q_canon
+from .rings import ZZ, Zmod, _prime_powers, q_canon
 
 
 # -- Smith normal form over Z ----------------------------------------------
@@ -100,23 +100,6 @@ def smith_normal_form(a: RingMatrix) -> Tuple[RingMatrix, RingMatrix, RingMatrix
 
 
 # -- system solving --------------------------------------------------------
-
-
-def _prime_powers(m: int) -> List[Tuple[int, int]]:
-    """The factorization of m >= 2 as [(p, k), ...], primes increasing."""
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            out.append((p, k))
-        p += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
 
 
 def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):

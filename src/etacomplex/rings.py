@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import Dict, List, Tuple
 
 
 def json_int(v, what: str) -> int:
@@ -68,6 +70,46 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _rho(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor below 1000:
+    Pollard's rho with Brent's cycle search (BIT 20, 1980)."""
+    for c in range(1, n):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+    raise ArithmeticError(f"no divisor of {n} found")
+
+
+def _prime_powers(m: int) -> List[Tuple[int, int]]:
+    """The factorization of 2 <= m < ``_MR_BOUND`` as [(p, k), ...], primes
+    increasing: trial division below 1000, then ``_is_prime`` and ``_rho`` on
+    the cofactor left."""
+    counts: Dict[int, int] = {}
+    p = 2
+    while p < 1000 and p * p <= m:
+        while m % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            m //= p
+        p += 1
+    left = [m] if m > 1 else []
+    while left:
+        n = left.pop()
+        if _is_prime(n):
+            counts[n] = counts.get(n, 0) + 1
+        else:
+            d = _rho(n)
+            left += [d, n // d]
+    return sorted(counts.items())
+
+
 @dataclass(frozen=True)
 class CoeffRing:
     """One of Integers, IntegersMod(m), PrimeField(p) or Rationals."""
@@ -78,8 +120,8 @@ class CoeffRing:
     def __post_init__(self):
         if self.kind not in ("Z", "Zmod", "GF", "Q"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
-        if self.kind == "Zmod" and self.modulus < 2:
-            raise ValueError("IntegersMod modulus must be >= 2")
+        if self.kind == "Zmod" and not 2 <= self.modulus < _MR_BOUND:
+            raise ValueError(f"an IntegersMod modulus must be >= 2 and below {_MR_BOUND}")
         if self.kind == "GF" and not _is_prime(self.modulus):
             raise ValueError(f"{self.modulus} is not prime")
         if self.kind in ("Z", "Q") and self.modulus:
@@ -127,8 +169,6 @@ class CoeffRing:
             return a in (1, -1)
         if self.kind == "Q":
             return a != 0
-        from math import gcd
-
         return gcd(a, self.modulus) == 1
 
     def inv(self, a):

@@ -152,6 +152,27 @@ class TestGen:
         assert main(["check", str(p), "--op", "eta-homotopic"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("modulus", [2 ** 61 - 1, (2 ** 31 - 1) * (2 ** 31 - 19)])
+    def test_large_zmod_modulus(self, tmp_path, capsys, modulus):
+        """Z/m with a large prime factor is factored at once, by gen and check."""
+        p = tmp_path / "big.json"
+        for profile, op in (("chain-maps", "eta-homotopic"), ("pair", "is-eta-conflation"),
+                            ("delta-map", "triangle-check")):
+            assert main(["gen", "--seed", "1", "--profile", profile, "-o", str(p),
+                         "--ring", f"Z/{modulus}"]) == 0
+            assert main(["check", str(p), "--op", op]) in (0, 1)
+            assert "Traceback" not in capsys.readouterr().err
+
+    def test_zmod_modulus_above_bound_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "x.json"
+        assert main(["gen", "--seed", "1", "--profile", "chain-maps", "-o", str(p),
+                     "--ring", f"Z/{2 ** 89 - 1}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["gen", "--seed", "1", "--profile", "chain-maps", "-o", str(p), "--ring", "Z/4"]) == 0
+        p.write_text(p.read_text().replace('"modulus": 4', f'"modulus": {2 ** 89 - 1}'))
+        assert main(["check", str(p), "--op", "eta-homotopic"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("ring", ["Z", "Z/4", "Q"])
     def test_chain_maps_pose_unknowns(self, tmp_path, capsys, monkeypatch, ring):
         """The eta-homotopic system of every generated chain-maps file has an unknown."""

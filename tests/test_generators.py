@@ -2,7 +2,9 @@
 
 The reference functions below are the generators' bodies from before every
 random complex went through one sum-and-conjugate helper, random maps
-through one kernel draw, and the axiom witnesses through one draw each.
+through one kernel draw, the axiom witnesses through one draw each,
+random DeltaComplexes through the same block sum as random complexes, and
+the nilpotent chains' factor of m through the rings' factoring helper.
 They are kept verbatim, renamed, as the reference: on the same seed the
 library must give the same serialized instance and leave the random
 generator in the same state.
@@ -29,6 +31,7 @@ from etacomplex.complexes import (
 from etacomplex.generators import (
     _nilpotent_entries,
     conjugate_pair,
+    inductive_delta_complex,
     random_chain_map,
     random_complex,
     random_delta_complex,
@@ -42,7 +45,7 @@ from etacomplex.generators import (
     random_strip_delta_complex,
     random_unimodular,
 )
-from etacomplex.gsystems import DeltaMap, MatrixProblem
+from etacomplex.gsystems import DeltaComplex, DeltaMap, MatrixProblem
 from etacomplex.matrix import RingMatrix
 from etacomplex.rings import GF, QQ, ZZ, CoeffRing, Zmod
 from etacomplex.serialize import payload_to_json
@@ -126,6 +129,28 @@ class TestGeneratorOracle:
                           lambda r: (ref_random_chain_map(a, b, r), ref_random_chain_map(a, b, r)))
                 drawn += not f[0].is_zero()
         assert drawn
+
+    def test_nilpotent_entries(self):
+        for ring in RINGS + [Zmod(m) for m in range(2, 400)]:
+            for length in range(5):
+                assert _nilpotent_entries(ring, length) == ref_nilpotent_entries(ring, length)
+        p, q = 2 ** 31 - 1, 2 ** 31 - 19
+        assert _nilpotent_entries(Zmod(2 ** 61 - 1), 3) is None
+        assert _nilpotent_entries(Zmod(p * q), 4) == [q, p, q]
+
+    def test_delta_complexes(self):
+        seen = set()
+        for ring in RINGS:
+            for seed in range(16):
+                for size in ({}, {"max_rank": 3}):
+                    x = _same(seed, "delta-complex", lambda r: random_delta_complex(ring, r, **size),
+                              lambda r: ref_random_delta_complex(ring, r, **size))
+                    _same(seed, "delta-complex", lambda r: random_strip_delta_complex(ring, r, **size),
+                          lambda r: ref_random_strip_delta_complex(ring, r, **size))
+                    seen.add(("delta0 and delta1", bool(x.delta0) and bool(x.delta1)))
+                    seen.add(("GA order differs", list(x.complex.objects) != sorted(x.complex.objects)))
+                    seen.add(("level 2 template", ring == Zmod(4) and x.ranks.get((1, 2), 0) >= 2))
+        assert {("delta0 and delta1", True), ("GA order differs", True), ("level 2 template", True)} <= seen
 
     def test_delta_maps(self):
         drawn = 0
@@ -436,3 +461,109 @@ def ref_random_delta_map(X, Y, rng: random.Random):
         scaled = {k: m.scale(c) for k, m in g.items()}
         comps = scaled if comps is None else {k: comps[k] + scaled[k] for k in comps}
     return DeltaMap(X, Y, comps or {})
+
+
+def ref_delta_column_piece(ring: CoeffRing, rng: random.Random, max_rank: int = 2):
+    """A single column: any strict complex in the i direction, no j-map."""
+    inst = ScalarEta(ring, ring.one())
+    c = random_scalar_complex(inst, rng, max_len=3, max_rank=max_rank, min_deg=-1)
+    j0 = rng.randint(-1, 1)
+    ranks = {(i, j0): r for i, r in c.objects.items()}
+    delta0 = {(i, j0): m for i, m in c.diffs.items()}
+    return ranks, delta0, {}
+
+
+def ref_delta_strip_piece(ring: CoeffRing, rng: random.Random, max_rank: int = 2):
+    """A single row laid out along j: zero i-differential, strict j-map."""
+    inst = ScalarEta(ring, ring.one())
+    c = random_scalar_complex(inst, rng, max_len=3, max_rank=max_rank, min_deg=-1)
+    i0 = rng.randint(-1, 1)
+    ranks = {(i0, j): r for j, r in c.objects.items()}
+    delta1 = {(i0, j): m for j, m in c.diffs.items()}
+    return ranks, {}, delta1
+
+
+def ref_delta_direct_sum(ring: CoeffRing, pieces):
+    keys = sorted({pos for rk, _, _ in pieces for pos in rk})
+    ranks = {pos: sum(rk.get(pos, 0) for rk, _, _ in pieces) for pos in keys}
+
+    def assemble(which):
+        out = {}
+        for (i, j) in keys:
+            ti, tj = (i + 1, j) if which == 0 else (i, j + 1)
+            rows = [rk.get((ti, tj), 0) for rk, _, _ in pieces]
+            cols = [rk.get((i, j), 0) for rk, _, _ in pieces]
+            if not sum(rows) or not sum(cols):
+                continue
+            grid = [
+                [pieces[bi][1 + which].get((i, j)) if bi == bj else None
+                 for bj in range(len(pieces))]
+                for bi in range(len(pieces))
+            ]
+            out[(i, j)] = RingMatrix.block(ring, grid, rows, cols)
+        return out
+
+    return DeltaComplex(ring, ranks, assemble(0), assemble(1))
+
+
+def ref_delta_conjugate(x, rng: random.Random):
+    """Disguise by degreewise unimodular changes of basis."""
+    autos = {pos: random_unimodular(x.ring, r, rng) for pos, r in x.ranks.items()}
+
+    def u(i, j):
+        a = autos.get((i, j))
+        return a[0] if a else RingMatrix.identity(x.ring, 0)
+
+    def uinv(i, j):
+        a = autos.get((i, j))
+        return a[1] if a else RingMatrix.identity(x.ring, 0)
+
+    d0 = {(i, j): u(i + 1, j) @ m @ uinv(i, j) for (i, j), m in x.delta0.items()}
+    d1 = {(i, j): u(i, j + 1) @ m @ uinv(i, j) for (i, j), m in x.delta1.items()}
+    return DeltaComplex(x.ring, x.ranks, d0, d1)
+
+
+def ref_random_delta_complex(ring: CoeffRing, rng: random.Random, max_rank: int = 2):
+    """A random completable instance: columns, strips and (over Z/4) the
+    inductive template, summed block-diagonally and conjugated degreewise.
+
+    Every piece satisfies delta0 . delta1 = 0 = delta1 . delta0, which the
+    sum and the conjugation preserve, so the level-1 relation of the
+    completion always holds."""
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.random()
+        if kind < 0.45:
+            pieces.append(ref_delta_column_piece(ring, rng, max_rank))
+        elif kind < 0.85 or not (ring.kind == "Zmod" and ring.modulus == 4):
+            pieces.append(ref_delta_strip_piece(ring, rng, max_rank))
+        else:
+            t = inductive_delta_complex(rng)
+            pieces.append((t.ranks, t.delta0, t.delta1))
+    return ref_delta_conjugate(ref_delta_direct_sum(ring, pieces), rng)
+
+
+def ref_random_strip_delta_complex(ring: CoeffRing, rng: random.Random, max_rank: int = 2):
+    """Zero i-differential only: the regime where every strict column-wise
+    map yields a completable cone."""
+    pieces = [
+        ref_delta_strip_piece(ring, rng, max_rank) for _ in range(rng.randint(1, 2))
+    ]
+    return ref_delta_conjugate(ref_delta_direct_sum(ring, pieces), rng)
+
+
+def ref_nilpotent_entries(ring: CoeffRing, length: int):
+    """A chain z_1, ..., z_{length-1} with z_{k+1} z_k = 0, for rank-1 chains."""
+    if length < 2:
+        return []
+    if ring.kind == "Zmod":
+        m = ring.modulus
+        # factor m = a*b nontrivially and alternate: b*a = 0 mod m
+        for a in range(2, m):
+            if m % a == 0:
+                b = m // a
+                out = []
+                for k in range(length - 1):
+                    out.append(a if k % 2 == 0 else b)
+                return out
+    return None

@@ -15,6 +15,7 @@ Oracle notes:
 - [TRIVIAL] shape/constructor errors.
 """
 
+import json
 import random
 from typing import Dict, List, Optional, Tuple
 
@@ -86,7 +87,7 @@ from etacomplex.gsystems import (
     xi_cone_identity,
     xi_mor,
 )
-from etacomplex.base import Graded, GradedMorphism, GradedObject, ScalarEta
+from etacomplex.base import Graded, GradedMorphism, GradedObject, ScalarEta, json_int, json_matrix, json_pos
 from etacomplex.matrix import RingMatrix
 from etacomplex.rings import GF, ZZ, CoeffRing, Zmod
 import etacomplex.gsystems as gs
@@ -1350,6 +1351,173 @@ def ref_chain_map_to_gmorphism(f: ChainMap) -> RefGMorphism:
     return RefGMorphism(src, tgt, comps)
 
 
+# The flat DeltaComplex, DeltaMap and validate_delta_map as they were before
+# a DeltaComplex became the GA system at levels 0 and 1 on the one store, kept
+# verbatim (renamed) as the reference for its views and the map check.
+
+
+class RefDeltaComplex:
+    """Bigraded family with a strict i-differential and a commuting j-map.
+
+    delta0^{ij}: X^{ij} -> X^{i+1,j} squares to zero; delta1^{ij}:
+    X^{ij} -> X^{i,j+1} commutes strictly with delta0 and its square is
+    only required to be null-homotopic with respect to delta0.
+    """
+
+    __slots__ = ("ring", "ranks", "delta0", "delta1")
+
+    def __init__(
+        self,
+        ring: CoeffRing,
+        ranks: Dict[Tuple[int, int], int],
+        delta0: Dict[Tuple[int, int], RingMatrix],
+        delta1: Dict[Tuple[int, int], RingMatrix],
+    ):
+        if any(r < 0 for r in ranks.values()):
+            raise ValueError("negative rank")
+        self.ring = ring
+        self.ranks = {(int(i), int(j)): int(r) for (i, j), r in ranks.items() if r}
+        d0: Dict[Tuple[int, int], RingMatrix] = {}
+        for (i, j), m in delta0.items():
+            if (m.rows, m.cols) != (self.rank(i + 1, j), self.rank(i, j)):
+                raise ValueError(f"delta0 at ({i},{j}) has the wrong shape")
+            if not m.is_zero():
+                d0[(i, j)] = m
+        d1: Dict[Tuple[int, int], RingMatrix] = {}
+        for (i, j), m in delta1.items():
+            if (m.rows, m.cols) != (self.rank(i, j + 1), self.rank(i, j)):
+                raise ValueError(f"delta1 at ({i},{j}) has the wrong shape")
+            if not m.is_zero():
+                d1[(i, j)] = m
+        self.delta0 = d0
+        self.delta1 = d1
+
+    def rank(self, i: int, j: int) -> int:
+        return self.ranks.get((i, j), 0)
+
+    def d0(self, i: int, j: int) -> RingMatrix:
+        m = self.delta0.get((i, j))
+        if m is None:
+            return RingMatrix.zero(self.ring, self.rank(i + 1, j), self.rank(i, j))
+        return m
+
+    def d1(self, i: int, j: int) -> RingMatrix:
+        m = self.delta1.get((i, j))
+        if m is None:
+            return RingMatrix.zero(self.ring, self.rank(i, j + 1), self.rank(i, j))
+        return m
+
+    @property
+    def columns(self) -> List[int]:
+        return sorted({j for (_, j) in self.ranks})
+
+    @property
+    def positions(self) -> List[Tuple[int, int]]:
+        return sorted(self.ranks)
+
+    def is_zero(self) -> bool:
+        return not self.ranks
+
+    def column_complex(self, j: int) -> Complex:
+        inst = ScalarEta(self.ring, self.ring.one())
+        objects = {i: r for (i, jj), r in self.ranks.items() if jj == j}
+        diffs = {i: m for (i, jj), m in self.delta0.items() if jj == j}
+        return Complex(inst, objects, diffs)
+
+    def delta1_map(self, j: int) -> ChainMap:
+        comps = {i: m for (i, jj), m in self.delta1.items() if jj == j}
+        return ChainMap(self.column_complex(j), self.column_complex(j + 1), comps)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, RefDeltaComplex)
+            and self.ring == other.ring
+            and self.ranks == other.ranks
+            and self.delta0 == other.delta0
+            and self.delta1 == other.delta1
+        )
+
+    def __repr__(self):
+        return f"RefDeltaComplex(positions={self.positions})"
+
+    def to_json(self):
+        return {
+            "ring": self.ring.to_json(),
+            "ranks": [
+                {"i": i, "j": j, "rank": r} for (i, j), r in sorted(self.ranks.items())
+            ],
+            "delta0": [
+                {"i": i, "j": j, "matrix": m.to_json()}
+                for (i, j), m in sorted(self.delta0.items())
+            ],
+            "delta1": [
+                {"i": i, "j": j, "matrix": m.to_json()}
+                for (i, j), m in sorted(self.delta1.items())
+            ],
+        }
+
+    @staticmethod
+    def from_json(d) -> "RefDeltaComplex":
+        ring = CoeffRing.from_json(d["ring"])
+        ranks = {json_pos(e): json_int(e["rank"], "rank") for e in d["ranks"]}
+        d0 = {json_pos(e): json_matrix(e["matrix"], ring) for e in d["delta0"]}
+        d1 = {json_pos(e): json_matrix(e["matrix"], ring) for e in d["delta1"]}
+        return RefDeltaComplex(ring, ranks, d0, d1)
+
+class RefDeltaMap:
+    """Column-wise chain map between DeltaComplexes, strict in both directions."""
+
+    __slots__ = ("source", "target", "components")
+
+    def __init__(
+        self,
+        source: RefDeltaComplex,
+        target: RefDeltaComplex,
+        components: Dict[Tuple[int, int], RingMatrix],
+    ):
+        if source.ring != target.ring:
+            raise ValueError("ring mismatch")
+        self.source = source
+        self.target = target
+        clean: Dict[Tuple[int, int], RingMatrix] = {}
+        for (i, j), m in components.items():
+            if (m.rows, m.cols) != (target.rank(i, j), source.rank(i, j)):
+                raise ValueError(f"component at ({i},{j}) has the wrong shape")
+            if not m.is_zero():
+                clean[(i, j)] = m
+        self.components = clean
+
+    def comp(self, i: int, j: int) -> RingMatrix:
+        m = self.components.get((i, j))
+        if m is None:
+            return RingMatrix.zero(
+                self.source.ring, self.target.rank(i, j), self.source.rank(i, j)
+            )
+        return m
+
+    def is_zero(self) -> bool:
+        return not self.components
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, RefDeltaMap)
+            and self.source == other.source
+            and self.target == other.target
+            and self.components == other.components
+        )
+
+
+def ref_validate_delta_map(f: RefDeltaMap) -> bool:
+    X, Y = f.source, f.target
+    keys = set(X.positions) | set(f.components)
+    for (i, j) in sorted(keys):
+        if Y.d0(i, j) @ f.comp(i, j) != f.comp(i + 1, j) @ X.d0(i, j):
+            return False
+        if Y.d1(i, j) @ f.comp(i, j) != f.comp(i, j + 1) @ X.d1(i, j):
+            return False
+    return True
+
+
 # The three constructions as they were before their level systems shared one
 # builder, kept verbatim (renamed) as the reference for every assembled system.
 
@@ -1729,6 +1897,150 @@ class TestStorageOracle:
             seen.add(("GA system moved", ref_psi_inv(rs[0]).ranks != rs[0].ranks))
         assert {("system equal", False), ("morphism equal", False), ("nonzero morphism", True),
                 ("GA system moved", True)} <= seen
+
+
+def _same_delta(x: DeltaComplex, r: RefDeltaComplex):
+    """Every view of x, in its iteration order, against the flat reference."""
+    assert x.ring == r.ring
+    for view in ("ranks", "delta0", "delta1"):
+        assert list(getattr(x, view).items()) == list(getattr(r, view).items())
+    assert (x.positions, x.columns, x.is_zero()) == (r.positions, r.columns, r.is_zero())
+    assert json.dumps(x.to_json()) == json.dumps(r.to_json())
+    for (i, j) in _box(r.positions):
+        assert x.rank(i, j) == r.rank(i, j)
+        assert (x.d0(i, j), x.d1(i, j)) == (r.d0(i, j), r.d1(i, j))
+    for j in {j + a for j in r.columns for a in (-1, 0, 1)}:
+        c, rc = x.column_complex(j), r.column_complex(j)
+        assert c == rc and list(c.objects) == list(rc.objects) and list(c.diffs) == list(rc.diffs)
+        assert x.delta1_map(j) == r.delta1_map(j)
+        assert list(x.delta1_map(j).components) == list(r.delta1_map(j).components)
+    assert DeltaComplex.from_json(r.to_json()) == x
+
+
+def _same_delta_map(f: DeltaMap, r: RefDeltaMap):
+    _same_delta(f.source, r.source)
+    _same_delta(f.target, r.target)
+    assert list(f.components.items()) == list(r.components.items())
+    for (i, j) in _box(r.source.positions + r.target.positions):
+        assert f.comp(i, j) == r.comp(i, j)
+    assert validate_delta_map(f) == ref_validate_delta_map(r)
+
+
+def _ref_delta(x: DeltaComplex) -> RefDeltaComplex:
+    return RefDeltaComplex(x.ring, x.ranks, x.delta0, x.delta1)
+
+
+def _perturbed(x: DeltaComplex, rng: random.Random):
+    """(ranks, delta0, delta1) of x with one change: an entry of one matrix
+    moved, a zero matrix or a rank-0 position added, or a component dropped."""
+    ranks, d0, d1 = dict(x.ranks), dict(x.delta0), dict(x.delta1)
+    kind = rng.randrange(4)
+    ds = [d for d in (d0, d1) if d]
+    if kind == 0 and ds:
+        d = rng.choice(ds)
+        pos = rng.choice(sorted(d))
+        m = d[pos]
+        e = list(m.entries)
+        e[rng.randrange(len(e))] += 1
+        d[pos] = RingMatrix(x.ring, m.rows, m.cols, e)
+    elif kind == 1 and ranks:
+        i, j = rng.choice(sorted(ranks))
+        d1[(i, j)] = RingMatrix.zero(x.ring, x.rank(i, j + 1), x.rank(i, j))
+    elif kind == 2:
+        ranks[(rng.randint(-3, 3), rng.randint(-3, 3))] = 0
+    elif ds:
+        d = rng.choice(ds)
+        del d[rng.choice(sorted(d))]
+    return ranks, d0, d1
+
+
+def _perturbed_map(f: DeltaMap, rng: random.Random) -> Dict[Tuple[int, int], RingMatrix]:
+    """The components of f with one entry moved, or with one position added."""
+    comps = dict(f.components)
+    X, Y = f.source, f.target
+    shared = [pos for pos in X.positions if Y.rank(*pos)]
+    if comps and rng.random() < 0.5:
+        pos = rng.choice(sorted(comps))
+    elif shared:
+        pos = rng.choice(shared)
+    else:
+        return comps
+    m = f.comp(*pos)
+    e = list(m.entries)
+    e[rng.randrange(len(e))] += rng.choice([1, 2])
+    comps[pos] = RingMatrix(X.ring, m.rows, m.cols, e)
+    return dict(sorted(comps.items()))
+
+
+class TestDeltaStorageOracle:
+    @pytest.mark.parametrize("ring", [ZZ, Z4, Zmod(8), Zmod(9), GF(5)], ids=str)
+    def test_views_and_map_check_match_flat_reference(self, ring):
+        rng = random.Random(96)
+        seen = set()
+        for trial in range(12):
+            xs = [random_delta_complex(ring, rng), random_delta_complex(ring, rng),
+                  random_strip_delta_complex(ring, rng), random_strip_delta_complex(ring, rng)]
+            if ring == Z4:
+                xs.append(inductive_delta_complex(rng))
+            xs.append(obstructed_delta_complex(ring))
+            xs += [shift_delta(xs[0]), cone_delta(random_delta_map(xs[2], xs[3], rng))]
+            xs += [DeltaComplex(ring, *_perturbed(x, rng)) for x in xs[:4]]
+            refs = [_ref_delta(x) for x in xs]
+            for x, r in zip(xs, refs):
+                _same_delta(x, r)
+                assert x != GSystem._of(x.complex, GA)
+                seen.add(("GA order differs", list(x.complex.objects) != sorted(x.complex.objects)))
+            for a in range(len(xs)):
+                for b in range(len(xs)):
+                    assert (xs[a] == xs[b]) == (refs[a] == refs[b])
+                    seen.add(("equal", refs[a] == refs[b]))
+            # positions given out of order: the views sort, the reference keeps insertion order
+            x = xs[0]
+            shuffled = [dict(rng.sample(list(v.items()), len(v))) for v in (x.ranks, x.delta0, x.delta1)]
+            y, ry = DeltaComplex(ring, *shuffled), RefDeltaComplex(ring, *shuffled)
+            assert y == x and ry == refs[0]
+            for view in ("ranks", "delta0", "delta1"):
+                assert list(getattr(y, view).items()) == sorted(getattr(ry, view).items())
+            pairs = [(xs[0], xs[1]), (xs[2], xs[3]), (xs[1], xs[0]), (xs[0], xs[0])]
+            for X, Y in pairs:
+                maps = [random_delta_map(X, Y, rng)]
+                maps.append(DeltaMap(X, Y, _perturbed_map(maps[0], rng)))
+                if X is Y:
+                    maps.append(DeltaMap(X, X, {pos: RingMatrix.identity(ring, r) for pos, r in X.ranks.items()}))
+                if not X.delta0 and not Y.delta0:
+                    maps.append(columnwise_null_delta_map(X, Y, rng))
+                rmaps = [RefDeltaMap(_ref_delta(X), _ref_delta(Y), f.components) for f in maps]
+                for f, r in zip(maps, rmaps):
+                    _same_delta_map(f, r)
+                    seen.add(("map valid", ref_validate_delta_map(r)))
+                for a in range(len(maps)):
+                    for b in range(len(maps)):
+                        assert (maps[a] == maps[b]) == (rmaps[a] == rmaps[b])
+        assert {("GA order differs", True), ("equal", False), ("map valid", True),
+                ("map valid", False)} <= seen
+
+    def test_bad_input_rejected_on_both(self):
+        one, two = M(Z4, [[1]]), M(Z4, [[1, 0]])
+        ranks = {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+        bad = [
+            ({(0, 0): -1}, {}, {}),
+            ({(0, 0): 1, (1, 1): -2}, {}, {}),
+            (ranks, {(0, 0): two}, {}),
+            (ranks, {}, {(0, 0): two}),
+            (ranks, {(0, 1): one}, {}),
+            (ranks, {}, {(1, 0): one}),
+        ]
+        for args in bad:
+            with pytest.raises(ValueError):
+                DeltaComplex(Z4, *args)
+            with pytest.raises(ValueError):
+                RefDeltaComplex(Z4, *args)
+        x, r = DeltaComplex(Z4, ranks, {(0, 0): one}, {}), RefDeltaComplex(Z4, ranks, {(0, 0): one}, {})
+        for comps in ({(0, 0): two}, {(1, 1): one}, {(0, 0): RingMatrix.zero(Z4, 2, 1)}):
+            with pytest.raises(ValueError):
+                DeltaMap(x, x, comps)
+            with pytest.raises(ValueError):
+                RefDeltaMap(r, r, comps)
 
 
 class _Unknowns(dict):

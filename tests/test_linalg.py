@@ -9,7 +9,6 @@ import pytest
 
 from etacomplex import linalg
 from etacomplex.linalg import (
-    _prime_powers,
     _solve,
     _solve_integer,
     smith_normal_form,
@@ -17,7 +16,7 @@ from etacomplex.linalg import (
     solve_with_kernel,
 )
 from etacomplex.matrix import RingMatrix, mat_mul
-from etacomplex.rings import _MR_BOUND, GF, QQ, ZZ, CoeffRing, Zmod, _is_prime, ring_from_name
+from etacomplex.rings import _MR_BOUND, GF, QQ, ZZ, CoeffRing, Zmod, _is_prime, _prime_powers, ring_from_name
 
 
 def M(ring, rows):
@@ -1001,6 +1000,41 @@ class TestRings:
             assert _is_prime(n)
         with pytest.raises(ValueError, match="must be below"):
             _is_prime(_MR_BOUND)  # composite, a strong pseudoprime to all 13 bases
+
+    def test_prime_powers_match_trial_division(self):
+        def trial(m):
+            out, p = [], 2
+            while p * p <= m:
+                k = 0
+                while m % p == 0:
+                    m //= p
+                    k += 1
+                if k:
+                    out.append((p, k))
+                p += 1
+            return out + [(m, 1)] if m > 1 else out
+
+        assert all(_prime_powers(m) == trial(m) for m in range(2, 10 ** 4))
+
+    def test_prime_powers_of_large_factors(self):
+        p, q = 2 ** 31 - 1, 2 ** 31 - 19
+        cases = {
+            2 ** 61 - 1: [(2 ** 61 - 1, 1)],
+            p * p: [(p, 2)],
+            p * q: [(q, 1), (p, 1)],
+            2 ** 3 * 1009 ** 2 * p: [(2, 3), (1009, 2), (p, 1)],
+            _MR_BOUND - 1: [(2, 2), (3, 4), (5, 1), (127, 1), (18778597, 1), (858557454841, 1)],
+        }
+        for m, factors in cases.items():
+            assert _prime_powers(m) == factors
+
+    def test_zmod_modulus_bound(self):
+        assert Zmod(_MR_BOUND - 1).modulus == _MR_BOUND - 1
+        for m in (_MR_BOUND, 2 ** 89 - 1, 1):
+            with pytest.raises(ValueError, match="IntegersMod modulus"):
+                Zmod(m)
+        with pytest.raises(ValueError, match="below"):
+            ring_from_name(f"Z/{_MR_BOUND}")
 
     def test_large_prime_field(self):
         ring = ring_from_name("F2305843009213693951")
