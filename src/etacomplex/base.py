@@ -327,7 +327,15 @@ class GradedObject:
 
     @staticmethod
     def from_json(d) -> "GradedObject":
-        return GradedObject({int(j): json_int(r, "rank") for j, r in d["ranks"].items()})
+        """Read ``to_json``'s form: an object of ranks keyed by grades written
+        as ``str(j)``, so "1_0" or " 2" is rejected, not read as 10 or 2."""
+        ranks = d["ranks"]
+        if type(ranks) is not dict:
+            raise ValueError(f"graded ranks must be an object, got {ranks!r}")
+        for k in ranks:
+            if str(int(k)) != k:
+                raise ValueError(f"a grade must be written as an integer, got {k!r}")
+        return GradedObject({int(j): json_int(r, "rank") for j, r in ranks.items()})
 
 
 class GradedMorphism:

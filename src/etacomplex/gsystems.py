@@ -149,11 +149,6 @@ class GSystem:
     def ring(self) -> CoeffRing:
         return self.complex.instance.ring
 
-    def target_pos(self, n: int, i: int, j: int) -> Tuple[int, int]:
-        if self.convention == CGRA:
-            return (i + 1, j + n)
-        return (i + 1 - n, j + n)
-
     @property
     def ranks(self) -> Dict[Tuple[int, int], int]:
         ga = self.convention == GA
@@ -268,11 +263,6 @@ class GMorphism:
         g.target = target
         g.chain_map = f
         return g
-
-    def comp_target(self, n: int, i: int, j: int) -> Tuple[int, int]:
-        if self.source.convention == CGRA:
-            return (i, j + n)
-        return (i - n, j + n)
 
     @property
     def components(self) -> Dict[Tuple[int, int, int], RingMatrix]:

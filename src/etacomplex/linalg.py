@@ -1,21 +1,23 @@
 """Exact linear-system solving over the supported rings.
 
-One sparse solver serves every ring: rows are stored as dicts and
+A system is solved in one form: the rows of [a | b] as dicts {column:
+nonzero}, the one rhs b in column m, built once from the matrices at the
+public entry points.  One sparse solver serves every ring: the rows are
 eliminated forward, pivot columns taken left to right, then
 back-substituted.  Over GF(p) and Q every nonzero is a pivot candidate.
 Over Z/p^k the pivots are taken in valuation tiers, p^0 first, and nothing
-is left over; Z/m with several primes is split by CRT into such parts.
-Over Z the pivots are +-1 and the columns without one, with the rows left
-over, form a small dense residual.  A left-over row with no coefficient but
-an rhs entry decides NONE for that rhs first; otherwise the residual is
-diagonalized by Smith's pivot steps with the rhs carried, so U is never
-formed.  The solver returns one arbitrary solution of a consistent system,
-never "the" solution.
+is left over; Z/m with several primes is split by CRT into such parts, each
+solving the rows reduced mod its p^k.  Over Z the pivots are +-1 and the
+columns without one, with the rows left over, form a small residual of
+integer rows [residual | b].  A left-over row with no coefficient but an
+rhs entry decides NONE first; otherwise the residual is diagonalized by
+Smith's pivot steps with the rhs carried, so U is never formed.  The solver
+returns one arbitrary solution of a consistent system, never "the" solution.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .matrix import RingMatrix
 from .rings import ZZ, Zmod, _prime_powers, q_canon
@@ -102,29 +104,31 @@ def smith_normal_form(a: RingMatrix) -> Tuple[RingMatrix, RingMatrix, RingMatrix
 # -- system solving --------------------------------------------------------
 
 
-def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
-    """Sparse forward elimination in valuation tiers, then back substitution.
+def _solve(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool):
+    """Solve the system whose rows are the dicts {column: nonzero} of
+    [a | b], the rhs b in column m: sparse forward elimination in valuation
+    tiers, then back substitution; return (x or None, kernel generators).
+    The rows are consumed.
 
-    Each row is a dict {column: nonzero}, the rhs columns appended after
-    column m-1.  Z/m with two or more primes goes to `_solve_crt`.  Pivots
-    are taken in tiers v = 0, ..., k-1 over Z/p^k (Storjohann, Algorithms
-    for Matrix Canonical Forms, ETH Zurich 2000), in one tier otherwise; in
-    each, pivot columns go left to right over the columns still without a
-    pivot.  A candidate is an active row whose entry is any nonzero over a
-    field, +-1 over Z, of valuation exactly v over Z/p^k; the shortest
-    (Markowitz) is scaled so its pivot is p^v and clears its column from the
-    other active rows, forward only, with the factor entry / p^v.  Z/p^k is
-    local, so after tier v every active entry has valuation above v, and
-    after tier k-1 no coefficient is left.  Over Z the columns without a +-1
-    pivot and the rows left over form a residual.  A left-over row with no
-    coefficient but an rhs entry makes that rhs inconsistent; when that
-    settles every rhs and no kernel is asked for, the residual is never
-    built.  If the residual has a coefficient, `_solve_integer` diagonalizes
-    it with the rhs carried (Dumas, Saunders & Villard, J. Symbolic Comput.
-    32, 2001).  Otherwise the system is consistent exactly when no rhs
-    entry is left, and every column without a pivot is free.
+    Z/m with two or more primes goes to `_solve_crt`.  Pivots are taken in
+    tiers v = 0, ..., k-1 over Z/p^k (Storjohann, Algorithms for Matrix
+    Canonical Forms, ETH Zurich 2000), in one tier otherwise; in each, pivot
+    columns go left to right over the columns still without a pivot.  A
+    candidate is an active row whose entry is any nonzero over a field, +-1
+    over Z, of valuation exactly v over Z/p^k; the shortest (Markowitz) is
+    scaled so its pivot is p^v and clears its column from the other active
+    rows, forward only, with the factor entry / p^v.  Z/p^k is local, so
+    after tier v every active entry has valuation above v, and after tier
+    k-1 no coefficient is left.  Over Z the columns without a +-1 pivot and
+    the rows left over form a residual.  A left-over row with no coefficient
+    but an rhs entry makes the system inconsistent; without a kernel to
+    find, the residual is then never built.  If the residual has a
+    coefficient, `_solve_integer` diagonalizes it with the rhs carried
+    (Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).  Otherwise
+    the system is consistent exactly when no rhs entry is left, and every
+    column without a pivot is free.
 
-    Back substitution, every free variable 0, completes each solution: the
+    Back substitution, every free variable 0, completes the solution: the
     other coefficients of a tier-v pivot row are divisible by p^v, so it is
     met iff p^v divides its reduced rhs s, and then x_c = s / p^v.  With
     rhs 0 it extends each kernel generator: e_f for a free column f,
@@ -132,27 +136,20 @@ def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
     kernel generator.  Over a field the pivot columns do not depend on which
     rows are chosen, so neither do the solution and the generators.
     """
-    ring = a.ring
     q = ring.modulus  # 0 for Z and Q, whose entries are not reduced
     rat = ring.kind == "Q"  # a computed Fraction with denominator 1 becomes its int
     tiers = [1]  # p^v for each tier v
     if ring.kind == "Zmod":
         factors = _prime_powers(q)
         if len(factors) > 1:
-            return _solve_crt(a, rhs_cols, want_kernel, factors)
+            return _solve_crt(ring, rows, m, want_kernel, factors)
         p, k = factors[0]
         tiers = [p ** v for v in range(k)]
-    n, m = a.rows, a.cols
-    rows = []
     col_rows = [set() for _ in range(m)]  # the active rows nonzero in each column
-    for i in range(n):
-        row = {j: x for j, x in enumerate(a.entries[i * m:(i + 1) * m]) if x}
+    for i, row in enumerate(rows):
         for j in row:
-            col_rows[j].add(i)
-        for t, col in enumerate(rhs_cols):
-            if col[i]:
-                row[m + t] = col[i]
-        rows.append(row)
+            if j < m:
+                col_rows[j].add(i)
     pivots = []  # (column, pivot row, p^v), in elimination order
     skipped = range(m)  # columns with active rows but no pivot so far
     for pv in tiers:
@@ -230,96 +227,83 @@ def _solve(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
     # every pivot and free column is cleared from the rows left over
     rest = [row for row in rows if row is not None]
     if any(j < m for row in rest for j in row):
-        # a row with no coefficient but an rhs entry makes that rhs inconsistent
-        dead = {j - m for row in rest if min(row, default=m) >= m for j in row}
-        if not want_kernel and len(dead) == len(rhs_cols):
-            return [None] * len(rhs_cols), []
-        res = RingMatrix._trusted(ring, len(rest), len(skipped),
-                                  [row.get(j, 0) for row in rest for j in skipped])
-        res_sols, res_kern = _solve_integer(
-            res, [[row.get(m + t, 0) for row in rest] for t in range(len(rhs_cols))],
-            want_kernel)
+        # a row with no coefficient but an rhs entry makes the system inconsistent
+        if not want_kernel and any(row.keys() == {m} for row in rest):
+            return None, []
+        y, res_kern = _solve_integer([[row.get(j, 0) for j in skipped] + [row.get(m, 0)]
+                                      for row in rest], len(skipped), want_kernel)
     else:  # no coefficient is left, so the skipped columns are free too
-        skipped = []
-        res_sols = [None if any(m + t in row for row in rest) else []
-                    for t in range(len(rhs_cols))]
-        res_kern = []
-    sols = [None if y is None else back_substitute(dict(zip(skipped, y)), m + t)
-            for t, y in enumerate(res_sols)]
+        skipped, res_kern = [], []
+        y = None if any(m in row for row in rest) else []
+    x = None if y is None else back_substitute(dict(zip(skipped, y)), m)
     kern = []
     if want_kernel:
         bound = {c for c, _, _ in pivots}.union(skipped)
         kern = [back_substitute({f: ring.one()}, None) for f in range(m) if f not in bound]
         kern += [back_substitute({c: q // pv}, None) for c, _, pv in pivots if pv > 1]
         kern += [back_substitute(dict(zip(skipped, g)), None) for g in res_kern]
-    return sols, kern
+    return x, kern
 
 
-def _solve_crt(a: RingMatrix, rhs_cols: List[List], want_kernel: bool, factors):
-    """Solve over Z/m, m = prod p^k with two or more primes, part by part.
+def _solve_crt(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool, factors):
+    """Solve the rows of [a | b] over Z/m, m = prod p^k with two or more
+    primes, part by part.
 
-    Z/m is the product of the rings Z/p^k, so each part is solved by
-    `_solve`; its solutions and kernel generators come back to Z/m through
-    the CRT idempotent e = 1 (mod p^k), e = 0 (mod m / p^k).
+    Z/m is the product of the rings Z/p^k, so `_solve` solves the rows
+    reduced mod each p^k; the part's solution and kernel generators come
+    back to Z/m through the CRT idempotent e = 1 (mod p^k), e = 0 (mod m / p^k).
     """
-    mod = a.ring.modulus
-    sols = [[0] * a.cols for _ in rhs_cols]
-    kern = []
+    mod = ring.modulus
+    x, kern = [0] * m, []
     for p, k in factors:
         q = p ** k
         e = (mod // q) * pow(mod // q, -1, q)
-        part = RingMatrix._trusted(Zmod(q), a.rows, a.cols, [x % q for x in a.entries])
-        part_sols, part_kern = _solve(part, [[x % q for x in col] for col in rhs_cols],
-                                      want_kernel)
-        for t, y in enumerate(part_sols):
-            if y is None or sols[t] is None:
-                sols[t] = None
-            else:
-                sols[t] = [(x + e * z) % mod for x, z in zip(sols[t], y)]
+        part = [{j: z % q for j, z in row.items() if z % q} for row in rows]
+        y, part_kern = _solve(Zmod(q), part, m, want_kernel)
+        x = None if x is None or y is None else [(s + e * z) % mod for s, z in zip(x, y)]
         kern += [[e * z % mod for z in g] for g in part_kern]
-    return sols, kern
+    return x, kern
 
 
-def _solve_integer(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
-    """Solve over Z by diagonalizing [a | rhs] with `_smith`: a column is
-    solvable iff d_i divides its carried entry c_i for i < rank and c_i = 0
-    below; then y_i = c_i / d_i and x = V y.  U is never formed."""
-    n, m = a.rows, a.cols
-    A = [a.entries[i * m:(i + 1) * m] + [col[i] for col in rhs_cols] for i in range(n)]
+def _solve_integer(A: List[List[int]], m: int, want_kernel: bool):
+    """Solve over Z by diagonalizing the integer rows A of [a | b], b in
+    column m, with `_smith`: the system is solvable iff d_i divides the
+    carried entry c_i for i < rank and c_i = 0 below; then y_i = c_i / d_i
+    and x = V y.  U is never formed."""
     rank, V = _smith(A, m)
-    sols = []
-    for t in range(m, m + len(rhs_cols)):
-        if any(A[i][t] % A[i][i] for i in range(rank)) or any(A[i][t] for i in range(rank, n)):
-            sols.append(None)
-            continue
-        y = [A[i][t] // A[i][i] for i in range(rank)]
-        sols.append([sum(v * z for v, z in zip(row, y)) for row in V])
     kern = [[row[j] for row in V] for j in range(rank, m)] if want_kernel else []
-    return sols, kern
+    if any(A[i][m] % A[i][i] for i in range(rank)) or any(row[m] for row in A[rank:]):
+        return None, kern
+    y = [A[i][m] // A[i][i] for i in range(rank)]
+    return [sum(v * z for v, z in zip(row, y)) for row in V], kern
 
 
-def _check_rhs(coeffs: RingMatrix, rhs: RingMatrix):
+def _system(coeffs: RingMatrix, rhs: RingMatrix) -> List[Dict[int, object]]:
+    """The dict rows of [coeffs | rhs], the rhs in column coeffs.cols."""
     if coeffs.ring != rhs.ring:
         raise ValueError(f"ring mismatch: {coeffs.ring} vs {rhs.ring}")
     if rhs.cols != 1 or rhs.rows != coeffs.rows:
         raise ValueError("rhs must be a column matching coeffs.rows")
+    m, entries = coeffs.cols, coeffs.entries
+    rows = []
+    for i, b in enumerate(rhs.entries):
+        row = {j: x for j, x in enumerate(entries[i * m:(i + 1) * m]) if x}
+        if b:
+            row[m] = b
+        rows.append(row)
+    return rows
 
 
 def solve_linear_system(coeffs: RingMatrix, rhs: RingMatrix) -> Optional[RingMatrix]:
     """Return some x with coeffs*x = rhs over the ring, or None if inconsistent."""
-    _check_rhs(coeffs, rhs)
-    sols, _ = _solve(coeffs, [rhs.column(0)], want_kernel=False)
-    if sols[0] is None:
-        return None
-    return RingMatrix._trusted(coeffs.ring, coeffs.cols, 1, sols[0])
+    x, _ = _solve(coeffs.ring, _system(coeffs, rhs), coeffs.cols, want_kernel=False)
+    return None if x is None else RingMatrix._trusted(coeffs.ring, coeffs.cols, 1, x)
 
 
 def solve_with_kernel(
     coeffs: RingMatrix, rhs: RingMatrix
 ) -> Tuple[Optional[RingMatrix], List[RingMatrix]]:
     """Like solve_linear_system, but also return generators of the kernel."""
-    _check_rhs(coeffs, rhs)
-    sols, kern = _solve(coeffs, [rhs.column(0)], want_kernel=True)
-    part = None if sols[0] is None else RingMatrix._trusted(coeffs.ring, coeffs.cols, 1, sols[0])
-    gens = [RingMatrix._trusted(coeffs.ring, coeffs.cols, 1, v) for v in kern]
-    return part, gens
+    x, kern = _solve(coeffs.ring, _system(coeffs, rhs), coeffs.cols, want_kernel=True)
+    part = None if x is None else RingMatrix._trusted(coeffs.ring, coeffs.cols, 1, x)
+    return part, [RingMatrix._trusted(coeffs.ring, coeffs.cols, 1, v) for v in kern]

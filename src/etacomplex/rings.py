@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Tuple
 
@@ -88,10 +89,12 @@ def _rho(n: int) -> int:
     raise ArithmeticError(f"no divisor of {n} found")
 
 
+@lru_cache(maxsize=128)
 def _prime_powers(m: int) -> List[Tuple[int, int]]:
     """The factorization of 2 <= m < ``_MR_BOUND`` as [(p, k), ...], primes
     increasing: trial division below 1000, then ``_is_prime`` and ``_rho`` on
-    the cofactor left."""
+    the cofactor left.  Kept per modulus, so every solve over one Z/m after
+    the first factors nothing; callers must not change the list."""
     counts: Dict[int, int] = {}
     p = 2
     while p < 1000 and p * p <= m:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -453,6 +454,9 @@ class TestCheck:
         ("delta1-ring", "theta-extend", 2),
         ("gsystem-ring", "totalize", 2),
         ("fractional-degree", "eta-homotopic", 2),
+        ("graded-ranks-list", "totalize", 2),
+        ("grade-underscore", "totalize", 2),
+        ("grade-space", "totalize", 2),
         ("nonzero-p-i", "is-eta-conflation", 1),
     ])
     def test_inconsistent_instance(self, tmp_path, capsys, case, op, code):
@@ -483,6 +487,11 @@ class TestCheck:
                     degrees(v)
 
         z8 = Zmod(8).to_json()
+        graded = Complex(Graded(ScalarEta(ring, 2)), {0: GradedObject({2: 1, 10: 1})}, {})
+
+        def graded_ranks(ranks):
+            return lambda doc: matrix(doc, "objects", 0, "object").update(ranks=ranks)
+
         kind, obj, edit = {
             "endpoints": ("chain-maps", (zero_chain_map(a, a), zero_chain_map(b, a)), None),
             "legs": ("pair", (zero_chain_map(a, a), zero_chain_map(b, a)), None),
@@ -494,6 +503,9 @@ class TestCheck:
             "gsystem-ring": ("gsystem", GSystem(ring, {(0, 0): 1, (1, 0): 1}, {(0, 0, 0): one}),
                              lambda doc: matrix(doc, "diffs", 0, "matrix").update(ring=z8)),
             "fractional-degree": ("chain-maps", (ident, ident), degrees),
+            "graded-ranks-list": ("complex", graded, graded_ranks([["2", 1], ["10", 1]])),
+            "grade-underscore": ("complex", graded, graded_ranks({"2": 1, "1_0": 1})),
+            "grade-space": ("complex", graded, graded_ranks({" 2": 1, "10": 1})),
             "nonzero-p-i": ("pair", (ident, ident), None),
         }[case]
         p = tmp_path / "edited.json"
@@ -654,6 +666,21 @@ class TestSuiteCommand:
         _, out2 = run(capsys, argv)
         strip = lambda recs: [{k: v for k, v in r.items() if k != "time"} for r in recs]
         assert strip(records_of(out1)) == strip(records_of(out2))
+
+    def test_suite_output_digest(self):
+        """The suite's records at seed 3 x 5 trials, without `time`, are pinned
+        by their sha256 (md5 f235103e..., read on Python 3.10-3.13 and under
+        PYTHONHASHSEED 0, 1 and 12345).  A change that keeps every answer
+        keeps this digest; a change that alters it must explain every changed
+        record in CHANGES.md."""
+        code, records = cli.cmd_suite(3, 5, None, None, None)
+        digest = hashlib.sha256()
+        for r in records:
+            r = {k: v for k, v in r.items() if k != "time"}
+            digest.update((json.dumps(r, sort_keys=True) + "\n").encode())
+        assert code == 0 and len(records) == 116
+        assert digest.hexdigest() == \
+            "75881728662c6077457f38f99e612ceb9b1d3f3ecfd6face4db54f64f16ac559"
 
     def test_trials_zero_is_usage_error(self, capsys):
         assert run(capsys, ["suite", "--trials", "0"])[0] == 2

@@ -858,6 +858,20 @@ class TestMatrixProblem:
 # Graded; they are kept verbatim as an independent oracle.
 
 
+def ref_target_pos(x: GSystem, n: int, i: int, j: int) -> Tuple[int, int]:
+    """The position d_n of x maps (i, j) to, as `RefGSystem.target_pos`."""
+    if x.convention == CGRA:
+        return (i + 1, j + n)
+    return (i + 1 - n, j + n)
+
+
+def ref_comp_target(f: GMorphism, n: int, i: int, j: int) -> Tuple[int, int]:
+    """The position f_n maps (i, j) to, as `RefGMorphism.comp_target`."""
+    if f.source.convention == CGRA:
+        return (i, j + n)
+    return (i - n, j + n)
+
+
 def ref_validate_gsystem(x: GSystem) -> bool:
     """The convolution relations: sum_{p+q=n} d_p d_q = 0 at every position."""
     top = 2 * x.max_level()
@@ -868,7 +882,7 @@ def ref_validate_gsystem(x: GSystem) -> bool:
                 dq = x.diffs.get((q, i, j))
                 if dq is None:
                     continue
-                mi, mj = x.target_pos(q, i, j)
+                mi, mj = ref_target_pos(x, q, i, j)
                 dp = x.diffs.get((n - q, mi, mj))
                 if dp is None:
                     continue
@@ -889,14 +903,14 @@ def ref_validate_gmorphism(f: GMorphism) -> bool:
             for q in range(n + 1):
                 dq = X.diffs.get((q, i, j))
                 if dq is not None:
-                    mi, mj = X.target_pos(q, i, j)
+                    mi, mj = ref_target_pos(X, q, i, j)
                     fp = f.components.get((n - q, mi, mj))
                     if fp is not None:
                         term = fp @ dq
                         acc = term if acc is None else acc + term
                 fq = f.components.get((q, i, j))
                 if fq is not None:
-                    mi, mj = f.comp_target(q, i, j)
+                    mi, mj = ref_comp_target(f, q, i, j)
                     dp = Y.diffs.get((n - q, mi, mj))
                     if dp is not None:
                         term = -(dp @ fq)

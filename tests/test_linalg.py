@@ -7,7 +7,7 @@ from typing import List, Optional, Tuple
 
 import pytest
 
-from etacomplex import linalg
+from etacomplex import linalg, rings
 from etacomplex.linalg import (
     _solve,
     _solve_integer,
@@ -108,6 +108,29 @@ def _det(m: RingMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _rows(a: RingMatrix, col: List) -> List[dict]:
+    """The dict rows of [a | col], col in column a.cols, as `_solve` takes them."""
+    return [{j: x for j, x in enumerate(a.row(i) + [col[i]]) if x} for i in range(a.rows)]
+
+
+def _solve_cols(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
+    """`_solve` run on one rhs column at a time, in the references' shape:
+    (a solution or None per column, the kernel generators of a x = 0)."""
+    sols = [_solve(a.ring, _rows(a, col), a.cols, want_kernel)[0] for col in rhs_cols]
+    kern = _solve(a.ring, _rows(a, [0] * a.rows), a.cols, True)[1] if want_kernel else []
+    return sols, kern
+
+
+def _solve_integer_cols(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
+    """`_solve_integer` on the integer rows of [a | col], one rhs column at a
+    time, in the references' shape."""
+    def rows(col):
+        return [a.row(i) + [col[i]] for i in range(a.rows)]
+    sols = [_solve_integer(rows(col), a.cols, False)[0] for col in rhs_cols]
+    kern = _solve_integer(rows([0] * a.rows), a.cols, True)[1] if want_kernel else []
+    return sols, kern
 
 
 def _dense_gauss_jordan(a, rhs_cols, want_kernel):
@@ -592,9 +615,9 @@ class TestFieldOracle:
             if rhs_cols and rng.random() < 0.5:
                 x = RingMatrix(ring, m, 1, [_random_field_entry(rng, ring) for _ in range(m)])
                 rhs_cols[0] = mat_mul(a, x).column(0)
-            sols, kern = _solve(a, rhs_cols, True)
+            sols, kern = _solve_cols(a, rhs_cols, True)
             assert (sols, kern) == _dense_gauss_jordan(a, rhs_cols, True)
-            assert _solve(a, rhs_cols, False) == (sols, [])
+            assert _solve_cols(a, rhs_cols, False) == (sols, [])
             seen["0xn"] += n == 0 and m > 0
             seen["nx0"] += m == 0 and n > 0
             seen["zero row"] += n > 0 and m > 0 and any(not any(a.row(i)) for i in range(n))
@@ -629,7 +652,7 @@ def _in_span(ring, gens, v):
     """Whether v is a combination of gens, by the dense Z or Z/m solver."""
     m = len(v)
     g = RingMatrix(ring, m, len(gens), [x for j in range(m) for x in (h[j] for h in gens)])
-    dense = _solve_integer if ring == ZZ else _dense_zmod
+    dense = _solve_integer_cols if ring == ZZ else _dense_zmod
     return dense(g, [v], False)[0][0] is not None
 
 
@@ -677,12 +700,12 @@ class TestUnitPivotOracle:
     @pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(6), Zmod(8), Zmod(12), Zmod(16),
                                       Zmod(27), Zmod(36), Zmod(72)], ids=str)
     def test_matches_dense_solver(self, ring, monkeypatch):
-        dense = _solve_integer if ring == ZZ else _dense_zmod
+        dense = _solve_integer_cols if ring == ZZ else _dense_zmod
         residuals = []
 
-        def recording(a, rhs_cols, want_kernel):
-            residuals.append(a)
-            return _solve_integer(a, rhs_cols, want_kernel)
+        def recording(A, m, want_kernel):
+            residuals.append(RingMatrix(ZZ, len(A), m, [x for row in A for x in row[:m]]))
+            return _solve_integer(A, m, want_kernel)
 
         monkeypatch.setattr(linalg, "_solve_integer", recording)
         rng = random.Random(700 + ring.modulus)
@@ -874,6 +897,14 @@ def _reference_solve_integer(a: RingMatrix, rhs_cols: List[List], want_kernel: b
     return sols, kern
 
 
+def _reference_rows(A: List[List[int]], m: int, want_kernel: bool):
+    """`_reference_solve_integer` on the integer rows A of [a | b], b in
+    column m, taken and answered in `_solve_integer`'s shape."""
+    a = RingMatrix(ZZ, len(A), m, [x for row in A for x in row[:m]])
+    sols, kern = _reference_solve_integer(a, [[row[m] for row in A]], want_kernel)
+    return sols[0], kern
+
+
 def _random_residual(rng, m):
     """A system shaped like a Z residual: 3-5 times as many rows as columns,
     entries in -20..20, one or two rhs columns (the first a x0 half the
@@ -909,9 +940,9 @@ class TestResidualSolveOracle:
         calls = []
 
         def recording(solver):
-            def solve(a, rhs_cols, want_kernel):
+            def solve(A, m, want_kernel):
                 calls.append(solver)
-                return solver(a, rhs_cols, want_kernel)
+                return solver(A, m, want_kernel)
             return solve
 
         seen = {"early NONE": 0, "dense": 0, "NONE": 0, "SOME": 0, "kernel": 0}
@@ -919,19 +950,19 @@ class TestResidualSolveOracle:
             a, rhs_cols = _random_residual(rng, rng.randint(1, 8))
             want_kernel = rng.random() < 0.5
             ref = _reference_solve_integer(a, rhs_cols, want_kernel)
-            assert _solve_integer(a, rhs_cols, want_kernel) == ref
+            assert _solve_integer_cols(a, rhs_cols, want_kernel) == ref
             assert smith_normal_form(a) == _reference_snf(a)
 
             # the reference _solve: the formed-U residual solve, with a kernel
             # asked for, so that it never returns before building the residual
             calls.clear()
-            monkeypatch.setattr(linalg, "_solve_integer", recording(_reference_solve_integer))
-            ref_sols, ref_kern = _solve(a, rhs_cols, True)
+            monkeypatch.setattr(linalg, "_solve_integer", recording(_reference_rows))
+            ref_sols, ref_kern = _solve_cols(a, rhs_cols, True)
             monkeypatch.setattr(linalg, "_solve_integer", recording(_solve_integer))
-            sols, kern = _solve(a, rhs_cols, want_kernel)
+            sols, kern = _solve_cols(a, rhs_cols, want_kernel)
             assert sols == ref_sols
             assert kern == (ref_kern if want_kernel else [])
-            if calls == [_reference_solve_integer]:  # the residual was never built
+            if set(calls) == {_reference_rows}:  # the residual was never built
                 assert not want_kernel and all(s is None for s in sols)
                 seen["early NONE"] += 1
             seen["dense"] += _solve_integer in calls
@@ -1027,6 +1058,21 @@ class TestRings:
         }
         for m, factors in cases.items():
             assert _prime_powers(m) == factors
+
+    def test_modulus_factored_once(self, monkeypatch):
+        """A second solve over Z/(2^31-1)(2^31-19) runs no Pollard rho: the
+        factorization of a modulus is kept."""
+        calls = []
+        rho = rings._rho
+        monkeypatch.setattr(rings, "_rho", lambda n: calls.append(n) or rho(n))
+        _prime_powers.cache_clear()
+        ring = Zmod((2 ** 31 - 1) * (2 ** 31 - 19))
+        a, b = M(ring, [[2, 3], [5, 7]]), M(ring, [[1], [1]])
+        assert mat_mul(a, solve_linear_system(a, b)) == b
+        first = len(calls)
+        assert first > 0
+        assert mat_mul(a, solve_linear_system(a, b)) == b
+        assert len(calls) == first
 
     def test_zmod_modulus_bound(self):
         assert Zmod(_MR_BOUND - 1).modulus == _MR_BOUND - 1
