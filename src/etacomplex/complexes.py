@@ -6,7 +6,8 @@ completions in ``gsystems``) is decided by posing a linear system over the
 coefficient ring through the uniform hom-coordinate API of the base
 instance; ``LinearProblem`` is that bridge and the only assembler of such
 systems.  It writes each term sign * left . u . right as the Kronecker
-blocks that the instance's ``hom_blocks`` returns.
+blocks that the instance's ``hom_blocks`` returns, straight into the sparse
+rows that the solver takes.
 
 Chain maps, homotopies and the factorizations in ``frobenius`` pose their
 systems through two writers: ``add_family`` registers a family
@@ -21,8 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base import BaseInstance
-from .linalg import solve_linear_system, solve_with_kernel
-from .matrix import RingMatrix
+from .linalg import _solve
 
 # Mutation knob (see the suite's sensitivity property): the sign on the
 # shifted differential inside a mapping cone.  Correct value: -1.
@@ -333,34 +333,43 @@ def eta_on_cone(f: ChainMap) -> bool:
 # -- linear problems over hom coordinates -----------------------------------
 
 
-def _add_kron(entries, width, r0, c0, L, R, ru, cu, sign, ring):
-    """Add sign * L (x) R^T into row-major entries of row length width.
+def _add_kron(rows, r0, c0, L, R, ru, cu, sign, ring):
+    """Add sign * L (x) R^T into the dict rows {column: nonzero} of a system.
 
     Unknown entry (a, b) of the ru x cu block, at column c0 + a*cu + b, gets
     coefficient sign * L[p, a] * R[b, q] in equation entry (p, q), at row
-    r0 + p*ec + q.  L or R None is the identity.  Over Z/m and GF(p) each
-    cell written is reduced mod m, and over Q a cell with denominator 1
-    becomes its int, so the entries stay canonical; over Z sums of products
-    of canonical entries already are.
+    r0 + p*ec + q.  L or R None is the identity.  Only nonzero products are
+    visited.  Over Z/m and GF(p) each sum written is reduced mod m, and over
+    Q one with denominator 1 becomes its int, so the entries stay canonical;
+    over Z sums of products of canonical entries already are.  A sum that
+    cancels to 0 (mod m) is deleted, so the rows hold no stored zero.
     """
     mod, one, rat = ring.modulus, ring.one(), ring.kind == "Q"
-    ec = cu if R is None else R.cols
-    r_nz = [[(b, one)] if R is None else [(q, v) for q, v in enumerate(R.row(b)) if v]
-            for b in range(cu)]
+    if R is None:
+        ec, r_nz = cu, [[(q, one)] for q in range(cu)]
+    else:  # the nonzeros of column q of R, as (b, R[b, q])
+        ec, ent = R.cols, R.entries
+        r_nz = [[(b, v) for b, v in enumerate(ent[q::ec]) if v] for q in range(ec)]
     l_nz = [[(p, sign)] if L is None else [(a, sign * v) for a, v in enumerate(L.row(p)) if v]
             for p in range(ru if L is None else L.rows)]
     for p, lrow in enumerate(l_nz):
-        base = (r0 + p * ec) * width + c0
-        for a, lv in lrow:
-            col = base + a * cu
-            for b, rrow in enumerate(r_nz):
-                for q, rv in rrow:
-                    k = col + q * width + b
-                    entries[k] += lv * rv
+        if not lrow:
+            continue
+        for q, rcol in enumerate(r_nz, r0 + p * ec):
+            row = rows[q]
+            for a, lv in lrow:
+                col = c0 + a * cu
+                for b, rv in rcol:
+                    j = col + b
+                    x = row.get(j, 0) + lv * rv
                     if mod:
-                        entries[k] %= mod
-                    elif rat and entries[k].denominator == 1:
-                        entries[k] = entries[k].numerator
+                        x %= mod
+                    elif rat and x.denominator == 1:
+                        x = x.numerator
+                    if x:
+                        row[j] = x
+                    elif j in row:
+                        del row[j]
 
 
 class LinearProblem:
@@ -396,22 +405,23 @@ class LinearProblem:
         self.equations.append((A, B, self.rows, list(terms), rhs))
         self.rows += self.instance.hom_dim(A, B)
 
-    def _build(self):
+    def _build(self) -> List[Dict[int, object]]:
+        """The rows of [a | b] as dicts {column: nonzero}, the rhs in column
+        ``self.cols``: the form ``linalg._solve`` takes, written straight
+        from the Kronecker blocks, with no dense coefficient matrix."""
         inst = self.instance
         ring = inst.ring
-        entries = [ring.zero()] * (self.rows * self.cols)
-        rhs_entries: List = []
+        rows: List[Dict[int, object]] = [{} for _ in range(self.rows)]
         for A, B, row, terms, rhs in self.equations:
             for key, left, right, sign in terms:
                 X, Y, col = self.unknowns[key]
                 for r, c, L, R, ru, cu in inst.hom_blocks(left, right, X, Y, A, B):
-                    _add_kron(entries, self.cols, row + r, col + c, L, R, ru, cu, sign, ring)
-            if rhs is None:
-                rhs_entries.extend([ring.zero()] * inst.hom_dim(A, B))
-            else:
-                rhs_entries.extend(inst.mor_to_vec(rhs, A, B))
-        coeffs = RingMatrix._trusted(ring, self.rows, self.cols, entries)
-        return coeffs, RingMatrix._trusted(ring, self.rows, 1, rhs_entries)
+                    _add_kron(rows, row + r, col + c, L, R, ru, cu, sign, ring)
+            if rhs is not None:
+                for i, b in enumerate(inst.mor_to_vec(rhs, A, B), row):
+                    if b:
+                        rows[i][self.cols] = b
+        return rows
 
     def _unpack(self, vec: Sequence) -> Dict[object, object]:
         inst = self.instance
@@ -421,18 +431,14 @@ class LinearProblem:
         }
 
     def solve(self) -> Optional[Dict[object, object]]:
-        coeffs, rhs = self._build()
-        x = solve_linear_system(coeffs, rhs)
-        if x is None:
-            return None
-        return self._unpack(x.column(0))
+        x, _ = _solve(self.instance.ring, self._build(), self.cols, want_kernel=False)
+        return None if x is None else self._unpack(x)
 
     def solve_full(self):
         """(particular solution dict or None, list of kernel dicts)."""
-        coeffs, rhs = self._build()
-        part, gens = solve_with_kernel(coeffs, rhs)
-        sol = None if part is None else self._unpack(part.column(0))
-        return sol, [self._unpack(g.column(0)) for g in gens]
+        x, kern = _solve(self.instance.ring, self._build(), self.cols, want_kernel=True)
+        sol = None if x is None else self._unpack(x)
+        return sol, [self._unpack(g) for g in kern]
 
 
 # -- degree-shifted families ------------------------------------------------

@@ -1,8 +1,11 @@
 """Exact linear-system solving over the supported rings.
 
 A system is solved in one form: the rows of [a | b] as dicts {column:
-nonzero}, the one rhs b in column m, built once from the matrices at the
-public entry points.  One sparse solver serves every ring: the rows are
+nonzero}, the one rhs b in column m.  ``complexes.LinearProblem`` writes
+those rows straight from its Kronecker blocks and hands them to ``_solve``;
+the public entry points ``solve_linear_system`` and ``solve_with_kernel``
+build them once from the RingMatrices their callers pass (``_system``).
+One sparse solver serves every ring: the rows are
 eliminated forward, pivot columns taken left to right, then
 back-substituted.  Over GF(p) and Q every nonzero is a pivot candidate.
 Over Z/p^k the pivots are taken in valuation tiers, p^0 first, and nothing

@@ -37,6 +37,11 @@ def q_canon(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _is_int_str(s: str) -> bool:
+    """s is one or more ASCII digits, after at most one leading "-"."""
+    return (s.isdigit() or s[:1] == "-" and s[1:].isdigit()) and s.isascii()
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin on the bases above is exact below this bound (Sorenson &
 # Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
@@ -189,18 +194,22 @@ class CoeffRing:
         return str(a)
 
     def elem_from_str(self, s: str):
-        """Parse an element written by ``elem_to_str``; anything but a string
-        of an integer (or a fraction over Q) is rejected."""
+        """Parse an element written by ``elem_to_str``: the ASCII digits of
+        an integer, "-" first if negative, and over Q also "n/d" with n and d
+        so written and d nonzero.  Anything else is rejected, such as "+3",
+        " 2 " or "1_0", which ``int`` would read."""
         if type(s) is not str:
             raise ValueError(f"a ring element must be a string, got {s!r}")
-        if self.kind == "Q":
-            if "/" in s:
-                num, den = s.split("/")
-                if int(den) == 0:
-                    raise ValueError(f"zero denominator in {s!r}")
-                return q_canon(Fraction(int(num), int(den)))
-            return int(s)
-        return self.canon(int(s))
+        # _is_int_str(s), inlined: every matrix entry of a file is read here
+        if (s.isdigit() or s[:1] == "-" and s[1:].isdigit()) and s.isascii():
+            return int(s) if self.kind == "Q" else self.canon(int(s))
+        num, slash, den = s.partition("/")
+        if not (slash and self.kind == "Q" and _is_int_str(num) and _is_int_str(den)):
+            raise ValueError(f"not an element of {self}: {s!r}")
+        d = int(den)
+        if d == 0:
+            raise ValueError(f"zero denominator in {s!r}")
+        return q_canon(Fraction(int(num), d))
 
     def to_json(self) -> dict:
         d = {"kind": self.kind}

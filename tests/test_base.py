@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from etacomplex import complexes
 from etacomplex.base import (
     EtaPower,
     Graded,
@@ -242,7 +243,8 @@ class TestTrustedConstruction:
     canonical entries: ints (not bools) in range, and over Q an int exactly
     when the value is integral and a reduced Fraction otherwise.  The
     trusted constructor is wrapped to check each entry it receives over the
-    suite and over CLI checks of generated files."""
+    suite and over CLI checks of generated files, and so is the solver that
+    every assembled system is handed to, as dict rows that hold no zero."""
 
     RINGS = [ZZ, Zmod(4), Zmod(8), Zmod(9), Zmod(12), Zmod(27), GF(5), QQ, GF(2)]
 
@@ -252,15 +254,28 @@ class TestTrustedConstruction:
         hits = Counter()
         bad = []
 
-        def checked(ring, rows, cols, entries):
+        def check(ring, entries):
             for x in entries:
                 want = Fraction if ring.kind == "Q" and x.denominator != 1 else int
                 if type(x) is not want or x != ring.canon(x):
                     bad.append((str(ring), repr(x)))
             hits[ring] += 1
+
+        def checked(ring, rows, cols, entries):
+            check(ring, entries)
             return original(ring, rows, cols, entries)
 
+        solve = complexes._solve
+
+        def checked_solve(ring, rows, m, want_kernel):
+            for row in rows:
+                check(ring, row.values())
+                if not all(row.values()):
+                    bad.append((str(ring), "a stored zero"))
+            return solve(ring, rows, m, want_kernel)
+
         monkeypatch.setattr(RingMatrix, "_trusted", staticmethod(checked))
+        monkeypatch.setattr(complexes, "_solve", checked_solve)
         return hits, bad
 
     @pytest.mark.parametrize("ring", RINGS, ids=str)

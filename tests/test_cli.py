@@ -27,7 +27,7 @@ from etacomplex.generators import (
 )
 from etacomplex.gsystems import DeltaComplex, DeltaMap, GSystem, phi, psi_inv
 from etacomplex.matrix import RingMatrix
-from etacomplex.rings import GF, ZZ, Zmod
+from etacomplex.rings import GF, QQ, ZZ, Zmod
 from etacomplex.serialize import (
     chain_map_from_json,
     complex_from_json,
@@ -457,10 +457,18 @@ class TestCheck:
         ("graded-ranks-list", "totalize", 2),
         ("grade-underscore", "totalize", 2),
         ("grade-space", "totalize", 2),
+        ("entry-underscore", "eta-homotopic", 2),
+        ("entry-space", "eta-homotopic", 2),
+        ("entry-plus", "eta-homotopic", 2),
+        ("entry-non-ascii-digit", "eta-homotopic", 2),
+        ("entry-fraction-over-z4", "eta-homotopic", 2),
+        ("q-entry-underscore", "eta-homotopic", 2),
+        ("q-denominator-plus", "eta-homotopic", 2),
         ("nonzero-p-i", "is-eta-conflation", 1),
     ])
     def test_inconsistent_instance(self, tmp_path, capsys, case, op, code):
-        """Hand-edited Z/4 files: a structural inconsistency exits 2, and p i != 0 answers NONE."""
+        """Hand-edited Z/4 and Q files: a structural inconsistency or a matrix entry
+        that is not the string of a ring element exits 2, and p i != 0 answers NONE."""
         ring = Zmod(4)
         one = RingMatrix.from_rows(ring, [[1]])
         a, b = (Complex(ScalarEta(ring, 2), {0: r}, {}) for r in (1, 2))
@@ -486,6 +494,13 @@ class TestCheck:
                 for v in node:
                     degrees(v)
 
+        def entry(value):
+            def edit(doc):
+                matrix(doc, "f", "components", 0, "morphism")["entries"][0] = value
+            return edit
+
+        qa = Complex(ScalarEta(QQ, 2), {0: 1}, {})
+        q_ident = ChainMap(qa, qa, {0: RingMatrix.from_rows(QQ, [[1]])})
         z8 = Zmod(8).to_json()
         graded = Complex(Graded(ScalarEta(ring, 2)), {0: GradedObject({2: 1, 10: 1})}, {})
 
@@ -506,6 +521,14 @@ class TestCheck:
             "graded-ranks-list": ("complex", graded, graded_ranks([["2", 1], ["10", 1]])),
             "grade-underscore": ("complex", graded, graded_ranks({"2": 1, "1_0": 1})),
             "grade-space": ("complex", graded, graded_ranks({" 2": 1, "10": 1})),
+            # int() would read all but the fraction over Z/4
+            "entry-underscore": ("chain-maps", (ident, ident), entry("1_0")),
+            "entry-space": ("chain-maps", (ident, ident), entry(" 1 ")),
+            "entry-plus": ("chain-maps", (ident, ident), entry("+1")),
+            "entry-non-ascii-digit": ("chain-maps", (ident, ident), entry("\u0663")),
+            "entry-fraction-over-z4": ("chain-maps", (ident, ident), entry("2/2")),
+            "q-entry-underscore": ("chain-maps", (q_ident, q_ident), entry("1_0/3")),
+            "q-denominator-plus": ("chain-maps", (q_ident, q_ident), entry("1/+3")),
             "nonzero-p-i": ("pair", (ident, ident), None),
         }[case]
         p = tmp_path / "edited.json"

@@ -1,9 +1,13 @@
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+from etacomplex import complexes, linalg
 from etacomplex.base import EtaPower, Graded, GradedObject, ScalarEta
+from etacomplex.cli import main
 from etacomplex.complexes import (
     ChainMap,
     Complex,
@@ -46,6 +50,9 @@ from etacomplex.generators import (
 )
 from etacomplex.matrix import RingMatrix
 from etacomplex.rings import GF, QQ, ZZ, Zmod
+from etacomplex.suite import run_suite
+
+from dense_adapter import dense_build
 
 RINGS = [ZZ, Zmod(4), Zmod(8), Zmod(9), GF(5)]
 
@@ -419,7 +426,7 @@ class TestAssemblyOracle:
         seen = {k: 0 for k in ("left None", "right None", "sign -1", "same unknown twice", "zero object")}
         for _ in range(40):
             prob = random_problem(inst, rng, seen)
-            coeffs, rhs = prob._build()
+            coeffs, rhs = dense_build(prob)
             ref_coeffs, ref_rhs = probe_build(prob)
             assert coeffs == ref_coeffs
             assert rhs == ref_rhs
@@ -442,10 +449,11 @@ class TestAssemblyOracle:
         original = LinearProblem._build
 
         def checked(prob):
-            out = original(prob)
+            rows = original(prob)
+            out = dense_build(prob, rows)
             assert out == probe_build(prob)
             built.append(out[0].rows * out[0].cols)
-            return out
+            return rows
 
         monkeypatch.setattr(LinearProblem, "_build", checked)
         rng = random.Random(42)
@@ -460,6 +468,82 @@ class TestAssemblyOracle:
                 i, p = random_split_pair(inst, rng)
                 is_eta_conflation(i, p)
         assert len(built) > 50 and max(built) > 0
+
+
+# -- the sparse rows a problem is solved from -------------------------------
+
+
+class TestSparseRows:
+    """``_build`` writes only nonzeros: a sum that cancels, or a product that
+    vanishes mod m, leaves no key, and a zero rhs entry is not written."""
+
+    @pytest.mark.parametrize("ring", [ZZ, Zmod(8), GF(5), QQ], ids=str)
+    def test_opposite_terms_leave_no_key(self, ring):
+        inst = ScalarEta(ring, 1)
+        L = RingMatrix.from_rows(ring, [[1, 3], [0, 2]])
+        prob = LinearProblem(inst)
+        prob.add_unknown("u", 2, 2)
+        prob.add_equation(2, 2, [("u", None, None, 1), ("u", L, None, 1),
+                                 ("u", None, None, -1), ("u", L, None, -1)], inst.zero_mor(2, 2))
+        assert prob._build() == [{}, {}, {}, {}]
+        # the same with an rhs: no coefficient is left, so the system is inconsistent
+        prob.add_equation(2, 2, [("u", L, None, -1), ("u", L, None, 1)], inst.id_mor(2))
+        assert prob._build()[4:] == [{4: 1}, {}, {}, {4: 1}]
+        assert prob.solve() is None
+
+    def test_products_vanishing_mod_m_leave_no_key(self):
+        ring = Zmod(8)
+        two, four = (RingMatrix.from_rows(ring, [[x]]) for x in (2, 4))
+        prob = LinearProblem(ScalarEta(ring, 1))
+        prob.add_unknown("u", 1, 1)
+        prob.add_unknown("v", 1, 1)
+        prob.add_equation(1, 1, [("u", two, four, 1), ("v", four, two, -1)])  # 8u - 8v
+        prob.add_equation(1, 1, [("u", two, None, 1), ("u", four, None, 1), ("u", two, None, 1),
+                                 ("v", None, None, 1)])  # 2u + 4u + 2u + v
+        assert prob._build() == [{}, {1: 1}]
+
+    def test_integral_rational_sums_are_ints(self):
+        half = RingMatrix.from_rows(QQ, [[Fraction(1, 2)]])
+        prob = LinearProblem(ScalarEta(QQ, 1))
+        prob.add_unknown("u", 1, 1)
+        prob.add_equation(1, 1, [("u", half, None, 1), ("u", half, None, 1)])
+        prob.add_equation(1, 1, [("u", half, None, 1), ("u", half, None, -1)])
+        rows = prob._build()
+        assert rows == [{0: 1}, {}] and type(rows[0][0]) is int
+
+
+class TestNoDenseSolve:
+    def test_problems_never_reach_the_dense_entry_points(self, monkeypatch, tmp_path, capsys):
+        """Every LinearProblem and MatrixProblem solve of the suite and of a
+        CLI theta-extend check hands dict rows to ``linalg._solve``; the
+        RingMatrix entry points and their dense-to-rows scan are never called."""
+        dense = []
+
+        def refuse(*args, **kwargs):
+            dense.append(args)
+            raise AssertionError("a problem was solved through a dense RingMatrix")
+
+        for name in ("_system", "solve_linear_system", "solve_with_kernel"):
+            monkeypatch.setattr(linalg, name, refuse)
+        solved = Counter()
+        solve = complexes._solve
+
+        def counting(ring, rows, m, want_kernel):
+            assert type(rows) is list and all(type(row) is dict for row in rows)
+            solved[want_kernel] += 1
+            return solve(ring, rows, m, want_kernel)
+
+        monkeypatch.setattr(complexes, "_solve", counting)
+        ok, _ = run_suite(3, trials=1)
+        assert ok and solved[False] and solved[True]
+        p = tmp_path / "delta.json"
+        # at seed 5 the theta-extend check solves four level systems
+        assert main(["gen", "--seed", "5", "--profile", "delta", "--ring", "Z/4", "-o", str(p)]) == 0
+        before = sum(solved.values())
+        assert main(["check", str(p), "--op", "theta-extend"]) in (0, 1)
+        capsys.readouterr()
+        assert sum(solved.values()) > before
+        assert not dense
 
 
 # -- the family writers against hand-written builders -----------------------
@@ -594,8 +678,8 @@ class TestFamilyWriterOracle:
             solved.clear()
             out = run()
             prob = solved[-1]
-            coeffs, rhs = prob._build()
-            ref_coeffs, ref_rhs = ref._build()
+            coeffs, rhs = dense_build(prob)
+            ref_coeffs, ref_rhs = dense_build(ref)
             assert list(prob.unknowns) == list(ref.unknowns), what
             assert (coeffs.rows, coeffs.cols) == (ref_coeffs.rows, ref_coeffs.cols), what
             assert coeffs.entries == ref_coeffs.entries, what
@@ -620,7 +704,7 @@ class TestFamilyWriterOracle:
             b = random_complex(inst, rng)
             prob, ref = LinearProblem(inst), LinearProblem(inst)
             assert chain_map_problem(prob, "f", a, b) == ref_chain_map_problem(ref, "f", a, b)
-            assert prob._build() == ref._build()
+            assert dense_build(prob) == dense_build(ref)
             f = random_chain_map(a, b, rng)
             g = random_chain_map(a, b, rng)
             same(lambda: homotopic(f, g), ref_homotopy_problem(f, g, False), "homotopic")

@@ -92,6 +92,8 @@ from etacomplex.matrix import RingMatrix
 from etacomplex.rings import GF, ZZ, CoeffRing, Zmod
 import etacomplex.gsystems as gs
 
+from dense_adapter import dense_build
+
 RINGS = [ZZ, Zmod(4), Zmod(8), Zmod(9), GF(5)]
 Z4 = Zmod(4)
 
@@ -841,7 +843,7 @@ class TestMatrixProblem:
             prob.add_unknown("v", 1, 1)
             prob.add_unknown("u", ru, cu)
             prob.add_equation((er, ec), [("u", L, R, sign)], rhs)
-            coeffs, rhs_col = prob._build()
+            coeffs, rhs_col = dense_build(prob)
             expected = [
                 [ring.zero()]
                 + [ring.canon(sign * L[(p, a)] * R[(b, q)]) for a in range(ru) for b in range(cu)]
@@ -2079,7 +2081,7 @@ def _record_problems(monkeypatch):
         self.unknowns = _Unknowns()
 
     def recording_solve(self):
-        coeffs, rhs = self._build()
+        coeffs, rhs = dense_build(self)
         log.append((coeffs, rhs, self))
         return solve(self)
 

@@ -930,6 +930,40 @@ def _random_residual(rng, m):
     return RingMatrix(ZZ, n, m, [x for row in rows for x in row]), rhs_cols
 
 
+def _residual_with_factors(rng, m):
+    """a = L D R over Z, n x m, L and R products of elementary steps and D
+    diagonal of rank r with entries in {1, 2, 3, 4, 6}, one of them >= 2;
+    rhs columns b = L c with c_i = 0 for i >= r, and a x0.  Returns (a, rhs
+    columns, the verdict each column must get)."""
+    n, r = m * rng.randint(2, 4), rng.randint(1, m)
+    diag = [rng.choice([1, 2, 3, 4, 6]) for _ in range(r)]
+    diag[rng.randrange(r)] = rng.choice([2, 3, 4, 6])
+    cs, verdicts = [], []
+    for _ in range(rng.randint(1, 3)):
+        c = [rng.randint(-6, 6) for _ in range(r)]
+        if rng.random() < 0.5:
+            c = [d * rng.randint(-2, 2) for d in diag]
+        cs.append(c + [0] * (n - r))
+        verdicts.append("indivisible NONE" if any(x % d for x, d in zip(c, diag)) else "divisible SOME")
+    # the rows of [D | c ...]: row steps act on whole rows (L), column steps on a only (R)
+    A = [[diag[i] if i == j and i < r else 0 for j in range(m)] + [c[i] for c in cs] for i in range(n)]
+    for _ in range(3 * n):  # n >= 2
+        i, k = rng.sample(range(n), 2)
+        f = rng.choice([-2, -1, 1, 2])
+        A[i] = [x + f * y for x, y in zip(A[i], A[k])]
+        if m > 1:
+            j, l = rng.sample(range(m), 2)
+            f = rng.choice([-1, 1])
+            for row in A:
+                row[j] += f * row[l]
+        rng.shuffle(A)
+    a = RingMatrix(ZZ, n, m, [x for row in A for x in row[:m]])
+    rhs_cols = [[row[m + t] for row in A] for t in range(len(cs))]
+    x0 = [rng.randint(-3, 3) for _ in range(m)]
+    rhs_cols.append([sum(x * y for x, y in zip(row, x0)) for row in A])
+    return a, rhs_cols, verdicts + ["x0 SOME"]
+
+
 class TestResidualSolveOracle:
     """The Z residual solve, which carries the rhs through the Smith pivot
     loop, against the reference that forms U: the same solutions and kernel
@@ -969,6 +1003,28 @@ class TestResidualSolveOracle:
             seen["NONE"] += None in sols
             seen["SOME"] += any(s is not None for s in sols)
             seen["kernel"] += len(kern) > 0
+        assert all(seen.values()), seen
+
+    def test_non_unit_invariant_factors(self, monkeypatch):
+        """Residuals L D R with L, R unimodular and D holding a factor d >= 2:
+        with b = L c, c_i = 0 below the rank, the system is solvable over Q,
+        and over Z iff d_i | c_i, so a solver that skips that test answers
+        the NONE cases wrongly."""
+        rng = random.Random(1203)
+        seen = {"divisible SOME": 0, "indivisible NONE": 0, "x0 SOME": 0}
+        for _ in range(80):
+            a, rhs_cols, verdicts = _residual_with_factors(rng, rng.randint(1, 6))
+            want_kernel = rng.random() < 0.5
+            ref = _reference_solve_integer(a, rhs_cols, want_kernel)
+            assert _solve_integer_cols(a, rhs_cols, want_kernel) == ref
+            monkeypatch.setattr(linalg, "_solve_integer", _reference_rows)
+            ref_sols, ref_kern = _solve_cols(a, rhs_cols, want_kernel)
+            monkeypatch.setattr(linalg, "_solve_integer", _solve_integer)
+            sols, kern = _solve_cols(a, rhs_cols, want_kernel)
+            assert (sols, kern) == (ref_sols, ref_kern)
+            for sol, verdict in zip(sols, verdicts):
+                assert (sol is not None) == (verdict != "indivisible NONE")
+                seen[verdict] += 1
         assert all(seen.values()), seen
 
     def test_snf_matches_reference(self):
