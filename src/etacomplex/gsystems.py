@@ -30,9 +30,11 @@ extends a column-wise map, and ``eta_null_complete`` grows a two-term
 homotopy seed, found by ``find_seed``, into a full eta-homotopy
 certificate; each solves all levels of its family as one system and
 re-solves level prefixes only to locate an obstruction.  All four bigraded
-solves pose their level-n equations u d_X +- d_Y u = rhs through one
-builder: ``_add_unknowns`` registers a level's unknowns and
-``_add_equation`` writes one equation.
+solves work in CgrA and pose their level-n equations u d_X +- d_Y u = rhs
+through one builder: ``_add_unknowns`` registers a level's unknowns and
+``_add_equation`` writes one equation, whose rhs is a component of one
+``Graded.compose`` composite (-d d, d f_0 - f_0 d or the seeds' residual)
+and whose factors are stored components.
 """
 
 from __future__ import annotations
@@ -742,32 +744,33 @@ def _add_unknowns(prob: MatrixProblem, X: GSystem, Y: GSystem, n: int, di: int):
             prob.add_unknown((n, i, j), Y.rank(i + di, j + n), X.rank(i, j))
 
 
+def _part(maps: Dict[int, GradedMorphism], i: int, n: int, j: int) -> Optional[RingMatrix]:
+    """Component (n, j) of the degree-i morphism in ``maps``; None where it is zero."""
+    return maps[i].components.get((n, j)) if i in maps else None
+
+
 def _add_equation(
     prob: MatrixProblem, X: GSystem, Y: GSystem, n: int, i: int, j: int,
     di: int, sign: int, rhs, keep: bool = False,
 ):
     """Write the level-n equation of  u d_X + sign * d_Y u = rhs(n, i, j)  at (i, j).
 
-    A term in u_k (-1 <= k <= n) enters only if u_k is registered: the
-    levels that ``prob`` does not hold are known, and their terms belong in
-    rhs.  An equation with no term is left out when rhs is None or zero,
-    unless ``keep``.
+    X and Y are CgrA systems, and rhs(n, i, j) is a component of a Graded
+    composite, None where it is zero.  A u_k (-1 <= k <= n) that ``prob``
+    does not hold is known, and its terms belong in rhs; one that it holds
+    poses a term where its factor d_X or d_Y is stored.  An equation that
+    holds no u_k is left out when rhs is None, unless ``keep``.
     """
     er, ec = Y.rank(i + di + 1, j + n), X.rank(i, j)
     if not er or not ec:
         return
     b = rhs(n, i, j)
-    terms = []
-    for k in range(n, -2, -1):  # u_k d_{X,n-k}
-        key = (k, i + 1, j + n - k)
-        if key in prob.unknowns:
-            terms.append((key, None, X.diff(n - k, i, j), 1))
-    for k in range(-1, n + 1):  # d_{Y,n-k} u_k
-        key = (k, i, j)
-        if key in prob.unknowns:
-            terms.append((key, Y.diff(n - k, i + di, j + k), None, sign))
-    if terms or keep or (b is not None and not b.is_zero()):
-        prob.add_equation((er, ec), terms, b)
+    # u_k d_{X,n-k}, then d_{Y,n-k} u_k, for the u_k that prob holds
+    terms = [((k, i + 1, j + n - k), None, _part(X.complex.diffs, i, n - k, j), 1) for k in range(n, -2, -1)]
+    terms += [((k, i, j), _part(Y.complex.diffs, i + di, n - k, j + k), None, sign) for k in range(-1, n + 1)]
+    terms = [t for t in terms if t[0] in prob.unknowns]
+    if terms or keep or b is not None:
+        prob.add_equation((er, ec), [t for t in terms if t[1] is not None or t[2] is not None], b)
 
 
 def theta_extend(x: DeltaComplex):
@@ -781,30 +784,28 @@ def theta_extend(x: DeltaComplex):
     ring = x.ring
     sys = _theta_seed(x)
     ranks, diffs = sys.ranks, sys.diffs
-    # level 1 is a check, not a solve: d_0 d_1 + d_1 d_0 must vanish
-    for (i, j) in sys.positions:
-        res = sys.diff(0, i + 1, j + 1) @ sys.diff(1, i, j) + sys.diff(1, i + 1, j) @ sys.diff(0, i, j)
-        if not res.is_zero():
-            return Obstruction(
-                "theta-extend", 1, (i, j),
-                "level-1 relation fails: the signed j-map does not "
-                "anticommute with the i-differential",
-            )
+    inst = sys.complex.instance
 
-    def rhs(n, i, j):
-        # the levels below n are fixed in sys
-        out = RingMatrix.zero(ring, sys.rank(i + 2, j + n), sys.rank(i, j))
-        for p in range(1, n):
-            out = out + (-(sys.diff(p, i + 1, j + n - p) @ sys.diff(n - p, i, j)))
-        return out
+    def minus_square(c: Complex) -> Dict[int, GradedMorphism]:
+        return {i: inst.hom_negate(inst.compose(c.diff(i + 1), d)) for i, d in c.diffs.items()}
 
+    # R = -(d d) over Graded; level 1 is a check: d_0 d_1 + d_1 d_0 must vanish
+    R = minus_square(sys.complex)
+    bad = [(i, j) for i, r in R.items() for (n, j) in r.components if n == 1]
+    if bad:
+        return Obstruction(
+            "theta-extend", 1, min(bad),
+            "level-1 relation fails: the signed j-map does not "
+            "anticommute with the i-differential",
+        )
     cols = x.columns
     width = (max(cols) - min(cols)) if cols else 0
     for n in range(2, width + 1):
+        # the levels from n up are still 0, so R's level n is -sum_{0<p<n} d_p d_{n-p}
         prob = MatrixProblem(ring)
         _add_unknowns(prob, sys, sys, n, 1)
         for (i, j) in sys.positions:
-            _add_equation(prob, sys, sys, n, i, j, 1, 1, rhs)
+            _add_equation(prob, sys, sys, n, i, j, 1, 1, lambda n, i, j: _part(R, i, n, j))
         sol = prob.solve()
         if sol is None:
             return Obstruction(
@@ -815,17 +816,22 @@ def theta_extend(x: DeltaComplex):
         if new:
             diffs.update(new)
             sys = GSystem(ring, ranks, diffs, CGRA)
+            R = minus_square(sys.complex)
     verify(validate_gsystem(sys), "theta_extend: the completion fails the convolution relations")
     return sys
 
 
-def _solve_levels(X: GSystem, Y: GSystem, top: int, di: int, sign: int, rhs):
+def _solve_levels(X: GSystem, Y: GSystem, di: int, sign: int, rhs):
     """Solve the level-n equations of ``_add_equation`` for n = 1..top as one system.
 
-    Returns (solution, None), or (None, n) for the first n whose system of
-    levels 1..n is inconsistent.  The joint system is consistent iff every
-    such prefix is, so the prefixes are solved only after it fails.
+    Above top, the largest grade of Y less the smallest grade of X less di,
+    no u_n has both ends nonzero.  Returns (solution, None), or (None, n)
+    for the first n whose system of levels 1..n is inconsistent.  The joint
+    system is consistent iff every such prefix is, so the prefixes are
+    solved only after it fails.
     """
+    xj, yj = [j for _, j in X.positions], [j for _, j in Y.positions]
+    top = max(0, max(yj) - min(xj) - di) if xj and yj else 0
 
     def through(n):
         prob = MatrixProblem(X.ring)
@@ -849,26 +855,24 @@ def theta_extend_mor(alpha: DeltaMap, xhat: GSystem, yhat: GSystem):
     level is the first n whose system of levels <= n is inconsistent,
     which is independent of any choice made at lower levels.
     """
+    if xhat.convention != CGRA or yhat.convention != CGRA:
+        raise ValueError("theta_extend_mor expects the CgrA convention")
     f0 = GMorphism(xhat, yhat, {(0, r + j, j): m for (r, j), m in alpha.components.items()})
-    # level 0: f_0 must already intertwine the strict differentials
-    for (i, j) in xhat.positions:
-        res = f0.comp(0, i + 1, j) @ xhat.diff(0, i, j) - yhat.diff(0, i, j) @ f0.comp(0, i, j)
-        if not res.is_zero():
-            return Obstruction(
-                "theta-extend-mor", 0, (i, j),
-                "the column-wise map does not commute with the i-differential",
-            )
+    inst, f, X, Y = xhat.complex.instance, f0.chain_map, xhat.complex, yhat.complex
+    # R = d_Y f_0 - f_0 d_X over Graded; level 0 is a check: f_0 must
+    # already intertwine the strict differentials
+    R = {i: inst.hom_sub(inst.compose(Y.diff(i), f.component(i)), inst.compose(f.component(i + 1), X.diff(i)))
+         for i in X.objects}
+    bad = [(i, j) for i, r in R.items() for (n, j) in r.components if n == 0]
+    if bad:
+        return Obstruction(
+            "theta-extend-mor", 0, min(bad),
+            "the column-wise map does not commute with the i-differential",
+        )
     if xhat.is_zero() or yhat.is_zero():
         return f0
-
-    def rhs(n, i, j):
-        # level-n equation: sum_q f_{n-q} dX_q - sum_q dY_{n-q} f_q = 0
-        return -(f0.comp(0, i + 1, j + n) @ xhat.diff(n, i, j)) + (
-            yhat.diff(n, i, j) @ f0.comp(0, i, j)
-        )
-
-    top = max(j for _, j in yhat.positions) - min(j for _, j in xhat.positions)
-    sol, level = _solve_levels(xhat, yhat, max(0, top), 0, -1, rhs)
+    # level-n equation: sum_{q<n} f_{n-q} dX_q - sum_{q>0} dY_{n-q} f_q = R_n
+    sol, level = _solve_levels(xhat, yhat, 0, -1, lambda n, i, j: _part(R, i, n, j))
     if sol is None:
         return Obstruction(
             "theta-extend-mor", level, None,
@@ -1001,13 +1005,16 @@ def find_seed(f: GMorphism):
     s_0 and s_1 are the unknowns u_{-1} and u_0 of ``eta_null_complete``'s
     levels, and the seed equations are its levels -1 and 0.
     """
+    if f.source.convention != CGRA:
+        raise ValueError("find_seed expects the CgrA convention")
     X, Y = f.source, f.target
     prob = MatrixProblem(X.ring)
     for n in (-1, 0):
         _add_unknowns(prob, X, Y, n, -1)
+    fs = f.chain_map.components
     for (i, j) in X.positions:
-        _add_equation(prob, X, Y, -1, i, j, -1, 1, lambda n, i, j: None)
-        _add_equation(prob, X, Y, 0, i, j, -1, 1, lambda n, i, j: f.comp(0, i, j), keep=True)
+        for n in (-1, 0):  # the rhs of level n is f_n, so None at level -1
+            _add_equation(prob, X, Y, n, i, j, -1, 1, lambda n, i, j: _part(fs, i, n, j), keep=n == 0)
     sol = prob.solve()
     if sol is None:
         return None
@@ -1037,26 +1044,17 @@ def eta_null_complete(
     is the eta-twisted homotopy on the corresponding complexes over the
     graded instance.
     """
+    if f.source.convention != CGRA:
+        raise ValueError("eta_null_complete expects the CgrA convention")
     X, Y = f.source, f.target
-    ring = X.ring
     seeds: Dict[int, Dict[Tuple[int, int], RingMatrix]] = {0: dict(s0), 1: dict(s1)}
     # levels 0 and 1 of the seeds' residual are the seed equations (as in
     # seed_equations_hold); level k + 1 is f_k minus every term in s_0, s_1
     defect = _null_residuals(f, seeds)
     if any(n <= 1 for r in defect.values() for (n, _) in r.components):
         raise ValueError("seed pair does not satisfy the two seed equations")
-
-    def rhs(k, i, j):
-        r = defect.get(i)
-        if r is None:
-            return RingMatrix.zero(ring, Y.rank(i, j + k), X.rank(i, j))
-        return r.component(k + 1, j - 1, ring)
-
-    k_top = f.max_level()
-    if not X.is_zero() and not Y.is_zero():
-        k_top = max(k_top, max(j for _, j in Y.positions) - min(j for _, j in X.positions) + 1)
-    # u_k: X^{ij} -> Y^{i-1,j+k} is s_{k+1}
-    sol, level = _solve_levels(X, Y, k_top, -1, 1, rhs)
+    # u_k: X^{ij} -> Y^{i-1,j+k} is s_{k+1}, which reads as component (k+1, j-1)
+    sol, level = _solve_levels(X, Y, -1, 1, lambda k, i, j: _part(defect, i, k + 1, j - 1))
     if sol is None:
         return Obstruction(
             "eta-null-complete", level, None,

@@ -91,6 +91,7 @@ from etacomplex.base import Graded, GradedMorphism, GradedObject, ScalarEta, jso
 from etacomplex.matrix import RingMatrix
 from etacomplex.rings import GF, ZZ, CoeffRing, Zmod
 import etacomplex.gsystems as gs
+import etacomplex.generators as gen
 
 from dense_adapter import dense_build
 
@@ -2227,3 +2228,136 @@ class TestFindSeedOracle:
                     outcomes.add(out is None)
         assert outcomes == {True, False}
         assert {"equation without terms", "nonzero rhs", "skipped unknown"} <= seen
+
+
+class TestCgrAOnly:
+    def test_level_solvers_reject_ga_endpoints(self):
+        # every level solver reads f_0's keys and the certificate in CgrA;
+        # GA endpoints used to give a wrong answer (no seed) or a shape error
+        for seed in (0, 4):
+            x = random_strip_delta_complex(Z4, random.Random(seed))
+            xhat = theta_extend(x)
+            alpha = columnwise_null_delta_map(x, x, random.Random(seed))
+            fhat = theta_extend_mor(alpha, xhat, xhat)
+            seeds = find_seed(fhat)
+            assert x.positions and seeds is not None
+            with pytest.raises(ValueError, match="CgrA"):
+                theta_extend_mor(alpha, psi_inv(xhat), psi_inv(xhat))
+            with pytest.raises(ValueError, match="CgrA"):
+                find_seed(psi_inv_mor(fhat))
+            with pytest.raises(ValueError, match="CgrA"):
+                eta_null_complete(psi_inv_mor(fhat), *seeds)
+
+
+class TestNoZeroFactor:
+    def test_level_solvers_pose_only_stored_factors(self, monkeypatch):
+        """No term of a level equation carries a zero matrix as its factor."""
+        factors = {what: [] for what in ("theta", "mor", "seed", "eta")}
+        add, now = MatrixProblem.add_equation, []
+
+        def recording_add(self, shape, terms, rhs=None):
+            if now:  # the generators pose their own systems
+                factors[now[-1]].extend(m for _, left, right, _ in terms for m in (left, right) if m is not None)
+            return add(self, shape, terms, rhs)
+
+        def run(what, solver, *args):
+            now.append(what)
+            try:
+                return solver(*args)
+            finally:
+                now.pop()
+
+        monkeypatch.setattr(MatrixProblem, "add_equation", recording_add)
+        for ring in (ZZ, Z4, Zmod(9), GF(5)):
+            rng = random.Random(96)
+            inputs = [x for x in [inductive_delta_complex()] if x.ring == ring]
+            for trial in range(8):
+                inputs.append(random_delta_complex(ring, random.Random(96000 + trial)))
+                inputs.append(random_strip_delta_complex(ring, random.Random(96500 + trial)))
+            inputs += [random_strip_delta_complex(ring, random.Random(97000 + t)) for t in range(20)]
+            hats = [run("theta", theta_extend, x) for x in inputs]
+            maps = []
+            for k in range(len(inputs) - 1):
+                x, y, xhat, yhat = inputs[k], inputs[k + 1], hats[k], hats[k + 1]
+                maps.append(run("mor", theta_extend_mor, random_delta_map(x, y, rng), xhat, yhat))
+                if not x.delta0:
+                    maps.append(run("mor", theta_extend_mor, columnwise_null_delta_map(x, x, rng), xhat, xhat))
+            for t in range(20):
+                x = random_gsystem(ring, random.Random(98000 + 2 * t))
+                maps.append(random_gmorphism(x, random_gsystem(ring, random.Random(98001 + 2 * t)), rng))
+            for f in maps:
+                seeds = run("seed", find_seed, f) if isinstance(f, GMorphism) else None
+                if seeds is not None:
+                    run("eta", eta_null_complete, f, *seeds)
+        assert all(factors.values()), {what: len(ms) for what, ms in factors.items()}
+        assert not [w for w, ms in factors.items() for m in ms if m.is_zero()]
+
+
+def ref_level_one_check(sys: GSystem):
+    """``theta_extend``'s level-1 loop, verbatim from before the check read R = -(d d)."""
+    # level 1 is a check, not a solve: d_0 d_1 + d_1 d_0 must vanish
+    for (i, j) in sys.positions:
+        res = sys.diff(0, i + 1, j + 1) @ sys.diff(1, i, j) + sys.diff(1, i + 1, j) @ sys.diff(0, i, j)
+        if not res.is_zero():
+            return Obstruction(
+                "theta-extend", 1, (i, j),
+                "level-1 relation fails: the signed j-map does not "
+                "anticommute with the i-differential",
+            )
+    return None
+
+
+def ref_level_zero_check(alpha: DeltaMap, xhat: GSystem, yhat: GSystem):
+    """``theta_extend_mor``'s level-0 loop, verbatim from before the check read R = d f_0 - f_0 d."""
+    f0 = GMorphism(xhat, yhat, {(0, r + j, j): m for (r, j), m in alpha.components.items()})
+    # level 0: f_0 must already intertwine the strict differentials
+    for (i, j) in xhat.positions:
+        res = f0.comp(0, i + 1, j) @ xhat.diff(0, i, j) - yhat.diff(0, i, j) @ f0.comp(0, i, j)
+        if not res.is_zero():
+            return Obstruction(
+                "theta-extend-mor", 0, (i, j),
+                "the column-wise map does not commute with the i-differential",
+            )
+    return None
+
+
+def _moved(x: DeltaComplex, di: int, dj: int) -> DeltaComplex:
+    """x with every position (i, j) moved to (i + di, j + dj)."""
+    return DeltaComplex(x.ring, *({(i + di, j + dj): v for (i, j), v in view.items()}
+                                  for view in (x.ranks, x.delta0, x.delta1)))
+
+
+def _strip(ring: CoeffRing, i: int, rank: int) -> DeltaComplex:
+    """A rank-`rank` strip in row i over columns 0 and 1, with delta1 the identity."""
+    return DeltaComplex(ring, {(i, 0): rank, (i, 1): rank}, {}, {(i, 0): RingMatrix.identity(ring, rank)})
+
+
+class TestObstructionPositionOracle:
+    @pytest.mark.parametrize("ring", [ZZ, Z4, Zmod(9), GF(5)], ids=str)
+    def test_first_failing_positions_match_the_loops(self, ring):
+        rng = random.Random(99)
+        seen = set()
+        for trial in range(12):
+            # the obstructed template from column 2 on, summed after strips in columns 0-1
+            pieces = [_strip(ring, rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+            pieces.append(_moved(obstructed_delta_complex(ring), rng.randint(-2, 1), 2))
+            x = gen._delta_direct_sum(ring, pieces)
+            for z in (x, gen._delta_conjugate(x, rng)):
+                out, ref = theta_extend(z), ref_level_one_check(gs._theta_seed(z))
+                assert ref is not None and (out.stage, out.level, out.position, out.detail) == (
+                    ref.stage, ref.level, ref.position, ref.detail)
+                seen.add(("theta", ref.position == min(psi(z).positions)))
+        for trial in range(30):
+            x = random_delta_complex(ring, random.Random(99000 + trial))
+            y = random_delta_complex(ring, random.Random(99500 + trial))
+            xhat, yhat = theta_extend(x), theta_extend(y)
+            f = random_delta_map(x, y, rng)
+            for alpha in (f, DeltaMap(x, y, _perturbed_map(f, rng))):
+                out, ref = theta_extend_mor(alpha, xhat, yhat), ref_level_zero_check(alpha, xhat, yhat)
+                if ref is None:
+                    assert not isinstance(out, Obstruction) or out.level > 0
+                    continue
+                assert (out.stage, out.level, out.position, out.detail) == (
+                    ref.stage, ref.level, ref.position, ref.detail)
+                seen.add(("mor", ref.position == min(xhat.positions)))
+        assert {("theta", False), ("mor", False)} <= seen
