@@ -35,6 +35,17 @@ def json_pos(e) -> Tuple[int, int]:
     return json_int(e["i"], "i"), json_int(e["j"], "j")
 
 
+def json_unique(pairs, what: str) -> dict:
+    """The dict of an instance file's (key, value) entries; a repeated key is
+    rejected, not overwritten by the last entry."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated {what} {key}")
+        out[key] = value
+    return out
+
+
 def json_matrix(d, ring: CoeffRing) -> RingMatrix:
     """A matrix read from an instance file over ``ring``; one over another ring is rejected."""
     m = RingMatrix.from_json(d)
@@ -606,10 +617,10 @@ class Graded(BaseInstance):
         }
 
     def mor_from_json(self, d, X, Y):
-        comps = {
-            (json_int(c["n"], "n"), json_int(c["j"], "j")): json_matrix(c["matrix"], self.ring)
+        comps = json_unique([
+            ((json_int(c["n"], "n"), json_int(c["j"], "j")), json_matrix(c["matrix"], self.ring))
             for c in d["components"]
-        }
+        ], "component (n, j)")
         return GradedMorphism(X, Y, comps)
 
     def to_json(self):

@@ -31,10 +31,13 @@ homotopy seed, found by ``find_seed``, into a full eta-homotopy
 certificate; each solves all levels of its family as one system and
 re-solves level prefixes only to locate an obstruction.  All four bigraded
 solves work in CgrA and pose their level-n equations u d_X +- d_Y u = rhs
-through one builder: ``_add_unknowns`` registers a level's unknowns and
-``_add_equation`` writes one equation, whose rhs is a component of one
-``Graded.compose`` composite (-d d, d f_0 - f_0 d or the seeds' residual)
-and whose factors are stored components.
+through one level builder, ``_solve_levels``, over a range of levels:
+``theta_extend`` one level n >= 2 at a time, ``theta_extend_mor`` and
+``eta_null_complete`` levels 1 to the top, and ``find_seed`` levels -1
+and 0 of ``eta_null_complete``'s family.  It registers the unknowns, and
+``_add_equation`` writes each equation, whose rhs is a component of one
+``Graded.compose`` composite (-d d, d f_0 - f_0 d, the seeds' residual or
+f itself) and whose factors are stored components.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .base import Graded, GradedMorphism, GradedObject, ScalarEta, json_int, json_matrix, json_pos
+from .base import Graded, GradedMorphism, GradedObject, ScalarEta, json_int, json_matrix, json_pos, json_unique
 from .complexes import (
     ChainMap,
     Complex,
@@ -219,11 +222,10 @@ class GSystem:
     @staticmethod
     def from_json(d) -> "GSystem":
         ring = CoeffRing.from_json(d["ring"])
-        ranks = {json_pos(e): json_int(e["rank"], "rank") for e in d["ranks"]}
-        diffs = {
-            (json_int(e["n"], "n"), *json_pos(e)): json_matrix(e["matrix"], ring)
-            for e in d["diffs"]
-        }
+        ranks = json_unique([(json_pos(e), json_int(e["rank"], "rank")) for e in d["ranks"]], "rank position")
+        diffs = json_unique([
+            ((json_int(e["n"], "n"), *json_pos(e)), json_matrix(e["matrix"], ring)) for e in d["diffs"]
+        ], "diff (n, i, j)")
         return GSystem(ring, ranks, diffs, d["convention"])
 
 
@@ -615,9 +617,11 @@ class DeltaComplex(GSystem):
     @staticmethod
     def from_json(d) -> "DeltaComplex":
         ring = CoeffRing.from_json(d["ring"])
-        ranks = {json_pos(e): json_int(e["rank"], "rank") for e in d["ranks"]}
-        d0 = {json_pos(e): json_matrix(e["matrix"], ring) for e in d["delta0"]}
-        d1 = {json_pos(e): json_matrix(e["matrix"], ring) for e in d["delta1"]}
+        ranks = json_unique([(json_pos(e), json_int(e["rank"], "rank")) for e in d["ranks"]], "rank position")
+        d0, d1 = (
+            json_unique([(json_pos(e), json_matrix(e["matrix"], ring)) for e in d[key]], f"{key} position")
+            for key in ("delta0", "delta1")
+        )
         return DeltaComplex(ring, ranks, d0, d1)
 
 
@@ -737,21 +741,13 @@ def _theta_seed(x: DeltaComplex) -> GSystem:
     }, CGRA)
 
 
-def _add_unknowns(prob: MatrixProblem, X: GSystem, Y: GSystem, n: int, di: int):
-    """Register the level-n unknowns u_n: X^{ij} -> Y^{i+di, j+n}, keyed (n, i, j)."""
-    for (i, j) in X.positions:
-        if Y.rank(i + di, j + n):
-            prob.add_unknown((n, i, j), Y.rank(i + di, j + n), X.rank(i, j))
-
-
 def _part(maps: Dict[int, GradedMorphism], i: int, n: int, j: int) -> Optional[RingMatrix]:
     """Component (n, j) of the degree-i morphism in ``maps``; None where it is zero."""
     return maps[i].components.get((n, j)) if i in maps else None
 
 
 def _add_equation(
-    prob: MatrixProblem, X: GSystem, Y: GSystem, n: int, i: int, j: int,
-    di: int, sign: int, rhs, keep: bool = False,
+    prob: MatrixProblem, X: GSystem, Y: GSystem, n: int, i: int, j: int, di: int, sign: int, rhs,
 ):
     """Write the level-n equation of  u d_X + sign * d_Y u = rhs(n, i, j)  at (i, j).
 
@@ -759,7 +755,7 @@ def _add_equation(
     composite, None where it is zero.  A u_k (-1 <= k <= n) that ``prob``
     does not hold is known, and its terms belong in rhs; one that it holds
     poses a term where its factor d_X or d_Y is stored.  An equation that
-    holds no u_k is left out when rhs is None, unless ``keep``.
+    holds no u_k and whose rhs is None says 0 = 0 and is left out.
     """
     er, ec = Y.rank(i + di + 1, j + n), X.rank(i, j)
     if not er or not ec:
@@ -769,8 +765,40 @@ def _add_equation(
     terms = [((k, i + 1, j + n - k), None, _part(X.complex.diffs, i, n - k, j), 1) for k in range(n, -2, -1)]
     terms += [((k, i, j), _part(Y.complex.diffs, i + di, n - k, j + k), None, sign) for k in range(-1, n + 1)]
     terms = [t for t in terms if t[0] in prob.unknowns]
-    if terms or keep or b is not None:
+    if terms or b is not None:
         prob.add_equation((er, ec), [t for t in terms if t[1] is not None or t[2] is not None], b)
+
+
+def _solve_levels(X: GSystem, Y: GSystem, di: int, sign: int, rhs, lo: int = 1, hi: Optional[int] = None):
+    """Solve the level-n equations of ``_add_equation`` for n = lo..hi as one system.
+
+    The unknowns are u_n: X^{ij} -> Y^{i+di, j+n}, keyed (n, i, j), for
+    lo <= n <= hi; the u_k below lo are known and sit in rhs.  hi defaults
+    to the top level, the largest grade of Y less the smallest grade of X
+    less di, above which no u_n has both ends nonzero.  Returns
+    (solution, None), or (None, n) for the first n whose system of levels
+    lo..n is inconsistent.  The joint system is consistent iff every such
+    prefix is, so the prefixes are solved only after it fails.
+    """
+    pos = X.positions
+    if hi is None:
+        yj = [j for _, j in Y.positions]
+        hi = max(0, max(yj) - min(j for _, j in pos) - di) if pos and yj else 0
+
+    def through(n):
+        prob = MatrixProblem(X.ring)
+        for k in range(lo, n + 1):
+            for (i, j) in pos:
+                if Y.rank(i + di, j + k):
+                    prob.add_unknown((k, i, j), Y.rank(i + di, j + k), X.rank(i, j))
+            for (i, j) in pos:
+                _add_equation(prob, X, Y, k, i, j, di, sign, rhs)
+        return prob.solve()
+
+    sol = through(hi) if hi >= lo else {}
+    if sol is not None:
+        return sol, None
+    return None, next((n for n in range(lo, hi) if through(n) is None), hi)
 
 
 def theta_extend(x: DeltaComplex):
@@ -801,12 +829,11 @@ def theta_extend(x: DeltaComplex):
     cols = x.columns
     width = (max(cols) - min(cols)) if cols else 0
     for n in range(2, width + 1):
-        # the levels from n up are still 0, so R's level n is -sum_{0<p<n} d_p d_{n-p}
-        prob = MatrixProblem(ring)
-        _add_unknowns(prob, sys, sys, n, 1)
-        for (i, j) in sys.positions:
-            _add_equation(prob, sys, sys, n, i, j, 1, 1, lambda n, i, j: _part(R, i, n, j))
-        sol = prob.solve()
+        # the levels from n up are still 0, so R's level n is -sum_{0<p<n} d_p d_{n-p};
+        # R is stale only after a level that added components
+        if R is None:
+            R = minus_square(sys.complex)
+        sol, _ = _solve_levels(sys, sys, 1, 1, lambda n, i, j: _part(R, i, n, j), n, n)
         if sol is None:
             return Obstruction(
                 "theta-extend", n, None,
@@ -815,36 +842,9 @@ def theta_extend(x: DeltaComplex):
         new = {key: m for key, m in sol.items() if not m.is_zero()}
         if new:
             diffs.update(new)
-            sys = GSystem(ring, ranks, diffs, CGRA)
-            R = minus_square(sys.complex)
+            sys, R = GSystem(ring, ranks, diffs, CGRA), None
     verify(validate_gsystem(sys), "theta_extend: the completion fails the convolution relations")
     return sys
-
-
-def _solve_levels(X: GSystem, Y: GSystem, di: int, sign: int, rhs):
-    """Solve the level-n equations of ``_add_equation`` for n = 1..top as one system.
-
-    Above top, the largest grade of Y less the smallest grade of X less di,
-    no u_n has both ends nonzero.  Returns (solution, None), or (None, n)
-    for the first n whose system of levels 1..n is inconsistent.  The joint
-    system is consistent iff every such prefix is, so the prefixes are
-    solved only after it fails.
-    """
-    xj, yj = [j for _, j in X.positions], [j for _, j in Y.positions]
-    top = max(0, max(yj) - min(xj) - di) if xj and yj else 0
-
-    def through(n):
-        prob = MatrixProblem(X.ring)
-        for k in range(1, n + 1):
-            _add_unknowns(prob, X, Y, k, di)
-            for (i, j) in X.positions:
-                _add_equation(prob, X, Y, k, i, j, di, sign, rhs)
-        return prob.solve()
-
-    sol = through(top) if top >= 1 else {}
-    if sol is not None:
-        return sol, None
-    return None, next((n for n in range(1, top) if through(n) is None), top)
 
 
 def theta_extend_mor(alpha: DeltaMap, xhat: GSystem, yhat: GSystem):
@@ -869,8 +869,6 @@ def theta_extend_mor(alpha: DeltaMap, xhat: GSystem, yhat: GSystem):
             "theta-extend-mor", 0, min(bad),
             "the column-wise map does not commute with the i-differential",
         )
-    if xhat.is_zero() or yhat.is_zero():
-        return f0
     # level-n equation: sum_{q<n} f_{n-q} dX_q - sum_{q>0} dY_{n-q} f_q = R_n
     sol, level = _solve_levels(xhat, yhat, 0, -1, lambda n, i, j: _part(R, i, n, j))
     if sol is None:
@@ -1007,15 +1005,9 @@ def find_seed(f: GMorphism):
     """
     if f.source.convention != CGRA:
         raise ValueError("find_seed expects the CgrA convention")
-    X, Y = f.source, f.target
-    prob = MatrixProblem(X.ring)
-    for n in (-1, 0):
-        _add_unknowns(prob, X, Y, n, -1)
     fs = f.chain_map.components
-    for (i, j) in X.positions:
-        for n in (-1, 0):  # the rhs of level n is f_n, so None at level -1
-            _add_equation(prob, X, Y, n, i, j, -1, 1, lambda n, i, j: _part(fs, i, n, j), keep=n == 0)
-    sol = prob.solve()
+    # the rhs of level n is f_n, so None at level -1
+    sol, _ = _solve_levels(f.source, f.target, -1, 1, lambda n, i, j: _part(fs, i, n, j), -1, 0)
     if sol is None:
         return None
     s0 = {(i, j): m for (n, i, j), m in sol.items() if n == -1}

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Tuple
 
-from .base import instance_from_json, json_int, json_matrix, json_pos
+from .base import instance_from_json, json_int, json_matrix, json_pos, json_unique
 from .complexes import ChainMap, Complex
 from .gsystems import DeltaComplex, DeltaMap, GSystem
 
@@ -45,9 +45,9 @@ def complex_to_json(c: Complex) -> dict:
 
 def complex_from_json(d: dict) -> Complex:
     inst = instance_from_json(d["instance"])
-    objects = {
-        json_int(e["degree"], "degree"): inst.obj_from_json(e["object"]) for e in d["objects"]
-    }
+    objects = json_unique([
+        (json_int(e["degree"], "degree"), inst.obj_from_json(e["object"])) for e in d["objects"]
+    ], "object degree")
 
     def obj(n):
         return objects.get(n, inst.zero_obj())
@@ -55,6 +55,8 @@ def complex_from_json(d: dict) -> Complex:
     diffs = {}
     for e in d["diffs"]:
         n = json_int(e["degree"], "degree")
+        if n in diffs:
+            raise ValueError(f"repeated differential degree {n}")
         diffs[n] = inst.mor_from_json(e["morphism"], obj(n), obj(n + 1))
     return Complex(inst, objects, diffs)
 
@@ -78,6 +80,8 @@ def chain_map_from_json(d: dict) -> ChainMap:
     comps = {}
     for e in d["components"]:
         n = json_int(e["degree"], "degree")
+        if n in comps:
+            raise ValueError(f"repeated component degree {n}")
         comps[n] = inst.mor_from_json(e["morphism"], src.obj(n), tgt.obj(n))
     return ChainMap(src, tgt, comps)
 
@@ -96,7 +100,8 @@ def delta_map_to_json(f: DeltaMap) -> dict:
 def delta_map_from_json(d: dict) -> DeltaMap:
     src = DeltaComplex.from_json(d["source"])
     tgt = DeltaComplex.from_json(d["target"])
-    comps = {json_pos(e): json_matrix(e["matrix"], src.ring) for e in d["components"]}
+    comps = json_unique([(json_pos(e), json_matrix(e["matrix"], src.ring)) for e in d["components"]],
+                        "component position")
     return DeltaMap(src, tgt, comps)
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from etacomplex.base import Graded, GradedObject, ScalarEta
+from etacomplex.base import Graded, GradedMorphism, GradedObject, ScalarEta
 from etacomplex import cli
 from etacomplex.cli import main
 from etacomplex.complexes import (
@@ -465,6 +465,14 @@ class TestCheck:
         ("q-entry-underscore", "eta-homotopic", 2),
         ("q-denominator-plus", "eta-homotopic", 2),
         ("nonzero-p-i", "is-eta-conflation", 1),
+        ("repeated-delta1", "theta-extend", 2),
+        ("repeated-delta-rank", "theta-extend", 2),
+        ("repeated-gsystem-diff", "totalize", 2),
+        ("repeated-object-degree", "totalize", 2),
+        ("repeated-diff-degree", "totalize", 2),
+        ("repeated-graded-component", "totalize", 2),
+        ("repeated-chain-map-degree", "eta-homotopic", 2),
+        ("repeated-delta-map-position", "phi", 2),
     ])
     def test_inconsistent_instance(self, tmp_path, capsys, case, op, code):
         """Hand-edited Z/4 and Q files: a structural inconsistency or a matrix entry
@@ -507,6 +515,21 @@ class TestCheck:
         def graded_ranks(ranks):
             return lambda doc: matrix(doc, "objects", 0, "object").update(ranks=ranks)
 
+        def repeat(*path, entries=None):
+            """Append a copy of the first entry of a list, with its matrix entries replaced if given."""
+            def edit(doc):
+                items = matrix(doc, *path)
+                twin = json.loads(json.dumps(items[0]))
+                if entries is not None:
+                    twin["matrix"]["entries"] = entries
+                items.append(twin)
+            return edit
+
+        delta = DeltaComplex(ring, {(0, 0): 1, (0, 1): 1}, {}, {(0, 0): one})
+        stalk = DeltaComplex(ring, {(0, 0): 1}, {}, {})
+        g1 = GradedObject({0: 1})
+        graded_d = Complex(Graded(ScalarEta(ring, 2)), {0: g1, 1: g1}, {0: GradedMorphism(g1, g1, {(0, 0): one})})
+
         kind, obj, edit = {
             "endpoints": ("chain-maps", (zero_chain_map(a, a), zero_chain_map(b, a)), None),
             "legs": ("pair", (zero_chain_map(a, a), zero_chain_map(b, a)), None),
@@ -530,6 +553,17 @@ class TestCheck:
             "q-entry-underscore": ("chain-maps", (q_ident, q_ident), entry("1_0/3")),
             "q-denominator-plus": ("chain-maps", (q_ident, q_ident), entry("1/+3")),
             "nonzero-p-i": ("pair", (ident, ident), None),
+            # the last of two entries used to win: delta1 = [2] answered PASS
+            "repeated-delta1": ("delta-complex", delta, repeat("delta1", entries=["2"])),
+            "repeated-delta-rank": ("delta-complex", delta, repeat("ranks")),
+            "repeated-gsystem-diff": ("gsystem", GSystem(ring, {(0, 0): 1, (1, 0): 1}, {(0, 0, 0): one}),
+                                      repeat("diffs")),
+            "repeated-object-degree": ("complex", graded, repeat("objects")),
+            "repeated-diff-degree": ("complex", graded_d, repeat("diffs")),
+            "repeated-graded-component": ("complex", graded_d, repeat("diffs", 0, "morphism", "components")),
+            "repeated-chain-map-degree": ("chain-maps", (ident, ident), repeat("f", "components")),
+            "repeated-delta-map-position": ("delta-map", DeltaMap(stalk, stalk, {(0, 0): one}),
+                                            repeat("components")),
         }[case]
         p = tmp_path / "edited.json"
         save_instance_file(str(p), kind, obj)

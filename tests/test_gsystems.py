@@ -2117,6 +2117,15 @@ def _same_problems(log, run, ref_run, seen):
     return out
 
 
+def _disks_and_strips(ring: CoeffRing, rng: random.Random) -> DeltaComplex:
+    """Identity disks along i in five adjacent columns plus two strips, summed and
+    conjugated: every theta level from 2 to 4 poses equations with stored d_0 factors."""
+    one = RingMatrix.identity(ring, 1)
+    disks = [DeltaComplex(ring, {(0, j): 1, (1, j): 1}, {(0, j): one}, {}) for j in range(-1, 4)]
+    strips = [gen._delta_strip_piece(ring, rng) for _ in range(2)]
+    return gen._delta_conjugate(gen._delta_direct_sum(ring, disks + strips), rng)
+
+
 class TestLevelSystemOracle:
     def test_level_systems_match_hand_written(self, monkeypatch):
         log = _record_problems(monkeypatch)
@@ -2182,6 +2191,15 @@ class TestLevelSystemOracle:
                 lambda: ref_theta_extend_mor(alpha, stalk, yhat),
                 "mor",
             )
+            for t in range(4):
+                x = _disks_and_strips(ring, random.Random(99000 + t))
+                xhat = compare(lambda: theta_extend(x), lambda: ref_theta_extend(x), "theta")
+                ident = DeltaMap(x, x, {pos: RingMatrix.identity(ring, r) for pos, r in x.ranks.items()})
+                compare(
+                    lambda: theta_extend_mor(ident, xhat, xhat),
+                    lambda: ref_theta_extend_mor(ident, xhat, xhat),
+                    "mor",
+                )
         assert {"nonzero rhs", "skipped unknown", "sign 1", "sign -1"} <= seen
         assert {f"{what} {tag}" for what in ("theta", "mor", "eta")
                 for tag in ("nonzero rhs", "skipped unknown")} <= seen
@@ -2192,17 +2210,56 @@ class TestLevelSystemOracle:
         }
 
 
+def _same_seed_problems(log, f, seen):
+    """find_seed(f) gives ref_find_seed(f)'s seeds and poses its system, level by level.
+
+    The reference writes each position's level -1 equation (no rhs) and then
+    its level 0 equation, also when that holds no term and a zero rhs.
+    find_seed poses the same equations without those empty ones, the level
+    -1 rows before the level 0 rows, over the same columns.  When no seed
+    exists it then solves the level -1 prefix: those rows over the s_0 columns.
+    """
+    start = len(log)
+    out = find_seed(f)
+    mid = len(log)
+    ref = ref_find_seed(f)
+    new, old = log[start:mid], log[mid:]
+    del log[start:]
+    assert out == ref
+    assert len(old) == 1 and len(new) == (1 if ref is not None else 2)
+    ref_coeffs, ref_rhs, ref_prob = old[0]
+    inst = ref_prob.instance
+    rows = {-1: [], 0: []}
+    for A, B, row, terms, rhs in ref_prob.equations:
+        block = list(range(row, row + inst.hom_dim(A, B)))
+        if rhs is None:
+            rows[-1] += block
+        elif terms or not rhs.is_zero():
+            rows[0] += block
+        else:
+            seen.add("empty equation dropped")
+    s0_cols = sum(inst.hom_dim(X, Y) for key, (X, Y, _) in ref_prob.unknowns.items() if key[0] == "s0")
+    m = ref_coeffs.cols
+    expected = [(rows[-1] + rows[0], m), (rows[-1], s0_cols)]
+    for (coeffs, rhs, prob), (want, cols) in zip(new, expected):
+        assert (coeffs.rows, coeffs.cols) == (len(want), cols)
+        assert coeffs.entries == [ref_coeffs.entries[r * m + c] for r in want for c in range(cols)]
+        assert rhs.entries == [ref_rhs.entries[r] for r in want]
+    _, rhs, prob = new[0]
+    if any(rhs.entries):
+        seen.add("nonzero rhs")
+    if set(prob.unknowns.asked) - set(prob.unknowns):
+        seen.add("skipped unknown")
+    if any(not terms for _, _, _, terms, _ in prob.equations):
+        seen.add("equation without terms")
+    return out
+
+
 class TestFindSeedOracle:
     def test_seed_systems_match_hand_written(self, monkeypatch):
         log = _record_problems(monkeypatch)
         seen = set()
         outcomes = set()
-
-        def run(f):
-            out = find_seed(f)
-            if any(not terms for _, _, _, terms, _ in log[-1][2].equations):
-                seen.add("equation without terms")
-            return out
 
         for ring in (ZZ, Z4, Zmod(9), GF(5)):
             rng = random.Random(98)
@@ -2224,10 +2281,34 @@ class TestFindSeedOracle:
                 maps.append(random_gmorphism(x, y, rng))
             for f in maps:
                 if isinstance(f, GMorphism):
-                    out = _same_problems(log, lambda: run(f), lambda: ref_find_seed(f), seen)
-                    outcomes.add(out is None)
+                    outcomes.add(_same_seed_problems(log, f, seen) is None)
         assert outcomes == {True, False}
-        assert {"equation without terms", "nonzero rhs", "skipped unknown"} <= seen
+        assert {"equation without terms", "nonzero rhs", "skipped unknown", "empty equation dropped"} <= seen
+
+
+class TestThetaRereadsTheSquare:
+    def test_each_level_reads_the_current_square(self, monkeypatch):
+        """theta_extend's level n reads level n of -d d of the system completed so far.
+
+        Over Z/4 at seed 244, level 2 adds components that level 3 reads: an R
+        left from before level 2 would pose 0 where -(d_1 d_2 + d_2 d_1) is not."""
+        solve, nonzero = gs._solve_levels, set()
+
+        def checking(X, Y, di, sign, rhs, lo=1, hi=None):
+            if X is Y and di == 1:  # theta_extend's level lo = hi
+                c = X.complex
+                inst = c.instance
+                square = {i: inst.hom_negate(inst.compose(c.diff(i + 1), d)) for i, d in c.diffs.items()}
+                for (i, j) in X.positions:
+                    assert rhs(lo, i, j) == gs._part(square, i, lo, j)
+                    if rhs(lo, i, j) is not None:
+                        nonzero.add(lo)
+            return solve(X, Y, di, sign, rhs, lo, hi)
+
+        monkeypatch.setattr(gs, "_solve_levels", checking)
+        for x in (random_delta_complex(Z4, random.Random(244)), inductive_delta_complex()):
+            theta_extend(x)
+        assert {2, 3} <= nonzero
 
 
 class TestCgrAOnly:
@@ -2289,7 +2370,14 @@ class TestNoZeroFactor:
                 seeds = run("seed", find_seed, f) if isinstance(f, GMorphism) else None
                 if seeds is not None:
                     run("eta", eta_null_complete, f, *seeds)
+            for t in range(4):
+                x = _disks_and_strips(ring, random.Random(99000 + t))
+                xhat = run("theta", theta_extend, x)
+                assert isinstance(xhat, GSystem)
+                ident = DeltaMap(x, x, {pos: RingMatrix.identity(ring, r) for pos, r in x.ranks.items()})
+                assert isinstance(run("mor", theta_extend_mor, ident, xhat, xhat), GMorphism)
         assert all(factors.values()), {what: len(ms) for what, ms in factors.items()}
+        assert len(factors["theta"]) >= 50, len(factors["theta"])
         assert not [w for w, ms in factors.items() for m in ms if m.is_zero()]
 
 
