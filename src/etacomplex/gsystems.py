@@ -37,7 +37,9 @@ through one level builder, ``_solve_levels``, over a range of levels:
 and 0 of ``eta_null_complete``'s family.  It registers the unknowns, and
 ``_add_equation`` writes each equation, whose rhs is a component of one
 ``Graded.compose`` composite (-d d, d f_0 - f_0 d, the seeds' residual or
-f itself) and whose factors are stored components.
+f itself) and whose factors are stored components.  A level range whose rhs
+is zero throughout is homogeneous and is not posed: its solution is zero.
+``validate_delta`` poses delta1^2's null-homotopy as one level-2 system.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .complexes import (
     compose_chain_maps,
     eta_chain_map,
     id_chain_map,
-    null_homotopic,
     shift_complex,
     validate_chain_map,
     validate_complex,
@@ -554,8 +555,9 @@ class DeltaComplex(GSystem):
     The GA system with levels 0 and 1 only: delta0^{ij} = d_0^{ij}:
     X^{ij} -> X^{i+1,j} squares to zero; delta1^{ij} = d_1^{ij}:
     X^{ij} -> X^{i,j+1} commutes strictly with delta0 and its square is
-    only required to be null-homotopic with respect to delta0.  Those are
-    ``validate_delta``'s relations, not the convolution relations.
+    only required to be null-homotopic with respect to delta0, column by
+    column (a level-2 system of ``psi``).  Those are ``validate_delta``'s
+    relations, not the convolution relations.
     ``ranks``, ``delta0`` and ``delta1`` are views in sorted (i, j) order.
     """
 
@@ -592,20 +594,6 @@ class DeltaComplex(GSystem):
     def columns(self) -> List[int]:
         return sorted({j for X in self.complex.objects.values() for j in X.ranks})
 
-    def _column(self, n: int, j: int) -> Dict[int, RingMatrix]:
-        """The level-n components in column j, keyed by i."""
-        return {
-            i - j: d.components[(n, j)]
-            for i, d in sorted(self.complex.diffs.items()) if (n, j) in d.components
-        }
-
-    def column_complex(self, j: int) -> Complex:
-        objects = {i - j: X.ranks[j] for i, X in sorted(self.complex.objects.items()) if j in X.ranks}
-        return Complex(ScalarEta(self.ring, self.ring.one()), objects, self._column(0, j))
-
-    def delta1_map(self, j: int) -> ChainMap:
-        return ChainMap(self.column_complex(j), self.column_complex(j + 1), self._column(1, j))
-
     def to_json(self):
         return {
             "ring": self.ring.to_json(),
@@ -626,7 +614,13 @@ class DeltaComplex(GSystem):
 
 
 def validate_delta(x: DeltaComplex) -> bool:
-    """delta0^2 = 0, strict commutation, delta1^2 null-homotopic columnwise."""
+    """delta0^2 = 0, strict commutation, delta1^2 null-homotopic columnwise.
+
+    The first two are checked at each position.  The last is the level-2
+    system u_2 d_0 + d_0 u_2 = -d_1 d_1 of the unsigned CgrA reading psi(x):
+    u_2 maps column j to column j + 2, one null-homotopy per column.  It is
+    homogeneous, and poses nothing, when delta1^2 = 0.
+    """
     for (i, j) in x.positions:
         if not (x.d0(i + 1, j) @ x.d0(i, j)).is_zero():
             return False
@@ -634,11 +628,10 @@ def validate_delta(x: DeltaComplex) -> bool:
         rhs = x.d1(i + 1, j) @ x.d0(i, j)
         if lhs != rhs:
             return False
-    for j in x.columns:
-        sq = compose_chain_maps(x.delta1_map(j + 1), x.delta1_map(j))
-        if null_homotopic(sq) is None:
-            return False
-    return True
+    y = psi(x)
+    R = _minus_square(y.complex)
+    sol, _ = _solve_levels(y, y, 1, 1, lambda n, i, j: _part(R, i, n, j), 2, 2)
+    return sol is not None
 
 
 class DeltaMap:
@@ -741,6 +734,12 @@ def _theta_seed(x: DeltaComplex) -> GSystem:
     }, CGRA)
 
 
+def _minus_square(c: Complex) -> Dict[int, GradedMorphism]:
+    """-(d d) over Graded, by degree; its level n is -sum_{p+q=n} d_p d_q."""
+    inst = c.instance
+    return {i: inst.hom_negate(inst.compose(c.diff(i + 1), d)) for i, d in c.diffs.items()}
+
+
 def _part(maps: Dict[int, GradedMorphism], i: int, n: int, j: int) -> Optional[RingMatrix]:
     """Component (n, j) of the degree-i morphism in ``maps``; None where it is zero."""
     return maps[i].components.get((n, j)) if i in maps else None
@@ -779,11 +778,22 @@ def _solve_levels(X: GSystem, Y: GSystem, di: int, sign: int, rhs, lo: int = 1, 
     (solution, None), or (None, n) for the first n whose system of levels
     lo..n is inconsistent.  The joint system is consistent iff every such
     prefix is, so the prefixes are solved only after it fails.
+
+    A range whose rhs is None throughout is homogeneous: the solver sets
+    free variables to 0, so it is not posed and its solution is a zero
+    matrix for each unknown.  Likewise the prefixes below the first level
+    with a rhs are consistent and are not re-solved.
     """
     pos = X.positions
     if hi is None:
         yj = [j for _, j in Y.positions]
         hi = max(0, max(yj) - min(j for _, j in pos) - di) if pos and yj else 0
+    first = next((n for n in range(lo, hi + 1) if any(rhs(n, i, j) is not None for (i, j) in pos)), None)
+    if first is None:
+        return {
+            (k, i, j): RingMatrix.zero(X.ring, Y.rank(i + di, j + k), X.rank(i, j))
+            for k in range(lo, hi + 1) for (i, j) in pos if Y.rank(i + di, j + k)
+        }, None
 
     def through(n):
         prob = MatrixProblem(X.ring)
@@ -795,10 +805,10 @@ def _solve_levels(X: GSystem, Y: GSystem, di: int, sign: int, rhs, lo: int = 1, 
                 _add_equation(prob, X, Y, k, i, j, di, sign, rhs)
         return prob.solve()
 
-    sol = through(hi) if hi >= lo else {}
+    sol = through(hi)
     if sol is not None:
         return sol, None
-    return None, next((n for n in range(lo, hi) if through(n) is None), hi)
+    return None, next((n for n in range(first, hi) if through(n) is None), hi)
 
 
 def theta_extend(x: DeltaComplex):
@@ -812,13 +822,8 @@ def theta_extend(x: DeltaComplex):
     ring = x.ring
     sys = _theta_seed(x)
     ranks, diffs = sys.ranks, sys.diffs
-    inst = sys.complex.instance
-
-    def minus_square(c: Complex) -> Dict[int, GradedMorphism]:
-        return {i: inst.hom_negate(inst.compose(c.diff(i + 1), d)) for i, d in c.diffs.items()}
-
     # R = -(d d) over Graded; level 1 is a check: d_0 d_1 + d_1 d_0 must vanish
-    R = minus_square(sys.complex)
+    R = _minus_square(sys.complex)
     bad = [(i, j) for i, r in R.items() for (n, j) in r.components if n == 1]
     if bad:
         return Obstruction(
@@ -832,7 +837,7 @@ def theta_extend(x: DeltaComplex):
         # the levels from n up are still 0, so R's level n is -sum_{0<p<n} d_p d_{n-p};
         # R is stale only after a level that added components
         if R is None:
-            R = minus_square(sys.complex)
+            R = _minus_square(sys.complex)
         sol, _ = _solve_levels(sys, sys, 1, 1, lambda n, i, j: _part(R, i, n, j), n, n)
         if sol is None:
             return Obstruction(

@@ -25,6 +25,7 @@ from etacomplex.complexes import (
     ChainMap,
     Complex,
     HomotopyCertificate,
+    LinearProblem,
     PostconditionError,
     compose_chain_maps,
     eta_chain_map,
@@ -297,7 +298,8 @@ class TestDeltaComplex:
         x = inductive_delta_complex()
         assert validate_delta(x)
         # the column square is nonzero, so the homotopy is genuinely needed
-        sq = compose_chain_maps(x.delta1_map(1), x.delta1_map(0))
+        r = _ref_delta(x)
+        sq = compose_chain_maps(r.delta1_map(1), r.delta1_map(0))
         assert not sq.is_zero()
 
     def test_obstructed_template_valid_but_not_orthogonal(self):
@@ -1481,6 +1483,23 @@ class RefDeltaComplex:
         d1 = {json_pos(e): json_matrix(e["matrix"], ring) for e in d["delta1"]}
         return RefDeltaComplex(ring, ranks, d0, d1)
 
+
+def ref_validate_delta(x: RefDeltaComplex) -> bool:
+    """``validate_delta`` verbatim from before delta1^2 was posed as one level-2 system."""
+    for (i, j) in x.positions:
+        if not (x.d0(i + 1, j) @ x.d0(i, j)).is_zero():
+            return False
+        lhs = x.d0(i, j + 1) @ x.d1(i, j)
+        rhs = x.d1(i + 1, j) @ x.d0(i, j)
+        if lhs != rhs:
+            return False
+    for j in x.columns:
+        sq = compose_chain_maps(x.delta1_map(j + 1), x.delta1_map(j))
+        if null_homotopic(sq) is None:
+            return False
+    return True
+
+
 class RefDeltaMap:
     """Column-wise chain map between DeltaComplexes, strict in both directions."""
 
@@ -1926,11 +1945,8 @@ def _same_delta(x: DeltaComplex, r: RefDeltaComplex):
     for (i, j) in _box(r.positions):
         assert x.rank(i, j) == r.rank(i, j)
         assert (x.d0(i, j), x.d1(i, j)) == (r.d0(i, j), r.d1(i, j))
-    for j in {j + a for j in r.columns for a in (-1, 0, 1)}:
-        c, rc = x.column_complex(j), r.column_complex(j)
-        assert c == rc and list(c.objects) == list(rc.objects) and list(c.diffs) == list(rc.diffs)
-        assert x.delta1_map(j) == r.delta1_map(j)
-        assert list(x.delta1_map(j).components) == list(r.delta1_map(j).components)
+    # x keeps no column complexes; its verdict is checked against the reference's
+    assert validate_delta(x) == ref_validate_delta(r)
     assert DeltaComplex.from_json(r.to_json()) == x
 
 
@@ -2060,6 +2076,49 @@ class TestDeltaStorageOracle:
                 RefDeltaMap(r, r, comps)
 
 
+def _two_row_delta(ring: CoeffRing, rng: random.Random) -> DeltaComplex:
+    """Rows 0 and 1 over 2 to 4 columns: delta0 = a in every column (or none),
+    delta1 = c_j Id from column j in both rows.
+
+    delta1 commutes with a, so the strict relations hold; delta1^2 = c_j c_(j+1) Id
+    is null-homotopic iff some s has s a = c_j c_(j+1) Id = a s, which often fails."""
+    r, w = rng.randint(1, 2), rng.randint(2, 4)
+    ranks = {(i, j): r for i in (0, 1) for j in range(w)}
+    d0 = {}
+    if rng.random() < 0.7:
+        a = RingMatrix.from_rows(ring, [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)])
+        d0 = {(0, j): a for j in range(w)}
+    cs = [rng.randint(-3, 3) for _ in range(w - 1)]
+    d1 = {(i, j): RingMatrix.scalar(ring, r, c) for i in (0, 1) for j, c in enumerate(cs)}
+    return DeltaComplex(ring, ranks, d0, d1)
+
+
+class TestValidateDeltaOracle:
+    @pytest.mark.parametrize("ring", [ZZ, Z4, Zmod(8), Zmod(9), Zmod(12), GF(5)], ids=str)
+    def test_level_two_system_matches_columnwise_homotopies(self, ring, monkeypatch):
+        """validate_delta's one level-2 system gives the column-wise verdicts, whatever the theta parity."""
+        rng = random.Random(61)
+        xs = [random_delta_complex(ring, rng) for _ in range(10)]
+        xs += [random_strip_delta_complex(ring, rng) for _ in range(10)]
+        if ring == Z4:
+            xs += [inductive_delta_complex(), inductive_delta_complex(rng)]
+        xs += [_two_row_delta(ring, rng) for _ in range(40)]
+        verdicts = []
+        seen = set()
+        for x in xs:
+            ok = validate_delta(x)
+            assert ok == ref_validate_delta(_ref_delta(x))
+            verdicts.append(ok)
+            strict = all(
+                (x.d0(i + 1, j) @ x.d0(i, j)).is_zero() and x.d0(i, j + 1) @ x.d1(i, j) == x.d1(i + 1, j) @ x.d0(i, j)
+                for (i, j) in x.positions
+            )
+            seen.add((ok, strict))
+        assert {(True, True), (False, True)} <= seen
+        monkeypatch.setattr(gs, "_THETA_PARITY", "total")
+        assert [validate_delta(x) for x in xs] == verdicts
+
+
 class _Unknowns(dict):
     """An unknowns table that remembers every key it was asked about."""
 
@@ -2091,14 +2150,34 @@ def _record_problems(monkeypatch):
     return log
 
 
+def _homogeneous_dropped(old, new):
+    """The reference systems of ``old`` that ``new`` poses, in order.
+
+    A level system whose rhs is zero everywhere is homogeneous and is not
+    posed; its solution is the zero family.  Only such reference systems
+    may be missing from ``new``, and each is checked to solve to zero.
+    """
+    kept = []
+    for ref_coeffs, ref_rhs, ref_prob in old:
+        if any(ref_rhs.entries):
+            kept.append((ref_coeffs, ref_rhs, ref_prob))
+            continue
+        sol = LinearProblem.solve(ref_prob)
+        assert sol is not None and all(m.is_zero() for m in sol.values())
+    assert len(new) == len(kept)
+    return kept
+
+
 def _same_problems(log, run, ref_run, seen):
-    """run() and ref_run() solve entry-for-entry equal systems and give equal results."""
+    """run() and ref_run() solve entry-for-entry equal systems and give equal results.
+
+    run() leaves out the reference's homogeneous systems (``_homogeneous_dropped``)."""
     start = len(log)
     out = run()
     mid = len(log)
     ref = ref_run()
     new, old = log[start:mid], log[mid:]
-    assert len(new) == len(old)
+    old = _homogeneous_dropped(old, new)
     for (coeffs, rhs, prob), (ref_coeffs, ref_rhs, _) in zip(new, old):
         assert (coeffs.rows, coeffs.cols) == (ref_coeffs.rows, ref_coeffs.cols)
         assert coeffs.entries == ref_coeffs.entries
@@ -2124,6 +2203,23 @@ def _disks_and_strips(ring: CoeffRing, rng: random.Random) -> DeltaComplex:
     disks = [DeltaComplex(ring, {(0, j): 1, (1, j): 1}, {(0, j): one}, {}) for j in range(-1, 4)]
     strips = [gen._delta_strip_piece(ring, rng) for _ in range(2)]
     return gen._delta_conjugate(gen._delta_direct_sum(ring, disks + strips), rng)
+
+
+def _template_maps(ring: CoeffRing, rng: random.Random):
+    """(x, y, alpha) for strict maps alpha: x -> y between the Z/4 inductive
+    template and random DeltaComplexes, both ways; none over other rings.
+
+    The template's completion carries a level-2 component, so level 2 of
+    d_Y f_0 - f_0 d_X can be nonzero: about one map in ten poses a
+    ``theta_extend_mor`` system that is not homogeneous."""
+    if ring != Z4:
+        return []
+    out = []
+    for t in range(30):
+        x = inductive_delta_complex(random.Random(99500 + t))
+        y = random_delta_complex(ring, random.Random(99600 + t))
+        out += [(x, y, random_delta_map(x, y, rng)), (y, x, random_delta_map(y, x, rng))]
+    return out
 
 
 class TestLevelSystemOracle:
@@ -2200,6 +2296,14 @@ class TestLevelSystemOracle:
                     lambda: ref_theta_extend_mor(ident, xhat, xhat),
                     "mor",
                 )
+            for x, y, alpha in _template_maps(ring, rng):
+                xhat = compare(lambda: theta_extend(x), lambda: ref_theta_extend(x), "theta")
+                yhat = compare(lambda: theta_extend(y), lambda: ref_theta_extend(y), "theta")
+                compare(
+                    lambda: theta_extend_mor(alpha, xhat, yhat),
+                    lambda: ref_theta_extend_mor(alpha, xhat, yhat),
+                    "mor",
+                )
         assert {"nonzero rhs", "skipped unknown", "sign 1", "sign -1"} <= seen
         assert {f"{what} {tag}" for what in ("theta", "mor", "eta")
                 for tag in ("nonzero rhs", "skipped unknown")} <= seen
@@ -2216,8 +2320,9 @@ def _same_seed_problems(log, f, seen):
     The reference writes each position's level -1 equation (no rhs) and then
     its level 0 equation, also when that holds no term and a zero rhs.
     find_seed poses the same equations without those empty ones, the level
-    -1 rows before the level 0 rows, over the same columns.  When no seed
-    exists it then solves the level -1 prefix: those rows over the s_0 columns.
+    -1 rows before the level 0 rows, over the same columns, and nothing when
+    the rhs is zero everywhere (``_homogeneous_dropped``).  When no seed
+    exists it solves no prefix: the level -1 prefix has no rhs.
     """
     start = len(log)
     out = find_seed(f)
@@ -2226,7 +2331,9 @@ def _same_seed_problems(log, f, seen):
     new, old = log[start:mid], log[mid:]
     del log[start:]
     assert out == ref
-    assert len(old) == 1 and len(new) == (1 if ref is not None else 2)
+    assert len(old) == 1
+    if not _homogeneous_dropped(old, new):
+        return out
     ref_coeffs, ref_rhs, ref_prob = old[0]
     inst = ref_prob.instance
     rows = {-1: [], 0: []}
@@ -2238,14 +2345,12 @@ def _same_seed_problems(log, f, seen):
             rows[0] += block
         else:
             seen.add("empty equation dropped")
-    s0_cols = sum(inst.hom_dim(X, Y) for key, (X, Y, _) in ref_prob.unknowns.items() if key[0] == "s0")
     m = ref_coeffs.cols
-    expected = [(rows[-1] + rows[0], m), (rows[-1], s0_cols)]
-    for (coeffs, rhs, prob), (want, cols) in zip(new, expected):
-        assert (coeffs.rows, coeffs.cols) == (len(want), cols)
-        assert coeffs.entries == [ref_coeffs.entries[r * m + c] for r in want for c in range(cols)]
-        assert rhs.entries == [ref_rhs.entries[r] for r in want]
-    _, rhs, prob = new[0]
+    want = rows[-1] + rows[0]
+    coeffs, rhs, prob = new[0]
+    assert (coeffs.rows, coeffs.cols) == (len(want), m)
+    assert coeffs.entries == [ref_coeffs.entries[r * m + c] for r in want for c in range(m)]
+    assert rhs.entries == [ref_rhs.entries[r] for r in want]
     if any(rhs.entries):
         seen.add("nonzero rhs")
     if set(prob.unknowns.asked) - set(prob.unknowns):
@@ -2376,9 +2481,76 @@ class TestNoZeroFactor:
                 assert isinstance(xhat, GSystem)
                 ident = DeltaMap(x, x, {pos: RingMatrix.identity(ring, r) for pos, r in x.ranks.items()})
                 assert isinstance(run("mor", theta_extend_mor, ident, xhat, xhat), GMorphism)
+        # inputs whose levels carry a rhs, drawn after the ones above
+        for x, y, alpha in _template_maps(Z4, random.Random(96)):
+            run("mor", theta_extend_mor, alpha, run("theta", theta_extend, x), run("theta", theta_extend, y))
         assert all(factors.values()), {what: len(ms) for what, ms in factors.items()}
         assert len(factors["theta"]) >= 50, len(factors["theta"])
         assert not [w for w, ms in factors.items() for m in ms if m.is_zero()]
+
+
+class TestHomogeneousLevels:
+    def test_homogeneous_ranges_pose_nothing(self, monkeypatch):
+        """A level range whose rhs is None throughout poses no system and gives
+        the dict a posed solve gives: the same keys, a zero matrix for each."""
+        solves = []
+        solve, levels = MatrixProblem.solve, gs._solve_levels
+
+        def counting(self):
+            solves.append(self)
+            return solve(self)
+
+        seen = set()
+
+        def checking(X, Y, di, sign, rhs, lo=1, hi=None):
+            start = len(solves)
+            out = levels(X, Y, di, sign, rhs, lo, hi)
+            posed = len(solves) - start
+            # no rhs component lands above the grades of Y
+            top = hi if hi is not None else lo + max([j for _, j in Y.positions], default=0) - min(
+                [j for _, j in X.positions], default=0) + 1
+            homogeneous = all(rhs(n, i, j) is None for n in range(lo, top + 1) for (i, j) in X.positions)
+
+            def forced(n, i, j):  # a zero matrix is a rhs, so this range is posed
+                b = rhs(n, i, j)
+                return RingMatrix.zero(X.ring, Y.rank(i + di + 1, j + n), X.rank(i, j)) if b is None else b
+
+            start = len(solves)
+            ref = levels(X, Y, di, sign, forced, lo, hi)
+            if homogeneous:
+                assert posed == 0 and out[1] is None
+                if len(solves) > start:
+                    seen.add("homogeneous, posed when forced")
+            else:
+                assert posed >= 1
+                seen.add("posed")
+            assert out[1] == ref[1]
+            if out[0] is None:
+                assert ref[0] is None
+            else:
+                assert list(out[0]) == list(ref[0])
+                assert all(out[0][k] == ref[0][k] for k in out[0])
+                if homogeneous:
+                    assert all(m.is_zero() for m in out[0].values())
+            return out
+
+        monkeypatch.setattr(MatrixProblem, "solve", counting)
+        monkeypatch.setattr(gs, "_solve_levels", checking)
+        for ring in (ZZ, Z4, Zmod(9), GF(5)):
+            rng = random.Random(31)
+            inputs = [random_delta_complex(ring, random.Random(96000 + t)) for t in range(4)]
+            inputs += [random_strip_delta_complex(ring, random.Random(97000 + t)) for t in range(6)]
+            for x in inputs:
+                validate_delta(x)
+                xhat = theta_extend(x)
+                if not x.delta0:
+                    fhat = theta_extend_mor(columnwise_null_delta_map(x, x, rng), xhat, xhat)
+                    seeds = find_seed(fhat)
+                    eta_null_complete(fhat, *seeds)
+                    find_seed(random_gmorphism(xhat, xhat, rng))
+            for x, y, alpha in _template_maps(ring, rng)[:12]:
+                theta_extend_mor(alpha, theta_extend(x), theta_extend(y))
+        assert {"homogeneous, posed when forced", "posed"} <= seen
 
 
 def ref_level_one_check(sys: GSystem):
