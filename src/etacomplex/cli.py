@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import random
@@ -86,6 +87,14 @@ _CONSTRUCTION_KINDS = {
     "triangle-check": ("delta-map",),
 }
 
+# the checks that answer a question about two chain maps, and the payload
+# kind each accepts
+_MAP_KINDS = {
+    "is-eta-conflation": "pair",
+    "eta-homotopic": "chain-maps",
+    "axioms": "pair",
+}
+
 
 class _Usage(Exception):
     """Input that cannot be understood: maps to exit code 2."""
@@ -144,11 +153,25 @@ def _check_record(op: str, verdict: str, **extra) -> dict:
     return rec
 
 
+def _chain_maps_valid(maps) -> bool:
+    """Every distinct complex of the maps has d^2 = 0, and every map is a chain map."""
+    complexes = []
+    for f in maps:
+        for c in (f.source, f.target):
+            if c not in complexes:
+                complexes.append(c)
+    return all(validate_complex(c) for c in complexes) and all(validate_chain_map(f) for f in maps)
+
+
 def cmd_check(path: str, op: str, seed: int) -> (int, List[dict]):
     kind, obj = _load(path)
 
+    if op in _MAP_KINDS:
+        _need_kind(kind, _MAP_KINDS[op], op)
+        if not _chain_maps_valid(obj):
+            return 1, [_check_record(op, "FAIL", detail="input is not a pair of chain maps")]
+
     if op == "is-eta-conflation":
-        _need_kind(kind, "pair", op)
         i, p = obj
         try:
             conf = is_eta_conflation(i, p)
@@ -161,7 +184,6 @@ def cmd_check(path: str, op: str, seed: int) -> (int, List[dict]):
         ]
 
     if op == "eta-homotopic":
-        _need_kind(kind, "chain-maps", op)
         f, g = obj
         cert = eta_homotopic(f, g)
         if cert is None:
@@ -211,7 +233,6 @@ def cmd_check(path: str, op: str, seed: int) -> (int, List[dict]):
         return _verdict(op, phi_mor(obj), validate_chain_map, chain_map_to_json)
 
     if op == "axioms":
-        _need_kind(kind, "pair", op)
         return _check_axioms(obj, seed)
 
     raise _Usage(f"unknown check op {op!r}")
@@ -380,7 +401,9 @@ def cmd_suite(
 # -- entry point ------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     ap = argparse.ArgumentParser(
         prog="etacomplex",
         description="checks, generators and the property suite for twisted "

@@ -396,12 +396,16 @@ def _delta_conjugate(x: DeltaComplex, rng: random.Random) -> DeltaComplex:
 
 
 def random_delta_complex(ring: CoeffRing, rng: random.Random, max_rank: int = 2):
-    """A random completable instance: columns, strips and (over Z/4) the
-    inductive template, summed block-diagonally and conjugated degreewise.
+    """A random instance that passes ``validate_delta``: columns, strips and
+    (over Z/4) the inductive template, summed block-diagonally and
+    conjugated degreewise.
 
     Every piece satisfies delta0 . delta1 = 0 = delta1 . delta0, which the
     sum and the conjugation preserve, so the level-1 relation of the
-    completion always holds."""
+    completion always holds.  A higher level need not: over Z/4,
+    ``random.Random(244)`` and ``random.Random(1066)`` give inputs that
+    ``theta_extend`` obstructs at level 3, since the solution chosen at
+    level 2 fixes level 3's rhs."""
     pieces = []
     for _ in range(rng.randint(1, 3)):
         kind = rng.random()

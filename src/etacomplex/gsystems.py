@@ -37,9 +37,12 @@ through one level builder, ``_solve_levels``, over a range of levels:
 and 0 of ``eta_null_complete``'s family.  It registers the unknowns, and
 ``_add_equation`` writes each equation, whose rhs is a component of one
 ``Graded.compose`` composite (-d d, d f_0 - f_0 d, the seeds' residual or
-f itself) and whose factors are stored components.  A level range whose rhs
-is zero throughout is homogeneous and is not posed: its solution is zero.
-``validate_delta`` poses delta1^2's null-homotopy as one level-2 system.
+f itself) and whose factors are stored components.  A zero component is
+absent: the store drops it, ``_solve_levels`` returns only nonzero blocks
+({} for a range whose rhs is zero throughout, which it does not pose), and
+the readers here take None for it; only the public accessors build zeros.
+``validate_delta`` reads its relations off one composite, -d d with d_1
+signed, and poses delta1^2's null-homotopy as one level-2 system.
 """
 
 from __future__ import annotations
@@ -176,15 +179,7 @@ class GSystem:
         return 0 if X is None else X.ranks.get(j, 0)
 
     def diff(self, n: int, i: int, j: int) -> RingMatrix:
-        c = self.complex
-        k = i + j if self.convention == GA else i
-        d = c.diffs.get(k)
-        m = None if d is None else d.components.get((n, j))
-        if m is None:  # d_n maps degree j of X^k to degree j + n of X^{k+1}
-            X, Y = c.objects.get(k), c.objects.get(k + 1)
-            rows = 0 if Y is None else Y.ranks.get(j + n, 0)
-            return RingMatrix.zero(c.instance.ring, rows, 0 if X is None else X.ranks.get(j, 0))
-        return m
+        return self.complex.diff(i + j if self.convention == GA else i).component(n, j, self.ring)
 
     @property
     def positions(self) -> List[Tuple[int, int]]:
@@ -278,14 +273,8 @@ class GMorphism:
         ]))
 
     def comp(self, n: int, i: int, j: int) -> RingMatrix:
-        k = i + j if self.source.convention == GA else i
-        g = self.chain_map.components.get(k)
-        m = None if g is None else g.components.get((n, j))
-        if m is None:  # f_n maps degree j of X^k to degree j + n of Y^k
-            X, Y = self.source.complex.objects.get(k), self.target.complex.objects.get(k)
-            rows = 0 if Y is None else Y.ranks.get(j + n, 0)
-            return RingMatrix.zero(self.source.ring, rows, 0 if X is None else X.ranks.get(j, 0))
-        return m
+        g = self.chain_map.component(i + j if self.source.convention == GA else i)
+        return g.component(n, j, self.source.ring)
 
     def max_level(self) -> int:
         return max(
@@ -506,12 +495,9 @@ def xi_cone_identity(v: GSystem) -> bool:
             return False
         perms[i] = p
     for i in degs:
-        pn = perms.get(i + 1)
-        if pn is None:
-            if not lhs.diff(i).is_zero() or not rhs.diff(i).is_zero():
-                return False
-            continue
-        if pn @ rhs.diff(i) != lhs.diff(i) @ perms[i]:
+        # the permutations are invertible, so a side with no differential needs none on the other
+        a, b = rhs.diffs.get(i), lhs.diffs.get(i)
+        if (a is None) != (b is None) or (a is not None and perms[i + 1] @ a != b @ perms[i]):
             return False
     return True
 
@@ -616,20 +602,16 @@ class DeltaComplex(GSystem):
 def validate_delta(x: DeltaComplex) -> bool:
     """delta0^2 = 0, strict commutation, delta1^2 null-homotopic columnwise.
 
-    The first two are checked at each position.  The last is the level-2
-    system u_2 d_0 + d_0 u_2 = -d_1 d_1 of the unsigned CgrA reading psi(x):
-    u_2 maps column j to column j + 2, one null-homotopy per column.  It is
-    homogeneous, and poses nothing, when delta1^2 = 0.
+    All three read off -d d over Graded for psi(x) with d_1 signed by
+    (-1)^i, i the CgrA degree.  Its level 0 is -delta0^2, its level 1 is
+    +-(delta0 delta1 - delta1 delta0), and its level 2 is delta1^2, the rhs
+    of u_2 d_0 + d_0 u_2 = delta1^2 (u_2 maps column j to column j + 2, one
+    null-homotopy per column), which poses nothing when delta1^2 = 0.
     """
-    for (i, j) in x.positions:
-        if not (x.d0(i + 1, j) @ x.d0(i, j)).is_zero():
-            return False
-        lhs = x.d0(i, j + 1) @ x.d1(i, j)
-        rhs = x.d1(i + 1, j) @ x.d0(i, j)
-        if lhs != rhs:
-            return False
-    y = psi(x)
+    y = _sign_level1(psi(x), lambda i, j: -1 if i % 2 else 1)
     R = _minus_square(y.complex)
+    if any(n < 2 for r in R.values() for (n, _) in r.components):
+        return False
     sol, _ = _solve_levels(y, y, 1, 1, lambda n, i, j: _part(R, i, n, j), 2, 2)
     return sol is not None
 
@@ -695,21 +677,17 @@ def cone_delta(f: DeltaMap) -> DeltaComplex:
         {(i, j - 1) for (i, j) in X.ranks} | set(Y.ranks)
     )
     ranks = {(i, j): X.rank(i, j + 1) + Y.rank(i, j) for (i, j) in keys}
+    xd, yd, fs = X.complex.diffs, Y.complex.diffs, f.morphism.chain_map.components
     d0: Dict[Tuple[int, int], RingMatrix] = {}
     d1: Dict[Tuple[int, int], RingMatrix] = {}
     for (i, j) in keys:
-        rows0 = [X.rank(i + 1, j + 1), Y.rank(i + 1, j)]
+        k = i + j  # the complex degree of GA position (i, j)
         cols = [X.rank(i, j + 1), Y.rank(i, j)]
-        d0[(i, j)] = RingMatrix.block(
-            ring, [[X.d0(i, j + 1), None], [None, Y.d0(i, j)]], rows0, cols
-        )
-        rows1 = [X.rank(i, j + 2), Y.rank(i, j + 1)]
-        d1[(i, j)] = RingMatrix.block(
-            ring,
-            [[-X.d1(i, j + 1), None], [f.comp(i, j + 1), Y.d1(i, j)]],
-            rows1,
-            cols,
-        )
+        x0, x1 = _part(xd, k + 1, 0, j + 1), _part(xd, k + 1, 1, j + 1)
+        _put_block(d0, (i, j), ring, [[x0, None], [None, _part(yd, k, 0, j)]],
+                   [X.rank(i + 1, j + 1), Y.rank(i + 1, j)], cols)
+        grid = [[None if x1 is None else -x1, None], [_part(fs, k + 1, 0, j + 1), _part(yd, k, 1, j)]]
+        _put_block(d1, (i, j), ring, grid, [X.rank(i, j + 2), Y.rank(i, j + 1)], cols)
     return DeltaComplex(ring, ranks, d0, d1)
 
 
@@ -726,12 +704,18 @@ def _theta_sign(i: int, j: int):
     raise ValueError(f"unknown parity {_THETA_PARITY!r}")
 
 
+def _sign_level1(y: GSystem, sign) -> GSystem:
+    """The CgrA system y with its level-1 component at (i, j) scaled by sign(i, j)."""
+    c = y.complex
+    diffs = {i: GradedMorphism(d.source, d.target, {
+        (n, j): -m if n == 1 and sign(i, j) == -1 else m for (n, j), m in d.components.items()
+    }) for i, d in c.diffs.items()}
+    return GSystem._of(Complex(c.instance, c.objects, diffs), CGRA)
+
+
 def _theta_seed(x: DeltaComplex) -> GSystem:
-    """Levels 0 and 1 of the extension: psi of x, with level 1 signed."""
-    seed = psi(x)
-    return GSystem(x.ring, seed.ranks, {
-        (n, i, j): -m if n == 1 and _theta_sign(i, j) == -1 else m for (n, i, j), m in seed.diffs.items()
-    }, CGRA)
+    """Levels 0 and 1 of the extension: psi of x, with level 1 signed by ``_theta_sign``."""
+    return _sign_level1(psi(x), _theta_sign)
 
 
 def _minus_square(c: Complex) -> Dict[int, GradedMorphism]:
@@ -743,6 +727,12 @@ def _minus_square(c: Complex) -> Dict[int, GradedMorphism]:
 def _part(maps: Dict[int, GradedMorphism], i: int, n: int, j: int) -> Optional[RingMatrix]:
     """Component (n, j) of the degree-i morphism in ``maps``; None where it is zero."""
     return maps[i].components.get((n, j)) if i in maps else None
+
+
+def _put_block(out: dict, key, ring: CoeffRing, grid, rows: List[int], cols: List[int]) -> None:
+    """out[key] = the block matrix of grid, whose None blocks are zero; nothing if all of them are."""
+    if any(b is not None for row in grid for b in row):
+        out[key] = RingMatrix.block(ring, grid, rows, cols)
 
 
 def _add_equation(
@@ -777,12 +767,13 @@ def _solve_levels(X: GSystem, Y: GSystem, di: int, sign: int, rhs, lo: int = 1, 
     less di, above which no u_n has both ends nonzero.  Returns
     (solution, None), or (None, n) for the first n whose system of levels
     lo..n is inconsistent.  The joint system is consistent iff every such
-    prefix is, so the prefixes are solved only after it fails.
+    prefix is, so the prefixes are solved only after it fails.  The
+    solution holds the nonzero u_n only: an absent one is zero.
 
     A range whose rhs is None throughout is homogeneous: the solver sets
-    free variables to 0, so it is not posed and its solution is a zero
-    matrix for each unknown.  Likewise the prefixes below the first level
-    with a rhs are consistent and are not re-solved.
+    free variables to 0, so it is not posed and its solution is {}.
+    Likewise the prefixes below the first level with a rhs are consistent
+    and are not re-solved.
     """
     pos = X.positions
     if hi is None:
@@ -790,10 +781,7 @@ def _solve_levels(X: GSystem, Y: GSystem, di: int, sign: int, rhs, lo: int = 1, 
         hi = max(0, max(yj) - min(j for _, j in pos) - di) if pos and yj else 0
     first = next((n for n in range(lo, hi + 1) if any(rhs(n, i, j) is not None for (i, j) in pos)), None)
     if first is None:
-        return {
-            (k, i, j): RingMatrix.zero(X.ring, Y.rank(i + di, j + k), X.rank(i, j))
-            for k in range(lo, hi + 1) for (i, j) in pos if Y.rank(i + di, j + k)
-        }, None
+        return {}, None
 
     def through(n):
         prob = MatrixProblem(X.ring)
@@ -807,7 +795,7 @@ def _solve_levels(X: GSystem, Y: GSystem, di: int, sign: int, rhs, lo: int = 1, 
 
     sol = through(hi)
     if sol is not None:
-        return sol, None
+        return {key: m for key, m in sol.items() if not m.is_zero()}, None
     return None, next((n for n in range(first, hi) if through(n) is None), hi)
 
 
@@ -844,9 +832,8 @@ def theta_extend(x: DeltaComplex):
                 "theta-extend", n, None,
                 f"level-{n} correction system is inconsistent",
             )
-        new = {key: m for key, m in sol.items() if not m.is_zero()}
-        if new:
-            diffs.update(new)
+        if sol:
+            diffs.update(sol)
             sys, R = GSystem(ring, ranks, diffs, CGRA), None
     verify(validate_gsystem(sys), "theta_extend: the completion fails the convolution relations")
     return sys
@@ -903,19 +890,13 @@ def theta_cone_system(fhat: GMorphism) -> GSystem:
     ranks = {(i, j): X.rank(i + 1, j + 1) + Y.rank(i, j) for (i, j) in keys}
     levels = max(X.max_level(), Y.max_level(), fhat.max_level() + 1)
     diffs: Dict[Tuple[int, int, int], RingMatrix] = {}
+    xd, yd, fs = X.complex.diffs, Y.complex.diffs, fhat.chain_map.components
     for n in range(levels + 1):
         for (i, j) in keys:
-            rows = [X.rank(i + 2, j + n + 1), Y.rank(i + 1, j + n)]
-            cols = [X.rank(i + 1, j + 1), Y.rank(i, j)]
-            glue = fhat.comp(n - 1, i + 1, j + 1) if n >= 1 else None
-            m = RingMatrix.block(
-                ring,
-                [[-X.diff(n, i + 1, j + 1), None], [glue, Y.diff(n, i, j)]],
-                rows,
-                cols,
-            )
-            if not m.is_zero():
-                diffs[(n, i, j)] = m
+            x = _part(xd, i + 1, n, j + 1)
+            grid = [[None if x is None else -x, None], [_part(fs, i + 1, n - 1, j + 1), _part(yd, i, n, j)]]
+            _put_block(diffs, (n, i, j), ring, grid,
+                       [X.rank(i + 2, j + n + 1), Y.rank(i + 1, j + n)], [X.rank(i + 1, j + 1), Y.rank(i, j)])
     return GSystem(ring, ranks, diffs, CGRA)
 
 
@@ -1010,13 +991,14 @@ def find_seed(f: GMorphism):
     """
     if f.source.convention != CGRA:
         raise ValueError("find_seed expects the CgrA convention")
-    fs = f.chain_map.components
+    X, Y, fs = f.source, f.target, f.chain_map.components
     # the rhs of level n is f_n, so None at level -1
-    sol, _ = _solve_levels(f.source, f.target, -1, 1, lambda n, i, j: _part(fs, i, n, j), -1, 0)
+    sol, _ = _solve_levels(X, Y, -1, 1, lambda n, i, j: _part(fs, i, n, j), -1, 0)
     if sol is None:
         return None
-    s0 = {(i, j): m for (n, i, j), m in sol.items() if n == -1}
-    s1 = {(i, j): m for (n, i, j), m in sol.items() if n == 0}
+    # the public seeds hold a block wherever both ends are nonzero, zero blocks included
+    s0, s1 = ({(i, j): sol.get((k, i, j)) or RingMatrix.zero(X.ring, Y.rank(i - 1, j + k), r)
+               for (i, j), r in X.ranks.items() if Y.rank(i - 1, j + k)} for k in (-1, 0))
     return s0, s1
 
 
@@ -1059,8 +1041,7 @@ def eta_null_complete(
         )
     s: Dict[int, Dict[Tuple[int, int], RingMatrix]] = dict(seeds)
     for (k, i, j), m in sol.items():
-        if not m.is_zero():
-            s.setdefault(k + 1, {})[(i, j)] = m
+        s.setdefault(k + 1, {})[(i, j)] = m
     verify(corollary_equations_hold(f, s), "eta_null_complete: the family fails the equations")
     return _family_to_certificate(f, s)
 

@@ -16,7 +16,7 @@ kind, and the payload itself.  Supported kinds:
 from __future__ import annotations
 
 import json
-from typing import Tuple
+from typing import List, Tuple
 
 from .base import instance_from_json, json_int, json_matrix, json_pos, json_unique
 from .complexes import ChainMap, Complex
@@ -162,6 +162,15 @@ def save_instance_file(path: str, kind: str, obj) -> None:
         fh.write("\n")
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not a silent overwrite."""
+    d = dict(pairs)
+    if len(d) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r} in a JSON object")
+    return d
+
+
 def load_instance_file(path: str) -> Tuple[str, object]:
     with open(path, "r", encoding="utf-8") as fh:
-        return payload_from_json(json.load(fh))
+        return payload_from_json(json.load(fh, object_pairs_hook=_unique_keys))

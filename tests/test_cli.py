@@ -473,6 +473,7 @@ class TestCheck:
         ("repeated-graded-component", "totalize", 2),
         ("repeated-chain-map-degree", "eta-homotopic", 2),
         ("repeated-delta-map-position", "phi", 2),
+        ("repeated-grade", "totalize", 2),
     ])
     def test_inconsistent_instance(self, tmp_path, capsys, case, op, code):
         """Hand-edited Z/4 and Q files: a structural inconsistency or a matrix entry
@@ -564,6 +565,8 @@ class TestCheck:
             "repeated-chain-map-degree": ("chain-maps", (ident, ident), repeat("f", "components")),
             "repeated-delta-map-position": ("delta-map", DeltaMap(stalk, stalk, {(0, 0): one}),
                                             repeat("components")),
+            # the last of two keys used to win: {"2": 1, "2": 3} read as rank 3 and answered PASS
+            "repeated-grade": ("complex", graded, None),
         }[case]
         p = tmp_path / "edited.json"
         save_instance_file(str(p), kind, obj)
@@ -571,6 +574,9 @@ class TestCheck:
         if edit is not None:
             edit(doc)
         p.write_text(json.dumps(doc))
+        if case == "repeated-grade":  # a dict holds one of each key, so repeat it in the text
+            assert p.read_text().count('"10": 1') == 1
+            p.write_text(p.read_text().replace('"10": 1', '"2": 3'))
         assert main(["check", str(p), "--op", op]) == code
         captured = capsys.readouterr()
         if code == 2:
@@ -578,6 +584,43 @@ class TestCheck:
         else:
             rec = records_of(captured.out)[0]
             assert rec["verdict"] == "NONE" and rec["detail"].startswith("not chainwise split")
+
+    @pytest.mark.parametrize("case, op", [
+        ("d-squared", "eta-homotopic"),
+        ("not-chain-maps", "is-eta-conflation"),
+        ("not-chain-maps", "axioms"),
+        ("bad-target", "eta-homotopic"),
+    ])
+    def test_invalid_maps_fail(self, tmp_path, capsys, case, op):
+        """A complex with d^2 != 0 or a map that is not a chain map answers FAIL
+        with exit 1; each used to answer SOME (and every axiom PASS) with exit 0."""
+        def m(*rows):
+            return RingMatrix.from_rows(ZZ, list(rows))
+
+        inst = ScalarEta(ZZ, 2)
+        x = Complex(ScalarEta(ZZ, 1), {0: 1, 1: 1, 2: 1}, {0: m([1]), 1: m([1])})
+        a = Complex(inst, {0: 1}, {})
+        y = Complex(inst, {0: 2, 1: 1}, {0: m([1, 0])})
+        z = Complex(inst, {0: 1, 1: 1}, {0: m([1])})
+        kind, obj = {
+            # X = Z -1-> Z -1-> Z, f = {0: 1, 1: 1}, g = 0
+            "d-squared": ("chain-maps", (ChainMap(x, x, {0: m([1]), 1: m([1])}), ChainMap(x, x, {}))),
+            # i = [1; 0] and p = ([0 1], 1) between valid complexes
+            "not-chain-maps": ("pair", (ChainMap(a, y, {0: m([1], [0])}), ChainMap(y, z, {0: m([0, 1]), 1: m([1])}))),
+            # valid source, d^2 != 0 only in the target
+            "bad-target": ("chain-maps", (ChainMap(Complex(x.instance, {0: 1}, {}), x, {}),) * 2),
+        }[case]
+        p = tmp_path / "in.json"
+        save_instance_file(str(p), kind, obj)
+        code, out = run(capsys, ["check", str(p), "--op", op])
+        assert code == 1
+        assert records_of(out) == [{"check": op, "verdict": "FAIL", "detail": "input is not a pair of chain maps"}]
+
+    def test_parser_built_once(self, tmp_path, capsys):
+        """main reuses one parser, which still parses after it rejected an argument list."""
+        assert cli.build_parser() is cli.build_parser()
+        assert main(["check"]) == 2
+        assert main(["gen", "--seed", "1", "--profile", "gsystem", "-o", str(tmp_path / "g.json")]) == 0
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -2553,6 +2553,65 @@ class TestHomogeneousLevels:
         assert {"homogeneous, posed when forced", "posed"} <= seen
 
 
+class TestAbsentMeansZero:
+    @pytest.mark.parametrize("ring", [ZZ, Z4, GF(5)], ids=str)
+    def test_constructions_read_no_zero_block(self, ring, monkeypatch):
+        """The constructions read stored components, None where zero: with the
+        zero-building accessors (GSystem.diff and GMorphism.comp, so also d0, d1
+        and DeltaMap.comp) made to raise, each still answers, and every block
+        ``_solve_levels`` returns is nonzero."""
+        rng = random.Random(21)
+        one = RingMatrix.identity(ring, 1)
+        xs = [random_delta_complex(ring, random.Random(2100 + t)) for t in range(6)]
+        xs += [random_strip_delta_complex(ring, random.Random(2200 + t)) for t in range(6)]
+        xs += [_disks_and_strips(ring, random.Random(2300 + t)) for t in range(2)]
+        xs += [x for x in [inductive_delta_complex()] if x.ring == ring]
+        # the strict relations hold, but delta1^2 = [1] on a stalk column has no null-homotopy
+        bad = DeltaComplex(ring, {(0, j): 1 for j in (0, 1, 2)}, {}, {(0, 0): one, (0, 1): one})
+        maps = [random_delta_map(x, y, rng) for x, y in zip(xs, xs[1:])]
+        maps += [columnwise_null_delta_map(x, x, rng) for x in xs if not x.delta0]
+        gmaps = [random_gmorphism(y, y, rng) for y in (random_gsystem(ring, random.Random(2400 + t)) for t in range(4))]
+        # the identity of a stalk has no seed; level 1 between two stalks has one but no completion
+        stalk, above = GSystem(ring, {(0, 0): 1}, {}), GSystem(ring, {(0, 1): 1}, {})
+        gmaps += [GMorphism(stalk, stalk, {(0, 0, 0): one}), GMorphism(stalk, above, {(1, 0, 0): one})]
+
+        def refuse(*args):
+            raise AssertionError("a construction read a zero-building accessor")
+
+        levels, returned, seen = gs._solve_levels, [], set()
+
+        def recording(*args):
+            out = levels(*args)
+            returned.extend((out[0] or {}).values())
+            return out
+
+        monkeypatch.setattr(GSystem, "diff", refuse)
+        monkeypatch.setattr(GMorphism, "comp", refuse)
+        monkeypatch.setattr(gs, "_solve_levels", recording)
+        assert validate_delta(bad) is False
+        hats = {}
+        for x in xs:
+            assert validate_delta(x)
+            hats[id(x)] = theta_extend(x)
+        for alpha in maps:
+            cone_delta(alpha)
+            out = theta_triangle_check(alpha)
+            seen.add("triangle True" if out is True else f"triangle {type(out).__name__}")
+            xhat, yhat = hats[id(alpha.source)], hats[id(alpha.target)]
+            if isinstance(xhat, GSystem) and isinstance(yhat, GSystem):
+                fhat = theta_extend_mor(alpha, xhat, yhat)
+                if isinstance(fhat, GMorphism):
+                    gs.theta_cone_system(fhat)
+                    gmaps.append(fhat)
+        for f in gmaps:
+            seeds = find_seed(f)
+            seen.add("seed" if seeds is not None else "no seed")
+            if seeds is not None:
+                seen.add(type(eta_null_complete(f, *seeds)).__name__)
+        assert {"triangle True", "seed", "no seed", "HomotopyCertificate", "Obstruction"} <= seen, seen
+        assert returned and not [m for m in returned if m.is_zero()]
+
+
 def ref_level_one_check(sys: GSystem):
     """``theta_extend``'s level-1 loop, verbatim from before the check read R = -(d d)."""
     # level 1 is a check, not a solve: d_0 d_1 + d_1 d_0 must vanish
