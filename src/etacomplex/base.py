@@ -514,18 +514,13 @@ class Graded(BaseInstance):
         tgt = self.dsum(tgt_objs)
         comps: Dict[Tuple[int, int], RingMatrix] = {}
         for n, j in self._slots(src, tgt):
-            rows = [Y.rank(j + n) for Y in tgt_objs]
-            cols = [X.rank(j) for X in src_objs]
-            g = [
-                [
-                    grid[bi][bj].component(n, j, self.ring)
-                    if grid[bi][bj] is not None and rows[bi] and cols[bj]
-                    else None
-                    for bj in range(len(src_objs))
-                ]
-                for bi in range(len(tgt_objs))
-            ]
-            comps[(n, j)] = RingMatrix.block(self.ring, g, rows, cols)
+            # an absent component is a zero block, passed as None; a slot with
+            # no block present is left out, as GradedMorphism stores no zero
+            g = [[None if f is None else f.components.get((n, j)) for f in row] for row in grid]
+            if any(b is not None for row in g for b in row):
+                rows = [Y.rank(j + n) for Y in tgt_objs]
+                cols = [X.rank(j) for X in src_objs]
+                comps[(n, j)] = RingMatrix.block(self.ring, g, rows, cols)
         return GradedMorphism(src, tgt, comps)
 
     def split_mor(self, f, tgt_objs, src_objs):

@@ -559,9 +559,11 @@ class NotChainwiseSplit(Exception):
 class ExactPair:
     """A chainwise-split pair X -> Y -> Z with splitting data and invariant h.
 
-    r^n: Y^n -> X^n retracts i, q^n: Z^n -> Y^n sections p, and
-    i r + q p = Id_Y; h: Z[-1] -> X is the homotopy invariant
-    h^n = r^n d_Y^{n-1} q^{n-1}.
+    r^n: Y^n -> X^n retracts i, q^n: Z^n -> Y^n sections p, r q = 0 and
+    i r + q p = Id_Y, so [r; p]: Y^n -> X^n (+) Z^n is an isomorphism with
+    inverse [i q]; h: Z[-1] -> X is the homotopy invariant
+    h^n = r^n d_Y^{n-1} q^{n-1}.  ``normalize_exact_pair`` finds the
+    splitting from the two one-sided inverses alone; see there.
     """
 
     __slots__ = ("i", "p", "r", "q", "h")
@@ -590,11 +592,35 @@ class ExactPair:
         return self.p.target
 
 
+def _one_sided_inverses(i: ChainMap, p: ChainMap, degs: List[int]) -> Optional[Dict]:
+    """SOME {("r", n): r^n, ("q", n): q0^n} with r^n i^n = Id and p^n q0^n = Id
+    at every degree n of degs, posed as one system; else NONE."""
+    inst = i.instance
+    X, Y, Z = i.source, i.target, p.target
+    prob = LinearProblem(inst)
+    for n in degs:
+        prob.add_unknown(("r", n), Y.obj(n), X.obj(n))
+        prob.add_unknown(("q", n), Z.obj(n), Y.obj(n))
+        prob.add_equation(X.obj(n), X.obj(n), [(("r", n), None, i.component(n), 1)], inst.id_mor(X.obj(n)))
+        prob.add_equation(Z.obj(n), Z.obj(n), [(("q", n), p.component(n), None, 1)], inst.id_mor(Z.obj(n)))
+    return prob.solve()
+
+
 def normalize_exact_pair(i: ChainMap, p: ChainMap) -> ExactPair:
     """Find degreewise splittings of X ->i Y ->p Z and the invariant h.
 
-    Raises NotChainwiseSplit when some degree admits no (r, q) with
-    r i = Id, p q = Id and i r + q p = Id.
+    A degree n splits, with some (r, q) such that r i = Id, p q = Id and
+    i r + q p = Id, iff p i = 0, Y^n = X^n (+) Z^n and both one-sided
+    inverses r i = Id, p q0 = Id exist.  For then q = q0 - i r q0 has
+    r q = 0 and p q = Id, so [r; p][i q] = Id, and a one-sided inverse of a
+    square matrix over a commutative ring is two-sided: i r + q p = Id.
+    Over ``Graded`` the rank check compares grade by grade, as an
+    isomorphism forces through its degree-0 part; the matrices above are
+    then square in total coordinates.  So r and q0 are found for all degrees
+    in one system, with no Y x Y equation.
+
+    Raises NotChainwiseSplit at the least degree where p i != 0, else at the
+    least degree where the rank check or an inverse fails.
     """
     if i.target != p.source:
         raise ValueError("pair legs do not share the middle complex")
@@ -603,35 +629,22 @@ def normalize_exact_pair(i: ChainMap, p: ChainMap) -> ExactPair:
     pi = compose_chain_maps(p, i)
     if not pi.is_zero():
         raise NotChainwiseSplit(min(pi.components))
-    r: Dict[int, object] = {}
-    q: Dict[int, object] = {}
-    for n in sorted(set(Y.objects) | set(X.objects) | set(Z.objects)):
-        prob = LinearProblem(inst)
-        prob.add_unknown("r", Y.obj(n), X.obj(n))
-        prob.add_unknown("q", Z.obj(n), Y.obj(n))
-        prob.add_equation(
-            X.obj(n), X.obj(n), [("r", None, i.component(n), 1)], inst.id_mor(X.obj(n))
-        )
-        prob.add_equation(
-            Z.obj(n), Z.obj(n), [("q", p.component(n), None, 1)], inst.id_mor(Z.obj(n))
-        )
-        prob.add_equation(
-            Y.obj(n), Y.obj(n),
-            [("r", i.component(n), None, 1), ("q", None, p.component(n), 1)],
-            inst.id_mor(Y.obj(n)),
-        )
-        sol = prob.solve()
-        if sol is None:
-            raise NotChainwiseSplit(n)
-        r[n] = sol["r"]
-        q[n] = sol["q"]
+    degs = sorted(set(Y.objects) | set(X.objects) | set(Z.objects))
+    bad = next((n for n in degs if inst.dsum([X.obj(n), Z.obj(n)]) != Y.obj(n)), None)
+    sol = None if bad is not None else _one_sided_inverses(i, p, degs)
+    if sol is None:  # the joint system fails iff one degree's does
+        raise NotChainwiseSplit(next(
+            (n for n in degs if (bad is None or n < bad) and _one_sided_inverses(i, p, [n]) is None), bad))
+    r = {n: sol[("r", n)] for n in degs}
+    q = {}
+    for n in degs:
+        q0 = sol[("q", n)]
+        q[n] = inst.hom_sub(q0, inst.compose(i.component(n), inst.compose(r[n], q0)))
     zm1 = shift_complex(Z, -1)
     h_comps = {}
     for n in sorted(set(X.objects)):
         if inst.obj_is_zero(Z.obj(n - 1)):
             continue
-        rn = r.get(n, inst.zero_mor(Y.obj(n), X.obj(n)))
-        qn1 = q.get(n - 1, inst.zero_mor(Z.obj(n - 1), Y.obj(n - 1)))
-        h_comps[n] = inst.compose(rn, inst.compose(Y.diff(n - 1), qn1))
+        h_comps[n] = inst.compose(r[n], inst.compose(Y.diff(n - 1), q[n - 1]))
     h = ChainMap(zm1, X, h_comps)
     return ExactPair(i, p, r, q, h)

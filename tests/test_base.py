@@ -185,6 +185,39 @@ class TestGradedMorphisms:
                 for bj in range(2):
                     assert back[bi][bj] == grid[bi][bj]
 
+    def test_block_mor_builds_no_zero_block(self, monkeypatch):
+        """An absent component is read as None, never built by ``component``,
+        and a slot whose blocks are all absent is not assembled."""
+        grids = []
+        block = RingMatrix.block
+
+        def recording(ring, grid, rows, cols):
+            grids.append(grid)
+            return block(ring, grid, rows, cols)
+
+        def refuse(*args):
+            raise AssertionError("block_mor built a zero block")
+
+        monkeypatch.setattr(RingMatrix, "block", staticmethod(recording))
+        monkeypatch.setattr(GradedMorphism, "component", refuse)
+        rng = random.Random(81)
+        for _ in range(20):
+            srcs = [random_graded_obj(rng), random_graded_obj(rng)]
+            tgts = [random_graded_obj(rng), random_graded_obj(rng)]
+            grid = [
+                [None if rng.random() < 0.3 else random_graded_mor(self.inst, rng, srcs[bj], tgts[bi])
+                 for bj in range(2)]
+                for bi in range(2)
+            ]
+            back = self.inst.split_mor(self.inst.block_mor(grid, tgts, srcs), tgts, srcs)
+            for bi in range(2):
+                for bj in range(2):
+                    want = grid[bi][bj]
+                    if want is None:
+                        want = self.inst.zero_mor(srcs[bj], tgts[bi])
+                    assert back[bi][bj] == want
+        assert grids and all(any(b is not None for row in g for b in row) for g in grids)
+
     def test_bad_component_shape(self):
         X = GradedObject({0: 1})
         with pytest.raises(ValueError):

@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from etacomplex import complexes, linalg
-from etacomplex.base import EtaPower, Graded, GradedObject, ScalarEta
+from etacomplex.base import EtaPower, Graded, GradedMorphism, GradedObject, ScalarEta
 from etacomplex.cli import main
 from etacomplex.complexes import (
     ChainMap,
     Complex,
+    ExactPair,
     HomotopyCertificate,
     LinearProblem,
     NotChainwiseSplit,
@@ -303,6 +304,172 @@ class TestExactPairs:
                 assert validate_complex(mid)
                 pair2 = normalize_exact_pair(i2, p2)
                 assert homotopic(pair2.h, pair.h) is not None
+
+
+def ref_normalize_exact_pair(i: ChainMap, p: ChainMap) -> ExactPair:
+    """The per-degree splitter: one system per degree in r and q, with the
+    Y x Y equation i r + q p = Id posed directly."""
+    if i.target != p.source:
+        raise ValueError("pair legs do not share the middle complex")
+    inst = i.instance
+    X, Y, Z = i.source, i.target, p.target
+    pi = compose_chain_maps(p, i)
+    if not pi.is_zero():
+        raise NotChainwiseSplit(min(pi.components))
+    r = {}
+    q = {}
+    for n in sorted(set(Y.objects) | set(X.objects) | set(Z.objects)):
+        prob = LinearProblem(inst)
+        prob.add_unknown("r", Y.obj(n), X.obj(n))
+        prob.add_unknown("q", Z.obj(n), Y.obj(n))
+        prob.add_equation(
+            X.obj(n), X.obj(n), [("r", None, i.component(n), 1)], inst.id_mor(X.obj(n))
+        )
+        prob.add_equation(
+            Z.obj(n), Z.obj(n), [("q", p.component(n), None, 1)], inst.id_mor(Z.obj(n))
+        )
+        prob.add_equation(
+            Y.obj(n), Y.obj(n),
+            [("r", i.component(n), None, 1), ("q", None, p.component(n), 1)],
+            inst.id_mor(Y.obj(n)),
+        )
+        sol = prob.solve()
+        if sol is None:
+            raise NotChainwiseSplit(n)
+        r[n] = sol["r"]
+        q[n] = sol["q"]
+    zm1 = shift_complex(Z, -1)
+    h_comps = {}
+    for n in sorted(set(X.objects)):
+        if inst.obj_is_zero(Z.obj(n - 1)):
+            continue
+        rn = r.get(n, inst.zero_mor(Y.obj(n), X.obj(n)))
+        qn1 = q.get(n - 1, inst.zero_mor(Z.obj(n - 1), Y.obj(n - 1)))
+        h_comps[n] = inst.compose(rn, inst.compose(Y.diff(n - 1), qn1))
+    h = ChainMap(zm1, X, h_comps)
+    return ExactPair(i, p, r, q, h)
+
+
+def _split_degree(i, p, split):
+    """(None, pair) if split(i, p) returns, (degree, None) if it raises NotChainwiseSplit."""
+    try:
+        return None, split(i, p)
+    except NotChainwiseSplit as exc:
+        return exc.degree, None
+
+
+def _splitting_holds(pair) -> bool:
+    """r i = Id, p q = Id and i r + q p = Id in every degree of the pair."""
+    inst = pair.instance
+    X, Y, Z = pair.sub, pair.middle, pair.quotient
+    for n in sorted(set(X.objects) | set(Y.objects) | set(Z.objects)):
+        i, p, r, q = pair.i.component(n), pair.p.component(n), pair.r[n], pair.q[n]
+        if not (inst.mor_eq(inst.compose(r, i), inst.id_mor(X.obj(n)))
+                and inst.mor_eq(inst.compose(p, q), inst.id_mor(Z.obj(n)))
+                and inst.mor_eq(inst.hom_add(inst.compose(i, r), inst.compose(q, p)), inst.id_mor(Y.obj(n)))):
+            return False
+    return True
+
+
+def _broken_variants(i, p, rng):
+    """The pair and three copies that may not split: i doubled at one degree
+    (no retraction where 2 is not a unit), p dropped at one degree (no
+    section there) and p replaced by the map to 0 (the rank check fails
+    wherever Y^n != X^n).  None is required to be a chain map."""
+    inst = i.instance
+    out = [(i, p)]
+    degs = sorted(i.components)
+    if degs:
+        n = rng.choice(degs)
+        f = i.components[n]
+        out.append((ChainMap(i.source, i.target, {**i.components, n: inst.hom_add(f, f)}), p))
+    degs = sorted(p.components)
+    if degs:
+        n = rng.choice(degs)
+        out.append((i, ChainMap(p.source, p.target, {k: m for k, m in p.components.items() if k != n})))
+    out.append((i, zero_chain_map(p.source, Complex(inst, {}, {}))))
+    return out
+
+
+class TestSplitOracle:
+    """``normalize_exact_pair`` against the per-degree splitter it replaced."""
+
+    def test_against_per_degree_reference(self, monkeypatch):
+        solves = []
+        solve = LinearProblem.solve
+
+        def counting(prob):
+            solves.append(prob)
+            return solve(prob)
+
+        monkeypatch.setattr(LinearProblem, "solve", counting)
+        rng = random.Random(71)
+        seen = Counter()
+        for inst in instances():
+            pairs = []
+            for _ in range(6):
+                a, b = random_complex(inst, rng), random_complex(inst, rng)
+                _, inj, proj = cone(random_chain_map(a, b, rng))
+                pairs.append(("cone", inj, proj))
+                _, inj_a, _, _, proj_b = dsum_complex(a, b)
+                pairs.append(("dsum", inj_a, proj_b))
+                pairs.append(("conjugated", *conjugate_pair(*random_split_pair(inst, rng), rng)))
+            for kind, i0, p0 in pairs:
+                for i, p in _broken_variants(i0, p0, rng):
+                    ref_deg, ref = _split_degree(i, p, ref_normalize_exact_pair)
+                    start = len(solves)
+                    deg, pair = _split_degree(i, p, normalize_exact_pair)
+                    assert deg == ref_deg, (inst, kind)
+                    if pair is None:
+                        seen["raised"] += 1
+                        continue
+                    assert len(solves) - start == 1, (inst, kind)
+                    assert _splitting_holds(pair), (inst, kind)
+                    assert homotopic(pair.h, ref.h) is not None, (inst, kind)
+                    seen[kind] += 1
+        assert seen["raised"] >= 20 and min(seen[k] for k in ("cone", "dsum", "conjugated")) >= 20, seen
+
+
+class TestSplitEdgeCases:
+    def test_rank_check_with_both_inverses(self):
+        """i = [1;0;0], p = [0 1 0]: r i = Id and p q = Id solve, but 3 != 1 + 1."""
+        inst = ScalarEta(ZZ, 2)
+        x, y = Complex(inst, {0: 1}, {}), Complex(inst, {0: 3}, {})
+        i = ChainMap(x, y, {0: RingMatrix.from_rows(ZZ, [[1], [0], [0]])})
+        p = ChainMap(y, x, {0: RingMatrix.from_rows(ZZ, [[0, 1, 0]])})
+        for split in (normalize_exact_pair, ref_normalize_exact_pair):
+            assert _split_degree(i, p, split)[0] == 0
+
+    def test_graded_rank_check_compares_grades(self):
+        """Total ranks 2 = 1 + 1 agree at degree 1, grades {0: 1, 1: 1} != {0: 2} do not."""
+        inst = Graded(ScalarEta(GF(5), 1))
+        one = {(0, 0): RingMatrix.identity(GF(5), 1)}
+        g1, g2 = GradedObject({0: 1}), GradedObject({0: 2})
+        x = Complex(inst, {0: g1, 1: g1}, {})
+        y = Complex(inst, {0: g2, 1: GradedObject({0: 1, 1: 1})}, {})
+        z = Complex(inst, {0: g1, 1: g1}, {})
+        m = lambda X, Y, rows: GradedMorphism(X, Y, {(0, 0): RingMatrix.from_rows(GF(5), rows)})
+        i = ChainMap(x, y, {0: m(g1, g2, [[1], [0]]), 1: GradedMorphism(g1, y.obj(1), one)})
+        p = ChainMap(y, z, {0: m(g2, g1, [[0, 1]])})
+        assert inst.dsum([x.obj(1), z.obj(1)]).total_rank() == y.obj(1).total_rank()
+        for split in (normalize_exact_pair, ref_normalize_exact_pair):
+            assert _split_degree(i, p, split)[0] == 1
+
+    def test_inverse_failure_before_rank_failure(self):
+        """Degree 0 has no retraction of i = [2] over Z, degree 1 fails the rank
+        check only: the least degree, 0, is named."""
+        inst = ScalarEta(ZZ, 2)
+        m = lambda *rows: RingMatrix.from_rows(ZZ, list(rows))
+        x = Complex(inst, {0: 1, 1: 1}, {})
+        y = Complex(inst, {0: 1, 1: 3}, {})
+        z = Complex(inst, {1: 1}, {})
+        i = ChainMap(x, y, {0: m([2]), 1: m([1], [0], [0])})
+        p = ChainMap(y, z, {1: m([0, 1, 0])})
+        for split in (normalize_exact_pair, ref_normalize_exact_pair):
+            assert _split_degree(i, p, split)[0] == 0
+        i1 = ChainMap(x, y, {0: m([1]), 1: i.components[1]})
+        for split in (normalize_exact_pair, ref_normalize_exact_pair):
+            assert _split_degree(i1, p, split)[0] == 1
 
 
 class TestChainMapAlgebra:
