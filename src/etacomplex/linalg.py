@@ -13,9 +13,13 @@ is left over; Z/m with several primes is split by CRT into such parts, each
 solving the rows reduced mod its p^k.  Over Z the pivots are +-1 and the
 columns without one, with the rows left over, form a small residual of
 integer rows [residual | b].  A left-over row with no coefficient but an
-rhs entry decides NONE first; otherwise the residual is diagonalized by
-Smith's pivot steps with the rhs carried, so U is never formed.  The solver
-returns one arbitrary solution of a consistent system, never "the" solution.
+rhs entry decides NONE first; otherwise the residual is diagonalized on
+sparse rows by Smith's pivot steps with the rhs carried, so U is never
+formed.  A solve needs a diagonal form, not the canonical one (Storjohann,
+Algorithms for Matrix Canonical Forms, ETH Zurich 2000), so the
+divisibility fold d_t | d_t+1 runs only for ``smith_normal_form``.  The
+solver returns one arbitrary solution of a consistent system, never "the"
+solution.
 """
 
 from __future__ import annotations
@@ -29,78 +33,112 @@ from .rings import ZZ, Zmod, _prime_powers, q_canon
 # -- Smith normal form over Z ----------------------------------------------
 
 
-def _smith(A: List[List[int]], m: int) -> Tuple[int, List[List[int]]]:
-    """Diagonalize columns 0..m-1 of the integer rows A in place, d1 | d2 | ...;
-    return the rank and V, the m x m product of the column steps.
+def _smith(A: List[Dict[int, int]], C: List[Dict[int, int]], m: int,
+           fold: bool) -> Tuple[int, List[int], List[Dict[int, int]]]:
+    """Diagonalize the sparse integer rows A {column: nonzero}, columns
+    0..m-1, in place; return the rank r, the column order and V.
 
-    Row steps act on whole rows, so the columns after m-1 are carried: the
-    identity there becomes U of U*a*V = D, an rhs becomes U*rhs.  Each pass
-    pivots on the trailing entry of least magnitude, first in row-major
-    order, and clears its column and row by division with remainder; a
-    nonzero remainder means another pass, with a smaller pivot.  A pivot
-    that does not divide the trailing block gets the first row holding an
-    entry it does not divide folded in.
+    Each row step acts on A[i] and on its carried row C[i] alike: the
+    identity carried becomes U of U*a*V = D, an rhs becomes U*rhs.  Column
+    swaps only permute positions: position t holds column order[t], so d_t
+    is A[t][order[t]].  V[j] is column j of the product of the column steps,
+    as a sparse dict {row: nonzero}.  Each pass pivots on the trailing entry
+    of least magnitude, first in row-major order of positions, and clears
+    its column and row by division with remainder; a nonzero remainder means
+    another pass, with a smaller pivot.  With `fold`, a pivot that does not
+    divide the trailing block gets the first row holding an entry it does
+    not divide added in, so that d_t | d_t+1; a solve needs only a diagonal.
     """
     n = len(A)
-    V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [{j: 1} for j in range(m)]
+    order, at = list(range(m)), list(range(m))  # position -> column, column -> position
     t = 0
     while t < min(n, m):
         while True:
             piv, best = None, 0
             for i in range(t, n):
-                seg = A[i][t:m]
-                if any(seg):
-                    b = min(map(abs, filter(None, seg)))
+                row = A[i]
+                if row:  # the columns at positions < t are cleared
+                    b = min(map(abs, row.values()))
                     if piv is None or b < best:
-                        piv, best = (i, t + min(seg.index(x) for x in (b, -b) if x in seg)), b
+                        piv, best = i, b
                         if b == 1:  # nothing later is smaller
                             break
             if piv is None:
-                return t, V
-            i, j = piv
-            A[t], A[i] = A[i], A[t]
-            if j != t:
-                for row in A + V:
-                    row[t], row[j] = row[j], row[t]
-            At, p = A[t], A[t][t]
-            dirty = False
+                return t, order, V
+            s = min(at[j] for j, x in A[piv].items() if x in (best, -best))
+            A[t], A[piv], C[t], C[piv] = A[piv], A[t], C[piv], C[t]
+            if s != t:
+                order[t], order[s] = order[s], order[t]
+                at[order[t]], at[order[s]] = t, s
+            c = order[t]
+            At, Ct = A[t], C[t]
+            p = At[c]
+            held = [At]  # the rows of A[t:] still nonzero in column c
             for i in range(t + 1, n):
-                if A[i][t]:
-                    c = A[i][t] // p
-                    A[i] = [x - c * y for x, y in zip(A[i], At)]
-                    dirty = dirty or A[i][t] != 0  # a smaller pivot next pass
-            rows = [row for row in A[t:] + V if row[t]]
-            for j in range(t + 1, m):
-                if At[j]:
-                    c = At[j] // p
-                    for row in rows:
-                        row[j] -= c * row[t]
-                    dirty = dirty or At[j] != 0
+                x = A[i].get(c)
+                if x:
+                    f = x // p
+                    _sub(A[i], f, At)
+                    _sub(C[i], f, Ct)
+                    if c in A[i]:  # a smaller pivot next pass
+                        held.append(A[i])
+            dirty = len(held) > 1
+            Vc = V[c]
+            for j, x in list(At.items()):
+                if j != c:
+                    f = x // p
+                    for row in held:
+                        y = row.get(j, 0) - f * row[c]
+                        if y:
+                            row[j] = y
+                        else:
+                            del row[j]
+                    _sub(V[j], f, Vc)
+                    dirty = dirty or j in At
             if dirty:
                 continue
-            # the pivot must divide the trailing block, for d_t | d_t+1
-            if p in (1, -1):
+            if not fold or p in (1, -1):
                 break
-            bad = next((i for i in range(t + 1, n) if any(x % p for x in A[i][t + 1:m])), None)
+            bad = next((i for i in range(t + 1, n) if any(x % p for x in A[i].values())), None)
             if bad is None:
                 break
-            A[t] = [x + y for x, y in zip(At, A[bad])]  # the next pass shrinks the pivot
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
+            _sub(At, -1, A[bad])  # the next pass shrinks the pivot
+            _sub(Ct, -1, C[bad])
+        if A[t][order[t]] < 0:
+            A[t] = {j: -x for j, x in A[t].items()}
+            C[t] = {j: -x for j, x in C[t].items()}
         t += 1
-    return t, V
+    return t, order, V
+
+
+def _sub(row: Dict[int, int], f: int, other: Dict[int, int]) -> None:
+    """row -= f * other, on sparse integer rows."""
+    for j, y in other.items():
+        x = row.get(j, 0) - f * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def smith_normal_form(a: RingMatrix) -> Tuple[RingMatrix, RingMatrix, RingMatrix]:
-    """Return (U, D, V) with U*a*V = D diagonal, d1 | d2 | ..., U,V unimodular."""
+    """Return (U, D, V) with U*a*V = D diagonal, d1 | d2 | ..., U,V unimodular.
+
+    `_smith` diagonalizes the sparse rows of a with the identity carried, as
+    U, and with the divisibility fold, which only this normal form needs."""
     if a.ring != ZZ:
         raise ValueError(f"Smith normal form requires ring Z, got {a.ring}")
     n, m = a.rows, a.cols
-    A = [a.row(i) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    _, V = _smith(A, m)
-    Um = RingMatrix._trusted(ZZ, n, n, [x for row in A for x in row[m:]])
-    Vm = RingMatrix._trusted(ZZ, m, m, [x for row in V for x in row])
-    Dm = RingMatrix._trusted(ZZ, n, m, [x for row in A for x in row[:m]])
+    A = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(n)]
+    C = [{i: 1} for i in range(n)]
+    rank, order, V = _smith(A, C, m, fold=True)
+    d = [0] * (n * m)
+    for t in range(rank):
+        d[t * m + t] = A[t][order[t]]
+    Um = RingMatrix._trusted(ZZ, n, n, [row.get(j, 0) for row in C for j in range(n)])
+    Dm = RingMatrix._trusted(ZZ, n, m, d)
+    Vm = RingMatrix._trusted(ZZ, m, m, [V[c].get(i, 0) for i in range(m) for c in order])
     return Um, Dm, Vm
 
 
@@ -270,15 +308,24 @@ def _solve_crt(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool, f
 
 def _solve_integer(A: List[List[int]], m: int, want_kernel: bool):
     """Solve over Z by diagonalizing the integer rows A of [a | b], b in
-    column m, with `_smith`: the system is solvable iff d_i divides the
-    carried entry c_i for i < rank and c_i = 0 below; then y_i = c_i / d_i
-    and x = V y.  U is never formed."""
-    rank, V = _smith(A, m)
-    kern = [[row[j] for row in V] for j in range(rank, m)] if want_kernel else []
-    if any(A[i][m] % A[i][i] for i in range(rank)) or any(row[m] for row in A[rank:]):
+    column m, with `_smith` on their sparse form and no fold: the system is
+    solvable iff d_i divides the carried entry c_i for i < rank and c_i = 0
+    below; then y_i = c_i / d_i and x = V y.  U is never formed."""
+    rows = [{j: x for j, x in enumerate(row[:m]) if x} for row in A]
+    rhs = [{m: row[m]} if row[m] else {} for row in A]
+    rank, order, V = _smith(rows, rhs, m, fold=False)
+    kern = [[V[j].get(i, 0) for i in range(m)] for j in order[rank:]] if want_kernel else []
+    d = [rows[t][order[t]] for t in range(rank)]
+    c = [row.get(m, 0) for row in rhs]
+    if any(ci % di for ci, di in zip(c, d)) or any(c[rank:]):
         return None, kern
-    y = [A[i][m] // A[i][i] for i in range(rank)]
-    return [sum(v * z for v, z in zip(row, y)) for row in V], kern
+    x = [0] * m
+    for j, di, ci in zip(order, d, c):
+        y = ci // di
+        if y:
+            for i, v in V[j].items():
+                x[i] += v * y
+    return x, kern
 
 
 def _system(coeffs: RingMatrix, rhs: RingMatrix) -> List[Dict[int, object]]:

@@ -905,6 +905,31 @@ def _reference_rows(A: List[List[int]], m: int, want_kernel: bool):
     return sols[0], kern
 
 
+def _hermite(vectors: List[List[int]]) -> List[List[int]]:
+    """The Hermite normal form of the lattice the integer vectors span: its
+    nonzero rows, pivots positive and left to right, every entry above a
+    pivot in [0, pivot)."""
+    rows, hnf = [list(v) for v in vectors], []
+    for j in range(len(rows[0]) if rows else 0):
+        while sum(1 for r in rows if r[j]) > 1:  # Euclid down column j
+            p = min((r for r in rows if r[j]), key=lambda r: abs(r[j]))
+            for r in rows:
+                if r is not p and r[j]:
+                    c = r[j] // p[j]
+                    r[:] = [x - c * y for x, y in zip(r, p)]
+        i = next((i for i, r in enumerate(rows) if r[j]), None)
+        if i is None:
+            continue
+        p = rows.pop(i)
+        if p[j] < 0:
+            p = [-x for x in p]
+        for r in hnf:
+            c = r[j] // p[j]
+            r[:] = [x - c * y for x, y in zip(r, p)]
+        hnf.append(p)
+    return hnf
+
+
 def _random_residual(rng, m):
     """A system shaped like a Z residual: 3-5 times as many rows as columns,
     entries in -20..20, one or two rhs columns (the first a x0 half the
@@ -930,14 +955,19 @@ def _random_residual(rng, m):
     return RingMatrix(ZZ, n, m, [x for row in rows for x in row]), rhs_cols
 
 
-def _residual_with_factors(rng, m):
+def _residual_with_factors(rng, m, pair=None):
     """a = L D R over Z, n x m, L and R products of elementary steps and D
-    diagonal of rank r with entries in {1, 2, 3, 4, 6}, one of them >= 2;
-    rhs columns b = L c with c_i = 0 for i >= r, and a x0.  Returns (a, rhs
-    columns, the verdict each column must get)."""
-    n, r = m * rng.randint(2, 4), rng.randint(1, m)
+    diagonal of rank r with entries in {1, 2, 3, 4, 6}, one of them >= 2, or,
+    given a pair such as (2, 3) and m >= 2, two of them that pair, so that D
+    is no divisibility chain; rhs columns b = L c with c_i = 0 for i >= r,
+    and a x0.  Returns (a, rhs columns, the verdict each column must get)."""
+    n, r = m * rng.randint(2, 4), rng.randint(2 if pair else 1, m)
     diag = [rng.choice([1, 2, 3, 4, 6]) for _ in range(r)]
-    diag[rng.randrange(r)] = rng.choice([2, 3, 4, 6])
+    if pair:
+        for i, d in zip(rng.sample(range(r), 2), pair):
+            diag[i] = d
+    else:
+        diag[rng.randrange(r)] = rng.choice([2, 3, 4, 6])
     cs, verdicts = [], []
     for _ in range(rng.randint(1, 3)):
         c = [rng.randint(-6, 6) for _ in range(r)]
@@ -966,8 +996,12 @@ def _residual_with_factors(rng, m):
 
 class TestResidualSolveOracle:
     """The Z residual solve, which carries the rhs through the Smith pivot
-    loop, against the reference that forms U: the same solutions and kernel
-    generators entry for entry, and the same (U, D, V)."""
+    loop on sparse rows, against the reference that forms U.  Where every
+    invariant factor is a unit no fold is ever taken, so the solutions and
+    kernel generators agree entry for entry; with non-unit factors the
+    solve, which does not fold, agrees in its verdicts and in the lattice
+    its generators span.  `smith_normal_form`, which folds, gives the same
+    (U, D, V)."""
 
     def test_matches_formed_u(self, monkeypatch):
         rng = random.Random(1201)
@@ -1006,25 +1040,42 @@ class TestResidualSolveOracle:
         assert all(seen.values()), seen
 
     def test_non_unit_invariant_factors(self, monkeypatch):
-        """Residuals L D R with L, R unimodular and D holding a factor d >= 2:
-        with b = L c, c_i = 0 below the rank, the system is solvable over Q,
-        and over Z iff d_i | c_i, so a solver that skips that test answers
-        the NONE cases wrongly."""
+        """Residuals L D R with L, R unimodular and D holding a factor d >= 2,
+        or two factors neither of which divides the other, (2, 3) or (4, 6),
+        which only the divisibility fold of `smith_normal_form` orders into
+        d_t | d_t+1: with b = L c, c_i = 0 below the rank, the system is
+        solvable over Q, and over Z iff d_i | c_i, so a solver that skips
+        that test answers the NONE cases wrongly.  The solve does not fold,
+        so its V may differ from the reference's: the verdicts agree, every
+        solution and kernel generator checks exactly, and the generators are
+        as many as the reference's and span the same lattice."""
         rng = random.Random(1203)
-        seen = {"divisible SOME": 0, "indivisible NONE": 0, "x0 SOME": 0}
-        for _ in range(80):
-            a, rhs_cols, verdicts = _residual_with_factors(rng, rng.randint(1, 6))
+        seen = {"divisible SOME": 0, "indivisible NONE": 0, "x0 SOME": 0, "no chain": 0}
+        for k in range(120):
+            pair = None if k < 80 else [(2, 3), (4, 6)][k % 2]
+            m = rng.randint(2 if pair else 1, 6)
+            a, rhs_cols, verdicts = _residual_with_factors(rng, m, pair)
             want_kernel = rng.random() < 0.5
             ref = _reference_solve_integer(a, rhs_cols, want_kernel)
-            assert _solve_integer_cols(a, rhs_cols, want_kernel) == ref
             monkeypatch.setattr(linalg, "_solve_integer", _reference_rows)
-            ref_sols, ref_kern = _solve_cols(a, rhs_cols, want_kernel)
+            ref_solve = _solve_cols(a, rhs_cols, want_kernel)
             monkeypatch.setattr(linalg, "_solve_integer", _solve_integer)
-            sols, kern = _solve_cols(a, rhs_cols, want_kernel)
-            assert (sols, kern) == (ref_sols, ref_kern)
-            for sol, verdict in zip(sols, verdicts):
+            got_solve = _solve_cols(a, rhs_cols, want_kernel)
+            for (sols, kern), (ref_sols, ref_kern) in (
+                    (_solve_integer_cols(a, rhs_cols, want_kernel), ref), (got_solve, ref_solve)):
+                assert [s is None for s in sols] == [s is None for s in ref_sols]
+                for sol, b in zip(sols, rhs_cols):
+                    if sol is not None:
+                        assert mat_mul(a, RingMatrix(ZZ, m, 1, sol)).entries == b
+                for g in kern:
+                    assert mat_mul(a, RingMatrix(ZZ, m, 1, g)).is_zero()
+                assert len(kern) == len(ref_kern)
+                assert _hermite(kern) == _hermite(ref_kern)
+            for sol, verdict in zip(got_solve[0], verdicts):
                 assert (sol is not None) == (verdict != "indivisible NONE")
                 seen[verdict] += 1
+            assert smith_normal_form(a) == _reference_snf(a)
+            seen["no chain"] += pair is not None
         assert all(seen.values()), seen
 
     def test_snf_matches_reference(self):
