@@ -496,8 +496,8 @@ class HomotopyCertificate:
         A, Y = lhs.source, lhs.target
         out: Dict[int, object] = {}
         for n in sorted(set(A.objects) | set(f.components) | set(g.components)):
-            s_n = self.s.get(n, inst.zero_mor(A.obj(n), Y.obj(n - 1)))
-            s_n1 = self.s.get(n + 1, inst.zero_mor(A.obj(n + 1), Y.obj(n)))
+            s_n = self.s[n] if n in self.s else inst.zero_mor(A.obj(n), Y.obj(n - 1))
+            s_n1 = self.s[n + 1] if n + 1 in self.s else inst.zero_mor(A.obj(n + 1), Y.obj(n))
             rhs = inst.hom_add(inst.compose(s_n1, A.diff(n)), inst.compose(Y.diff(n - 1), s_n))
             if not inst.mor_eq(lhs.component(n), rhs):
                 out[n] = inst.hom_sub(lhs.component(n), rhs)

@@ -375,7 +375,7 @@ def ex1_composite(defl1: StandardConflation, beta: ChainMap) -> Tuple[bool, Opti
     cg2, _, _ = cone(g2)
     fg1 = ChainMap(Zm1, cg2, {
         n: inst.block_mor(
-            [[f.component(n)], [g1_c.get(n, inst.zero_mor(Zm1.obj(n), V.obj(n)))]],
+            [[f.component(n)], [g1_c.get(n)]],  # None is a zero block
             [X.obj(n), V.obj(n)],
             [Zm1.obj(n)],
         )
@@ -388,7 +388,7 @@ def ex1_composite(defl1: StandardConflation, beta: ChainMap) -> Tuple[bool, Opti
     # the witness (alpha; beta1) factors (f; g1) through eta_{cone(g2)}
     ab = ChainMap(Zm1, apply_auto(cg2, 1), {
         n: inst.block_mor(
-            [[alpha.component(n)], [b1_c.get(n, inst.zero_mor(Zm1.obj(n), V1.obj(n)))]],
+            [[alpha.component(n)], [b1_c.get(n)]],
             [inst.shift_obj(X.obj(n), 1), V1.obj(n)],
             [Zm1.obj(n)],
         )

@@ -17,32 +17,33 @@ layer checks them.  Two index conventions read the stored form:
 and ``gsystem_to_complex``/``gmorphism_to_chain_map`` return the stored
 objects.
 
-``DeltaComplex`` is the weaker input datum: the GA system at levels 0 and
-1 only, with a strict differential delta0 = d_0 in the i direction and a
+``DeltaComplex`` is the weaker input datum: the GA system at levels 0 and 1
+only, with a strict differential delta0 = d_0 in the i direction and a
 strictly commuting delta1 = d_1 in the j direction whose square is only
-null-homotopic.  Its relations are ``validate_delta``'s, not the
-convolution relations.  A ``DeltaMap`` stores one level-0 GMorphism, whose
-chain-map relations are the two strict squares.  ``theta_extend``
-completes a DeltaComplex to a full GSystem by solving the level-n
-relations inductively; ``totalize`` collapses a GSystem to an ordinary
-complex by summing the grading; ``phi`` is the composite.  ``theta_extend_mor``
-extends a column-wise map, and ``eta_null_complete`` grows a two-term
-homotopy seed, found by ``find_seed``, into a full eta-homotopy
-certificate; each solves all levels of its family as one system and
-re-solves level prefixes only to locate an obstruction.  All four bigraded
-solves work in CgrA and pose their level-n equations u d_X +- d_Y u = rhs
-through one level builder, ``_solve_levels``, over a range of levels:
-``theta_extend`` one level n >= 2 at a time, ``theta_extend_mor`` and
-``eta_null_complete`` levels 1 to the top, and ``find_seed`` levels -1
-and 0 of ``eta_null_complete``'s family.  It registers the unknowns, and
-``_add_equation`` writes each equation, whose rhs is a component of one
-``Graded.compose`` composite (-d d, d f_0 - f_0 d, the seeds' residual or
-f itself) and whose factors are stored components.  A zero component is
-absent: the store drops it, ``_solve_levels`` returns only nonzero blocks
-({} for a range whose rhs is zero throughout, which it does not pose), and
-the readers here take None for it; only the public accessors build zeros.
-``validate_delta`` reads its relations off one composite, -d d with d_1
-signed, and poses delta1^2's null-homotopy as one level-2 system.
+null-homotopic.  Its relations are ``validate_delta``'s, not the convolution
+relations.  A ``DeltaMap`` stores one level-0 GMorphism, whose chain-map
+relations are the two strict squares.  ``theta_extend`` completes a
+DeltaComplex to a full GSystem by solving the level-n relations inductively;
+``totalize`` collapses a GSystem to an ordinary complex by summing the
+grading; ``phi`` is the composite, and ``xi_cone_identity`` checks
+Xi(cone(eta_V)) = cone(Id_{Xi(V)}) as a chain map.  ``theta_extend_mor``
+extends a column-wise map, and ``eta_null_complete`` grows a two-term homotopy
+seed, found by ``find_seed``, into a full eta-homotopy certificate; each
+solves all levels of its family as one system and re-solves level prefixes
+only to locate an obstruction.  All four bigraded solves work in CgrA and pose
+their level-n equations u d_X +- d_Y u = R through one level builder,
+``_solve_levels``, over a range of levels: ``theta_extend`` one level n >= 2
+at a time, ``theta_extend_mor`` and ``eta_null_complete`` levels 1 to the top,
+and ``find_seed`` levels -1 and 0 of ``eta_null_complete``'s family.  R is one
+``Graded.compose`` composite by degree (-d d, d f_0 - f_0 d, the seeds'
+reindexed residual or f itself).  ``_solve_levels`` registers the unknowns,
+and ``_add_equation`` writes each equation, whose rhs is a component of R and
+whose factors are stored components.  A zero component is absent: the store
+drops it, ``_solve_levels`` returns only nonzero blocks ({} for a range where
+R has no component, which it does not pose), and the readers here take None
+for it; only the public accessors build zeros.  ``validate_delta`` reads its
+relations off one composite, -d d with d_1 signed, and poses delta1^2's
+null-homotopy as one level-2 system.
 """
 
 from __future__ import annotations
@@ -395,10 +396,7 @@ def xi_mor(f: GradedMorphism, ring: CoeffRing) -> RingMatrix:
     for t in tgt:
         row: List[Optional[RingMatrix]] = []
         for j in src:
-            if t < j:
-                row.append(None)
-                continue
-            m = f.components.get((t - j, j))
+            m = f.components.get((t - j, j))  # None where t < j: no component has n < 0
             if m is not None and _XI_SIGN != 1 and (t - j) % 2 == 1:
                 m = m.scale(_XI_SIGN)
             row.append(m)
@@ -414,12 +412,7 @@ def totalize_complex(c: Complex) -> Complex:
     ring = inst.ring
     tot = ScalarEta(ring, ring.one())
     objects = {i: X.total_rank() for i, X in c.objects.items()}
-    diffs = {}
-    for i in c.degree_range():
-        d = c.diffs.get(i)
-        if d is not None:
-            diffs[i] = xi_mor(d, ring)
-    return Complex(tot, objects, diffs)
+    return Complex(tot, objects, {i: xi_mor(d, ring) for i, d in c.diffs.items()})
 
 
 def totalize_chain_map(f: ChainMap) -> ChainMap:
@@ -446,60 +439,30 @@ def xi_dsum_permutation(
 ) -> RingMatrix:
     """Matrix of the canonical iso  (+)_k Xi(parts[k]) -> Xi((+)_k parts[k]).
 
-    The target interleaves the parts degree by degree; the source
-    concatenates the totalizations part by part.
+    One block matrix of identity blocks (part k, degree j): the source
+    concatenates them part by part, the target sorts them by (j, k).
     """
-    # column index: (part k, degree j, slot) in source order
-    src_order: List[Tuple[int, int, int]] = []
-    for k, X in enumerate(parts):
-        for j in X.support:
-            for s in range(X.rank(j)):
-                src_order.append((k, j, s))
-    # row index: degree j ascending, then part k, then slot
-    tgt_order: List[Tuple[int, int, int]] = []
-    degs = sorted({j for X in parts for j in X.support})
-    for j in degs:
-        for k, X in enumerate(parts):
-            for s in range(X.rank(j)):
-                tgt_order.append((k, j, s))
-    n = len(src_order)
-    pos = {key: c for c, key in enumerate(src_order)}
-    entries = [ring.zero()] * (n * n)
-    one = ring.one()
-    for r, key in enumerate(tgt_order):
-        entries[r * n + pos[key]] = one
-    return RingMatrix._trusted(ring, n, n, entries)
+    src = [(k, j) for k, X in enumerate(parts) for j in X.support]
+    tgt = sorted(src, key=lambda kj: (kj[1], kj[0]))
+    size = {(k, j): parts[k].rank(j) for k, j in src}
+    grid = [[RingMatrix.identity(ring, size[t]) if t == s else None for s in src] for t in tgt]
+    return RingMatrix.block(ring, grid, [size[t] for t in tgt], [size[s] for s in src])
 
 
 def xi_cone_identity(v: GSystem) -> bool:
     """Xi(cone(eta_V)) equals cone(Id_{Xi(V)}) after the canonical reordering.
 
     The cone interleaves the two graded summands degree by degree before
-    totalizing, so the comparison conjugates by the permutation that
-    separates them again; every entry comparison is exact.
+    totalizing, so the permutations that separate them again must form a
+    chain map cone(Id_{Xi(V)}) -> Xi(cone(eta_V)) between equal objects.
     """
     cv = gsystem_to_complex(v)
-    ring = v.ring
     eta = eta_chain_map(cv)
     lhs = totalize_complex(cone(eta)[0])
-    tot = totalize_complex(cv)
-    rhs = cone(id_chain_map(tot))[0]
-    degs = sorted(set(lhs.objects) | set(rhs.objects))
-    perms: Dict[int, RingMatrix] = {}
-    for i in degs:
-        if lhs.obj(i) != rhs.obj(i):
-            return False
-        parts = [eta.source.obj(i + 1), cv.obj(i)]  # V^{i+1}(1) then V^i
-        p = xi_dsum_permutation(ring, parts)
-        if (p.rows, p.cols) != (lhs.obj(i), rhs.obj(i)):
-            return False
-        perms[i] = p
-    for i in degs:
-        # the permutations are invertible, so a side with no differential needs none on the other
-        a, b = rhs.diffs.get(i), lhs.diffs.get(i)
-        if (a is None) != (b is None) or (a is not None and perms[i + 1] @ a != b @ perms[i]):
-            return False
-    return True
+    rhs = cone(id_chain_map(totalize_complex(cv)))[0]
+    # degree i of either cone is V^{i+1}(1) then V^i before reordering
+    perms = {i: xi_dsum_permutation(v.ring, [eta.source.obj(i + 1), cv.obj(i)]) for i in lhs.objects}
+    return lhs.objects == rhs.objects and validate_chain_map(ChainMap(rhs, lhs, perms))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +575,7 @@ def validate_delta(x: DeltaComplex) -> bool:
     R = _minus_square(y.complex)
     if any(n < 2 for r in R.values() for (n, _) in r.components):
         return False
-    sol, _ = _solve_levels(y, y, 1, 1, lambda n, i, j: _part(R, i, n, j), 2, 2)
+    sol, _ = _solve_levels(y, y, 1, 1, R, 2, 2)
     return sol is not None
 
 
@@ -736,20 +699,20 @@ def _put_block(out: dict, key, ring: CoeffRing, grid, rows: List[int], cols: Lis
 
 
 def _add_equation(
-    prob: MatrixProblem, X: GSystem, Y: GSystem, n: int, i: int, j: int, di: int, sign: int, rhs,
+    prob: MatrixProblem, X: GSystem, Y: GSystem, n: int, i: int, j: int, di: int, sign: int, R,
 ):
-    """Write the level-n equation of  u d_X + sign * d_Y u = rhs(n, i, j)  at (i, j).
+    """Write the level-n equation of  u d_X + sign * d_Y u = R  at (i, j).
 
-    X and Y are CgrA systems, and rhs(n, i, j) is a component of a Graded
-    composite, None where it is zero.  A u_k (-1 <= k <= n) that ``prob``
-    does not hold is known, and its terms belong in rhs; one that it holds
-    poses a term where its factor d_X or d_Y is stored.  An equation that
-    holds no u_k and whose rhs is None says 0 = 0 and is left out.
+    X and Y are CgrA systems; R maps degree i to a Graded composite X^i ->
+    Y^{i+di+1}, whose component (n, j) is the rhs, None where it is zero.
+    A u_k (-1 <= k <= n) that ``prob`` does not hold is known, and its terms
+    belong in R; one that it holds poses a term where its factor d_X or d_Y
+    is stored.  An equation with no u_k and no rhs says 0 = 0 and is left out.
     """
     er, ec = Y.rank(i + di + 1, j + n), X.rank(i, j)
     if not er or not ec:
         return
-    b = rhs(n, i, j)
+    b = _part(R, i, n, j)
     # u_k d_{X,n-k}, then d_{Y,n-k} u_k, for the u_k that prob holds
     terms = [((k, i + 1, j + n - k), None, _part(X.complex.diffs, i, n - k, j), 1) for k in range(n, -2, -1)]
     terms += [((k, i, j), _part(Y.complex.diffs, i + di, n - k, j + k), None, sign) for k in range(-1, n + 1)]
@@ -758,28 +721,29 @@ def _add_equation(
         prob.add_equation((er, ec), [t for t in terms if t[1] is not None or t[2] is not None], b)
 
 
-def _solve_levels(X: GSystem, Y: GSystem, di: int, sign: int, rhs, lo: int = 1, hi: Optional[int] = None):
+def _solve_levels(X: GSystem, Y: GSystem, di: int, sign: int, R, lo: int = 1, hi: Optional[int] = None):
     """Solve the level-n equations of ``_add_equation`` for n = lo..hi as one system.
 
     The unknowns are u_n: X^{ij} -> Y^{i+di, j+n}, keyed (n, i, j), for
-    lo <= n <= hi; the u_k below lo are known and sit in rhs.  hi defaults
-    to the top level, the largest grade of Y less the smallest grade of X
-    less di, above which no u_n has both ends nonzero.  Returns
+    lo <= n <= hi; the u_k below lo are known and sit in the composite R
+    of ``_add_equation``.  hi defaults to the top level, the largest grade
+    of Y less the smallest grade of X less di, above which no u_n has both
+    ends nonzero.  Returns
     (solution, None), or (None, n) for the first n whose system of levels
     lo..n is inconsistent.  The joint system is consistent iff every such
     prefix is, so the prefixes are solved only after it fails.  The
     solution holds the nonzero u_n only: an absent one is zero.
 
-    A range whose rhs is None throughout is homogeneous: the solver sets
+    A range where R has no component is homogeneous: the solver sets
     free variables to 0, so it is not posed and its solution is {}.
-    Likewise the prefixes below the first level with a rhs are consistent
-    and are not re-solved.
+    Likewise the prefixes below R's first level are consistent and are
+    not re-solved.
     """
     pos = X.positions
     if hi is None:
         yj = [j for _, j in Y.positions]
         hi = max(0, max(yj) - min(j for _, j in pos) - di) if pos and yj else 0
-    first = next((n for n in range(lo, hi + 1) if any(rhs(n, i, j) is not None for (i, j) in pos)), None)
+    first = min((n for r in R.values() for (n, _) in r.components if lo <= n <= hi), default=None)
     if first is None:
         return {}, None
 
@@ -790,7 +754,7 @@ def _solve_levels(X: GSystem, Y: GSystem, di: int, sign: int, rhs, lo: int = 1, 
                 if Y.rank(i + di, j + k):
                     prob.add_unknown((k, i, j), Y.rank(i + di, j + k), X.rank(i, j))
             for (i, j) in pos:
-                _add_equation(prob, X, Y, k, i, j, di, sign, rhs)
+                _add_equation(prob, X, Y, k, i, j, di, sign, R)
         return prob.solve()
 
     sol = through(hi)
@@ -826,7 +790,7 @@ def theta_extend(x: DeltaComplex):
         # R is stale only after a level that added components
         if R is None:
             R = _minus_square(sys.complex)
-        sol, _ = _solve_levels(sys, sys, 1, 1, lambda n, i, j: _part(R, i, n, j), n, n)
+        sol, _ = _solve_levels(sys, sys, 1, 1, R, n, n)
         if sol is None:
             return Obstruction(
                 "theta-extend", n, None,
@@ -862,7 +826,7 @@ def theta_extend_mor(alpha: DeltaMap, xhat: GSystem, yhat: GSystem):
             "the column-wise map does not commute with the i-differential",
         )
     # level-n equation: sum_{q<n} f_{n-q} dX_q - sum_{q>0} dY_{n-q} f_q = R_n
-    sol, level = _solve_levels(xhat, yhat, 0, -1, lambda n, i, j: _part(R, i, n, j))
+    sol, level = _solve_levels(xhat, yhat, 0, -1, R)
     if sol is None:
         return Obstruction(
             "theta-extend-mor", level, None,
@@ -991,9 +955,9 @@ def find_seed(f: GMorphism):
     """
     if f.source.convention != CGRA:
         raise ValueError("find_seed expects the CgrA convention")
-    X, Y, fs = f.source, f.target, f.chain_map.components
+    X, Y = f.source, f.target
     # the rhs of level n is f_n, so None at level -1
-    sol, _ = _solve_levels(X, Y, -1, 1, lambda n, i, j: _part(fs, i, n, j), -1, 0)
+    sol, _ = _solve_levels(X, Y, -1, 1, f.chain_map.components, -1, 0)
     if sol is None:
         return None
     # the public seeds hold a block wherever both ends are nonzero, zero blocks included
@@ -1032,8 +996,10 @@ def eta_null_complete(
     defect = _null_residuals(f, seeds)
     if any(n <= 1 for r in defect.values() for (n, _) in r.components):
         raise ValueError("seed pair does not satisfy the two seed equations")
-    # u_k: X^{ij} -> Y^{i-1,j+k} is s_{k+1}, which reads as component (k+1, j-1)
-    sol, level = _solve_levels(X, Y, -1, 1, lambda k, i, j: _part(defect, i, k + 1, j - 1))
+    # u_k: X^{ij} -> Y^{i-1,j+k} is s_{k+1}: component (n, j) of the defect becomes (n-1, j+1)
+    R = {i: GradedMorphism(X.complex.obj(i), Y.complex.obj(i), {
+        (n - 1, j + 1): m for (n, j), m in r.components.items()}) for i, r in defect.items()}
+    sol, level = _solve_levels(X, Y, -1, 1, R)
     if sol is None:
         return Obstruction(
             "eta-null-complete", level, None,

@@ -11,15 +11,15 @@ back-substituted.  Over GF(p) and Q every nonzero is a pivot candidate.
 Over Z/p^k the pivots are taken in valuation tiers, p^0 first, and nothing
 is left over; Z/m with several primes is split by CRT into such parts, each
 solving the rows reduced mod its p^k.  Over Z the pivots are +-1 and the
-columns without one, with the rows left over, form a small residual of
-integer rows [residual | b].  A left-over row with no coefficient but an
-rhs entry decides NONE first; otherwise the residual is diagonalized on
-sparse rows by Smith's pivot steps with the rhs carried, so U is never
-formed.  A solve needs a diagonal form, not the canonical one (Storjohann,
-Algorithms for Matrix Canonical Forms, ETH Zurich 2000), so the
-divisibility fold d_t | d_t+1 runs only for ``smith_normal_form``.  The
-solver returns one arbitrary solution of a consistent system, never "the"
-solution.
+columns without one, with the rows left over, form a small residual: the
+same sparse rows [residual | b], re-keyed to the residual's columns.  A
+left-over row with no coefficient but an rhs entry decides NONE first;
+otherwise the residual is diagonalized on those rows by Smith's pivot
+steps with the rhs carried, so U is never formed.  A solve needs a
+diagonal form, not the canonical one (Storjohann, Algorithms for Matrix
+Canonical Forms, ETH Zurich 2000), so the divisibility fold d_t | d_t+1
+runs only for ``smith_normal_form``.  The solver returns one arbitrary
+solution of a consistent system, never "the" solution.
 """
 
 from __future__ import annotations
@@ -271,8 +271,10 @@ def _solve(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool):
         # a row with no coefficient but an rhs entry makes the system inconsistent
         if not want_kernel and any(row.keys() == {m} for row in rest):
             return None, []
-        y, res_kern = _solve_integer([[row.get(j, 0) for j in skipped] + [row.get(m, 0)]
-                                      for row in rest], len(skipped), want_kernel)
+        at = {c: t for t, c in enumerate(skipped)}  # skipped column -> residual index
+        at[m] = len(skipped)
+        y, res_kern = _solve_integer([{at[j]: x for j, x in row.items()} for row in rest],
+                                     len(skipped), want_kernel)
     else:  # no coefficient is left, so the skipped columns are free too
         skipped, res_kern = [], []
         y = None if any(m in row for row in rest) else []
@@ -306,13 +308,13 @@ def _solve_crt(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool, f
     return x, kern
 
 
-def _solve_integer(A: List[List[int]], m: int, want_kernel: bool):
-    """Solve over Z by diagonalizing the integer rows A of [a | b], b in
-    column m, with `_smith` on their sparse form and no fold: the system is
-    solvable iff d_i divides the carried entry c_i for i < rank and c_i = 0
-    below; then y_i = c_i / d_i and x = V y.  U is never formed."""
-    rows = [{j: x for j, x in enumerate(row[:m]) if x} for row in A]
-    rhs = [{m: row[m]} if row[m] else {} for row in A]
+def _solve_integer(rows: List[Dict[int, int]], m: int, want_kernel: bool):
+    """Solve over Z by diagonalizing the sparse integer rows {column:
+    nonzero} of [a | b], b in column m, with `_smith` and no fold: the
+    system is solvable iff d_i divides the carried entry c_i for i < rank
+    and c_i = 0 below; then y_i = c_i / d_i and x = V y.  U is never
+    formed.  The rows are consumed."""
+    rhs = [{m: row.pop(m)} if m in row else {} for row in rows]
     rank, order, V = _smith(rows, rhs, m, fold=False)
     kern = [[V[j].get(i, 0) for i in range(m)] for j in order[rank:]] if want_kernel else []
     d = [rows[t][order[t]] for t in range(rank)]

@@ -17,6 +17,7 @@ Oracle notes:
 
 import json
 import random
+import types
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -282,6 +283,26 @@ class TestTotalize:
             te.component(n) != RingMatrix.identity(Z4, te.source.obj(n))
             for n in te.source.objects
         )
+
+    def test_mutants_break_cone_identity(self, monkeypatch):
+        """xi_cone_identity answers False where the totalization's signs or the
+        reordering are wrong, and never on the clean code."""
+        import etacomplex.gsystems as gs
+
+        draws = [random_gsystem(ring, random.Random(13000 + t)) for ring in (ZZ, Z4, GF(5)) for t in range(25)]
+
+        def rejected():
+            return sum(not xi_cone_identity(v) for v in draws)
+
+        assert rejected() == 0
+        with monkeypatch.context() as m:
+            m.setattr(gs, "_XI_SIGN", -1)
+            assert rejected() >= 1
+        with monkeypatch.context() as m:
+            m.setattr(gs, "xi_dsum_permutation",
+                      lambda ring, parts: RingMatrix.identity(ring, sum(X.total_rank() for X in parts)))
+            assert rejected() >= 1
+        assert rejected() == 0
 
 
 # -- DeltaComplex -----------------------------------------------------------
@@ -2405,8 +2426,8 @@ class TestThetaRereadsTheSquare:
                 inst = c.instance
                 square = {i: inst.hom_negate(inst.compose(c.diff(i + 1), d)) for i, d in c.diffs.items()}
                 for (i, j) in X.positions:
-                    assert rhs(lo, i, j) == gs._part(square, i, lo, j)
-                    if rhs(lo, i, j) is not None:
+                    assert gs._part(rhs, i, lo, j) == gs._part(square, i, lo, j)
+                    if gs._part(rhs, i, lo, j) is not None:
                         nonzero.add(lo)
             return solve(X, Y, di, sign, rhs, lo, hi)
 
@@ -2509,11 +2530,18 @@ class TestHomogeneousLevels:
             # no rhs component lands above the grades of Y
             top = hi if hi is not None else lo + max([j for _, j in Y.positions], default=0) - min(
                 [j for _, j in X.positions], default=0) + 1
-            homogeneous = all(rhs(n, i, j) is None for n in range(lo, top + 1) for (i, j) in X.positions)
+            homogeneous = all(gs._part(rhs, i, n, j) is None for n in range(lo, top + 1) for (i, j) in X.positions)
 
-            def forced(n, i, j):  # a zero matrix is a rhs, so this range is posed
-                b = rhs(n, i, j)
-                return RingMatrix.zero(X.ring, Y.rank(i + di + 1, j + n), X.rank(i, j)) if b is None else b
+            # a zero matrix is a rhs, so this range is posed: R with an explicit zero
+            # block at every slot of lo..top whose two ends are nonzero, held in a
+            # namespace because GradedMorphism drops zero components
+            comps = {i: dict(r.components) for i, r in rhs.items()}
+            for (i, j) in X.positions:
+                for n in range(lo, top + 1):
+                    rows = Y.rank(i + di + 1, j + n)
+                    if rows:
+                        comps.setdefault(i, {}).setdefault((n, j), RingMatrix.zero(X.ring, rows, X.rank(i, j)))
+            forced = {i: types.SimpleNamespace(components=c) for i, c in comps.items()}
 
             start = len(solves)
             ref = levels(X, Y, di, sign, forced, lo, hi)

@@ -3,7 +3,7 @@ import math
 import random
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
@@ -124,12 +124,10 @@ def _solve_cols(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
 
 
 def _solve_integer_cols(a: RingMatrix, rhs_cols: List[List], want_kernel: bool):
-    """`_solve_integer` on the integer rows of [a | col], one rhs column at a
+    """`_solve_integer` on the dict rows of [a | col], one rhs column at a
     time, in the references' shape."""
-    def rows(col):
-        return [a.row(i) + [col[i]] for i in range(a.rows)]
-    sols = [_solve_integer(rows(col), a.cols, False)[0] for col in rhs_cols]
-    kern = _solve_integer(rows([0] * a.rows), a.cols, True)[1] if want_kernel else []
+    sols = [_solve_integer(_rows(a, col), a.cols, False)[0] for col in rhs_cols]
+    kern = _solve_integer(_rows(a, [0] * a.rows), a.cols, True)[1] if want_kernel else []
     return sols, kern
 
 
@@ -704,7 +702,7 @@ class TestUnitPivotOracle:
         residuals = []
 
         def recording(A, m, want_kernel):
-            residuals.append(RingMatrix(ZZ, len(A), m, [x for row in A for x in row[:m]]))
+            residuals.append(RingMatrix(ZZ, len(A), m, [row.get(j, 0) for row in A for j in range(m)]))
             return _solve_integer(A, m, want_kernel)
 
         monkeypatch.setattr(linalg, "_solve_integer", recording)
@@ -897,11 +895,11 @@ def _reference_solve_integer(a: RingMatrix, rhs_cols: List[List], want_kernel: b
     return sols, kern
 
 
-def _reference_rows(A: List[List[int]], m: int, want_kernel: bool):
-    """`_reference_solve_integer` on the integer rows A of [a | b], b in
+def _reference_rows(A: List[Dict[int, int]], m: int, want_kernel: bool):
+    """`_reference_solve_integer` on the dict rows A of [a | b], b in
     column m, taken and answered in `_solve_integer`'s shape."""
-    a = RingMatrix(ZZ, len(A), m, [x for row in A for x in row[:m]])
-    sols, kern = _reference_solve_integer(a, [[row[m] for row in A]], want_kernel)
+    a = RingMatrix(ZZ, len(A), m, [row.get(j, 0) for row in A for j in range(m)])
+    sols, kern = _reference_solve_integer(a, [[row.get(m, 0) for row in A]], want_kernel)
     return sols[0], kern
 
 
