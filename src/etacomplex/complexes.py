@@ -281,11 +281,8 @@ def dsum_complex(a: Complex, b: Complex) -> Tuple[Complex, ChainMap, ChainMap, C
 # -- mapping cone -----------------------------------------------------------
 
 
-def cone(f: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
-    """cone(f)^n = X^{n+1} (+) Y^n with d = [[-d_X^{n+1}, 0], [f^{n+1}, d_Y^n]].
-
-    Returns (cone, inj: Y -> cone, proj: cone -> X[1]).
-    """
+def cone_complex(f: ChainMap) -> Complex:
+    """cone(f)^n = X^{n+1} (+) Y^n with d = [[-d_X^{n+1}, 0], [f^{n+1}, d_Y^n]]."""
     inst = f.instance
     X, Y = f.source, f.target
     degs = sorted({n - 1 for n in X.objects} | set(Y.objects))
@@ -300,16 +297,25 @@ def cone(f: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
             [X.obj(n + 2), Y.obj(n + 1)],
             [X.obj(n + 1), Y.obj(n)],
         )
-    c = Complex(inst, objects, diffs)
+    return Complex(inst, objects, diffs)
+
+
+def cone(f: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
+    """The cone complex of `cone_complex` with its maps: returns (cone,
+    inj: Y -> cone, proj: cone -> X[1]).  Both maps are zero outside the
+    cone's support, where X^{n+1} and Y^n are zero."""
+    inst = f.instance
+    X, Y = f.source, f.target
+    c = cone_complex(f)
     inj = ChainMap(Y, c, {
         n: inst.block_mor([[None], [inst.id_mor(Y.obj(n))]], [X.obj(n + 1), Y.obj(n)], [Y.obj(n)])
-        for n in degs
+        for n in c.objects
     })
     proj = ChainMap(c, shift_complex(X, 1), {
         n: inst.block_mor(
             [[inst.id_mor(X.obj(n + 1)), None]], [X.obj(n + 1)], [X.obj(n + 1), Y.obj(n)]
         )
-        for n in degs
+        for n in c.objects
     })
     return c, inj, proj
 
@@ -318,7 +324,7 @@ def eta_on_cone(f: ChainMap) -> bool:
     """eta_{cone(f)} = [[eta_{X[1]}, 0], [0, eta_Y]] as a block identity."""
     inst = f.instance
     X, Y = f.source, f.target
-    c, _, _ = cone(f)
+    c = cone_complex(f)
     expected = ChainMap(apply_auto(c, 1), c, {
         n: inst.block_mor(
             [[inst.eta(X.obj(n + 1)), None], [None, inst.eta(Y.obj(n))]],

@@ -26,6 +26,7 @@ from .complexes import (
     chain_map_problem,
     compose_chain_maps,
     cone,
+    cone_complex,
     eta_chain_map,
     family_terms,
     homotopic,
@@ -134,8 +135,7 @@ def stable_equal(f: ChainMap, g: ChainMap) -> bool:
 
 def cone_eta(V: Complex) -> Complex:
     """cone(eta_V): V^{n+1}(1) (+) V^n with d = [[-d_V^{n+1}(1), 0], [eta, d_V]]."""
-    c, _, _ = cone(eta_chain_map(V))
-    return c
+    return cone_complex(eta_chain_map(V))
 
 
 class StandardConflation:
@@ -372,7 +372,7 @@ def ex1_composite(defl1: StandardConflation, beta: ChainMap) -> Tuple[bool, Opti
         b1_c[n], b2_c[n] = bb[0][0], bb[0][1]
     g2 = ChainMap(Xm1, V, g2_c)
     ok = validate_chain_map(g2)
-    cg2, _, _ = cone(g2)
+    cg2 = cone_complex(g2)
     fg1 = ChainMap(Zm1, cg2, {
         n: inst.block_mor(
             [[f.component(n)], [g1_c.get(n)]],  # None is a zero block

@@ -58,8 +58,8 @@ from .complexes import (
     HomotopyCertificate,
     LinearProblem,
     apply_auto,
-    cone,
     compose_chain_maps,
+    cone_complex,
     eta_chain_map,
     id_chain_map,
     shift_complex,
@@ -458,8 +458,8 @@ def xi_cone_identity(v: GSystem) -> bool:
     """
     cv = gsystem_to_complex(v)
     eta = eta_chain_map(cv)
-    lhs = totalize_complex(cone(eta)[0])
-    rhs = cone(id_chain_map(totalize_complex(cv)))[0]
+    lhs = totalize_complex(cone_complex(eta))
+    rhs = cone_complex(id_chain_map(totalize_complex(cv)))
     # degree i of either cone is V^{i+1}(1) then V^i before reordering
     perms = {i: xi_dsum_permutation(v.ring, [eta.source.obj(i + 1), cv.obj(i)]) for i in lhs.objects}
     return lhs.objects == rhs.objects and validate_chain_map(ChainMap(rhs, lhs, perms))
@@ -891,13 +891,12 @@ def theta_triangle_check(alpha: DeltaMap):
     cone_sys = theta_cone_system(fhat)
     fc = gmorphism_to_chain_map(fhat)
     g = compose_chain_maps(fc, eta_chain_map(fc.source))
-    if cone(g)[0] != cone_sys.complex:
+    if cone_complex(g) != cone_sys.complex:
         return False
     if not validate_gsystem(cone_sys):
         return False
     # the cone system's underlying ranks agree with the cone of the inputs
-    cd = cone_delta(alpha)
-    if {(r + j, j): rk for (r, j), rk in cd.ranks.items()} != cone_sys.ranks:
+    if psi(cone_delta(alpha)).ranks != cone_sys.ranks:
         return False
     # shift identity: reindex-and-negate extends the shifted DeltaComplex
     shifted = shift_gsystem(fhat.source)

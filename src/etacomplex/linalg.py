@@ -5,25 +5,30 @@ nonzero}, the one rhs b in column m.  ``complexes.LinearProblem`` writes
 those rows straight from its Kronecker blocks and hands them to ``_solve``;
 the public entry points ``solve_linear_system`` and ``solve_with_kernel``
 build them once from the RingMatrices their callers pass (``_system``).
-One sparse solver serves every ring: the rows are
-eliminated forward, pivot columns taken left to right, then
-back-substituted.  Over GF(p) and Q every nonzero is a pivot candidate.
-Over Z/p^k the pivots are taken in valuation tiers, p^0 first, and nothing
-is left over; Z/m with several primes is split by CRT into such parts, each
-solving the rows reduced mod its p^k.  Over Z the pivots are +-1 and the
-columns without one, with the rows left over, form a small residual: the
-same sparse rows [residual | b], re-keyed to the residual's columns.  A
-left-over row with no coefficient but an rhs entry decides NONE first;
-otherwise the residual is diagonalized on those rows by Smith's pivot
-steps with the rhs carried, so U is never formed.  A solve needs a
-diagonal form, not the canonical one (Storjohann, Algorithms for Matrix
-Canonical Forms, ETH Zurich 2000), so the divisibility fold d_t | d_t+1
-runs only for ``smith_normal_form``.  The solver returns one arbitrary
-solution of a consistent system, never "the" solution.
+One sparse solver serves every ring: the rows are eliminated forward, pivot
+columns taken left to right, then back-substituted.  Over GF(p) and Q every
+nonzero is a pivot candidate.  Over Q the elimination is fraction-free
+(Bareiss, Math. Comp. 22, 1968): each row is made integral once, by the
+lcm of its denominators, and stays integral, so a ``Fraction`` is made only
+where back substitution divides by a pivot.  Over Z/p^k the pivots are
+taken in valuation tiers, p^0 first, and nothing is left over; Z/m with
+several primes is split by CRT into such parts, each solving the rows
+reduced mod its p^k.  Over Z the pivots are +-1 and the columns without
+one, with the rows left over, form a small residual: the same sparse rows
+[residual | b], re-keyed to the residual's columns.  A left-over row with
+no coefficient but an rhs entry decides NONE first; otherwise the residual
+is diagonalized on those rows by Smith's pivot steps with the rhs carried,
+so U is never formed.  A solve needs a diagonal form, not the canonical one
+(Storjohann, Algorithms for Matrix Canonical Forms, ETH Zurich 2000), so
+the divisibility fold d_t | d_t+1 runs only for ``smith_normal_form``.  The
+solver returns one arbitrary solution of a consistent system, never "the"
+solution.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .matrix import RingMatrix
@@ -158,7 +163,14 @@ def _solve(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool):
     candidate is an active row whose entry is any nonzero over a field, +-1
     over Z, of valuation exactly v over Z/p^k; the shortest (Markowitz) is
     scaled so its pivot is p^v and clears its column from the other active
-    rows, forward only, with the factor entry / p^v.  Z/p^k is local, so
+    rows, forward only, with the factor entry / p^v.  Over Q the rows are
+    integral instead, each multiplied once by the lcm of its denominators:
+    the pivot row R keeps its pivot P > 0 (negated if need be), and an
+    active row with entry a becomes (P/g) row - (a/g) R, g = gcd(P, a), and
+    is then divided by the gcd of its entries if P/g is not 1.  Each row is
+    a nonzero multiple of the row that scaling R to pivot 1 would give, so
+    the pivots chosen and the answers are the same.  Over Z the pivot is
+    then 1 and the update is row - a R.  Z/p^k is local, so
     after tier v every active entry has valuation above v, and after tier
     k-1 no coefficient is left.  Over Z the columns without a +-1 pivot and
     the rows left over form a residual.  A left-over row with no coefficient
@@ -171,14 +183,15 @@ def _solve(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool):
 
     Back substitution, every free variable 0, completes the solution: the
     other coefficients of a tier-v pivot row are divisible by p^v, so it is
-    met iff p^v divides its reduced rhs s, and then x_c = s / p^v.  With
+    met iff p^v divides its reduced rhs s, and then x_c = s / p^v; over Q,
+    x_c = s / P, the one place a ``Fraction`` is made.  With
     rhs 0 it extends each kernel generator: e_f for a free column f,
     p^(k-v) e_c for a tier-v pivot column c with v >= 1, and each residual
     kernel generator.  Over a field the pivot columns do not depend on which
     rows are chosen, so neither do the solution and the generators.
     """
     q = ring.modulus  # 0 for Z and Q, whose entries are not reduced
-    rat = ring.kind == "Q"  # a computed Fraction with denominator 1 becomes its int
+    rat = ring.kind == "Q"
     tiers = [1]  # p^v for each tier v
     if ring.kind == "Zmod":
         factors = _prime_powers(q)
@@ -186,6 +199,13 @@ def _solve(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool):
             return _solve_crt(ring, rows, m, want_kernel, factors)
         p, k = factors[0]
         tiers = [p ** v for v in range(k)]
+    if rat:  # each row times the lcm of its denominators: integral from here on
+        for row in rows:
+            dens = [x.denominator for x in row.values() if type(x) is not int]
+            if dens:
+                d = lcm(*dens)
+                for j, x in row.items():
+                    row[j] = x * d if type(x) is int else x.numerator * (d // x.denominator)
     col_rows = [set() for _ in range(m)]  # the active rows nonzero in each column
     for i, row in enumerate(rows):
         for j in row:
@@ -216,20 +236,25 @@ def _solve(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool):
             if q:
                 inv = pow(R[c] // pv, -1, q)
                 R = {j: x * inv % q for j, x in R.items()}
-            elif R[c] != 1:
-                inv = ring.inv(R[c])
-                R = ({j: q_canon(x * inv) for j, x in R.items()} if rat
-                     else {j: x * inv for j, x in R.items()})
+            elif R[c] < 0:  # a positive pivot; over Z it is then 1
+                R = {j: -x for j, x in R.items()}
+            pc = R[c]
             items = list(R.items())
             for i in tuple(below):
                 row = rows[i]
-                f = row[c] // pv if pv > 1 else row[c]
+                f, s = row[c], 1
+                if pv > 1:
+                    f //= pv
+                elif pc != 1:  # Q: row <- (pc/g) row - (f/g) R, kept integral
+                    g = gcd(pc, f)
+                    s, f = pc // g, f // g
+                    if s != 1:
+                        for j in row:
+                            row[j] *= s
                 for j, y in items:
                     x = row.get(j, 0) - f * y
                     if q:
                         x %= q
-                    elif rat and x.denominator == 1:
-                        x = x.numerator
                     if x:
                         if j < m and j not in row:
                             col_rows[j].add(i)
@@ -238,6 +263,11 @@ def _solve(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool):
                         del row[j]
                         if j < m:
                             col_rows[j].discard(i)
+                if s != 1 and row:
+                    g = gcd(*row.values())
+                    if g > 1:
+                        for j in row:
+                            row[j] //= g
             pivots.append((c, R, pv))
     pivots.reverse()
     zero = ring.zero()
@@ -259,8 +289,14 @@ def _solve(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool):
                 if s % pv:
                     return None
                 s //= pv
-            elif rat:
-                s = q_canon(s)
+            elif rat:  # divide by the pivot: the one place a Fraction is made
+                d = R[c]
+                if type(s) is not int:
+                    s = q_canon(s / d)
+                elif s % d:
+                    s = Fraction(s, d)
+                else:
+                    s //= d
             if s:
                 x[c] = s
         return [x.get(j, zero) for j in range(m)]

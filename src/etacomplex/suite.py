@@ -25,6 +25,7 @@ from .complexes import (
     Complex,
     compose_chain_maps,
     cone,
+    cone_complex,
     eta_chain_map,
     eta_on_cone,
     homotopic,
@@ -257,7 +258,7 @@ def prop_cone_normalize(rng, rings):
     one = {n: RingMatrix.from_rows(ZZ, [[1]]) for n in (0, 1)}
     X0 = Complex(inst0, {0: 1, 1: 1}, dict(two))
     f0 = ChainMap(X0, X0, one)
-    c0 = cone(f0)[0]
+    c0 = cone_complex(f0)
     if not validate_complex(c0):
         return False, "cone differential does not square to zero", ("complex", c0)
 

@@ -617,10 +617,11 @@ class TestTriangle:
         assert len(seen) == 1
 
     def test_cone_rank_mismatch_fails(self, monkeypatch):
-        from types import SimpleNamespace
-
         def extra_rank(real):
-            return lambda f: SimpleNamespace(ranks={**real(f).ranks, (9, 9): 1})
+            def helper(f):
+                cd = real(f)
+                return DeltaComplex(cd.ring, {**cd.ranks, (9, 9): 1}, cd.delta0, cd.delta1)
+            return helper
 
         assert self._patched_verdict(monkeypatch, cone_delta=extra_rank) is False
 

@@ -646,6 +646,89 @@ class TestFieldOracle:
                 assert _reached(part, gens, p) == sols
 
 
+def _integral(row: dict) -> dict:
+    """A dict row of Q entries times the lcm of its denominators."""
+    d = math.lcm(*(Fraction(x).denominator for x in row.values()))
+    return {j: int(x * d) for j, x in row.items()}
+
+
+class TestIntegralRationalElimination:
+    """Over Q, `_solve` keeps each row integral and makes a Fraction only at
+    back substitution; its answers stay those of dense Gauss-Jordan."""
+
+    def test_matches_dense_reference(self):
+        rng = random.Random(700)
+        nums = [2, -2, 3, -3, 5, 6, -7, 10, -14, 15]  # no +-1, few divisors of one another
+        seen = {k: 0 for k in ("non-dividing pivot", "rank-deficient", "inconsistent",
+                               "kernel", "no kernel", "fractional solution")}
+        for _ in range(300):
+            n, m = rng.randint(1, 7), rng.randint(1, 7)
+            density = rng.choice([0.4, 0.7, 1.0])
+            rows = [[Fraction(rng.choice(nums), rng.randint(1, 12)) if rng.random() < density else 0
+                     for _ in range(m)] for _ in range(n)]
+            for _ in range(rng.randint(0, 2)):  # a dependent row
+                u, v = rng.choice(rows), rng.choice(rows)
+                c = Fraction(rng.choice(nums), rng.randint(1, 12))
+                rows.append([x + c * y for x, y in zip(u, v)])
+            n = len(rows)
+            a = RingMatrix(QQ, n, m, [x for row in rows for x in row])
+            if rng.random() < 0.5:
+                x0 = RingMatrix(QQ, m, 1, [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                                           for _ in range(m)])
+                b = mat_mul(a, x0).column(0)
+            else:
+                b = [QQ.canon(Fraction(rng.choice(nums), rng.randint(1, 12))) for _ in range(n)]
+            sols, kern = _solve_cols(a, [b], True)
+            assert (sols, kern) == _dense_gauss_jordan(a, [b], True)
+            assert _solve_cols(a, [b], False) == (sols, [])
+            cols = [[x for x in col if x] for col in zip(*(_integral(r).values() for r in
+                                                           _rows(a, [0] * n) if r))]
+            seen["non-dividing pivot"] += any(
+                len(col) > 1 and all(x % y for i, x in enumerate(col)
+                                     for k, y in enumerate(col) if i != k) for col in cols)
+            seen["rank-deficient"] += m - len(kern) < min(n, m)
+            seen["inconsistent"] += sols[0] is None
+            seen["kernel"] += bool(kern)
+            seen["no kernel"] += not kern
+            seen["fractional solution"] += sols[0] is not None and any(
+                type(x) is Fraction for x in sols[0])
+        assert all(seen.values()), seen
+
+    def test_integral_system_builds_no_fraction(self, monkeypatch):
+        """An integral system whose solution is integral, or that has none,
+        is eliminated and back-substituted without a single Fraction."""
+        rng = random.Random(701)
+        cases = []
+        while len(cases) < 60:
+            m = rng.randint(1, 6)
+            n = m + rng.randint(0, 3)
+            a = RingMatrix(QQ, n, m, [rng.choice([0, 2, -3, 4, 5, -6, 7, 9, -10, 12])
+                                      for _ in range(n * m)])
+            if _dense_gauss_jordan(a, [], True)[1]:
+                continue  # a kernel: free variables 0 need not give an integral solution
+            x0 = [rng.randint(-5, 5) for _ in range(m)]
+            b = mat_mul(a, RingMatrix(QQ, m, 1, x0)).column(0)
+            if n > m and rng.random() < 0.5:
+                b[rng.randrange(n)] += 1
+            want = _dense_gauss_jordan(a, [b], False)[0][0]
+            assert want is None or want == x0
+            cases.append((_rows(a, b), m, want))
+        made = []
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        got = [_solve(QQ, rows, m, False)[0] for rows, m, _ in cases]
+        monkeypatch.undo()
+        assert made == []
+        assert got == [want for _, _, want in cases]
+        assert any(w is None for _, _, w in cases) and any(w is not None for _, _, w in cases)
+        assert all(type(x) is int for x0 in got if x0 is not None for x in x0)
+
+
 def _in_span(ring, gens, v):
     """Whether v is a combination of gens, by the dense Z or Z/m solver."""
     m = len(v)
