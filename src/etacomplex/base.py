@@ -48,7 +48,7 @@ def json_unique(pairs, what: str) -> dict:
 
 def json_matrix(d, ring: CoeffRing) -> RingMatrix:
     """A matrix read from an instance file over ``ring``; one over another ring is rejected."""
-    m = RingMatrix.from_json(d)
+    m = RingMatrix.from_json(d, ring)
     if m.ring != ring:
         raise ValueError(f"ring mismatch: a matrix over {m.ring} in an instance over {ring}")
     return m
@@ -92,6 +92,10 @@ class BaseInstance:
 
     def hom_sub(self, f, g):
         return self.hom_add(f, self.hom_negate(g))
+
+    def hom_scale(self, f, a):
+        """a f for a ring element a."""
+        raise NotImplementedError
 
     def mor_eq(self, f, g) -> bool:
         raise NotImplementedError
@@ -223,6 +227,9 @@ class ScalarEta(BaseInstance):
     def hom_negate(self, f):
         return -f
 
+    def hom_scale(self, f, a):
+        return f.scale(a)
+
     def mor_eq(self, f, g):
         return f == g
 
@@ -298,9 +305,10 @@ class ScalarEta(BaseInstance):
 
 
 class GradedObject:
-    """Finitely supported map degree -> positive rank."""
+    """Finitely supported map degree -> positive rank; ``support`` is the
+    sorted tuple of its grades, computed once, as the object is immutable."""
 
-    __slots__ = ("ranks",)
+    __slots__ = ("ranks", "support")
 
     def __init__(self, ranks: Dict[int, int]):
         clean = {}
@@ -310,13 +318,10 @@ class GradedObject:
             if r:
                 clean[int(j)] = int(r)
         self.ranks = clean
+        self.support = tuple(sorted(clean))
 
     def rank(self, j: int) -> int:
         return self.ranks.get(j, 0)
-
-    @property
-    def support(self) -> List[int]:
-        return sorted(self.ranks)
 
     def is_zero(self) -> bool:
         return not self.ranks
@@ -350,7 +355,12 @@ class GradedObject:
 
 
 class GradedMorphism:
-    """Family {f_n^j: X^j -> Y^{j+n}, n >= 0}; only nonzero components stored."""
+    """Family {f_n^j: X^j -> Y^{j+n}, n >= 0}; only nonzero components stored.
+
+    The public constructor is the boundary: it checks n >= 0 and the shape
+    of every component, and drops the zero ones.  ``_trusted`` is for the
+    package's own constructions, whose components already meet that.
+    """
 
     __slots__ = ("source", "target", "components")
 
@@ -375,6 +385,19 @@ class GradedMorphism:
             if not m.is_zero():
                 clean[(n, j)] = m
         self.components = clean
+
+    @staticmethod
+    def _trusted(
+        source: GradedObject, target: GradedObject, comps: Dict[Tuple[int, int], RingMatrix]
+    ) -> "GradedMorphism":
+        """The morphism with components ``comps`` as given, without checks: a
+        fresh dict of nonzero matrices, each (n, j) with n >= 0 of shape
+        target.rank(j + n) x source.rank(j)."""
+        f = object.__new__(GradedMorphism)
+        f.source = source
+        f.target = target
+        f.components = comps
+        return f
 
     def component(self, n: int, j: int, ring: CoeffRing) -> RingMatrix:
         m = self.components.get((n, j))
@@ -434,49 +457,56 @@ class Graded(BaseInstance):
     # morphisms
     def id_mor(self, X):
         comps = {(0, j): RingMatrix.identity(self.ring, r) for j, r in X.ranks.items()}
-        return GradedMorphism(X, X, comps)
+        return GradedMorphism._trusted(X, X, comps)
 
     def zero_mor(self, X, Y):
-        return GradedMorphism(X, Y, {})
+        return GradedMorphism._trusted(X, Y, {})
 
     def _slots(self, X: GradedObject, Y: GradedObject) -> List[Tuple[int, int]]:
         """All (n, j) with X^j and Y^{j+n} both nonzero, n >= 0, sorted."""
-        out = []
-        for j in X.support:
-            for t in Y.support:
-                if t >= j:
-                    out.append((t - j, j))
+        ys = Y.support
+        out = [(t - j, j) for j in X.support for t in ys if t >= j]
         out.sort()
         return out
 
     def compose(self, g, f):
-        if f.target != g.source:
+        if f.target is not g.source and f.target != g.source:
             raise ValueError("object mismatch in graded composition")
-        ring = self.ring
+        # (g f)_n^j = sum_{p+q=n} g_p^{j+q} f_q^j: g's components by source grade
+        g_at: Dict[int, List[Tuple[int, RingMatrix]]] = {}
+        for (p, t), gm in g.components.items():
+            g_at.setdefault(t, []).append((p, gm))
         comps: Dict[Tuple[int, int], RingMatrix] = {}
-        # (g f)_n^j = sum_{p+q=n} g_p^{j+q} f_q^j
         for (q, j), fm in f.components.items():
-            for (p, jq), gm in g.components.items():
-                if jq != j + q:
-                    continue
+            for p, gm in g_at.get(j + q, ()):
                 key = (p + q, j)
                 prod = gm @ fm
-                if key in comps:
-                    comps[key] = comps[key] + prod
-                else:
-                    comps[key] = prod
-        return GradedMorphism(f.source, g.target, comps)
+                comps[key] = comps[key] + prod if key in comps else prod
+        # a product or a sum of them can vanish, and no zero is stored
+        return GradedMorphism._trusted(
+            f.source, g.target, {key: m for key, m in comps.items() if not m.is_zero()})
 
     def hom_add(self, f, g):
         if f.source != g.source or f.target != g.target:
             raise ValueError("object mismatch in graded addition")
         comps = dict(f.components)
         for key, m in g.components.items():
-            comps[key] = comps[key] + m if key in comps else m
-        return GradedMorphism(f.source, f.target, comps)
+            if key not in comps:
+                comps[key] = m
+                continue
+            m = comps[key] + m
+            if m.is_zero():  # the two cancel
+                del comps[key]
+            else:
+                comps[key] = m
+        return GradedMorphism._trusted(f.source, f.target, comps)
 
     def hom_negate(self, f):
-        return GradedMorphism(f.source, f.target, {k: -m for k, m in f.components.items()})
+        return GradedMorphism._trusted(f.source, f.target, {k: -m for k, m in f.components.items()})
+
+    def hom_scale(self, f, a):
+        comps = {k: m.scale(a) for k, m in f.components.items()}
+        return GradedMorphism._trusted(f.source, f.target, {k: m for k, m in comps.items() if not m.is_zero()})
 
     def mor_eq(self, f, g):
         return f == g
@@ -486,7 +516,7 @@ class Graded(BaseInstance):
 
     def shift_mor(self, f, k):
         # (f(k))_n^j = f_n^{j+k}
-        return GradedMorphism(
+        return GradedMorphism._trusted(
             self.shift_obj(f.source, k),
             self.shift_obj(f.target, k),
             {(n, j - k): m for (n, j), m in f.components.items()},
@@ -498,7 +528,7 @@ class Graded(BaseInstance):
         comps = {
             (1, j - 1): RingMatrix.identity(self.ring, r) for j, r in X.ranks.items()
         }
-        return GradedMorphism(src, X, comps)
+        return GradedMorphism._trusted(src, X, comps)
 
     def validate_mor(self, f, X, Y):
         if not isinstance(f, GradedMorphism) or f.source != X or f.target != Y:
@@ -515,13 +545,13 @@ class Graded(BaseInstance):
         comps: Dict[Tuple[int, int], RingMatrix] = {}
         for n, j in self._slots(src, tgt):
             # an absent component is a zero block, passed as None; a slot with
-            # no block present is left out, as GradedMorphism stores no zero
+            # no block present is left out, and one with a block is nonzero
             g = [[None if f is None else f.components.get((n, j)) for f in row] for row in grid]
             if any(b is not None for row in g for b in row):
                 rows = [Y.rank(j + n) for Y in tgt_objs]
                 cols = [X.rank(j) for X in src_objs]
                 comps[(n, j)] = RingMatrix.block(self.ring, g, rows, cols)
-        return GradedMorphism(src, tgt, comps)
+        return GradedMorphism._trusted(src, tgt, comps)
 
     def split_mor(self, f, tgt_objs, src_objs):
         grid = [
@@ -535,12 +565,14 @@ class Graded(BaseInstance):
                 for bj, X in enumerate(src_objs):
                     cs = X.rank(j)
                     if rs and cs:
-                        grid[bi][bj][(n, j)] = m.submatrix(r0, r0 + rs, c0, c0 + cs)
+                        blk = m.submatrix(r0, r0 + rs, c0, c0 + cs)
+                        if not blk.is_zero():
+                            grid[bi][bj][(n, j)] = blk
                     c0 += cs
                 r0 += rs
         return [
             [
-                GradedMorphism(src_objs[bj], tgt_objs[bi], grid[bi][bj])
+                GradedMorphism._trusted(src_objs[bj], tgt_objs[bi], grid[bi][bj])
                 for bj in range(len(src_objs))
             ]
             for bi in range(len(tgt_objs))
@@ -551,8 +583,10 @@ class Graded(BaseInstance):
 
     def mor_to_vec(self, f, X, Y):
         vec: List = []
+        comps = f.components
         for n, j in self._slots(X, Y):
-            vec.extend(f.component(n, j, self.ring).entries)
+            m = comps.get((n, j))
+            vec.extend([0] * (Y.rank(j + n) * X.rank(j)) if m is None else m.entries)
         return vec
 
     def vec_to_mor(self, vec, X, Y):
@@ -560,11 +594,13 @@ class Graded(BaseInstance):
         pos = 0
         for n, j in self._slots(X, Y):
             r, c = Y.rank(j + n), X.rank(j)
-            comps[(n, j)] = RingMatrix._trusted(self.ring, r, c, list(vec[pos : pos + r * c]))
+            entries = list(vec[pos : pos + r * c])
+            if any(entries):
+                comps[(n, j)] = RingMatrix._trusted(self.ring, r, c, entries)
             pos += r * c
         if pos != len(vec):
             raise ValueError("coordinate vector has wrong length")
-        return GradedMorphism(X, Y, comps)
+        return GradedMorphism._trusted(X, Y, comps)
 
     def _offsets(self, X, Y) -> Dict[Tuple[int, int], int]:
         """Hom coordinate at which each slot (n, j) of Hom(X, Y) starts."""

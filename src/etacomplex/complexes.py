@@ -15,10 +15,17 @@ u^n: A^n -> B^{n+k}, and ``family_terms`` writes its terms
 u^{n+1} d_A^n +- d_B^{n+k} u^n.  The eta-twist of a homotopy is the shifted
 complex X(1) = ``apply_auto(X, 1)``: its unknowns start there, and its left
 side is the chain map (f - g) eta_X: X(1) -> Y.
+
+A complex or chain map stores no zero morphism, and absent means zero: the
+readers here (the validators, composition and sums of chain maps, homotopy
+residuals and the family writers) skip a product with an absent factor
+rather than build a zero to multiply by.  Only the public accessors
+``Complex.diff`` and ``ChainMap.component`` build zeros.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base import BaseInstance
@@ -133,33 +140,59 @@ class ChainMap:
         return f"ChainMap(degrees={sorted(self.components)})"
 
 
+# -- morphisms that may be absent (None for zero) ---------------------------
+
+
+def _compose(inst: BaseInstance, g, f):
+    """g after f; None where either factor is None."""
+    return None if g is None or f is None else inst.compose(g, f)
+
+
+def _add(inst: BaseInstance, f, g):
+    """f + g, either of them None for zero."""
+    return g if f is None else f if g is None else inst.hom_add(f, g)
+
+
+def _sub(inst: BaseInstance, f, g):
+    """f - g, either of them None for zero."""
+    return f if g is None else _add(inst, f, inst.hom_negate(g))
+
+
+def _is_zero(inst: BaseInstance, f) -> bool:
+    return f is None or inst.mor_is_zero(f)
+
+
+def _mor_eq(inst: BaseInstance, f, g) -> bool:
+    """f = g, either of them None for zero."""
+    if f is None or g is None:
+        return _is_zero(inst, f) and _is_zero(inst, g)
+    return inst.mor_eq(f, g)
+
+
 # -- basic constructions ----------------------------------------------------
 
 
 def validate_complex(c: Complex) -> bool:
     inst = c.instance
-    for n, d in c.diffs.items():
+    diffs = c.diffs
+    for n, d in diffs.items():
         if not inst.validate_mor(d, c.obj(n), c.obj(n + 1)):
             return False
-    for n in c.degree_range():
-        if not inst.mor_is_zero(inst.compose(c.diff(n + 1), c.diff(n))):
-            return False
-    return True
+    # d^{n+1} d^n = 0 holds unless both are stored
+    return all(_is_zero(inst, _compose(inst, diffs.get(n + 1), d)) for n, d in diffs.items())
 
 
 def validate_chain_map(f: ChainMap) -> bool:
     inst = f.instance
     X, Y = f.source, f.target
-    for n, m in f.components.items():
+    fs, dx, dy = f.components, X.diffs, Y.diffs
+    for n, m in fs.items():
         if not inst.validate_mor(m, X.obj(n), Y.obj(n)):
             return False
-    degs = sorted(set(X.objects) | set(f.components))
-    for n in degs:
-        lhs = inst.compose(f.component(n + 1), X.diff(n))
-        rhs = inst.compose(Y.diff(n), f.component(n))
-        if not inst.mor_eq(lhs, rhs):
-            return False
-    return True
+    # f^{n+1} d_X^n = d_Y^n f^n holds (0 = 0) unless d_X^n or f^n is stored
+    return all(_mor_eq(inst, _compose(inst, fs.get(n + 1), dx.get(n)),
+                       _compose(inst, dy.get(n), fs.get(n)))
+               for n in set(dx) | set(fs))
 
 
 def id_chain_map(c: Complex) -> ChainMap:
@@ -175,9 +208,9 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     if f.target != g.source:
         raise ValueError("chain maps not composable")
     inst = f.instance
-    comps = {}
-    for n in set(f.components) | set(g.components):
-        comps[n] = inst.compose(g.component(n), f.component(n))
+    gs = g.components
+    # a degree where either map is absent composes to zero
+    comps = {n: inst.compose(gs[n], m) for n, m in f.components.items() if n in gs}
     return ChainMap(f.source, g.target, comps)
 
 
@@ -185,9 +218,9 @@ def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     if f.source != g.source or f.target != g.target:
         raise ValueError("endpoint mismatch")
     inst = f.instance
-    comps = {}
-    for n in set(f.components) | set(g.components):
-        comps[n] = inst.hom_add(f.component(n), g.component(n))
+    comps = dict(f.components)
+    for n, m in g.components.items():
+        comps[n] = inst.hom_add(comps[n], m) if n in comps else m
     return ChainMap(f.source, f.target, comps)
 
 
@@ -254,7 +287,7 @@ def dsum_complex(a: Complex, b: Complex) -> Tuple[Complex, ChainMap, ChainMap, C
     diffs = {}
     for n in degs:
         diffs[n] = inst.block_mor(
-            [[a.diff(n), None], [None, b.diff(n)]],
+            [[a.diffs.get(n), None], [None, b.diffs.get(n)]],
             [a.obj(n + 1), b.obj(n + 1)],
             [a.obj(n), b.obj(n)],
         )
@@ -289,11 +322,11 @@ def cone_complex(f: ChainMap) -> Complex:
     objects = {n: inst.dsum([X.obj(n + 1), Y.obj(n)]) for n in degs}
     diffs = {}
     for n in degs:
-        dx = X.diff(n + 1)
-        if _CONE_SIGN == -1:
+        dx = X.diffs.get(n + 1)
+        if _CONE_SIGN == -1 and dx is not None:
             dx = inst.hom_negate(dx)
         diffs[n] = inst.block_mor(
-            [[dx, None], [f.component(n + 1), Y.diff(n)]],
+            [[dx, None], [f.components.get(n + 1), Y.diffs.get(n)]],
             [X.obj(n + 2), Y.obj(n + 1)],
             [X.obj(n + 1), Y.obj(n)],
         )
@@ -462,12 +495,15 @@ def add_family(prob: LinearProblem, key, A: Complex, B: Complex, k: int) -> List
 
 def family_terms(prob: LinearProblem, key, A: Complex, B: Complex, k: int, n: int, signs=(1, 1)) -> list:
     """The terms signs[0] u^{n+1} d_A^n + signs[1] d_B^{n+k} u^n of an equation
-    in the slot (A^n, B^{n+k+1}), for those of (key, n+1), (key, n) that prob holds."""
+    in the slot (A^n, B^{n+k+1}), for those of (key, n+1), (key, n) that prob
+    holds and whose d is stored: an absent d is zero, and so is its term."""
     terms = []
-    if (key, n + 1) in prob.unknowns:
-        terms.append(((key, n + 1), None, A.diff(n), signs[0]))
-    if (key, n) in prob.unknowns:
-        terms.append(((key, n), B.diff(n + k), None, signs[1]))
+    d = A.diffs.get(n)
+    if d is not None and (key, n + 1) in prob.unknowns:
+        terms.append(((key, n + 1), None, d, signs[0]))
+    d = B.diffs.get(n + k)
+    if d is not None and (key, n) in prob.unknowns:
+        terms.append(((key, n), d, None, signs[1]))
     return terms
 
 
@@ -495,22 +531,38 @@ class HomotopyCertificate:
         self.s = dict(s)
         self.eta_twisted = eta_twisted
 
-    def residuals(self, f: ChainMap, g: ChainMap) -> Dict[int, object]:
-        """Degree n -> lhs^n - rhs^n of the homotopy equation, where nonzero."""
+    def _sides(self, f: ChainMap, g: ChainMap, clear: bool = False):
+        """(n, c lhs^n, rhs^n) of the equation for the witness scaled to c s,
+        None for a zero side: c = 1, or with ``clear`` the lcm of the
+        denominators in s."""
         inst = f.instance
         lhs = _homotopy_lhs(f, g, self.eta_twisted)
         A, Y = lhs.source, lhs.target
-        out: Dict[int, object] = {}
+        s, c = self.s, 1
+        if clear:
+            c = lcm(1, *(x.denominator for n, m in s.items()
+                         for x in inst.mor_to_vec(m, A.obj(n), Y.obj(n - 1))))
+        if c != 1:
+            s = {n: inst.hom_scale(m, c) for n, m in s.items()}
         for n in sorted(set(A.objects) | set(f.components) | set(g.components)):
-            s_n = self.s[n] if n in self.s else inst.zero_mor(A.obj(n), Y.obj(n - 1))
-            s_n1 = self.s[n + 1] if n + 1 in self.s else inst.zero_mor(A.obj(n + 1), Y.obj(n))
-            rhs = inst.hom_add(inst.compose(s_n1, A.diff(n)), inst.compose(Y.diff(n - 1), s_n))
-            if not inst.mor_eq(lhs.component(n), rhs):
-                out[n] = inst.hom_sub(lhs.component(n), rhs)
-        return out
+            rhs = _add(inst, _compose(inst, s.get(n + 1), A.diffs.get(n)),
+                       _compose(inst, Y.diffs.get(n - 1), s.get(n)))
+            left = lhs.components.get(n)
+            yield n, left if c == 1 or left is None else inst.hom_scale(left, c), rhs
+
+    def residuals(self, f: ChainMap, g: ChainMap) -> Dict[int, object]:
+        """Degree n -> lhs^n - rhs^n of the homotopy equation, where nonzero."""
+        inst = f.instance
+        return {n: _sub(inst, left, rhs) for n, left, rhs in self._sides(f, g)
+                if not _mor_eq(inst, left, rhs)}
 
     def validate(self, f: ChainMap, g: ChainMap) -> bool:
-        return not self.residuals(f, g)
+        """The homotopy equation holds.  Over Q it is checked times c, the lcm
+        of the denominators in the witness: c lhs = (c s) d + d (c s) holds
+        iff the equation does, and c s is integral, so its products stay off
+        ``Fraction`` where the complexes are integral."""
+        inst = f.instance
+        return all(_mor_eq(inst, left, rhs) for _, left, rhs in self._sides(f, g, inst.ring.kind == "Q"))
 
 
 def _homotopy(f: ChainMap, g: ChainMap, eta_twisted: bool, what: str) -> Optional[HomotopyCertificate]:
@@ -520,7 +572,7 @@ def _homotopy(f: ChainMap, g: ChainMap, eta_twisted: bool, what: str) -> Optiona
     prob = LinearProblem(f.instance)
     degs = add_family(prob, "s", A, Y, -1)
     for n in A.support:
-        prob.add_equation(A.obj(n), Y.obj(n), family_terms(prob, "s", A, Y, -1, n), lhs.component(n))
+        prob.add_equation(A.obj(n), Y.obj(n), family_terms(prob, "s", A, Y, -1, n), lhs.components.get(n))
     sol = prob.solve()
     if sol is None:
         return None
@@ -607,8 +659,12 @@ def _one_sided_inverses(i: ChainMap, p: ChainMap, degs: List[int]) -> Optional[D
     for n in degs:
         prob.add_unknown(("r", n), Y.obj(n), X.obj(n))
         prob.add_unknown(("q", n), Z.obj(n), Y.obj(n))
-        prob.add_equation(X.obj(n), X.obj(n), [(("r", n), None, i.component(n), 1)], inst.id_mor(X.obj(n)))
-        prob.add_equation(Z.obj(n), Z.obj(n), [(("q", n), p.component(n), None, 1)], inst.id_mor(Z.obj(n)))
+        # an absent i^n or p^n is zero, and leaves its equation no term
+        i_n, p_n = i.components.get(n), p.components.get(n)
+        prob.add_equation(X.obj(n), X.obj(n), [] if i_n is None else [(("r", n), None, i_n, 1)],
+                          inst.id_mor(X.obj(n)))
+        prob.add_equation(Z.obj(n), Z.obj(n), [] if p_n is None else [(("q", n), p_n, None, 1)],
+                          inst.id_mor(Z.obj(n)))
     return prob.solve()
 
 
@@ -645,12 +701,13 @@ def normalize_exact_pair(i: ChainMap, p: ChainMap) -> ExactPair:
     q = {}
     for n in degs:
         q0 = sol[("q", n)]
-        q[n] = inst.hom_sub(q0, inst.compose(i.component(n), inst.compose(r[n], q0)))
+        q[n] = _sub(inst, q0, _compose(inst, i.components.get(n), inst.compose(r[n], q0)))
     zm1 = shift_complex(Z, -1)
     h_comps = {}
     for n in sorted(set(X.objects)):
-        if inst.obj_is_zero(Z.obj(n - 1)):
+        d = Y.diffs.get(n - 1)
+        if d is None or inst.obj_is_zero(Z.obj(n - 1)):
             continue
-        h_comps[n] = inst.compose(r[n], inst.compose(Y.diff(n - 1), q[n - 1]))
+        h_comps[n] = inst.compose(r[n], inst.compose(d, q[n - 1]))
     h = ChainMap(zm1, X, h_comps)
     return ExactPair(i, p, r, q, h)

@@ -83,7 +83,7 @@ def _factor_through_eta(h: ChainMap, up_to_homotopy: bool):
         terms = family_terms(prob, "t", W, X, -1, n, (-1, -1))
         if ("a", n) in prob.unknowns:
             terms.append((("a", n), inst.eta(X.obj(n)), None, 1))
-        prob.add_equation(W.obj(n), X.obj(n), terms, h.component(n))
+        prob.add_equation(W.obj(n), X.obj(n), terms, h.components.get(n))
     sol = prob.solve()
     if sol is None:
         return None
@@ -179,13 +179,14 @@ def projective_lift(g: ChainMap, V: Complex, defl: StandardConflation) -> ChainM
         v_bot = V.obj(n)
         gs = inst.split_mor(g.component(n), [Z.obj(n)], [v_top, v_bot])
         g1n, g2n = gs[0][0], gs[0][1]
-        # bottom-right: alpha^n(-1) . g1^{n-1}(-1): V^n -> X^n
-        g1prev = inst.split_mor(
-            g.component(n - 1), [Z.obj(n - 1)], [inst.shift_obj(V.obj(n), 1), V.obj(n - 1)]
-        )[0][0]
-        br = inst.compose(
-            inst.shift_mor(alpha.component(n), -1), inst.shift_mor(g1prev, -1)
-        )
+        # bottom-right: alpha^n(-1) . g1^{n-1}(-1): V^n -> X^n, None (zero) where alpha^n is
+        a = alpha.components.get(n)
+        br = None
+        if a is not None:
+            g1prev = inst.split_mor(
+                g.component(n - 1), [Z.obj(n - 1)], [inst.shift_obj(V.obj(n), 1), V.obj(n - 1)]
+            )[0][0]
+            br = inst.compose(inst.shift_mor(a, -1), inst.shift_mor(g1prev, -1))
         comps[n] = inst.block_mor(
             [[g1n, g2n], [None, br]], [Z.obj(n), X.obj(n)], [v_top, v_bot]
         )
@@ -212,11 +213,14 @@ def injective_extend(g: ChainMap, V: Complex, infl: StandardConflation) -> Chain
         v_bot = V.obj(n)
         gs = inst.split_mor(g.component(n), [v_top, v_bot], [X.obj(n)])
         g1n, g2n = gs[0][0], gs[1][0]
-        # top-left: g2^{n+1}(1) . beta^{n+1}: Z^n -> V^{n+1}(1)
-        g2next = inst.split_mor(
-            g.component(n + 1), [inst.shift_obj(V.obj(n + 2), 1), V.obj(n + 1)], [X.obj(n + 1)]
-        )[1][0]
-        tl = inst.compose(inst.shift_mor(g2next, 1), beta.component(n + 1))
+        # top-left: g2^{n+1}(1) . beta^{n+1}: Z^n -> V^{n+1}(1), None (zero) where beta^{n+1} is
+        b = beta.components.get(n + 1)
+        tl = None
+        if b is not None:
+            g2next = inst.split_mor(
+                g.component(n + 1), [inst.shift_obj(V.obj(n + 2), 1), V.obj(n + 1)], [X.obj(n + 1)]
+            )[1][0]
+            tl = inst.compose(inst.shift_mor(g2next, 1), b)
         comps[n] = inst.block_mor(
             [[tl, g1n], [None, g2n]], [v_top, v_bot], [Z.obj(n), X.obj(n)]
         )
@@ -253,9 +257,10 @@ def factors_through_env(f: ChainMap) -> Optional[ChainMap]:
     degs = chain_map_problem(prob, "u", P, Y)
     for n in X.support:
         terms = []
-        if ("u", n) in prob.unknowns:
-            terms.append((("u", n), None, i.component(n), 1))
-        prob.add_equation(X.obj(n), Y.obj(n), terms, f.component(n))
+        i_n = i.components.get(n)  # an absent i^n is zero, and so is its term
+        if i_n is not None and ("u", n) in prob.unknowns:
+            terms.append((("u", n), None, i_n, 1))
+        prob.add_equation(X.obj(n), Y.obj(n), terms, f.components.get(n))
     sol = prob.solve()
     if sol is None:
         return None
@@ -375,7 +380,7 @@ def ex1_composite(defl1: StandardConflation, beta: ChainMap) -> Tuple[bool, Opti
     cg2 = cone_complex(g2)
     fg1 = ChainMap(Zm1, cg2, {
         n: inst.block_mor(
-            [[f.component(n)], [g1_c.get(n)]],  # None is a zero block
+            [[f.components.get(n)], [g1_c.get(n)]],  # None is a zero block
             [X.obj(n), V.obj(n)],
             [Zm1.obj(n)],
         )
@@ -388,7 +393,7 @@ def ex1_composite(defl1: StandardConflation, beta: ChainMap) -> Tuple[bool, Opti
     # the witness (alpha; beta1) factors (f; g1) through eta_{cone(g2)}
     ab = ChainMap(Zm1, apply_auto(cg2, 1), {
         n: inst.block_mor(
-            [[alpha.component(n)], [b1_c.get(n)]],
+            [[alpha.components.get(n)], [b1_c.get(n)]],
             [inst.shift_obj(X.obj(n), 1), V1.obj(n)],
             [Zm1.obj(n)],
         )
@@ -420,7 +425,7 @@ def ex2_pullback(defl: StandardConflation, h: ChainMap) -> Tuple[bool, Optional[
     # the square: middle map [[h, 0], [0, Id]] : cone(f h[-1]) -> cone(f)
     mid = ChainMap(pull.middle, defl.middle, {
         n: inst.block_mor(
-            [[h.component(n), None], [None, inst.id_mor(X.obj(n))]],
+            [[h.components.get(n), None], [None, inst.id_mor(X.obj(n))]],
             [Z.obj(n), X.obj(n)],
             [Zp.obj(n), X.obj(n)],
         )
@@ -459,7 +464,7 @@ def ex1_op_composite(infl1: StandardConflation, gamma: ChainMap) -> bool:
         g_next = g.component(n + 1)  # (U[-1])^{n+1} = U^n -> Y^{n+1}
         g1 = inst.split_mor(g_next, [Z.obj(n + 1), X.obj(n + 1)], [U.obj(n)])[0][0]
         q_diffs[n] = inst.block_mor(
-            [[U.diff(n), None], [g1, Z.diff(n)]],
+            [[U.diffs.get(n), None], [g1, Z.diffs.get(n)]],
             [U.obj(n + 1), Z.obj(n + 1)],
             [U.obj(n), Z.obj(n)],
         )
@@ -489,7 +494,7 @@ def ex2_op_pushout(infl: StandardConflation, h: ChainMap) -> bool:
     push = StandardConflation(compose_chain_maps(apply_auto_map(h, 1), alpha))
     mid = ChainMap(infl.middle, push.middle, {
         n: inst.block_mor(
-            [[inst.id_mor(Z.obj(n)), None], [None, h.component(n)]],
+            [[inst.id_mor(Z.obj(n)), None], [None, h.components.get(n)]],
             [Z.obj(n), Xp.obj(n)],
             [Z.obj(n), X.obj(n)],
         )

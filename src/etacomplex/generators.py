@@ -100,14 +100,13 @@ def random_graded_automorphism(inst: Graded, X: GradedObject, rng: random.Random
     for (n, j) in sorted(inst._slots(X, X)):
         if n == 0:
             continue
-        acc = RingMatrix.zero(ring, X.rank(j + n), X.rank(j))
+        acc = None
         for q in range(n):
-            uq = u.component(n - q, j + q, ring)
-            vq = inv_comps.get((q, j))
-            if vq is None:
-                vq = RingMatrix.zero(ring, X.rank(j + q), X.rank(j))
-            acc = acc + uq @ vq
-        inv_comps[(n, j)] = -(u0[j + n][1] @ acc)
+            uq, vq = u.components.get((n - q, j + q)), inv_comps.get((q, j))
+            if uq is not None and vq is not None:  # an absent one is zero
+                acc = uq @ vq if acc is None else acc + uq @ vq
+        if acc is not None and not acc.is_zero():  # then so is v_n^j, an invertible matrix times acc
+            inv_comps[(n, j)] = -(u0[j + n][1] @ acc)
     v = GradedMorphism(X, X, inv_comps)
     return u, v
 
@@ -137,7 +136,7 @@ def _block_sum(inst: BaseInstance, parts: List[Complex]) -> Complex:
     objects = {n: inst.dsum([p.obj(n) for p in parts]) for n in degs}
     diffs = {
         n: inst.block_mor(
-            [[p.diff(n) if a == b else None for b in range(len(parts))] for a, p in enumerate(parts)],
+            [[p.diffs.get(n) if a == b else None for b in range(len(parts))] for a, p in enumerate(parts)],
             [p.obj(n + 1) for p in parts],
             [p.obj(n) for p in parts],
         )
@@ -306,8 +305,8 @@ def conjugate_pair(i, p, rng: random.Random):
     """Disguise a pair by a random degreewise automorphism of the middle."""
     inst = i.instance
     Y2, autos = _conjugate(i.target, rng)
-    i2 = ChainMap(i.source, Y2, {n: inst.compose(u, i.component(n)) for n, (u, _) in autos.items()})
-    p2 = ChainMap(Y2, p.target, {n: inst.compose(p.component(n), v) for n, (_, v) in autos.items()})
+    i2 = ChainMap(i.source, Y2, {n: inst.compose(autos[n][0], m) for n, m in i.components.items()})
+    p2 = ChainMap(Y2, p.target, {n: inst.compose(m, autos[n][1]) for n, m in p.components.items()})
     return i2, p2
 
 
@@ -468,18 +467,15 @@ def columnwise_null_delta_map(X, Y, rng: random.Random):
             sigma[(i, j)] = RingMatrix(
                 ring, r, c, [rng.randint(-2, 2) for _ in range(r * c)]
             )
-
-    def sg(i, j):
-        m = sigma.get((i, j))
-        if m is None:
-            return RingMatrix.zero(ring, Y.rank(i, j - 1), X.rank(i, j))
-        return m
-
+    d1x, d1y = X.delta1, Y.delta1
     comps = {}
     for (i, j) in X.positions:
         if not Y.rank(i, j):
             continue
-        m = sg(i, j + 1) @ X.d1(i, j) + Y.d1(i, j - 1) @ sg(i, j)
-        if not m.is_zero():
+        m = None
+        for a, b in ((sigma.get((i, j + 1)), d1x.get((i, j))), (d1y.get((i, j - 1)), sigma.get((i, j)))):
+            if a is not None and b is not None:  # an absent block is zero, and so is its term
+                m = a @ b if m is None else m + a @ b
+        if m is not None and not m.is_zero():
             comps[(i, j)] = m
     return DeltaMap(X, Y, comps)

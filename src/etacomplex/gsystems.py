@@ -57,6 +57,8 @@ from .complexes import (
     Complex,
     HomotopyCertificate,
     LinearProblem,
+    _compose,
+    _sub,
     apply_auto,
     compose_chain_maps,
     cone_complex,
@@ -130,6 +132,17 @@ class GSystem:
         diffs: Dict[Tuple[int, int, int], RingMatrix],
         convention: str = CGRA,
     ):
+        self._fill(ring, ranks, diffs, convention, GradedMorphism)
+
+    @classmethod
+    def _trusted(cls, ring: CoeffRing, ranks, diffs, convention: str = CGRA) -> "GSystem":
+        """The system of ``GSystem(...)`` without its component checks: each
+        matrix in ``diffs`` is nonzero and of its position's shape."""
+        x = object.__new__(cls)
+        x._fill(ring, ranks, diffs, convention, GradedMorphism._trusted)
+        return x
+
+    def _fill(self, ring: CoeffRing, ranks, diffs, convention: str, morphism) -> None:
         if convention not in (CGRA, GA):
             raise ValueError(f"unknown convention {convention!r}")
         self.convention = convention
@@ -143,7 +156,7 @@ class GSystem:
             comps.setdefault(i + j if ga else i, {})[(n, j)] = m
         zero = GradedObject({})
         self.complex = Complex(graded_complex_instance(ring), objects, {
-            i: GradedMorphism(objects.get(i, zero), objects.get(i + 1, zero), cs)
+            i: morphism(objects.get(i, zero), objects.get(i + 1, zero), cs)
             for i, cs in comps.items()
         })
 
@@ -519,8 +532,7 @@ class DeltaComplex(GSystem):
         delta0: Dict[Tuple[int, int], RingMatrix],
         delta1: Dict[Tuple[int, int], RingMatrix],
     ):
-        diffs = {(n, i, j): m for n, d in enumerate((delta0, delta1)) for (i, j), m in d.items()}
-        super().__init__(ring, ranks, diffs, GA)
+        super().__init__(ring, ranks, _delta_diffs(delta0, delta1), GA)
 
     def _level(self, n: int) -> Dict[Tuple[int, int], RingMatrix]:
         return {(i, j): m for (k, i, j), m in self.diffs.items() if k == n}
@@ -560,6 +572,11 @@ class DeltaComplex(GSystem):
             for key in ("delta0", "delta1")
         )
         return DeltaComplex(ring, ranks, d0, d1)
+
+
+def _delta_diffs(delta0, delta1) -> Dict[Tuple[int, int, int], RingMatrix]:
+    """The GA diffs of levels 0 and 1, keyed (n, i, j)."""
+    return {(n, i, j): m for n, d in enumerate((delta0, delta1)) for (i, j), m in d.items()}
 
 
 def validate_delta(x: DeltaComplex) -> bool:
@@ -625,7 +642,7 @@ def shift_delta(x: DeltaComplex) -> DeltaComplex:
     ranks = {(i, j - 1): r for (i, j), r in x.ranks.items()}
     d0 = {(i, j - 1): -m for (i, j), m in x.delta0.items()}
     d1 = {(i, j - 1): m for (i, j), m in x.delta1.items()}
-    return DeltaComplex(x.ring, ranks, d0, d1)
+    return DeltaComplex._trusted(x.ring, ranks, _delta_diffs(d0, d1), GA)
 
 
 def cone_delta(f: DeltaMap) -> DeltaComplex:
@@ -651,7 +668,7 @@ def cone_delta(f: DeltaMap) -> DeltaComplex:
                    [X.rank(i + 1, j + 1), Y.rank(i + 1, j)], cols)
         grid = [[None if x1 is None else -x1, None], [_part(fs, k + 1, 0, j + 1), _part(yd, k, 1, j)]]
         _put_block(d1, (i, j), ring, grid, [X.rank(i, j + 2), Y.rank(i, j + 1)], cols)
-    return DeltaComplex(ring, ranks, d0, d1)
+    return DeltaComplex._trusted(ring, ranks, _delta_diffs(d0, d1), GA)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +687,7 @@ def _theta_sign(i: int, j: int):
 def _sign_level1(y: GSystem, sign) -> GSystem:
     """The CgrA system y with its level-1 component at (i, j) scaled by sign(i, j)."""
     c = y.complex
-    diffs = {i: GradedMorphism(d.source, d.target, {
+    diffs = {i: GradedMorphism._trusted(d.source, d.target, {
         (n, j): -m if n == 1 and sign(i, j) == -1 else m for (n, j), m in d.components.items()
     }) for i, d in c.diffs.items()}
     return GSystem._of(Complex(c.instance, c.objects, diffs), CGRA)
@@ -682,9 +699,20 @@ def _theta_seed(x: DeltaComplex) -> GSystem:
 
 
 def _minus_square(c: Complex) -> Dict[int, GradedMorphism]:
-    """-(d d) over Graded, by degree; its level n is -sum_{p+q=n} d_p d_q."""
-    inst = c.instance
-    return {i: inst.hom_negate(inst.compose(c.diff(i + 1), d)) for i, d in c.diffs.items()}
+    """-(d d) over Graded, by degree i where d^i and d^{i+1} are both stored
+    (elsewhere it is zero); its level n is -sum_{p+q=n} d_p d_q."""
+    inst, diffs = c.instance, c.diffs
+    return {i: inst.hom_negate(inst.compose(diffs[i + 1], d)) for i, d in diffs.items() if i + 1 in diffs}
+
+
+def _with_blocks(maps: Dict[int, GradedMorphism], blocks, X: Complex, Y: Complex, di: int):
+    """``maps``, degree i -> a graded morphism X^i -> Y^{i+di}, with each
+    solved block {(n, i, j): m} of ``_solve_levels`` added as its component
+    (n, j) in degree i; a block is nonzero and of the slot's shape."""
+    comps = {i: dict(f.components) for i, f in maps.items()}
+    for (n, i, j), m in blocks.items():
+        comps.setdefault(i, {})[(n, j)] = m
+    return {i: GradedMorphism._trusted(X.obj(i), Y.obj(i + di), cs) for i, cs in comps.items()}
 
 
 def _part(maps: Dict[int, GradedMorphism], i: int, n: int, j: int) -> Optional[RingMatrix]:
@@ -771,9 +799,7 @@ def theta_extend(x: DeltaComplex):
     n >= 2 is one joint linear solve of
     d_0 d_n + d_n d_0 = -sum_{0<p<n} d_p d_{n-p}.
     """
-    ring = x.ring
     sys = _theta_seed(x)
-    ranks, diffs = sys.ranks, sys.diffs
     # R = -(d d) over Graded; level 1 is a check: d_0 d_1 + d_1 d_0 must vanish
     R = _minus_square(sys.complex)
     bad = [(i, j) for i, r in R.items() for (n, j) in r.components if n == 1]
@@ -797,8 +823,9 @@ def theta_extend(x: DeltaComplex):
                 f"level-{n} correction system is inconsistent",
             )
         if sol:
-            diffs.update(sol)
-            sys, R = GSystem(ring, ranks, diffs, CGRA), None
+            c = sys.complex
+            diffs = _with_blocks(c.diffs, sol, c, c, 1)
+            sys, R = GSystem._of(Complex(c.instance, c.objects, diffs), CGRA), None
     verify(validate_gsystem(sys), "theta_extend: the completion fails the convolution relations")
     return sys
 
@@ -817,8 +844,13 @@ def theta_extend_mor(alpha: DeltaMap, xhat: GSystem, yhat: GSystem):
     inst, f, X, Y = xhat.complex.instance, f0.chain_map, xhat.complex, yhat.complex
     # R = d_Y f_0 - f_0 d_X over Graded; level 0 is a check: f_0 must
     # already intertwine the strict differentials
-    R = {i: inst.hom_sub(inst.compose(Y.diff(i), f.component(i)), inst.compose(f.component(i + 1), X.diff(i)))
-         for i in X.objects}
+    fs = f.components
+    R = {}
+    for i in X.objects:
+        r = _sub(inst, _compose(inst, Y.diffs.get(i), fs.get(i)),
+                 _compose(inst, fs.get(i + 1), X.diffs.get(i)))
+        if r is not None:
+            R[i] = r
     bad = [(i, j) for i, r in R.items() for (n, j) in r.components if n == 0]
     if bad:
         return Obstruction(
@@ -832,7 +864,7 @@ def theta_extend_mor(alpha: DeltaMap, xhat: GSystem, yhat: GSystem):
             "theta-extend-mor", level, None,
             f"the joint component system through level {level} is inconsistent",
         )
-    out = GMorphism(xhat, yhat, {**f0.components, **sol})
+    out = GMorphism._of(xhat, yhat, ChainMap(X, Y, _with_blocks(fs, sol, X, Y, 0)))
     verify(validate_gmorphism(out), "theta_extend_mor: the extension is not a morphism")
     return out
 
@@ -861,7 +893,7 @@ def theta_cone_system(fhat: GMorphism) -> GSystem:
             grid = [[None if x is None else -x, None], [_part(fs, i + 1, n - 1, j + 1), _part(yd, i, n, j)]]
             _put_block(diffs, (n, i, j), ring, grid,
                        [X.rank(i + 2, j + n + 1), Y.rank(i + 1, j + n)], [X.rank(i + 1, j + 1), Y.rank(i, j)])
-    return GSystem(ring, ranks, diffs, CGRA)
+    return GSystem._trusted(ring, ranks, diffs, CGRA)
 
 
 def _extend_map(alpha: DeltaMap):
@@ -901,7 +933,7 @@ def theta_triangle_check(alpha: DeltaMap):
     # shift identity: reindex-and-negate extends the shifted DeltaComplex
     shifted = shift_gsystem(fhat.source)
     low = {key: m for key, m in shifted.diffs.items() if key[0] <= 1}
-    if GSystem(shifted.ring, shifted.ranks, low, CGRA) != _theta_seed(shift_delta(alpha.source)):
+    if GSystem._trusted(shifted.ring, shifted.ranks, low, CGRA) != _theta_seed(shift_delta(alpha.source)):
         return False
     if not validate_gsystem(shifted):
         return False
@@ -996,7 +1028,7 @@ def eta_null_complete(
     if any(n <= 1 for r in defect.values() for (n, _) in r.components):
         raise ValueError("seed pair does not satisfy the two seed equations")
     # u_k: X^{ij} -> Y^{i-1,j+k} is s_{k+1}: component (n, j) of the defect becomes (n-1, j+1)
-    R = {i: GradedMorphism(X.complex.obj(i), Y.complex.obj(i), {
+    R = {i: GradedMorphism._trusted(X.complex.obj(i), Y.complex.obj(i), {
         (n - 1, j + 1): m for (n, j), m in r.components.items()}) for i, r in defect.items()}
     sol, level = _solve_levels(X, Y, -1, 1, R)
     if sol is None:

@@ -7,24 +7,35 @@ block assembly in the higher layers.
 Every entry is in its ring's canonical form (see ``rings``): an int in
 [0, m) over Z/m and GF(p), an int over Z, over Q an int when integral and
 otherwise a reduced ``Fraction`` with denominator > 1.  The invariant holds
-by construction, not by a check on every cell.  The public constructor
-``RingMatrix(...)`` and ``from_rows`` canonicalize each entry, and
-``from_json`` parses each into canonical form once; they are the boundary
-for input from users, files and generators.  Every other construction
-(``zero``, ``identity``, ``scalar``, ``block``, ``submatrix``, ``+``,
-``-``, negation, ``scale``, ``mat_mul``, and in the other layers the
-solver's results, hom-coordinate vectors and assembled linear systems) goes
-through ``RingMatrix._trusted`` on entries computed from canonical ones.
-Each reduces only where its own arithmetic can leave the canonical form:
-one ``% m`` per computed value over Z/m and GF(p), nothing over Z, and over
-Q a computed value with denominator 1 becomes its int (a sum or product of
-``Fraction``s is reduced but stays a ``Fraction``).  Negation keeps every
-form.
+by construction, not by a check on every cell.
+
+Input is checked once, where it enters, and only there.  The public
+constructor ``RingMatrix(...)`` and ``from_rows`` canonicalize each entry,
+and ``from_json`` parses each into canonical form once: a list of integer
+strings is checked by one match of an ASCII grammar, anything else entry by
+entry with ``CoeffRing.elem_from_str``, so every rejection of the per-entry
+reader stays.  With the public ``GradedMorphism(...)`` (in ``base``) and the
+readers of ``serialize``, they are the boundary for input from users, files
+and generators.  Every other construction (``zero``, ``identity``,
+``scalar``, ``block``, ``submatrix``, ``+``, ``-``, negation, ``scale``,
+``mat_mul``, and in the other layers the solver's results, hom-coordinate
+vectors and assembled linear systems) goes through ``RingMatrix._trusted``
+on entries computed from canonical ones, and the package's own graded
+morphisms (``Graded.compose``, ``hom_add``, ``hom_negate``, ``shift_mor``,
+``eta``, ``id_mor``, ``zero_mor``, ``block_mor``, ``split_mor``,
+``vec_to_mor`` and the bigraded rebuilds) through
+``GradedMorphism._trusted``, with no shape check and no zero scan beyond
+dropping what their own arithmetic can make zero.  Each reduces only where
+its own arithmetic can leave the canonical form: one ``% m`` per computed
+value over Z/m and GF(p), nothing over Z, and over Q a computed value with
+denominator 1 becomes its int (a sum or product of ``Fraction``s is reduced
+but stays a ``Fraction``).  Negation keeps every form.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import re
+from typing import List, Optional, Sequence
 
 from .rings import CoeffRing, json_int, q_canon
 
@@ -69,18 +80,13 @@ class RingMatrix:
 
     @staticmethod
     def identity(ring: CoeffRing, n: int) -> "RingMatrix":
-        m = RingMatrix.zero(ring, n, n)
-        for i in range(n):
-            m.entries[i * n + i] = ring.one()
-        return m
+        return RingMatrix.scalar(ring, n, ring.one())
 
     @staticmethod
     def scalar(ring: CoeffRing, n: int, a) -> "RingMatrix":
-        m = RingMatrix.zero(ring, n, n)
-        a = ring.canon(a)
-        for i in range(n):
-            m.entries[i * n + i] = a
-        return m
+        entries = [ring.zero()] * (n * n)
+        entries[:: n + 1] = [ring.canon(a)] * n
+        return RingMatrix._trusted(ring, n, n, entries)
 
     # -- access -------------------------------------------------------------
 
@@ -100,7 +106,7 @@ class RingMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def _check_same_ring(self, other: "RingMatrix"):
-        if self.ring != other.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
@@ -145,7 +151,7 @@ class RingMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, RingMatrix)
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.rows == other.rows
             and self.cols == other.cols
             and self.entries == other.entries
@@ -197,14 +203,37 @@ class RingMatrix:
         }
 
     @staticmethod
-    def from_json(d: dict) -> "RingMatrix":
-        ring = CoeffRing.from_json(d["ring"])
-        if type(d["entries"]) is not list:
-            raise ValueError(f"matrix entries must be a list, got {d['entries']!r}")
-        entries = [ring.elem_from_str(s) for s in d["entries"]]  # canonical already
+    def from_json(d: dict, ring: Optional[CoeffRing] = None) -> "RingMatrix":
+        """The matrix of ``to_json``'s form.  ``ring``, when given, is the ring
+        the matrix is expected over; a matrix that names it is read over it
+        without parsing its ring again."""
+        if ring is None or not ring.reads_as(d["ring"]):
+            ring = CoeffRing.from_json(d["ring"])
+        strs = d["entries"]
+        if type(strs) is not list:
+            raise ValueError(f"matrix entries must be a list, got {strs!r}")
+        if _all_int_strs(strs):
+            # elem_from_str's integer case for every entry at once
+            m = ring.modulus
+            entries = [int(s) % m for s in strs] if m else list(map(int, strs))
+        else:
+            entries = [ring.elem_from_str(s) for s in strs]  # canonical already
         rows, cols = json_int(d["rows"], "rows"), json_int(d["cols"], "cols")
         _check_shape(rows, cols, entries)
         return RingMatrix._trusted(ring, rows, cols, entries)
+
+
+_INT_STRS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
+def _all_int_strs(strs: list) -> bool:
+    """Every item is a string of one or more ASCII digits after at most one
+    leading "-": one match over the items joined by commas, where the comma
+    count also rules out a comma inside an item."""
+    if set(map(type, strs)) != {str}:
+        return False
+    text = ",".join(strs)
+    return _INT_STRS.fullmatch(text) is not None and text.count(",") == len(strs) - 1
 
 
 def _check_shape(rows: int, cols: int, entries: Sequence):
@@ -215,28 +244,32 @@ def _check_shape(rows: int, cols: int, entries: Sequence):
 
 
 def mat_mul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    """Exact matrix product."""
-    if a.ring != b.ring:
-        raise ValueError(f"ring mismatch: {a.ring} vs {b.ring}")
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    """Exact matrix product; each row of it is summed in a fresh list, over
+    the nonzero entries of a's row only."""
     ring = a.ring
+    if b.ring is not ring and b.ring != ring:
+        raise ValueError(f"ring mismatch: {a.ring} vs {b.ring}")
+    n, bc = a.cols, b.cols
+    if n != b.rows:
+        raise ValueError(f"dimension mismatch: {a.rows}x{n} times {b.rows}x{bc}")
     q = ring.modulus
     rat = ring.kind == "Q"
-    out = RingMatrix.zero(ring, a.rows, b.cols)
-    entries = out.entries
-    for i in range(a.rows):
-        arow = a.row(i)
-        base = i * b.cols
-        for k, aik in enumerate(arow):
-            if aik == 0:
-                continue
-            brow = b.row(k)
-            for j in range(b.cols):
-                entries[base + j] += aik * brow[j]
+    ae, be = a.entries, b.entries
+    cols = range(bc)
+    out: List = []
+    start = 0
+    for _ in range(a.rows):
+        acc = [0] * bc
+        kb = 0  # where row k of b starts
+        for aik in ae[start:start + n]:
+            if aik:
+                for j in cols:
+                    acc[j] += aik * be[kb + j]
+            kb += bc
         if q:
-            for j in range(b.cols):
-                entries[base + j] %= q
+            acc = [x % q for x in acc]
         elif rat:
-            entries[base:base + b.cols] = map(q_canon, entries[base:base + b.cols])
-    return out
+            acc = [x if type(x) is int else q_canon(x) for x in acc]
+        out += acc
+        start += n
+    return RingMatrix._trusted(ring, a.rows, bc, out)

@@ -221,6 +221,14 @@ class CoeffRing:
     def from_json(d: dict) -> "CoeffRing":
         return CoeffRing(d["kind"], json_int(d.get("modulus", 0), "modulus"))
 
+    def reads_as(self, d) -> bool:
+        """``from_json(d)`` would return this ring: a cheaper test than
+        reading d, which also checks that the ring is valid."""
+        if type(d) is not dict:
+            return False
+        m = d.get("modulus", 0)
+        return d.get("kind") == self.kind and type(m) is int and m == self.modulus
+
     def __str__(self):
         if self.kind == "Z":
             return "Z"

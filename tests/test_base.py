@@ -233,6 +233,112 @@ class TestGradedMorphisms:
         assert self.inst.mor_from_json(self.inst.mor_to_json(f), X, Y) == f
 
 
+def all_pairs_compose(g, f):
+    """(g f)_n^j = sum_{p+q=n} g_p^{j+q} f_q^j over every pair of components,
+    sums that cancel included."""
+    comps = {}
+    for (q, j), fm in f.components.items():
+        for (p, t), gm in g.components.items():
+            if t == j + q:
+                key = (p + q, j)
+                comps[key] = comps[key] + gm @ fm if key in comps else gm @ fm
+    return comps
+
+
+class TestGradedComposeOracle:
+    def test_hand_cancellation(self):
+        # (g f)_1^0 = g_1^0 f_0^0 + g_0^1 f_1^0 = -1 + 1 = 0, so only degree 0 is stored
+        inst = Graded(ScalarEta(ZZ, 1))
+        X = GradedObject({0: 1, 1: 1})
+        one = lambda v: RingMatrix.from_rows(ZZ, [[v]])
+        f = GradedMorphism(X, X, {(0, 0): one(1), (0, 1): one(1), (1, 0): one(1)})
+        g = GradedMorphism(X, X, {(0, 0): one(1), (0, 1): one(1), (1, 0): one(-1)})
+        assert all_pairs_compose(g, f)[(1, 0)].is_zero()
+        assert inst.compose(g, f).components == {(0, 0): one(1), (0, 1): one(1)}
+        assert inst.compose(f, g).components == {(0, 0): one(1), (0, 1): one(1)}
+
+    @pytest.mark.parametrize("ring, values", [(ZZ, (-1, 0, 1)), (Zmod(4), (0, 2)), (GF(5), (0, 1, 4))], ids=str)
+    def test_compose_matches_all_pairs(self, ring, values):
+        """``Graded.compose`` meets g's components by source grade; it equals
+        the all-pairs sum with its zero sums dropped, and stores no zero."""
+        inst = Graded(ScalarEta(ring, 1))
+        rng = random.Random(41)
+        cancelled = 0
+        for _ in range(150):
+            X, Y, Z = (random_graded_obj(rng, max_rank=1 + (ring != ZZ)) for _ in range(3))
+            f = inst.vec_to_mor([rng.choice(values) for _ in range(inst.hom_dim(X, Y))], X, Y)
+            g = inst.vec_to_mor([rng.choice(values) for _ in range(inst.hom_dim(Y, Z))], Y, Z)
+            ref = all_pairs_compose(g, f)
+            cancelled += sum(m.is_zero() for m in ref.values())
+            gf = inst.compose(g, f)
+            assert gf == GradedMorphism(X, Z, ref)
+            assert (gf.source, gf.target) == (X, Z)
+            assert not any(m.is_zero() for m in gf.components.values())
+        assert cancelled > 10
+
+
+class TestBoundaryChecks:
+    """The public constructors and readers keep every check; only the
+    package's own constructions skip them."""
+
+    X, Y = GradedObject({0: 1, 1: 2}), GradedObject({0: 2, 1: 1})
+
+    def test_graded_morphism_rejects_bad_shape_and_negative_degree(self):
+        good = RingMatrix.from_rows(ZZ, [[1], [2]])  # Y^0 <- X^0 is 2 x 1
+        assert GradedMorphism(self.X, self.Y, {(0, 0): good}).components == {(0, 0): good}
+        for comps in ({(0, 0): RingMatrix.from_rows(ZZ, [[1, 2]])},  # 1 x 2
+                      {(1, 0): good},  # Y^1 <- X^0 is 1 x 1
+                      {(-1, 1): RingMatrix.from_rows(ZZ, [[1, 2], [3, 4]])}):  # the shape of Y^0 <- X^1
+            with pytest.raises(ValueError):
+                GradedMorphism(self.X, self.Y, comps)
+
+    def test_validate_mor_rejects_bad_shape(self):
+        inst = Graded(ScalarEta(ZZ, 1))
+        good = GradedMorphism(self.X, self.Y, {(0, 0): RingMatrix.from_rows(ZZ, [[1], [2]])})
+        assert inst.validate_mor(good, self.X, self.Y)
+        assert not inst.validate_mor(good, self.Y, self.X)
+        for comps in ({(0, 0): RingMatrix.from_rows(ZZ, [[1, 2]])},
+                      {(-1, 1): RingMatrix.from_rows(ZZ, [[1, 2], [3, 4]])}):
+            assert not inst.validate_mor(GradedMorphism._trusted(self.X, self.Y, comps), self.X, self.Y)
+
+    @pytest.mark.parametrize("ring", [ZZ, Zmod(4), GF(5), QQ], ids=str)
+    def test_matrix_reader_matches_the_per_entry_reader(self, ring):
+        """``RingMatrix.from_json`` reads a list of integer strings in one
+        match and anything else entry by entry: every list gets the answer
+        of ``elem_from_str``, a rejection included."""
+        rng = random.Random(31)
+        odd = ["+3", " 3", "3 ", "1_0", "\u0663", "", "3\n", "1,2", "-", "--1", "0x1", "1/2", "-4/6", "2/0",
+               3, 1.0, True, None]
+        rejected = 0
+        for _ in range(400):
+            entries = [str(rng.randint(-30, 30)) for _ in range(rng.randint(0, 5))]
+            if entries and rng.random() < 0.5:
+                entries[rng.randrange(len(entries))] = rng.choice(odd)
+            d = {"ring": ring.to_json(), "rows": 1, "cols": len(entries), "entries": entries}
+            try:
+                want = [ring.elem_from_str(s) for s in entries]
+            except ValueError:
+                rejected += 1
+                for expected in (None, ring):
+                    with pytest.raises(ValueError):
+                        RingMatrix.from_json(d, expected)
+                continue
+            for expected in (None, ring, GF(7)):
+                got = RingMatrix.from_json(d, expected)
+                assert got.ring == ring
+                assert got.entries == want and list(map(type, got.entries)) == list(map(type, want))
+        assert rejected > 50
+
+    def test_matrix_reader_checks_a_named_ring(self):
+        """A matrix read where a ring is expected still has its own ring read
+        and checked when it names another, or names it with a float modulus."""
+        d = {"ring": Zmod(4).to_json(), "rows": 1, "cols": 1, "entries": ["3"]}
+        assert RingMatrix.from_json(d, Zmod(8)).ring == Zmod(4)
+        d["ring"] = {"kind": "Zmod", "modulus": 4.0}
+        with pytest.raises(ValueError):
+            RingMatrix.from_json(d, Zmod(4))
+
+
 class TestEtaPower:
     def test_power_one_is_eta(self):
         inner = ScalarEta(Zmod(8), 2)

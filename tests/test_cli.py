@@ -616,6 +616,54 @@ class TestCheck:
         assert code == 1
         assert records_of(out) == [{"check": op, "verdict": "FAIL", "detail": "input is not a pair of chain maps"}]
 
+    @staticmethod
+    def _pair_with_y_twice(path):
+        """A pair 0 -> Y -> Y (p = Id) over Z with Y = Z -3-> Z in degrees 0, 1;
+        the file holds Y twice, as i's target and as p's source."""
+        inst = ScalarEta(ZZ, 2)
+        y = Complex(inst, {0: 1, 1: 1}, {0: RingMatrix.from_rows(ZZ, [[3]])})
+        save_instance_file(str(path), "pair", (ChainMap(Complex(inst, {}, {}), y, {}), id_chain_map(y)))
+        return json.loads(path.read_text())
+
+    def test_repeated_complex_read_once(self, tmp_path):
+        """Each distinct complex sub-document of a file is read once: the copies
+        of Y in a pair file, and of X and Y in a chain-maps file, load as one
+        Complex each."""
+        p = tmp_path / "pair.json"
+        self._pair_with_y_twice(p)
+        _, (i, q) = load_instance_file(str(p))
+        assert i.target is q.source and q.source is q.target
+        rng = random.Random(14)
+        inst = ScalarEta(Zmod(8), 2)
+        x, y = random_complex(inst, rng), random_complex(inst, rng)
+        save_instance_file(str(p), "chain-maps", (random_chain_map(x, y, rng), random_chain_map(x, y, rng)))
+        _, (f, g) = load_instance_file(str(p))
+        assert f.source is g.source and f.target is g.target
+        assert f.source == x and f.target == y
+
+    @pytest.mark.parametrize("edit", ["degree-true", "degree-float", "entry-plus"])
+    def test_repeated_complex_matched_by_type(self, tmp_path, capsys, edit):
+        """A second copy of Y that equals the first as Python values, with its
+        degree 1 written true or 1.0, is not taken for the first: it is read on
+        its own and rejected (exit 2), as is one with its entry 3 written "+3"."""
+        p = tmp_path / "pair.json"
+        doc = self._pair_with_y_twice(p)
+        assert main(["check", str(p), "--op", "is-eta-conflation"]) == 0
+        y2 = doc["payload"]["p"]["source"]
+        assert y2 == doc["payload"]["i"]["target"]
+        if edit == "entry-plus":
+            m = y2["diffs"][0]["morphism"]
+            assert m["entries"] == ["3"]
+            m["entries"] = ["+3"]
+        else:
+            obj = next(e for e in y2["objects"] if e["degree"] == 1)
+            obj["degree"] = True if edit == "degree-true" else 1.0
+            assert y2 == doc["payload"]["i"]["target"]  # 1 == 1.0 == True
+        p.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", str(p), "--op", "is-eta-conflation"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_parser_built_once(self, tmp_path, capsys):
         """main reuses one parser, which still parses after it rejected an argument list."""
         assert cli.build_parser() is cli.build_parser()

@@ -713,6 +713,38 @@ class TestNoDenseSolve:
         assert not dense
 
 
+class TestNoZeroFill:
+    def test_checks_and_composition_build_no_zero(self, monkeypatch):
+        """``validate_complex``, ``validate_chain_map`` and
+        ``compose_chain_maps`` take an absent differential or component for
+        zero: they build no zero morphism, on every test instance."""
+        built = Counter()
+        for cls in (ScalarEta, Graded):
+            def counting(self, X, Y, _zero=cls.zero_mor, _name=cls.__name__):
+                built[_name] += 1
+                return _zero(self, X, Y)
+
+            monkeypatch.setattr(cls, "zero_mor", counting)
+        rng = random.Random(97)
+        absent = 0
+        for inst in instances():
+            for _ in range(15):
+                a, b, c = (random_complex(inst, rng) for _ in range(3))
+                f, g = random_chain_map(a, b, rng), random_chain_map(b, c, rng)
+                absent += sum(n not in x.diffs for x in (a, b, c) for n in x.degree_range())
+                absent += sum(n not in h.components for h in (f, g) for n in h.source.support)
+                built.clear()
+                assert validate_complex(a) and validate_complex(b)
+                assert validate_chain_map(f) and validate_chain_map(g)
+                assert validate_chain_map(compose_chain_maps(g, f))
+                assert not built, (inst, dict(built))
+        assert absent > 50
+        # the counters see the accessors that do build zeros
+        a = Complex(instances()[-1], {0: GradedObject({0: 1})}, {})
+        a.diff(0)
+        assert built["Graded"] == 1
+
+
 # -- the family writers against hand-written builders -----------------------
 #
 # Each reference below poses its system the way the builder did before the
