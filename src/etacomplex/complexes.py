@@ -16,6 +16,13 @@ u^{n+1} d_A^n +- d_B^{n+k} u^n.  The eta-twist of a homotopy is the shifted
 complex X(1) = ``apply_auto(X, 1)``: its unknowns start there, and its left
 side is the chain map (f - g) eta_X: X(1) -> Y.
 
+Direct sums and cones follow one recipe, written once here: ``block_sum``
+(block-diagonal sums of complexes, the generators' draws among them),
+``block_diag`` (diagonal maps between sums), ``_summand_inj`` and
+``_summand_proj`` (a summand's identity-block inclusion and projection) and
+``cone_complex``, the one mapping cone, which every conflation middle,
+cone(eta_V) and axiom quotient in ``frobenius`` is.
+
 A complex or chain map stores no zero morphism, and absent means zero: the
 readers here (the validators, composition and sums of chain maps, homotopy
 residuals and the family writers) skip a product with an absent factor
@@ -279,39 +286,50 @@ def eta_chain_map(c: Complex) -> ChainMap:
     )
 
 
+# -- direct sums and mapping cones: the one recipe --------------------------
+
+
+def block_diag(inst: BaseInstance, blocks: Sequence, tgt_objs: Sequence, src_objs: Sequence):
+    """The diagonal morphism dsum(src_objs) -> dsum(tgt_objs) with blocks[k]:
+    src_objs[k] -> tgt_objs[k] on the diagonal (None for zero) and zero off it."""
+    return inst.block_mor(
+        [[m if a == b else None for b in range(len(blocks))] for a, m in enumerate(blocks)],
+        tgt_objs, src_objs,
+    )
+
+
+def block_sum(inst: BaseInstance, parts: Sequence[Complex]) -> Complex:
+    """The block-diagonal sum of the complexes ``parts``, in their order."""
+    degs = sorted({n for p in parts for n in p.objects})
+    objects = {n: inst.dsum([p.obj(n) for p in parts]) for n in degs}
+    diffs = {
+        n: block_diag(inst, [p.diffs.get(n) for p in parts],
+                      [p.obj(n + 1) for p in parts], [p.obj(n) for p in parts])
+        for n in degs
+    }
+    return Complex(inst, objects, diffs)
+
+
+def _summand_inj(inst: BaseInstance, objs: Sequence, k: int):
+    """The inclusion objs[k] -> dsum(objs) of the k-th summand."""
+    return inst.block_mor([[inst.id_mor(X) if a == k else None] for a, X in enumerate(objs)], objs, [objs[k]])
+
+
+def _summand_proj(inst: BaseInstance, objs: Sequence, k: int):
+    """The projection dsum(objs) -> objs[k] onto the k-th summand."""
+    return inst.block_mor([[inst.id_mor(X) if b == k else None for b, X in enumerate(objs)]], [objs[k]], objs)
+
+
 def dsum_complex(a: Complex, b: Complex) -> Tuple[Complex, ChainMap, ChainMap, ChainMap, ChainMap]:
     """a (+) b with the four structural maps (inj_a, inj_b, proj_a, proj_b)."""
     inst = a.instance
-    degs = sorted(set(a.objects) | set(b.objects))
-    objects = {n: inst.dsum([a.obj(n), b.obj(n)]) for n in degs}
-    diffs = {}
-    for n in degs:
-        diffs[n] = inst.block_mor(
-            [[a.diffs.get(n), None], [None, b.diffs.get(n)]],
-            [a.obj(n + 1), b.obj(n + 1)],
-            [a.obj(n), b.obj(n)],
-        )
-    s = Complex(inst, objects, diffs)
-    inj_a = ChainMap(a, s, {
-        n: inst.block_mor([[inst.id_mor(a.obj(n))], [None]], [a.obj(n), b.obj(n)], [a.obj(n)])
-        for n in degs
-    })
-    inj_b = ChainMap(b, s, {
-        n: inst.block_mor([[None], [inst.id_mor(b.obj(n))]], [a.obj(n), b.obj(n)], [b.obj(n)])
-        for n in degs
-    })
-    proj_a = ChainMap(s, a, {
-        n: inst.block_mor([[inst.id_mor(a.obj(n)), None]], [a.obj(n)], [a.obj(n), b.obj(n)])
-        for n in degs
-    })
-    proj_b = ChainMap(s, b, {
-        n: inst.block_mor([[None, inst.id_mor(b.obj(n))]], [b.obj(n)], [a.obj(n), b.obj(n)])
-        for n in degs
-    })
-    return s, inj_a, inj_b, proj_a, proj_b
+    s = block_sum(inst, [a, b])
 
+    def structural(src, tgt, piece, k):
+        return ChainMap(src, tgt, {n: piece(inst, [a.obj(n), b.obj(n)], k) for n in s.objects})
 
-# -- mapping cone -----------------------------------------------------------
+    return (s, structural(a, s, _summand_inj, 0), structural(b, s, _summand_inj, 1),
+            structural(s, a, _summand_proj, 0), structural(s, b, _summand_proj, 1))
 
 
 def cone_complex(f: ChainMap) -> Complex:
@@ -340,16 +358,9 @@ def cone(f: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
     inst = f.instance
     X, Y = f.source, f.target
     c = cone_complex(f)
-    inj = ChainMap(Y, c, {
-        n: inst.block_mor([[None], [inst.id_mor(Y.obj(n))]], [X.obj(n + 1), Y.obj(n)], [Y.obj(n)])
-        for n in c.objects
-    })
-    proj = ChainMap(c, shift_complex(X, 1), {
-        n: inst.block_mor(
-            [[inst.id_mor(X.obj(n + 1)), None]], [X.obj(n + 1)], [X.obj(n + 1), Y.obj(n)]
-        )
-        for n in c.objects
-    })
+    inj = ChainMap(Y, c, {n: _summand_inj(inst, [X.obj(n + 1), Y.obj(n)], 1) for n in c.objects})
+    proj = ChainMap(c, shift_complex(X, 1),
+                    {n: _summand_proj(inst, [X.obj(n + 1), Y.obj(n)], 0) for n in c.objects})
     return c, inj, proj
 
 
@@ -359,11 +370,8 @@ def eta_on_cone(f: ChainMap) -> bool:
     X, Y = f.source, f.target
     c = cone_complex(f)
     expected = ChainMap(apply_auto(c, 1), c, {
-        n: inst.block_mor(
-            [[inst.eta(X.obj(n + 1)), None], [None, inst.eta(Y.obj(n))]],
-            [X.obj(n + 1), Y.obj(n)],
-            [inst.shift_obj(X.obj(n + 1), 1), inst.shift_obj(Y.obj(n), 1)],
-        )
+        n: block_diag(inst, [inst.eta(X.obj(n + 1)), inst.eta(Y.obj(n))], [X.obj(n + 1), Y.obj(n)],
+                      [inst.shift_obj(X.obj(n + 1), 1), inst.shift_obj(Y.obj(n), 1)])
         for n in c.objects
     })
     return eta_chain_map(c) == expected

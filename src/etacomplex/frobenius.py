@@ -23,6 +23,7 @@ from .complexes import (
     add_family,
     apply_auto,
     apply_auto_map,
+    block_diag,
     chain_map_problem,
     compose_chain_maps,
     cone,
@@ -145,7 +146,6 @@ class StandardConflation:
     __slots__ = ("X", "Z", "alpha", "f", "middle", "i", "p")
 
     def __init__(self, alpha: ChainMap):
-        inst = alpha.instance
         W = alpha.source  # Z[-1]
         X1 = alpha.target  # X(1)
         X = apply_auto(X1, -1)
@@ -277,7 +277,7 @@ def standard_triangle(f: ChainMap) -> Tuple[ChainMap, ChainMap, ChainMap]:
     """X -> Y -> cone(f eta_X) -> X(1)[1]; returns (f, inj, proj)."""
     X = f.source
     fe = compose_chain_maps(f, eta_chain_map(X))
-    c, inj, proj = cone(fe)
+    _, inj, proj = cone(fe)
     return f, inj, proj
 
 
@@ -367,14 +367,13 @@ def ex1_composite(defl1: StandardConflation, beta: ChainMap) -> Tuple[bool, Opti
     Zm1 = shift_complex(Z, -1)
     Xm1 = shift_complex(X, -1)
     # split g and beta into their Z[-1]/X[-1] blocks
-    g1_c, g2_c, b1_c, b2_c = {}, {}, {}, {}
+    g1_c, g2_c, b1_c = {}, {}, {}
     V1 = apply_auto(V, 1)
     for n in sorted(set(Ym1.objects)):
         zs, xs = Zm1.obj(n), Xm1.obj(n)
         gg = inst.split_mor(g.component(n), [V.obj(n)], [zs, xs])
         g1_c[n], g2_c[n] = gg[0][0], gg[0][1]
-        bb = inst.split_mor(beta.component(n), [V1.obj(n)], [zs, xs])
-        b1_c[n], b2_c[n] = bb[0][0], bb[0][1]
+        b1_c[n] = inst.split_mor(beta.component(n), [V1.obj(n)], [zs, xs])[0][0]
     g2 = ChainMap(Xm1, V, g2_c)
     ok = validate_chain_map(g2)
     cg2 = cone_complex(g2)
@@ -424,11 +423,8 @@ def ex2_pullback(defl: StandardConflation, h: ChainMap) -> Tuple[bool, Optional[
     verify(pull.f == fh, "ex2_pullback: the pulled-back map is not f . h[-1]")
     # the square: middle map [[h, 0], [0, Id]] : cone(f h[-1]) -> cone(f)
     mid = ChainMap(pull.middle, defl.middle, {
-        n: inst.block_mor(
-            [[h.components.get(n), None], [None, inst.id_mor(X.obj(n))]],
-            [Z.obj(n), X.obj(n)],
-            [Zp.obj(n), X.obj(n)],
-        )
+        n: block_diag(inst, [h.components.get(n), inst.id_mor(X.obj(n))],
+                      [Z.obj(n), X.obj(n)], [Zp.obj(n), X.obj(n)])
         for n in sorted(set(pull.middle.objects) | set(defl.middle.objects))
     })
     ok = validate_chain_map(mid)
@@ -442,43 +438,22 @@ def ex1_op_composite(infl1: StandardConflation, gamma: ChainMap) -> bool:
     """Closure of inflations under composition.
 
     infl1: X -> Y = cone(f) with f = eta_X alpha; gamma: U[-1] -> Y(1)
-    defines the second inflation Y -> W = cone(eta_Y gamma).  The composite
-    X -> W has quotient U (+) Z; checks the pair is an eta-conflation.
+    defines the second inflation Y -> W = cone(g) with g = eta_Y gamma.  The
+    composite X -> W has quotient Q = cone(p g) = U (+) Z, for p: Y -> Z the
+    deflation of infl1, and W -> Q is Id_U (+) p; checks the pair is an
+    eta-conflation.
     """
     inst = infl1.instance
-    X, Z, Y = infl1.X, infl1.Z, infl1.middle
+    Z, Y, p = infl1.Z, infl1.middle, infl1.p
     infl2 = StandardConflation(gamma)
     verify(infl2.X == Y, "ex1_op_composite: the second inflation does not start at Y")
-    W = infl2.middle
-    U = infl2.Z
+    W, U = infl2.middle, infl2.Z
     composite = compose_chain_maps(infl2.i, infl1.i)  # X -> W
-    g = infl2.f  # U[-1] -> Y
-    Um1 = shift_complex(U, -1)
-    # quotient Q^n = U^n (+) Z^n with d_Q = [[d_U, 0], [g1^{n+1}, d_Z]]
-    q_objects = {}
-    q_diffs = {}
-    degs = sorted(set(W.objects))
-    for n in degs:
-        q_objects[n] = inst.dsum([U.obj(n), Z.obj(n)])
-    for n in degs:
-        g_next = g.component(n + 1)  # (U[-1])^{n+1} = U^n -> Y^{n+1}
-        g1 = inst.split_mor(g_next, [Z.obj(n + 1), X.obj(n + 1)], [U.obj(n)])[0][0]
-        q_diffs[n] = inst.block_mor(
-            [[U.diffs.get(n), None], [g1, Z.diffs.get(n)]],
-            [U.obj(n + 1), Z.obj(n + 1)],
-            [U.obj(n), Z.obj(n)],
-        )
-    Q = Complex(inst, q_objects, q_diffs)
+    Q = cone_complex(compose_chain_maps(p, infl2.f))  # Q^n = U^n (+) Z^n
     proj = ChainMap(W, Q, {
-        n: inst.block_mor(
-            [
-                [inst.id_mor(U.obj(n)), None, None],
-                [None, inst.id_mor(Z.obj(n)), None],
-            ],
-            [U.obj(n), Z.obj(n)],
-            [U.obj(n), Z.obj(n), X.obj(n)],
-        )
-        for n in degs
+        n: block_diag(inst, [inst.id_mor(U.obj(n)), p.components.get(n)],
+                      [U.obj(n), Z.obj(n)], [U.obj(n), Y.obj(n)])
+        for n in sorted(W.objects)
     })
     if not validate_chain_map(proj):
         return False
@@ -493,11 +468,8 @@ def ex2_op_pushout(infl: StandardConflation, h: ChainMap) -> bool:
     # h f = eta_{X'} (h(1) alpha) by naturality
     push = StandardConflation(compose_chain_maps(apply_auto_map(h, 1), alpha))
     mid = ChainMap(infl.middle, push.middle, {
-        n: inst.block_mor(
-            [[inst.id_mor(Z.obj(n)), None], [None, h.components.get(n)]],
-            [Z.obj(n), Xp.obj(n)],
-            [Z.obj(n), X.obj(n)],
-        )
+        n: block_diag(inst, [inst.id_mor(Z.obj(n)), h.components.get(n)],
+                      [Z.obj(n), Xp.obj(n)], [Z.obj(n), X.obj(n)])
         for n in sorted(set(infl.middle.objects) | set(push.middle.objects))
     })
     if not validate_chain_map(mid):

@@ -5,8 +5,9 @@ from a seed (the PRNG is Python's Mersenne Twister, fixed across builds).
 
 Every random complex follows one recipe, the one of the paper's examples:
 draw elementary pieces (stalks, disks, nilpotent chains, eta-disks
-V(1) -> V) as small complexes, sum them block-diagonally in draw order, and
-conjugate the sum by a random automorphism u^n of each object, drawn in
+V(1) -> V) as small complexes, sum them block-diagonally in draw order with
+``complexes.block_sum`` (a DeltaComplex's pieces too, as graded complexes),
+and conjugate the sum by a random automorphism u^n of each object, drawn in
 degree order, so that d^n becomes u^{n+1} d^n (u^n)^{-1}.  Every output is
 valid by construction.  ``conjugate_pair`` disguises a pair by the same
 conjugation of its middle complex.
@@ -28,6 +29,7 @@ from .complexes import (
     Complex,
     LinearProblem,
     apply_auto,
+    block_sum,
     chain_map_problem,
     cone,
     solution_chain_map,
@@ -130,21 +132,6 @@ def _conjugate(c: Complex, rng: random.Random):
     return Complex(inst, c.objects, diffs), autos
 
 
-def _block_sum(inst: BaseInstance, parts: List[Complex]) -> Complex:
-    """The block-diagonal sum of ``parts`` in draw order."""
-    degs = sorted({n for p in parts for n in p.objects})
-    objects = {n: inst.dsum([p.obj(n) for p in parts]) for n in degs}
-    diffs = {
-        n: inst.block_mor(
-            [[p.diffs.get(n) if a == b else None for b in range(len(parts))] for a, p in enumerate(parts)],
-            [p.obj(n + 1) for p in parts],
-            [p.obj(n) for p in parts],
-        )
-        for n in degs
-    }
-    return Complex(inst, objects, diffs)
-
-
 # -- elementary complexes ---------------------------------------------------
 
 
@@ -196,7 +183,7 @@ def random_scalar_complex(
                 {start + t: 1 for t in range(ln)},
                 {start + t: RingMatrix(ring, 1, 1, [chain[t]]) for t in range(ln - 1)},
             ))
-    return _conjugate(_block_sum(inst, parts), rng)[0]
+    return _conjugate(block_sum(inst, parts), rng)[0]
 
 
 def random_graded_object(rng: random.Random, max_rank: int = 2) -> GradedObject:
@@ -234,7 +221,7 @@ def random_graded_complex(
             n = rng.choice(degs[:-1])  # eta-disk: eta_V: V(1) -> V
             V = random_graded_object(rng, max_rank)
             parts.append(Complex(inst, {n: inst.shift_obj(V, 1), n + 1: V}, {n: inst.eta(V)}))
-    return _conjugate(_block_sum(inst, parts), rng)[0]
+    return _conjugate(block_sum(inst, parts), rng)[0]
 
 
 def random_complex(inst: BaseInstance, rng: random.Random, max_len: int = 4, max_rank: int = 2) -> Complex:
@@ -383,7 +370,7 @@ def obstructed_delta_complex(ring: CoeffRing):
 
 def _delta_direct_sum(ring: CoeffRing, pieces: List[DeltaComplex]) -> DeltaComplex:
     """The block-diagonal sum of ``pieces`` in draw order."""
-    return DeltaComplex._of(_block_sum(graded_complex_instance(ring), [p.complex for p in pieces]), GA)
+    return DeltaComplex._of(block_sum(graded_complex_instance(ring), [p.complex for p in pieces]), GA)
 
 
 def _delta_conjugate(x: DeltaComplex, rng: random.Random) -> DeltaComplex:

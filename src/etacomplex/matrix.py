@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Sequence
 
-from .rings import CoeffRing, json_int, q_canon
+from .rings import _INT, CoeffRing, json_int, q_canon
 
 
 class RingMatrix:
@@ -223,13 +223,13 @@ class RingMatrix:
         return RingMatrix._trusted(ring, rows, cols, entries)
 
 
-_INT_STRS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+_INT_STRS = re.compile(f"{_INT}(?:,{_INT})*")
 
 
 def _all_int_strs(strs: list) -> bool:
-    """Every item is a string of one or more ASCII digits after at most one
-    leading "-": one match over the items joined by commas, where the comma
-    count also rules out a comma inside an item."""
+    """Every item is an integer string of ``rings._is_int_str``: one match over
+    the items joined by commas, where the comma count also rules out a comma
+    inside an item."""
     if set(map(type, strs)) != {str}:
         return False
     text = ",".join(strs)

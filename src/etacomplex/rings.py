@@ -16,6 +16,7 @@ integer (``json_int``).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,9 +38,11 @@ def q_canon(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _is_int_str(s: str) -> bool:
-    """s is one or more ASCII digits, after at most one leading "-"."""
-    return (s.isdigit() or s[:1] == "-" and s[1:].isdigit()) and s.isascii()
+# An integer as instance files write it: one or more ASCII digits, after at
+# most one leading "-".  ``matrix`` builds its check of a whole batch of
+# entries from the same pattern.
+_INT = "-?[0-9]+"
+_is_int_str = re.compile(_INT).fullmatch
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -200,8 +203,7 @@ class CoeffRing:
         " 2 " or "1_0", which ``int`` would read."""
         if type(s) is not str:
             raise ValueError(f"a ring element must be a string, got {s!r}")
-        # _is_int_str(s), inlined: every matrix entry of a file is read here
-        if (s.isdigit() or s[:1] == "-" and s[1:].isdigit()) and s.isascii():
+        if _is_int_str(s):
             return int(s) if self.kind == "Q" else self.canon(int(s))
         num, slash, den = s.partition("/")
         if not (slash and self.kind == "Q" and _is_int_str(num) and _is_int_str(den)):

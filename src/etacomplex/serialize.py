@@ -57,17 +57,11 @@ def complex_from_json(d: dict) -> Complex:
     objects = json_unique([
         (json_int(e["degree"], "degree"), inst.obj_from_json(e["object"])) for e in d["objects"]
     ], "object degree")
-
-    def obj(n):
-        return objects.get(n, inst.zero_obj())
-
-    diffs = {}
-    for e in d["diffs"]:
-        n = json_int(e["degree"], "degree")
-        if n in diffs:
-            raise ValueError(f"repeated differential degree {n}")
-        diffs[n] = inst.mor_from_json(e["morphism"], obj(n), obj(n + 1))
-    return Complex(inst, objects, diffs)
+    diffs = json_unique([(json_int(e["degree"], "degree"), e["morphism"]) for e in d["diffs"]],
+                        "differential degree")
+    zero = inst.zero_obj()
+    return Complex(inst, objects, {n: inst.mor_from_json(m, objects.get(n, zero), objects.get(n + 1, zero))
+                                   for n, m in diffs.items()})
 
 
 def chain_map_to_json(f: ChainMap) -> dict:
@@ -87,13 +81,9 @@ def chain_map_from_json(d: dict, read_complex=complex_from_json) -> ChainMap:
     src = read_complex(d["source"])
     tgt = read_complex(d["target"])
     inst = src.instance
-    comps = {}
-    for e in d["components"]:
-        n = json_int(e["degree"], "degree")
-        if n in comps:
-            raise ValueError(f"repeated component degree {n}")
-        comps[n] = inst.mor_from_json(e["morphism"], src.obj(n), tgt.obj(n))
-    return ChainMap(src, tgt, comps)
+    comps = json_unique([(json_int(e["degree"], "degree"), e["morphism"]) for e in d["components"]],
+                        "component degree")
+    return ChainMap(src, tgt, {n: inst.mor_from_json(m, src.obj(n), tgt.obj(n)) for n, m in comps.items()})
 
 
 def delta_map_to_json(f: DeltaMap) -> dict:

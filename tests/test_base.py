@@ -95,6 +95,21 @@ class TestGradedMorphisms:
             assert self.inst.compose(self.inst.id_mor(Y), f) == f
             assert self.inst.compose(f, self.inst.id_mor(X)) == f
 
+    def test_scale_by_zero_leaves_no_component(self):
+        rng = random.Random(2)
+        for _ in range(20):
+            X, Y = random_graded_obj(rng), random_graded_obj(rng)
+            f = random_graded_mor(self.inst, rng, X, Y)
+            zero = self.inst.hom_scale(f, 0)
+            assert zero.components == {} and zero == self.inst.zero_mor(X, Y)
+
+    def test_scale_to_zero_mod_m_leaves_no_component(self):
+        inst = Graded(ScalarEta(Zmod(4), 1))
+        X = GradedObject({0: 1, 1: 1})
+        f = inst.hom_scale(inst.id_mor(X), 2)
+        assert set(f.components) == {(0, 0), (0, 1)}
+        assert inst.hom_scale(f, 2).components == {}
+
     def test_convolution_hand_oracle(self):
         # rank-1 scalars, f = {f0=2, f1=3}, g = {g0=5, g1=7}:
         # (gf)_0 = 10, (gf)_1 = g1 f0 + g0 f1 = 7*2 + 5*3 = 29

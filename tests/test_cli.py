@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from etacomplex.base import Graded, GradedMorphism, GradedObject, ScalarEta
+from etacomplex.base import EtaPower, Graded, GradedMorphism, GradedObject, ScalarEta
 from etacomplex import cli
 from etacomplex.cli import main
 from etacomplex.complexes import (
@@ -93,6 +93,16 @@ class TestSerializeRoundTrip:
         kind, back = load_instance_file(str(p))
         save_instance_file(str(p), kind, back)
         assert p.read_text(encoding="utf-8") == first
+
+    def test_eta_power_complex(self, tmp_path):
+        rng = random.Random(74)
+        p = tmp_path / "c.json"
+        for inst in (EtaPower(ScalarEta(Zmod(8), 2), 2), EtaPower(Graded(ScalarEta(GF(5), 1)), 3)):
+            for _ in range(3):
+                c = random_complex(inst, rng)
+                save_instance_file(str(p), "complex", c)
+                kind, back = load_instance_file(str(p))
+                assert kind == "complex" and back == c and back.instance == inst
 
     def test_bad_format_tag(self):
         with pytest.raises(ValueError):
@@ -806,6 +816,14 @@ class TestSuiteCommand:
         recs = records_of(out)
         assert recs[-1]["verdict"] == "pass"
         assert all(r["verdict"] == "pass" for r in recs[:-1])
+
+    def test_env_var_narrows_the_ring_pool(self, capsys, monkeypatch):
+        argv = ["suite", "--seed", "2", "--trials", "2", "--property", "homotopy-agreement"]
+        strip = lambda recs: [{k: v for k, v in r.items() if k != "time"} for r in recs]
+        _, explicit = run(capsys, argv + ["--ring", "F5"])
+        monkeypatch.setenv("ETACOMPLEX_RING", "F5")
+        _, from_env = run(capsys, argv)
+        assert strip(records_of(from_env)) == strip(records_of(explicit))
 
     def test_replay_determinism(self, capsys):
         argv = ["suite", "--seed", "4", "--trials", "2",

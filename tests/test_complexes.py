@@ -15,8 +15,11 @@ from etacomplex.complexes import (
     HomotopyCertificate,
     LinearProblem,
     NotChainwiseSplit,
+    _summand_inj,
+    _summand_proj,
     add_chain_maps,
     apply_auto,
+    block_sum,
     chain_map_problem,
     apply_auto_map,
     compose_chain_maps,
@@ -108,6 +111,14 @@ class TestShifts:
             assert apply_auto(apply_auto(c, 1), -1) == c
             assert apply_auto(c, 0) == c
 
+    def test_even_shift_is_two_odd_ones(self):
+        rng = random.Random(40)
+        for inst in instances():
+            for _ in range(5):
+                c = random_complex(inst, rng)
+                assert shift_complex(c, 2) == shift_complex(shift_complex(c, 1), 1)
+                assert shift_complex(c, -2) == shift_complex(shift_complex(c, -1), -1)
+
     def test_shift_negates_differential(self):
         inst = ScalarEta(Zmod(4), 2)
         d = RingMatrix.from_rows(Zmod(4), [[2]])
@@ -139,6 +150,65 @@ class TestShifts:
             for _ in range(20):
                 c = random_complex(inst, rng)
                 assert validate_chain_map(eta_chain_map(c))
+
+
+class TestStructuralMaps:
+    """The summand maps of ``dsum_complex`` and ``cone`` satisfy the biproduct
+    identities: proj_k inj_k = Id, proj_k inj_l = 0 for k != l and
+    sum_k inj_k proj_k = Id."""
+
+    @staticmethod
+    def draw_instances():
+        return instances() + [EtaPower(ScalarEta(Zmod(8), 2), 2), EtaPower(Graded(ScalarEta(GF(5), 1)), 2)]
+
+    def test_dsum_maps_are_a_biproduct(self):
+        rng = random.Random(37)
+        for inst in self.draw_instances():
+            for _ in range(8):
+                a, b = random_complex(inst, rng), random_complex(inst, rng)
+                s, inj_a, inj_b, proj_a, proj_b = dsum_complex(a, b)
+                assert validate_complex(s)
+                injs, projs = (inj_a, inj_b), (proj_a, proj_b)
+                for m in injs + projs:
+                    assert validate_chain_map(m)
+                for k, pk in enumerate(projs):
+                    for l, il in enumerate(injs):
+                        pi = compose_chain_maps(pk, il)
+                        assert pi == id_chain_map(pk.target) if k == l else pi.is_zero()
+                total = add_chain_maps(compose_chain_maps(inj_a, proj_a), compose_chain_maps(inj_b, proj_b))
+                assert total == id_chain_map(s)
+
+    def test_cone_maps_are_its_summand_maps(self):
+        # inj: Y -> cone and proj: cone -> X[1] are chain maps with proj inj = 0,
+        # and in each degree the summand maps of X^{n+1} (+) Y^n are a biproduct
+        rng = random.Random(38)
+        for inst in self.draw_instances():
+            for _ in range(8):
+                a, b = random_complex(inst, rng), random_complex(inst, rng)
+                c, inj, proj = cone(random_chain_map(a, b, rng))
+                assert validate_chain_map(inj) and validate_chain_map(proj)
+                assert compose_chain_maps(proj, inj).is_zero()
+                for n, C in c.objects.items():
+                    objs = [a.obj(n + 1), b.obj(n)]
+                    injs = [_summand_inj(inst, objs, k) for k in (0, 1)]
+                    projs = [_summand_proj(inst, objs, k) for k in (0, 1)]
+                    assert inst.mor_eq(inj.component(n), injs[1])
+                    assert inst.mor_eq(proj.component(n), projs[0])
+                    for k in (0, 1):
+                        for l in (0, 1):
+                            pi = inst.compose(projs[k], injs[l])
+                            assert inst.mor_eq(pi, inst.id_mor(objs[k])) if k == l else inst.mor_is_zero(pi)
+                    total = inst.hom_add(*(inst.compose(injs[k], projs[k]) for k in (0, 1)))
+                    assert inst.mor_eq(total, inst.id_mor(C))
+
+    def test_block_sum_is_an_iterated_direct_sum(self):
+        rng = random.Random(39)
+        for inst in self.draw_instances():
+            for _ in range(5):
+                parts = [random_complex(inst, rng) for _ in range(3)]
+                s = block_sum(inst, parts)
+                assert validate_complex(s)
+                assert s == dsum_complex(dsum_complex(parts[0], parts[1])[0], parts[2])[0]
 
 
 class TestCone:

@@ -1,9 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from etacomplex.base import EtaPower, Graded, ScalarEta
+from etacomplex import frobenius
+from etacomplex.base import EtaPower, Graded, GradedMorphism, GradedObject, ScalarEta
 from etacomplex.complexes import (
     ChainMap,
     Complex,
@@ -54,7 +56,7 @@ from etacomplex.generators import (
     random_std_conflation,
 )
 from etacomplex.matrix import RingMatrix
-from etacomplex.rings import GF, ZZ, Zmod
+from etacomplex.rings import GF, QQ, ZZ, Zmod
 
 
 def instances():
@@ -392,3 +394,111 @@ class TestExactStructureAxioms:
                 xp = random_complex(inst, rng, max_len=2)
                 h = random_chain_map(infl.X, xp, rng)
                 assert ex2_op_pushout(infl, h)
+
+
+def ref_ex1_op_quotient(infl1, gamma):
+    """The map W -> Q onto the quotient of the composite inflation, built by
+    hand as ``ex1_op_composite`` built it before Q became cone(p g):
+    Q^n = U^n (+) Z^n with d_Q = [[d_U, 0], [g1^{n+1}, d_Z]], and W -> Q the
+    identity grid on the U and Z blocks of W^n = U^n (+) Z^n (+) X^n."""
+    inst = infl1.instance
+    X, Z, Y = infl1.X, infl1.Z, infl1.middle
+    infl2 = StandardConflation(gamma)
+    W = infl2.middle
+    U = infl2.Z
+    g = infl2.f  # U[-1] -> Y
+    # quotient Q^n = U^n (+) Z^n with d_Q = [[d_U, 0], [g1^{n+1}, d_Z]]
+    q_objects = {}
+    q_diffs = {}
+    degs = sorted(set(W.objects))
+    for n in degs:
+        q_objects[n] = inst.dsum([U.obj(n), Z.obj(n)])
+    for n in degs:
+        g_next = g.component(n + 1)  # (U[-1])^{n+1} = U^n -> Y^{n+1}
+        g1 = inst.split_mor(g_next, [Z.obj(n + 1), X.obj(n + 1)], [U.obj(n)])[0][0]
+        q_diffs[n] = inst.block_mor(
+            [[U.diffs.get(n), None], [g1, Z.diffs.get(n)]],
+            [U.obj(n + 1), Z.obj(n + 1)],
+            [U.obj(n), Z.obj(n)],
+        )
+    Q = Complex(inst, q_objects, q_diffs)
+    proj = ChainMap(W, Q, {
+        n: inst.block_mor(
+            [
+                [inst.id_mor(U.obj(n)), None, None],
+                [None, inst.id_mor(Z.obj(n)), None],
+            ],
+            [U.obj(n), Z.obj(n)],
+            [U.obj(n), Z.obj(n), X.obj(n)],
+        )
+        for n in degs
+    })
+    return proj
+
+
+class TestEx1OpQuotientOracle:
+    @pytest.mark.parametrize("inst", [ScalarEta(ZZ, 2), ScalarEta(Zmod(4), 2), ScalarEta(GF(5), 2),
+                                      Graded(ScalarEta(GF(5), 1)), Graded(ScalarEta(ZZ, 1))], ids=repr)
+    def test_quotient_is_the_hand_built_one(self, monkeypatch, inst):
+        seen = []
+
+        def spy(i, p):
+            seen.append((i, p))
+            return is_eta_conflation(i, p)
+
+        monkeypatch.setattr(frobenius, "is_eta_conflation", spy)
+        rng = random.Random(65)
+        for _ in range(6):
+            infl1 = random_std_conflation(inst, rng, max_len=2)
+            U = random_complex(inst, rng, max_len=2)
+            # a random gamma, and gamma = Id_{Y(1)}, whose p g = p eta_Y fills the g1 block of d_Q
+            for gamma in (random_chain_map(shift_complex(U, -1), apply_auto(infl1.middle, 1), rng),
+                          id_chain_map(apply_auto(infl1.middle, 1))):
+                del seen[:]
+                assert ex1_op_composite(infl1, gamma)
+                (composite, proj), = seen
+                ref = ref_ex1_op_quotient(infl1, gamma)
+                assert proj.target == ref.target
+                assert proj == ref
+                assert composite.target == proj.source
+
+
+class TestRationalGradedWitness:
+    """An eta-homotopy over Graded(Q) whose witness has a denominator: Y is
+    V -2-> V, X the stalk V, f^0 = Id and g = 0, so the only witness is
+    s^0 = eta_V / 2, and validation clears it through ``hom_scale``."""
+
+    @staticmethod
+    def pair():
+        inst = Graded(ScalarEta(QQ, 1))
+        V = GradedObject({0: 1, 1: 2})
+        X = Complex(inst, {0: V}, {})
+        Y = Complex(inst, {-1: V, 0: V}, {-1: inst.hom_scale(inst.id_mor(V), 2)})
+        return ChainMap(X, Y, {0: inst.id_mor(V)}), zero_chain_map(X, Y)
+
+    def test_witness_with_a_denominator_validates(self, monkeypatch):
+        f, g = self.pair()
+        inst = f.instance
+        cert = eta_homotopic(f, g)
+        assert cert is not None
+        assert any(x.denominator == 2 for m in cert.s.values() for c in m.components.values() for x in c.entries)
+        scales = []
+        real_scale = Graded.hom_scale
+        monkeypatch.setattr(Graded, "hom_scale", lambda self, m, a: scales.append(a) or real_scale(self, m, a))
+        assert cert.validate(f, g)
+        assert 2 in scales
+        assert inst.hom_scale(cert.s[0], 2) == inst.eta(f.source.obj(0))
+
+    def test_one_entry_mutation_fails(self):
+        f, g = self.pair()
+        cert = eta_homotopic(f, g)
+        for n, m in cert.s.items():
+            for key, c in m.components.items():
+                for k in range(len(c.entries)):
+                    entries = list(c.entries)
+                    entries[k] += Fraction(1, 3)
+                    comps = dict(m.components)
+                    comps[key] = RingMatrix(c.ring, c.rows, c.cols, entries)
+                    s = dict(cert.s)
+                    s[n] = GradedMorphism(m.source, m.target, comps)
+                    assert not HomotopyCertificate(s, True).validate(f, g)

@@ -1180,6 +1180,16 @@ class TestRings:
         assert Zmod(4).canon(-1) == 3
         assert ZZ.canon(-1) == -1
 
+    def test_integer_units_are_their_own_inverses(self):
+        assert ZZ.inv(1) == 1 and ZZ.inv(-1) == -1
+        with pytest.raises(ZeroDivisionError):
+            ZZ.inv(2)
+
+    def test_reads_as_rejects_a_non_dict(self):
+        assert Zmod(4).reads_as({"kind": "Zmod", "modulus": 4})
+        for d in ("Z/4", ["Zmod", 4], None, {"kind": "Zmod", "modulus": 4.0}):
+            assert not Zmod(4).reads_as(d)
+
     def test_rational_canonical_form(self):
         """Over Q an integral value is an int, any other a Fraction."""
         for x, want in ((Fraction(4, 2), 2), (Fraction(-3), -3), (True, 1), (0, 0),
