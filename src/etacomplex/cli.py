@@ -21,22 +21,14 @@ from typing import List, Optional
 from .base import Graded, ScalarEta
 from .complexes import (
     Complex,
+    NotChainwiseSplit,
     id_chain_map,
     validate_chain_map,
     validate_complex,
     verify,
     zero_chain_map,
 )
-from .frobenius import (
-    NotChainwiseSplit,
-    StandardConflation,
-    eta_homotopic,
-    ex1_composite,
-    ex1_op_composite,
-    ex2_op_pushout,
-    ex2_pullback,
-    is_eta_conflation,
-)
+from .frobenius import StandardConflation, eta_homotopic, is_eta_conflation
 from .gsystems import (
     CGRA,
     Obstruction,
@@ -250,7 +242,7 @@ def _verdict(op: str, out, validate, encode) -> (int, List[dict]):
 
 def _check_axioms(pair, seed: int) -> (int, List[dict]):
     """Recognize the pair and verify the closure axioms around it."""
-    from .suite import ex1_op_witness, ex1_witness, ex2_op_witness, ex2_witness
+    from .suite import AXIOMS
 
     i, p = pair
     try:
@@ -263,14 +255,8 @@ def _check_axioms(pair, seed: int) -> (int, List[dict]):
     rng = random.Random(seed)
     zero = Complex(defl.instance, {}, {})
     ok0 = is_eta_conflation(zero_chain_map(zero, defl.Z), id_chain_map(defl.Z)) is not None
-    ok1, conf1 = ex1_composite(defl, ex1_witness(defl, rng))
-    ok1 = ok1 and conf1 is not None
-    ok1op = ex1_op_composite(defl, ex1_op_witness(defl, rng))
-    ok2, conf2 = ex2_pullback(defl, ex2_witness(defl, rng))
-    ok2 = ok2 and conf2 is not None
-    ok2op = ex2_op_pushout(defl, ex2_op_witness(defl, rng))
-    checks = [("recognized", True), ("ex0", ok0), ("ex1", ok1), ("ex1-op", ok1op),
-              ("ex2", ok2), ("ex2-op", ok2op)]
+    checks = [("recognized", True), ("ex0", ok0)]
+    checks += [(name, check(defl, witness(defl, rng))) for name, (witness, check) in AXIOMS.items()]
     records = [_check_record(f"axioms/{name}", "PASS" if ok else "FAIL") for name, ok in checks]
     return (0 if all(ok for _, ok in checks) else 1), records
 
@@ -303,13 +289,10 @@ def cmd_gen(
         raise _Usage("--max-rank must be at least 1")
     rng = random.Random(seed)
 
-    if profile == "scalar-eta":
+    if profile in ("scalar-eta", "graded"):
         inst = ScalarEta(ring, ring.canon(r_value))
-        obj = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
-        verify(validate_complex(obj), "gen: the generated complex is invalid")
-        kind = "complex"
-    elif profile == "graded":
-        inst = Graded(ScalarEta(ring, ring.canon(r_value)))
+        if profile == "graded":
+            inst = Graded(inst)
         obj = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
         verify(validate_complex(obj), "gen: the generated complex is invalid")
         kind = "complex"

@@ -18,7 +18,6 @@ from .complexes import (
     ExactPair,
     HomotopyCertificate,
     LinearProblem,
-    NotChainwiseSplit,
     _homotopy,
     add_family,
     apply_auto,
@@ -349,7 +348,7 @@ def conflation_tower_check(i: ChainMap, p: ChainMap, m: int) -> bool:
 # -- exact-structure axiom witnesses (Ex1), (Ex2) and duals -----------------
 
 
-def ex1_composite(defl1: StandardConflation, beta: ChainMap) -> Tuple[bool, Optional[EtaConflation]]:
+def ex1_composite(defl1: StandardConflation, beta: ChainMap) -> bool:
     """Closure of deflations under composition, with the explicit witness.
 
     defl1: Y = cone(f) -> Z with f = eta_X alpha.  beta: Y[-1] -> V(1)
@@ -401,18 +400,17 @@ def ex1_composite(defl1: StandardConflation, beta: ChainMap) -> Tuple[bool, Opti
     ok = ok and validate_chain_map(ab)
     ok = ok and (compose_chain_maps(eta_chain_map(cg2), ab) == fg1)
     if not ok:
-        return False, None
+        return False
     # the composite W -> Y -> Z is a recognized eta-deflation
-    composite = compose_chain_maps(defl1.p, defl0.p)
-    conf = is_eta_conflation(sub_i, composite)
-    return conf is not None, conf
+    return is_eta_conflation(sub_i, compose_chain_maps(defl1.p, defl0.p)) is not None
 
 
-def ex2_pullback(defl: StandardConflation, h: ChainMap) -> Tuple[bool, Optional[EtaConflation]]:
+def ex2_pullback(defl: StandardConflation, h: ChainMap) -> bool:
     """Pullback of the deflation p: cone(f) -> Z along h: Z' -> Z.
 
     Built as cone(f h[-1]) -> Z' with the square maps (1, 0) and
-    [[h, 0], [0, Id]]; returns (square commutes and membership, witness).
+    [[h, 0], [0, Id]]; checks the square commutes and the pullback pair is
+    an eta-conflation.
     """
     inst = defl.instance
     X, Z, alpha = defl.X, defl.Z, defl.alpha
@@ -427,11 +425,11 @@ def ex2_pullback(defl: StandardConflation, h: ChainMap) -> Tuple[bool, Optional[
                       [Z.obj(n), X.obj(n)], [Zp.obj(n), X.obj(n)])
         for n in sorted(set(pull.middle.objects) | set(defl.middle.objects))
     })
-    ok = validate_chain_map(mid)
-    ok = ok and (compose_chain_maps(defl.p, mid) == compose_chain_maps(h, pull.p))
-    conf = is_eta_conflation(pull.i, pull.p)
-    ok = ok and (conf is not None)
-    return ok, conf
+    if not validate_chain_map(mid):
+        return False
+    if compose_chain_maps(defl.p, mid) != compose_chain_maps(h, pull.p):
+        return False
+    return is_eta_conflation(pull.i, pull.p) is not None
 
 
 def ex1_op_composite(infl1: StandardConflation, gamma: ChainMap) -> bool:

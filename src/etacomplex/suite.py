@@ -123,7 +123,9 @@ def _light_instance(rng: random.Random, rings: Sequence[CoeffRing]):
 #
 # The random witness of each closure axiom: a complex of length at most 2 and
 # ranks at most ``max_rank``, and a chain map between it and the conflation.
-# ``etacomplex check --op axioms`` draws the same witnesses at the default rank.
+# ``AXIOMS`` pairs each witness with its check. ``etacomplex check --op
+# axioms`` runs this one table at the default witness rank, and the suite's
+# ``axiom-<name>`` properties run it at rank 1.
 
 
 def ex1_witness(defl, rng, max_rank=2):
@@ -150,6 +152,22 @@ def ex2_op_witness(infl, rng, max_rank=2):
     return random_chain_map(infl.X, xp, rng)
 
 
+# name -> (witness draw, check): composites of deflations and of inflations,
+# pullbacks of deflations and pushouts of inflations are again conflations
+AXIOMS: Dict[str, Tuple[Callable, Callable]] = {
+    "ex1": (ex1_witness, ex1_composite),
+    "ex1-op": (ex1_op_witness, ex1_op_composite),
+    "ex2": (ex2_witness, ex2_pullback),
+    "ex2-op": (ex2_op_witness, ex2_op_pushout),
+}
+
+
+def _light_conflation(rng, rings):
+    """A standard conflation of length at most 2, of rank 1 if graded."""
+    inst = _light_instance(rng, rings)
+    return random_std_conflation(inst, rng, max_len=2, max_rank=1 if isinstance(inst, Graded) else 2)
+
+
 def prop_axiom_ex0(rng, rings):
     """The identity deflation onto any object is a conflation."""
     inst = _mixed_instance(rng, rings)
@@ -161,42 +179,16 @@ def prop_axiom_ex0(rng, rings):
     return ok, "identity deflation recognized" if ok else "not recognized", ("pair", (i, p))
 
 
-def prop_axiom_ex1(rng, rings):
-    """Composites of standard deflations are deflations, with witness."""
-    inst = _light_instance(rng, rings)
-    rank = 1 if isinstance(inst, Graded) else 2
-    defl1 = random_std_conflation(inst, rng, max_len=2, max_rank=rank)
-    ok, conf = ex1_composite(defl1, ex1_witness(defl1, rng, max_rank=1))
-    ok = ok and conf is not None
-    return ok, "", ("pair", (defl1.i, defl1.p))
+def _axiom_property(name):
+    """The suite property of ``AXIOMS[name]``: its check on a light standard
+    conflation and a rank-1 witness."""
+    witness, check = AXIOMS[name]
 
+    def prop(rng, rings):
+        conf = _light_conflation(rng, rings)
+        return check(conf, witness(conf, rng, max_rank=1)), "", ("pair", (conf.i, conf.p))
 
-def prop_axiom_ex1_op(rng, rings):
-    """Composites of standard inflations are inflations."""
-    inst = _light_instance(rng, rings)
-    rank = 1 if isinstance(inst, Graded) else 2
-    infl1 = random_std_conflation(inst, rng, max_len=2, max_rank=rank)
-    ok = ex1_op_composite(infl1, ex1_op_witness(infl1, rng, max_rank=1))
-    return ok, "", ("pair", (infl1.i, infl1.p))
-
-
-def prop_axiom_ex2(rng, rings):
-    """Pullbacks of deflations along arbitrary maps are deflations."""
-    inst = _light_instance(rng, rings)
-    rank = 1 if isinstance(inst, Graded) else 2
-    defl = random_std_conflation(inst, rng, max_len=2, max_rank=rank)
-    ok, conf = ex2_pullback(defl, ex2_witness(defl, rng, max_rank=1))
-    ok = ok and conf is not None
-    return ok, "", ("pair", (defl.i, defl.p))
-
-
-def prop_axiom_ex2_op(rng, rings):
-    """Pushouts of inflations along arbitrary maps are inflations."""
-    inst = _light_instance(rng, rings)
-    rank = 1 if isinstance(inst, Graded) else 2
-    infl = random_std_conflation(inst, rng, max_len=2, max_rank=rank)
-    ok = ex2_op_pushout(infl, ex2_op_witness(infl, rng, max_rank=1))
-    return ok, "", ("pair", (infl.i, infl.p))
+    return prop
 
 
 # -- Frobenius property -----------------------------------------------------
@@ -241,8 +233,7 @@ def prop_env_cover_conflations(rng, rings):
 
 def prop_conflation_recognized(rng, rings):
     """Conjugated standard conflations pass the recognizer with a witness."""
-    inst = _light_instance(rng, rings)
-    defl = random_std_conflation(inst, rng, max_len=2, max_rank=1 if isinstance(inst, Graded) else 2)
+    defl = _light_conflation(rng, rings)
     i2, p2 = conjugate_pair(defl.i, defl.p, rng)
     ok = is_eta_conflation(i2, p2) is not None
     return ok, "", ("pair", (i2, p2))
@@ -487,10 +478,7 @@ def prop_serialize_roundtrip(rng, rings):
 
 PROPERTIES: Dict[str, Callable] = {
     "axiom-ex0": prop_axiom_ex0,
-    "axiom-ex1": prop_axiom_ex1,
-    "axiom-ex1-op": prop_axiom_ex1_op,
-    "axiom-ex2": prop_axiom_ex2,
-    "axiom-ex2-op": prop_axiom_ex2_op,
+    **{f"axiom-{name}": _axiom_property(name) for name in AXIOMS},
     "projective-lift": prop_projective_lift,
     "injective-extend": prop_injective_extend,
     "env-cover-conflations": prop_env_cover_conflations,

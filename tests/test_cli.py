@@ -5,7 +5,7 @@ import random
 import pytest
 
 from etacomplex.base import EtaPower, Graded, GradedMorphism, GradedObject, ScalarEta
-from etacomplex import cli
+from etacomplex import cli, complexes, suite
 from etacomplex.cli import main
 from etacomplex.complexes import (
     ChainMap,
@@ -344,8 +344,10 @@ class TestCheck:
         code, out = run(capsys, ["check", str(p), "--op", "axioms", "--seed", "2"])
         assert code == 0
         recs = records_of(out)
-        names = {r["check"] for r in recs}
-        assert {"axioms/ex0", "axioms/ex1", "axioms/ex1-op", "axioms/ex2", "axioms/ex2-op"} <= names
+        # recognition, (Ex0), then one record per closure axiom in table order
+        assert [r["check"] for r in recs] == \
+            ["axioms/recognized", "axioms/ex0"] + [f"axioms/{name}" for name in suite.AXIOMS]
+        assert list(suite.AXIOMS) == ["ex1", "ex1-op", "ex2", "ex2-op"]
         assert all(r["verdict"] == "PASS" for r in recs)
 
     def test_axioms_on_non_conflation(self, tmp_path, capsys):
@@ -806,6 +808,26 @@ class TestCheck:
         p = tmp_path / "pair.json"
         main(["gen", "--seed", "5", "--profile", "pair", "-o", str(p), "--ring", "Z/4"])
         assert main(["check", str(p), "--op", "frobnicate"]) == 2
+
+
+class TestAxiomTable:
+    def test_suite_runs_the_table_after_ex0(self):
+        names = list(suite.PROPERTIES)
+        at = names.index("axiom-ex0") + 1
+        assert names[at:at + len(suite.AXIOMS)] == [f"axiom-{name}" for name in suite.AXIOMS]
+
+    def test_checks_return_bools_that_catch_a_cone_sign_mutation(self, monkeypatch):
+        # with the cone differential's sign flipped, the (Ex1) block identities
+        # fail on some draws; a failing check returns False, never a truthy
+        # tuple and never an exception
+        monkeypatch.setattr(complexes, "_CONE_SIGN", 1)
+        failed = {}
+        for name in suite.AXIOMS:
+            prop = suite.PROPERTIES[f"axiom-{name}"]
+            results = [prop(suite.trial_rng(0, f"axiom-{name}", t), suite.RINGS)[0] for t in range(30)]
+            assert all(type(ok) is bool for ok in results), name
+            failed[name] = results.count(False)
+        assert failed["ex1"] > 0 and failed["ex1-op"] > 0, failed
 
 
 class TestSuiteCommand:
