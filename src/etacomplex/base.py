@@ -422,7 +422,10 @@ class Graded(BaseInstance):
     kind = "graded"
 
     def __init__(self, inner: BaseInstance):
-        if isinstance(inner, Graded):
+        base = inner
+        while isinstance(base, EtaPower):
+            base = base.inner
+        if isinstance(base, Graded):  # also not under an EtaPower
             raise ValueError("graded instances do not nest")
         self.inner = inner
         self.ring = inner.ring

@@ -35,7 +35,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .base import BaseInstance
+from .base import BaseInstance, Graded, GradedMorphism
 from .linalg import _solve
 
 # Mutation knob (see the suite's sensitivity property): the sign on the
@@ -662,6 +662,8 @@ def _one_sided_inverses(i: ChainMap, p: ChainMap, degs: List[int]) -> Optional[D
     """SOME {("r", n): r^n, ("q", n): q0^n} with r^n i^n = Id and p^n q0^n = Id
     at every degree n of degs, posed as one system; else NONE."""
     inst = i.instance
+    if type(inst) is Graded:
+        return _graded_one_sided_inverses(i, p, degs)
     X, Y, Z = i.source, i.target, p.target
     prob = LinearProblem(inst)
     for n in degs:
@@ -676,6 +678,101 @@ def _one_sided_inverses(i: ChainMap, p: ChainMap, degs: List[int]) -> Optional[D
     return prob.solve()
 
 
+# -- the degree-0 route over Graded ----------------------------------------
+#
+# The degree-0 part of a graded morphism, its level-0 blocks
+# f_0^j: X^j -> Y^j, composes on its own: (g f)_0^j = g_0^j f_0^j.  So
+# r i = Id holds on level 0 exactly when r_0^j i_0^j = Id grade by grade,
+# and the systems below are posed over the inner instance, one unknown per
+# degree and grade.
+
+
+def _level0(f, j):
+    """The level-0 block f_0^j of a graded morphism f, None where f or the
+    block is absent (zero)."""
+    return None if f is None else f.components.get((0, j))
+
+
+def _sum_products(pairs):
+    """The sum of the products a b over pairs (a, b) of matrices, skipping a
+    pair with an absent (None) factor; None if no product is left."""
+    s = None
+    for a, b in pairs:
+        if a is not None and b is not None:
+            s = a @ b if s is None else s + a @ b
+    return s
+
+
+def _graded_left_inverse(f, r0: Dict[int, object]):
+    """The left inverse r of the graded f: X -> Y with level 0 r0 = {j: r_0^j},
+    r_0^j f_0^j = Id.  Level by level, r_k^j = -(sum_{b=1..k} r_{k-b}^{j+b} f_b^j) r_0^j,
+    so that (r f)_k^j = r_k^j f_0^j + sum_b r_{k-b}^{j+b} f_b^j vanishes for k >= 1."""
+    X, Y, fc = f.source, f.target, f.components
+    r = {(0, j): m for j, m in r0.items()}
+    top = X.support[-1] - Y.support[0] if r0 else 0  # the highest level of Hom(Y, X)
+    for k in range(1, top + 1):
+        for j, m0 in r0.items():
+            s = _sum_products((r.get((k - b, j + b)), fc.get((b, j))) for b in range(1, k + 1))
+            if s is not None:
+                s = s @ m0
+                if not s.is_zero():
+                    r[(k, j)] = -s
+    return GradedMorphism._trusted(Y, X, r)
+
+
+def _graded_right_inverse(f, q0: Dict[int, object]):
+    """The right inverse q of the graded f: Y -> Z with level 0 q0 = {j: q_0^j},
+    f_0^j q_0^j = Id.  Level by level, q_k^j = -q_0^{j+k} sum_{b<k} f_{k-b}^{j+b} q_b^j."""
+    Y, Z, fc = f.source, f.target, f.components
+    q = {(0, j): m for j, m in q0.items()}
+    top = Y.support[-1] - Z.support[0] if q0 else 0  # the highest level of Hom(Z, Y)
+    for k in range(1, top + 1):
+        for j in Z.support:
+            m0 = q0.get(j + k)
+            s = None if m0 is None else _sum_products((fc.get((k - b, j + b)), q.get((b, j))) for b in range(k))
+            if s is not None:
+                s = m0 @ s
+                if not s.is_zero():
+                    q[(k, j)] = -s
+    return GradedMorphism._trusted(Z, Y, q)
+
+
+def _graded_one_sided_inverses(i: ChainMap, p: ChainMap, degs: List[int]) -> Optional[Dict]:
+    """``_one_sided_inverses`` over ``Graded``.  A graded morphism has a left
+    (right) inverse iff each of its level-0 blocks does, so only
+    r_0^j i_0^j = Id and p_0^j q_0^j = Id are posed, for every degree and
+    grade in one system over the inner instance; the higher levels of r and
+    q0 follow by products."""
+    inst = i.instance
+    inner = inst.inner
+    X, Y, Z = i.source, i.target, p.target
+    prob = LinearProblem(inner)
+    for n in degs:
+        Xn, Yn, Zn = X.obj(n), Y.obj(n), Z.obj(n)
+        # an absent block leaves its equation no term, and the system no solution
+        for j in Xn.support:
+            b, c = _level0(i.components.get(n), j), Xn.rank(j)
+            if b is not None:
+                prob.add_unknown(("r", n, j), Yn.rank(j), c)
+            prob.add_equation(c, c, [] if b is None else [(("r", n, j), None, b, 1)], inner.id_mor(c))
+        for j in Zn.support:
+            b, c = _level0(p.components.get(n), j), Zn.rank(j)
+            if b is not None:
+                prob.add_unknown(("q", n, j), c, Yn.rank(j))
+            prob.add_equation(c, c, [] if b is None else [(("q", n, j), b, None, 1)], inner.id_mor(c))
+    sol = prob.solve()
+    if sol is None:
+        return None
+    level0: Dict[Tuple[str, int], Dict[int, object]] = {}  # (key, n) -> {j: r_0^j or q_0^j}
+    for (key, n, j), m in sol.items():
+        level0.setdefault((key, n), {})[j] = m
+    out = {}
+    for n in degs:
+        out[("r", n)] = _graded_left_inverse(i.component(n), level0.get(("r", n), {}))
+        out[("q", n)] = _graded_right_inverse(p.component(n), level0.get(("q", n), {}))
+    return out
+
+
 def normalize_exact_pair(i: ChainMap, p: ChainMap) -> ExactPair:
     """Find degreewise splittings of X ->i Y ->p Z and the invariant h.
 
@@ -687,7 +784,11 @@ def normalize_exact_pair(i: ChainMap, p: ChainMap) -> ExactPair:
     Over ``Graded`` the rank check compares grade by grade, as an
     isomorphism forces through its degree-0 part; the matrices above are
     then square in total coordinates.  So r and q0 are found for all degrees
-    in one system, with no Y x Y equation.
+    in one system, with no Y x Y equation.  Over ``Graded`` that system is
+    posed on the degree-0 blocks alone, r_0^j i_0^j = Id and
+    p_0^j q_0^j = Id grade by grade, since a graded morphism has a one-sided
+    inverse iff its degree-0 part does; the higher components follow by
+    products (``_graded_left_inverse``, ``_graded_right_inverse``).
 
     Raises NotChainwiseSplit at the least degree where p i != 0, else at the
     least degree where the rank check or an inverse fails.

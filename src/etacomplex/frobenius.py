@@ -5,20 +5,28 @@ h: Z[-1] -> X factors through eta_X: X(1) -> X.  Projective = injective
 objects are the cones cone(eta_V); both lifting problems have closed-form
 block solutions which are constructed (and re-validated) here, together
 with the standard triangles of the stable category and the eta^m towers.
+
+Over ``Graded`` eta is t, identity blocks one level up, and so a
+monomorphism: a map factors through it iff its degree-0 part vanishes.
+Recognition there poses only h_0 + d_0 t_0 + t_0 d_0 = 0 for a degree-0
+t_0, over the inner instance, and the factor is the rest moved down a level.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .base import BaseInstance, EtaPower
+from .base import BaseInstance, EtaPower, Graded, GradedMorphism
 from .complexes import (
     ChainMap,
     Complex,
     ExactPair,
     HomotopyCertificate,
     LinearProblem,
+    _add,
+    _compose,
     _homotopy,
+    _level0,
     add_family,
     apply_auto,
     apply_auto_map,
@@ -72,8 +80,15 @@ class EtaConflation:
 def _factor_through_eta(h: ChainMap, up_to_homotopy: bool):
     """Solve eta_X a^n - d_X^{n-1} t^n - t^{n+1} d_W^n = h^n for a chain map
     a: W -> X(1) and, when up_to_homotopy, a homotopy t^n: W^n -> X^{n-1}
-    (else t = 0).  Returns (a, t) or None."""
+    (else t = 0).  Returns (a, t) or None.
+
+    Over ``Graded`` eta is t, a monomorphism, and phi = h + d t + t d
+    factors through it iff its level 0 vanishes; a is then phi moved down
+    one level.  So only the level-0 equations h_0 + d_0 t_0 + t_0 d_0 = 0
+    are posed, with t above level 0 left zero (``_graded_factor``)."""
     inst = h.instance
+    if type(inst) is Graded:
+        return _graded_factor(h, up_to_homotopy)
     W, X = h.source, h.target
     X1 = apply_auto(X, 1)
     prob = LinearProblem(inst)
@@ -88,6 +103,58 @@ def _factor_through_eta(h: ChainMap, up_to_homotopy: bool):
     if sol is None:
         return None
     return solution_chain_map(sol, "a", a_degs, W, X1), {n: sol[("t", n)] for n in t_degs}
+
+
+def _graded_factor(h: ChainMap, up_to_homotopy: bool):
+    """``_factor_through_eta`` over ``Graded``: t_0^{n,j}: W^{n,j} -> X^{n-1,j}
+    solves -d_0 t_0 - t_0 d_0 = h_0 grade by grade over the inner instance
+    (nothing is posed without up_to_homotopy, and then h_0 must be 0), and
+    a_k^j = phi_{k+1}^j for phi = h + d t + t d.  eta a = phi, and a is a
+    chain map because eta is mono and phi is one."""
+    inst = h.instance
+    W, X = h.source, h.target
+    dw, dx = W.diffs, X.diffs
+    t: Dict[int, object] = {}
+    if up_to_homotopy:
+        inner = inst.inner
+        prob = LinearProblem(inner)
+        for n in W.support:
+            Xm = X.obj(n - 1)
+            for j in W.objects[n].support:
+                if Xm.rank(j):
+                    prob.add_unknown(("t", n, j), W.objects[n].rank(j), Xm.rank(j))
+        for n in W.support:
+            Xn = X.obj(n)
+            for j in W.objects[n].support:
+                if not Xn.rank(j):
+                    continue
+                terms = []
+                d = _level0(dx.get(n - 1), j)
+                if d is not None and ("t", n, j) in prob.unknowns:
+                    terms.append((("t", n, j), d, None, -1))
+                d = _level0(dw.get(n), j)
+                if d is not None and ("t", n + 1, j) in prob.unknowns:
+                    terms.append((("t", n + 1, j), None, d, -1))
+                prob.add_equation(W.objects[n].rank(j), Xn.rank(j), terms, _level0(h.components.get(n), j))
+        sol = prob.solve()
+        if sol is None:
+            return None
+        blocks: Dict[int, Dict] = {}
+        for (_, n, j), m in sol.items():
+            if not m.is_zero():
+                blocks.setdefault(n, {})[(0, j)] = m
+        t = {n: GradedMorphism._trusted(W.objects[n], X.objects[n - 1], c) for n, c in blocks.items()}
+    elif any(k == 0 for f in h.components.values() for k, _ in f.components):
+        return None
+    X1 = apply_auto(X, 1)
+    a = {}
+    for n in W.support:
+        phi = _add(inst, _add(inst, h.components.get(n), _compose(inst, dx.get(n - 1), t.get(n))),
+                   _compose(inst, t.get(n + 1), dw.get(n)))
+        if phi is not None:  # phi_0 = 0, and phi_{k+1}^j is a_k^j
+            a[n] = GradedMorphism._trusted(W.objects[n], X1.obj(n),
+                                           {(k - 1, j): m for (k, j), m in phi.components.items() if k})
+    return ChainMap(W, X1, a), t
 
 
 def factor_through_eta(h: ChainMap) -> Optional[ChainMap]:

@@ -388,8 +388,18 @@ class TestEtaPower:
 
 class TestSerialization:
     def test_instance_round_trip(self):
-        for inst in (ScalarEta(Zmod(4), 2), Graded(ScalarEta(GF(5), 0))):
+        for inst in (ScalarEta(Zmod(4), 2), Graded(ScalarEta(GF(5), 0)), Graded(EtaPower(ScalarEta(ZZ, 2), 2))):
             assert instance_from_json(inst.to_json()) == inst
+
+    def test_graded_does_not_nest_under_eta_power(self):
+        """Graded's level-0 systems are posed over its inner instance, whose
+        objects must be ranks; a graded inner is rejected, also under EtaPower."""
+        graded = Graded(ScalarEta(GF(5), 1))
+        for inner in (graded, EtaPower(graded, 2), EtaPower(EtaPower(graded, 1), 3)):
+            with pytest.raises(ValueError, match="do not nest"):
+                Graded(inner)
+            with pytest.raises(ValueError, match="do not nest"):
+                instance_from_json({"kind": "graded", "inner": inner.to_json()})
 
 
 class TestTrustedConstruction:

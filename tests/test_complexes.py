@@ -927,6 +927,56 @@ def ref_factors_through_env_problem(f):
     return prob
 
 
+# Over Graded the conflation systems are posed on level 0 only, over the
+# inner instance: one unknown per degree and grade, written here from the
+# level-0 blocks f.component(n).component(0, j) (a zero block where absent).
+
+
+def ref_level0_split_problem(i, p):
+    """r_0^{n,j} i_0^{n,j} = Id and p_0^{n,j} q_0^{n,j} = Id, degree by
+    degree and grade by grade, for a pair that splits."""
+    inst = i.instance
+    ring = inst.ring
+    X, Y, Z = i.source, i.target, p.target
+    prob = LinearProblem(inst.inner)
+    for n in sorted(set(Y.objects) | set(X.objects) | set(Z.objects)):
+        y = Y.obj(n)
+        for j in sorted(X.obj(n).ranks):
+            c = X.obj(n).rank(j)
+            prob.add_unknown(("r", n, j), y.rank(j), c)
+            prob.add_equation(c, c, [(("r", n, j), None, i.component(n).component(0, j, ring), 1)],
+                              RingMatrix.identity(ring, c))
+        for j in sorted(Z.obj(n).ranks):
+            c = Z.obj(n).rank(j)
+            prob.add_unknown(("q", n, j), c, y.rank(j))
+            prob.add_equation(c, c, [(("q", n, j), p.component(n).component(0, j, ring), None, 1)],
+                              RingMatrix.identity(ring, c))
+    return prob
+
+
+def ref_level0_factor_problem(h):
+    """h_0^{n,j} + d_0 t_0^{n,j} + t_0^{n+1,j} d_0 = 0 in the unknowns
+    t_0^{n,j}: W^{n,j} -> X^{n-1,j}, for h: W -> X."""
+    inst = h.instance
+    ring = inst.ring
+    W, X = h.source, h.target
+    prob = LinearProblem(inst.inner)
+    slots = [(n, j) for n in sorted(W.objects) for j in sorted(W.obj(n).ranks)]
+    for n, j in slots:
+        if X.obj(n - 1).rank(j):
+            prob.add_unknown(("t", n, j), W.obj(n).rank(j), X.obj(n - 1).rank(j))
+    for n, j in slots:
+        if not X.obj(n).rank(j):
+            continue
+        terms = []
+        if ("t", n, j) in prob.unknowns:
+            terms.append((("t", n, j), X.diff(n - 1).component(0, j, ring), None, -1))
+        if ("t", n + 1, j) in prob.unknowns:
+            terms.append((("t", n + 1, j), None, W.diff(n).component(0, j, ring), -1))
+        prob.add_equation(W.obj(n).rank(j), X.obj(n).rank(j), terms, h.component(n).component(0, j, ring))
+    return prob
+
+
 FAMILY_RINGS = [ZZ, Zmod(8), Zmod(9), GF(5), QQ]
 
 
@@ -959,15 +1009,42 @@ class TestFamilyWriterOracle:
                 seen.add(f"{what} rhs")
             seen.add(f"{what} {'NONE' if out is None else 'SOME'}")
 
+        def same_level0(run, refs, kron, what):
+            """Over Graded: run() poses exactly the level-0 systems refs, in
+            order, and its verdict is the one of the Kronecker system kron,
+            whose unknowns and rhs ``seen`` records."""
+            solved.clear()
+            out = run()
+            posed = list(solved)
+            assert len(posed) == len(refs), what
+            for k, (prob, ref) in enumerate(zip(posed, refs)):
+                assert list(prob.unknowns) == list(ref.unknowns), what
+                coeffs, rhs = dense_build(prob)
+                assert (coeffs, rhs) == dense_build(ref), what
+                if any(coeffs.entries):
+                    seen.add(f"{what} level-0 system {k} unknowns")
+                if any(rhs.entries):
+                    seen.add(f"{what} level-0 system {k} rhs")
+            assert (out is None) == (kron.solve() is None), what
+            coeffs, rhs = dense_build(kron)
+            if coeffs.cols and any(coeffs.entries):
+                seen.add(f"{what} unknowns")
+            if any(rhs.entries):
+                seen.add(f"{what} rhs")
+            seen.add(f"{what} {'NONE' if out is None else 'SOME'}")
+
         for ring in FAMILY_RINGS:
             inst = Graded(ScalarEta(ring, ring.one())) if graded else ScalarEta(ring, ring.canon(2))
-            self._compare_builders(inst, random.Random(61), same)
+            self._compare_builders(inst, random.Random(61), same, same_level0)
         for what in ("homotopic", "eta", "env", "conflation", "factor"):
             assert {f"{what} unknowns", f"{what} rhs"} <= seen, (what, seen)
         assert {"eta SOME", "eta NONE", "conflation SOME", "conflation NONE"} <= seen, seen
+        if graded:
+            level0 = {f"conflation level-0 system {k} {x}" for k in (0, 1) for x in ("unknowns", "rhs")}
+            assert level0 | {"factor SOME", "factor NONE"} <= seen, seen
 
     @staticmethod
-    def _compare_builders(inst, rng, same):
+    def _compare_builders(inst, rng, same, same_level0):
         for _ in range(12):
             a = random_complex(inst, rng)
             b = random_complex(inst, rng)
@@ -983,6 +1060,15 @@ class TestFamilyWriterOracle:
             if rng.random() < 0.5:
                 defl = random_std_conflation(inst, rng)
                 i, p = conjugate_pair(defl.i, defl.p, rng)
+            if type(inst) is Graded:
+                # the cone pair of f too, whose invariant has level-0 blocks more often
+                for i, p in ((i, p), cone(f)[1:]):
+                    h = normalize_exact_pair(i, p).h
+                    same_level0(lambda: is_eta_conflation(i, p),
+                                [ref_level0_split_problem(i, p), ref_level0_factor_problem(h)],
+                                ref_is_eta_conflation_problem(i, p), "conflation")
+                    same_level0(lambda: factor_through_eta(h), [], ref_factor_through_eta_problem(h), "factor")
+                continue
             same(lambda: is_eta_conflation(i, p), ref_is_eta_conflation_problem(i, p), "conflation")
             h = normalize_exact_pair(i, p).h
             same(lambda: factor_through_eta(h), ref_factor_through_eta_problem(h), "factor")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from etacomplex import frobenius
+from etacomplex import complexes as complexes_mod, frobenius
 from etacomplex.base import EtaPower, Graded, GradedMorphism, GradedObject, ScalarEta
 from etacomplex.complexes import (
     ChainMap,
@@ -500,3 +500,116 @@ class TestRationalGradedWitness:
                     s = dict(cert.s)
                     s[n] = GradedMorphism(m.source, m.target, comps)
                     assert not HomotopyCertificate(s, True).validate(f, g)
+
+
+# -- the degree-0 route over Graded -----------------------------------------
+
+
+LEVEL0_RINGS = [ZZ, Zmod(4), Zmod(8), Zmod(9), Zmod(12), GF(5), QQ]
+
+
+class TestLevel0Route:
+    """``is_eta_conflation`` and ``factor_through_eta`` over ``Graded`` split
+    and factor on level 0 alone; the Kronecker route decides the same."""
+
+    @pytest.mark.parametrize("ring", LEVEL0_RINGS, ids=str)
+    def test_verdicts_match_the_kronecker_route(self, ring):
+        inst = Graded(ScalarEta(ring, 1))
+        # the same category and eta behind an instance that is not Graded, so
+        # its systems are posed in Kronecker form over every level
+        kron = EtaPower(inst, 1)
+        rng = random.Random(29)
+        seen = {"SOME": 0, "SOME, not strict": 0, "NONE": 0}
+        for k in range(90):  # 30 each of split pairs, standard conflations and cones
+            if k % 3 == 0:
+                i, p = random_split_pair(inst, rng)
+            elif k % 3 == 1:
+                defl = random_std_conflation(inst, rng)
+                i, p = conjugate_pair(defl.i, defl.p, rng)
+            else:
+                f = random_chain_map(random_complex(inst, rng), random_complex(inst, rng), rng)
+                i, p = conjugate_pair(*cone(f)[1:], rng)
+            conf = is_eta_conflation(i, p)
+            ki, kp = frobenius.reinstance_chain_map(i, kron), frobenius.reinstance_chain_map(p, kron)
+            assert (conf is None) == (is_eta_conflation(ki, kp) is None), (ring, k)
+            h = normalize_exact_pair(i, p).h
+            strict = factor_through_eta(h)
+            assert (strict is None) == (factor_through_eta(frobenius.reinstance_chain_map(h, kron)) is None)
+            assert strict is None or conf is not None
+            seen["NONE" if conf is None else "SOME" if strict is not None else "SOME, not strict"] += 1
+        assert min(seen.values()) >= 1, seen
+
+    @staticmethod
+    def two_level_pair():
+        """X = Z = {0: 1, 1: 1} and Y = X (+) Z grade by grade, in degree 0;
+        i and p are the summand maps plus i_1^0: X^0 -> X^1 and
+        p_1^0: Z^0 -> Z^1 one level up, so p i = 0, and r_1 and q_1 are
+        forced nonzero."""
+        ring = GF(5)
+        inst = Graded(ScalarEta(ring, 1))
+        V, Y2 = GradedObject({0: 1, 1: 1}), GradedObject({0: 2, 1: 2})
+        m = lambda *rows: RingMatrix.from_rows(ring, list(rows))
+        i0 = GradedMorphism(V, Y2, {(0, 0): m([1], [0]), (0, 1): m([1], [0]), (1, 0): m([1], [0])})
+        p0 = GradedMorphism(Y2, V, {(0, 0): m([0, 1]), (0, 1): m([0, 1]), (1, 0): m([0, 1])})
+        x, y = Complex(inst, {0: V}, {}), Complex(inst, {0: Y2}, {})
+        return ChainMap(x, y, {0: i0}), ChainMap(y, x, {0: p0})
+
+    def test_higher_levels_of_the_inverses(self):
+        i, p = self.two_level_pair()
+        inst = i.instance
+        sol = complexes_mod._one_sided_inverses(i, p, [0])
+        r, q0 = sol[("r", 0)], sol[("q", 0)]
+        assert (1, 0) in r.components and (1, 0) in q0.components
+        V = i.source.obj(0)
+        assert inst.compose(r, i.components[0]) == inst.id_mor(V)
+        assert inst.compose(p.components[0], q0) == inst.id_mor(V)
+        pair = normalize_exact_pair(i, p)
+        assert inst.compose(pair.r[0], i.components[0]) == inst.id_mor(V)
+
+    @staticmethod
+    def cone_pair(f):
+        _, inj, proj = cone(f)
+        return inj, proj
+
+    def test_level0_zero_factors_with_t_zero(self):
+        """h = eta_X: X(1) -> X for a stalk X: h_0 = 0, h_1 = Id."""
+        inst = Graded(ScalarEta(GF(5), 1))
+        X = Complex(inst, {0: GradedObject({0: 1, 1: 2})}, {})
+        i, p = self.cone_pair(eta_chain_map(X))
+        h = normalize_exact_pair(i, p).h
+        assert all(k for k, _ in h.components[0].components) and h.components[0].components
+        conf = is_eta_conflation(i, p)
+        assert conf is not None and all(inst.mor_is_zero(m) for m in conf.t.values())
+        assert conf.h_tilde() == h
+        assert factor_through_eta(h) == conf.alpha
+
+    @staticmethod
+    def null_on_level0():
+        """f^0 = Id + eta from the stalk V in degree 0 into the disk V -Id-> V
+        in degrees -1, 0: its level 0 is d s with s^0 = Id, so it is
+        null-homotopic there but not 0."""
+        inst = Graded(ScalarEta(QQ, 1))
+        V = GradedObject({0: 1, 1: 1})
+        X = Complex(inst, {0: V}, {})
+        Y = Complex(inst, {-1: V, 0: V}, {-1: inst.id_mor(V)})
+        eta = GradedMorphism(V, V, {(1, 0): RingMatrix.identity(QQ, 1)})
+        return ChainMap(X, Y, {0: inst.hom_add(inst.id_mor(V), eta)})
+
+    def test_level0_null_homotopic_factors_up_to_homotopy(self):
+        i, p = self.cone_pair(self.null_on_level0())
+        inst = i.instance
+        h = normalize_exact_pair(i, p).h
+        assert any(k == 0 for k, _ in h.components[0].components)
+        assert factor_through_eta(h) is None
+        conf = is_eta_conflation(i, p)
+        assert conf is not None and not all(inst.mor_is_zero(m) for m in conf.t.values())
+        assert HomotopyCertificate(conf.t).validate(conf.h_tilde(), h)
+
+    def test_level0_not_null_homotopic_is_none(self):
+        """Id of a stalk: h_0 = Id, and a stalk has no homotopy."""
+        inst = Graded(ScalarEta(QQ, 1))
+        X = Complex(inst, {0: GradedObject({0: 1, 2: 1})}, {})
+        i, p = self.cone_pair(id_chain_map(X))
+        h = normalize_exact_pair(i, p).h
+        assert factor_through_eta(h) is None
+        assert is_eta_conflation(i, p) is None
