@@ -703,23 +703,6 @@ def _sum_products(pairs):
     return s
 
 
-def _graded_left_inverse(f, r0: Dict[int, object]):
-    """The left inverse r of the graded f: X -> Y with level 0 r0 = {j: r_0^j},
-    r_0^j f_0^j = Id.  Level by level, r_k^j = -(sum_{b=1..k} r_{k-b}^{j+b} f_b^j) r_0^j,
-    so that (r f)_k^j = r_k^j f_0^j + sum_b r_{k-b}^{j+b} f_b^j vanishes for k >= 1."""
-    X, Y, fc = f.source, f.target, f.components
-    r = {(0, j): m for j, m in r0.items()}
-    top = X.support[-1] - Y.support[0] if r0 else 0  # the highest level of Hom(Y, X)
-    for k in range(1, top + 1):
-        for j, m0 in r0.items():
-            s = _sum_products((r.get((k - b, j + b)), fc.get((b, j))) for b in range(1, k + 1))
-            if s is not None:
-                s = s @ m0
-                if not s.is_zero():
-                    r[(k, j)] = -s
-    return GradedMorphism._trusted(Y, X, r)
-
-
 def _graded_right_inverse(f, q0: Dict[int, object]):
     """The right inverse q of the graded f: Y -> Z with level 0 q0 = {j: q_0^j},
     f_0^j q_0^j = Id.  Level by level, q_k^j = -q_0^{j+k} sum_{b<k} f_{k-b}^{j+b} q_b^j."""
@@ -741,8 +724,9 @@ def _graded_one_sided_inverses(i: ChainMap, p: ChainMap, degs: List[int]) -> Opt
     """``_one_sided_inverses`` over ``Graded``.  A graded morphism has a left
     (right) inverse iff each of its level-0 blocks does, so only
     r_0^j i_0^j = Id and p_0^j q_0^j = Id are posed, for every degree and
-    grade in one system over the inner instance; the higher levels of r and
-    q0 follow by products."""
+    grade in one system over the inner instance.  The higher levels follow
+    from ``_graded_right_inverse``: q0 directly, and r = (r0 i)^{-1} r0 for
+    the level-0 part r0 of r, as r0 i is Id on level 0."""
     inst = i.instance
     inner = inst.inner
     X, Y, Z = i.source, i.target, p.target
@@ -768,7 +752,12 @@ def _graded_one_sided_inverses(i: ChainMap, p: ChainMap, degs: List[int]) -> Opt
         level0.setdefault((key, n), {})[j] = m
     out = {}
     for n in degs:
-        out[("r", n)] = _graded_left_inverse(i.component(n), level0.get(("r", n), {}))
+        i_n = i.component(n)
+        r0 = GradedMorphism._trusted(i_n.target, i_n.source,
+                                     {(0, j): m for j, m in level0.get(("r", n), {}).items()})
+        r0i = inst.compose(r0, i_n)
+        ids = {j: inner.id_mor(c) for j, c in r0i.source.ranks.items()}
+        out[("r", n)] = inst.compose(_graded_right_inverse(r0i, ids), r0)
         out[("q", n)] = _graded_right_inverse(p.component(n), level0.get(("q", n), {}))
     return out
 
@@ -787,8 +776,8 @@ def normalize_exact_pair(i: ChainMap, p: ChainMap) -> ExactPair:
     in one system, with no Y x Y equation.  Over ``Graded`` that system is
     posed on the degree-0 blocks alone, r_0^j i_0^j = Id and
     p_0^j q_0^j = Id grade by grade, since a graded morphism has a one-sided
-    inverse iff its degree-0 part does; the higher components follow by
-    products (``_graded_left_inverse``, ``_graded_right_inverse``).
+    inverse iff its degree-0 part does; the higher components follow from
+    ``_graded_right_inverse`` (see ``_graded_one_sided_inverses``).
 
     Raises NotChainwiseSplit at the least degree where p i != 0, else at the
     least degree where the rank check or an inverse fails.

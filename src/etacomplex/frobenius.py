@@ -44,6 +44,7 @@ from .complexes import (
     shift_complex,
     solution_chain_map,
     validate_chain_map,
+    validate_complex,
     verify,
     zero_chain_map,
 )
@@ -476,8 +477,8 @@ def ex2_pullback(defl: StandardConflation, h: ChainMap) -> bool:
     """Pullback of the deflation p: cone(f) -> Z along h: Z' -> Z.
 
     Built as cone(f h[-1]) -> Z' with the square maps (1, 0) and
-    [[h, 0], [0, Id]]; checks the square commutes and the pullback pair is
-    an eta-conflation.
+    [[h, 0], [0, Id]]; checks the cone is a complex, the square commutes and
+    the pullback pair is an eta-conflation.
     """
     inst = defl.instance
     X, Z, alpha = defl.X, defl.Z, defl.alpha
@@ -492,7 +493,7 @@ def ex2_pullback(defl: StandardConflation, h: ChainMap) -> bool:
                       [Z.obj(n), X.obj(n)], [Zp.obj(n), X.obj(n)])
         for n in sorted(set(pull.middle.objects) | set(defl.middle.objects))
     })
-    if not validate_chain_map(mid):
+    if not (validate_complex(pull.middle) and validate_chain_map(mid)):
         return False
     if compose_chain_maps(defl.p, mid) != compose_chain_maps(h, pull.p):
         return False
@@ -526,7 +527,8 @@ def ex1_op_composite(infl1: StandardConflation, gamma: ChainMap) -> bool:
 
 
 def ex2_op_pushout(infl: StandardConflation, h: ChainMap) -> bool:
-    """Pushout of the inflation i: X -> cone(f) along h: X -> X'."""
+    """Pushout of the inflation i: X -> cone(f) along h: X -> X'; checks the
+    cone is a complex, the square commutes and the pair is an eta-conflation."""
     inst = infl.instance
     X, Z, alpha = infl.X, infl.Z, infl.alpha
     Xp = h.target
@@ -537,7 +539,7 @@ def ex2_op_pushout(infl: StandardConflation, h: ChainMap) -> bool:
                       [Z.obj(n), Xp.obj(n)], [Z.obj(n), X.obj(n)])
         for n in sorted(set(infl.middle.objects) | set(push.middle.objects))
     })
-    if not validate_chain_map(mid):
+    if not (validate_complex(push.middle) and validate_chain_map(mid)):
         return False
     if compose_chain_maps(mid, infl.i) != compose_chain_maps(push.i, h):
         return False

@@ -28,6 +28,8 @@ from .complexes import (
     ChainMap,
     Complex,
     LinearProblem,
+    _graded_right_inverse,
+    _sum_products,
     apply_auto,
     block_sum,
     chain_map_problem,
@@ -97,20 +99,7 @@ def random_graded_automorphism(inst: Graded, X: GradedObject, rng: random.Random
                 ring, r, c, [rng.randint(-2, 2) for _ in range(r * c)]
             )
     u = GradedMorphism(X, X, comps)
-    # invert recursively: v_0 = u_0^{-1}; u_0^{j+n} v_n^j = -sum_{q<n} u_{n-q}^{j+q} v_q^j
-    inv_comps: Dict[Tuple[int, int], RingMatrix] = {(0, j): u0[j][1] for j in X.ranks}
-    for (n, j) in sorted(inst._slots(X, X)):
-        if n == 0:
-            continue
-        acc = None
-        for q in range(n):
-            uq, vq = u.components.get((n - q, j + q)), inv_comps.get((q, j))
-            if uq is not None and vq is not None:  # an absent one is zero
-                acc = uq @ vq if acc is None else acc + uq @ vq
-        if acc is not None and not acc.is_zero():  # then so is v_n^j, an invertible matrix times acc
-            inv_comps[(n, j)] = -(u0[j + n][1] @ acc)
-    v = GradedMorphism(X, X, inv_comps)
-    return u, v
+    return u, _graded_right_inverse(u, {j: u0[j][1] for j in X.ranks})
 
 
 def random_automorphism(inst: BaseInstance, X, rng: random.Random):
@@ -244,15 +233,9 @@ def _kernel_draw(prob: LinearProblem, rng: random.Random) -> Optional[Dict]:
         c = inst.ring.canon(rng.randint(-2, 2))
         if c == inst.ring.zero():
             continue
-        scaled = {k: _scale_mor(v, c) for k, v in g.items()}
+        scaled = {k: inst.hom_scale(v, c) for k, v in g.items()}
         total = scaled if total is None else {k: inst.hom_add(total[k], scaled[k]) for k in total}
     return total
-
-
-def _scale_mor(f, c):
-    if isinstance(f, RingMatrix):
-        return f.scale(c)
-    return GradedMorphism(f.source, f.target, {k: m.scale(c) for k, m in f.components.items()})
 
 
 def random_chain_map(A: Complex, B: Complex, rng: random.Random) -> ChainMap:
@@ -459,10 +442,7 @@ def columnwise_null_delta_map(X, Y, rng: random.Random):
     for (i, j) in X.positions:
         if not Y.rank(i, j):
             continue
-        m = None
-        for a, b in ((sigma.get((i, j + 1)), d1x.get((i, j))), (d1y.get((i, j - 1)), sigma.get((i, j)))):
-            if a is not None and b is not None:  # an absent block is zero, and so is its term
-                m = a @ b if m is None else m + a @ b
+        m = _sum_products(((sigma.get((i, j + 1)), d1x.get((i, j))), (d1y.get((i, j - 1)), sigma.get((i, j)))))
         if m is not None and not m.is_zero():
             comps[(i, j)] = m
     return DeltaMap(X, Y, comps)

@@ -47,6 +47,7 @@ from etacomplex.frobenius import (
 )
 from etacomplex.generators import (
     conjugate_pair,
+    random_automorphism,
     random_chain_map,
     random_complex,
     random_split_pair,
@@ -1072,3 +1073,105 @@ class TestFamilyWriterOracle:
             same(lambda: is_eta_conflation(i, p), ref_is_eta_conflation_problem(i, p), "conflation")
             h = normalize_exact_pair(i, p).h
             same(lambda: factor_through_eta(h), ref_factor_through_eta_problem(h), "factor")
+
+
+# -- the graded level recurrences, as written before r became (r0 i)^{-1} r0 --
+
+
+def ref_left(f, r0):
+    """The left inverse r of the graded f: X -> Y with level 0 r0 = {j: r_0^j},
+    r_0^j f_0^j = Id.  Level by level, r_k^j = -(sum_{b=1..k} r_{k-b}^{j+b} f_b^j) r_0^j,
+    so that (r f)_k^j = r_k^j f_0^j + sum_b r_{k-b}^{j+b} f_b^j vanishes for k >= 1."""
+    X, Y, fc = f.source, f.target, f.components
+    r = {(0, j): m for j, m in r0.items()}
+    top = X.support[-1] - Y.support[0] if r0 else 0  # the highest level of Hom(Y, X)
+    for k in range(1, top + 1):
+        for j, m0 in r0.items():
+            s = complexes._sum_products((r.get((k - b, j + b)), fc.get((b, j))) for b in range(1, k + 1))
+            if s is not None:
+                s = s @ m0
+                if not s.is_zero():
+                    r[(k, j)] = -s
+    return GradedMorphism._trusted(Y, X, r)
+
+
+def ref_right(f, q0):
+    """The right inverse q of the graded f: Y -> Z with level 0 q0 = {j: q_0^j},
+    f_0^j q_0^j = Id.  Level by level, q_k^j = -q_0^{j+k} sum_{b<k} f_{k-b}^{j+b} q_b^j."""
+    Y, Z, fc = f.source, f.target, f.components
+    q = {(0, j): m for j, m in q0.items()}
+    top = Y.support[-1] - Z.support[0] if q0 else 0  # the highest level of Hom(Z, Y)
+    for k in range(1, top + 1):
+        for j in Z.support:
+            m0 = q0.get(j + k)
+            s = None if m0 is None else complexes._sum_products((fc.get((k - b, j + b)), q.get((b, j))) for b in range(k))
+            if s is not None:
+                s = m0 @ s
+                if not s.is_zero():
+                    q[(k, j)] = -s
+    return GradedMorphism._trusted(Z, Y, q)
+
+
+def ref_automorphism_inverse(inst, X, u, u0_inv):
+    """The inverse of the graded automorphism u of X from the inverses
+    u0_inv = {j: (u_0^j)^{-1}} of its level-0 blocks, by the generator's loop."""
+    # invert recursively: v_0 = u_0^{-1}; u_0^{j+n} v_n^j = -sum_{q<n} u_{n-q}^{j+q} v_q^j
+    inv_comps = {(0, j): u0_inv[j] for j in X.ranks}
+    for (n, j) in sorted(inst._slots(X, X)):
+        if n == 0:
+            continue
+        acc = None
+        for q in range(n):
+            uq, vq = u.components.get((n - q, j + q)), inv_comps.get((q, j))
+            if uq is not None and vq is not None:  # an absent one is zero
+                acc = uq @ vq if acc is None else acc + uq @ vq
+        if acc is not None and not acc.is_zero():  # then so is v_n^j, an invertible matrix times acc
+            inv_comps[(n, j)] = -(u0_inv[j + n] @ acc)
+    return GradedMorphism(X, X, inv_comps)
+
+
+GRADED_INVERSE_RINGS = [ZZ, Zmod(4), Zmod(9), GF(5), QQ]
+
+
+class TestGradedInverseOracle:
+    """The one graded level recurrence, ``_graded_right_inverse``, against the
+    left-inverse recurrence and the generator's inversion loop it replaced."""
+
+    def test_one_sided_inverses_match_the_level_recurrences(self):
+        rng = random.Random(83)
+        higher = Counter()
+        for ring in GRADED_INVERSE_RINGS:
+            inst = Graded(ScalarEta(ring, ring.one()))
+            for _ in range(6):
+                defl = random_std_conflation(inst, rng)
+                a, b = random_complex(inst, rng), random_complex(inst, rng)
+                pairs = {"split": random_split_pair(inst, rng),
+                         "conjugated": conjugate_pair(defl.i, defl.p, rng),
+                         "cone": cone(random_chain_map(a, b, rng))[1:]}
+                for kind, (i, p) in pairs.items():
+                    degs = sorted(set(i.source.objects) | set(i.target.objects) | set(p.target.objects))
+                    sol = complexes._one_sided_inverses(i, p, degs)
+                    assert sol is not None, (ring, kind)
+                    for n in degs:
+                        r, q0 = sol[("r", n)], sol[("q", n)]
+                        r_0 = {j: m for (k, j), m in r.components.items() if k == 0}
+                        q_0 = {j: m for (k, j), m in q0.components.items() if k == 0}
+                        assert r == ref_left(i.component(n), r_0), (ring, kind, n)
+                        assert q0 == ref_right(p.component(n), q_0), (ring, kind, n)
+                        higher["r"] += any(k for k, _ in r.components)
+                        higher["q"] += any(k for k, _ in q0.components)
+        assert higher["r"] >= 10 and higher["q"] >= 10, higher
+
+    def test_automorphism_inverse_matches_the_generator_loop(self):
+        rng = random.Random(84)
+        higher = 0
+        for ring in GRADED_INVERSE_RINGS:
+            inst = Graded(ScalarEta(ring, ring.one()))
+            for _ in range(8):
+                X = GradedObject({j: rng.randint(0, 3) for j in range(rng.randint(1, 4))})
+                u, v = random_automorphism(inst, X, rng)
+                v_0 = {j: v.components[(0, j)] for j in X.ranks}
+                assert v == ref_automorphism_inverse(inst, X, u, v_0), ring
+                assert inst.compose(u, v) == inst.id_mor(X) == inst.compose(v, u), ring
+                higher += any(k for k, _ in v.components)
+        assert higher

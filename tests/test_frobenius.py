@@ -393,6 +393,20 @@ class TestExactStructureAxioms:
                 h = random_chain_map(infl.X, xp, rng)
                 assert ex2_op_pushout(infl, h)
 
+    @pytest.mark.parametrize("ring", [ZZ, GF(5)], ids=["Z", "GF5"])
+    def test_ex2_checks_see_a_flipped_cone_sign(self, monkeypatch, ring):
+        """W = X = (R --1--> R) in degrees 0, 1, alpha = Id and h = Id: f d != 0,
+        so a cone built with the wrong sign is no complex, and both checks
+        must say so rather than compare two equally wrong cones."""
+        inst = ScalarEta(ring, ring.one())
+        x = Complex(inst, {0: 1, 1: 1}, {0: RingMatrix.identity(ring, 1)})
+        conf = StandardConflation(id_chain_map(x))
+        checks = lambda: (ex2_pullback(conf, id_chain_map(conf.Z)), ex2_op_pushout(conf, id_chain_map(conf.X)))
+        assert checks() == (True, True)
+        monkeypatch.setattr(complexes_mod, "_CONE_SIGN", 1)
+        conf = StandardConflation(id_chain_map(x))
+        assert checks() == (False, False)
+
 
 def ref_ex1_op_quotient(infl1, gamma):
     """The map W -> Q onto the quotient of the composite inflation, built by
