@@ -14,6 +14,10 @@ Two concrete instances are provided:
 (1) replaced by (m) and eta by the m-fold composite eta^m; everything else,
 the hom-coordinate API included, is the inner instance's, by delegation.
 
+``eta_quotient()`` describes the quotient by eta where a map factors through
+eta exactly when it vanishes there (``ScalarQuotient``, ``GradedQuotient``),
+and is None where eta is a zero-divisor other than 0.
+
 Every instance exposes a uniform hom-coordinate API (hom_dim, mor_to_vec,
 vec_to_mor, hom_blocks) so higher layers can pose morphism-finding questions
 as plain linear systems over the coefficient ring.  ``hom_blocks`` gives the
@@ -27,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .matrix import RingMatrix
-from .rings import CoeffRing, json_int
+from .rings import _MR_BOUND, GF, ZZ, CoeffRing, Zmod, _is_prime, json_int
 
 
 def json_pos(e) -> Tuple[int, int]:
@@ -109,6 +113,11 @@ class BaseInstance:
     def eta(self, X):
         """The component eta_X: X(1) -> X."""
         raise NotImplementedError
+
+    def eta_quotient(self):
+        """The quotient by eta, as a ``ScalarQuotient`` or ``GradedQuotient``,
+        or None where eta is a zero-divisor other than 0."""
+        return None
 
     def validate_mor(self, f, X, Y) -> bool:
         """True iff f is a well-formed morphism X -> Y of this instance."""
@@ -241,6 +250,9 @@ class ScalarEta(BaseInstance):
 
     def eta(self, X):
         return RingMatrix.scalar(self.ring, X, self.r)
+
+    def eta_quotient(self):
+        return ScalarQuotient.of(self.ring, self.r)
 
     def validate_mor(self, f, X, Y):
         return isinstance(f, RingMatrix) and f.ring == self.ring and (f.rows, f.cols) == (Y, X)
@@ -533,6 +545,9 @@ class Graded(BaseInstance):
         }
         return GradedMorphism._trusted(src, X, comps)
 
+    def eta_quotient(self):
+        return GradedQuotient(self.inner)
+
     def validate_mor(self, f, X, Y):
         if not isinstance(f, GradedMorphism) or f.source != X or f.target != Y:
             return False
@@ -703,11 +718,104 @@ class EtaPower:
             f = inner.compose(inner.eta(inner.shift_obj(X, i)), f)
         return f
 
+    def eta_quotient(self):
+        """eta^m = c^m Id over ``ScalarEta(R, c)``; None over ``Graded``."""
+        inner = self.inner
+        if isinstance(inner, EtaPower):
+            return EtaPower(inner.inner, inner.m * self.m).eta_quotient()
+        if isinstance(inner, ScalarEta):
+            return ScalarQuotient.of(self.ring, self.ring.canon(inner.r ** self.m))
+        return None
+
     def to_json(self):
         return {"kind": self.kind, "m": self.m, "inner": self.inner.to_json()}
 
     def __getattr__(self, name):
         return getattr(object.__getattribute__(self, "inner"), name)
+
+
+# ---------------------------------------------------------------------------
+# Quotients by eta: where eta is mono, phi = eta a for some a iff phi vanishes
+# in the quotient, and a = phi / eta is then unique
+# ---------------------------------------------------------------------------
+#
+# Both quotients cut an object into pieces keyed by grade (one piece, grade
+# 0, for a free module), and a morphism into blocks between pieces of one
+# grade: ``pieces(X)`` and ``reduce(f)`` give the nonzero ones, in order.
+# ``instance`` is the instance the blocks live in, None where the quotient is
+# 0; ``lift(blocks, X, Y)`` is a morphism X -> Y with those blocks, and
+# ``divide(phi, X, Y)`` the a: X -> Y with eta a = phi, for a phi that
+# vanishes in the quotient (None for a = 0).
+
+
+class ScalarQuotient:
+    """eta = c Id over R, for c = 0 or c a non-zero-divisor.
+
+    A unit c has R/cR = 0 and a = c^-1 phi.  Over Z with |c| >= 2 the blocks
+    are the entries mod c, over GF(|c|) when |c| is prime and Z/|c| else; a
+    block lifts to its entries in [0, |c|), and phi divides by c exactly.
+    eta = 0 is not mono, but eta a = 0 for every a: the quotient is R itself
+    and a = 0 works."""
+
+    def __init__(self, ring: CoeffRing, c, instance):
+        self.ring, self.c, self.instance = ring, c, instance
+
+    @staticmethod
+    def of(ring: CoeffRing, c) -> "ScalarQuotient":
+        """The quotient by c Id, or None where c is a zero-divisor other than 0
+        (a non-unit c != 0 of Z/m) or |c| is too large to decide primality."""
+        if c == 0:
+            return ScalarQuotient(ring, c, ScalarEta(ring, 0))
+        if ring.is_unit(c):
+            return ScalarQuotient(ring, c, None)
+        if ring != ZZ or abs(c) >= _MR_BOUND:
+            return None
+        q = abs(c)
+        return ScalarQuotient(ring, c, ScalarEta(GF(q) if _is_prime(q) else Zmod(q), 0))
+
+    def pieces(self, X) -> Dict[int, int]:
+        return {0: X} if X else {}
+
+    def reduce(self, f) -> Dict[int, RingMatrix]:
+        if f is None:
+            return {}
+        if self.c:
+            ring = self.instance.ring
+            f = RingMatrix._trusted(ring, f.rows, f.cols, [x % ring.modulus for x in f.entries])
+        return {} if f.is_zero() else {0: f}
+
+    def lift(self, blocks, X, Y) -> RingMatrix:
+        m = blocks[0]
+        return RingMatrix._trusted(self.ring, m.rows, m.cols, m.entries)
+
+    def divide(self, phi: RingMatrix, X, Y):
+        c = self.c
+        if not c:
+            return None
+        if self.instance is None:
+            return phi if c == 1 else phi.scale(self.ring.inv(c))
+        return RingMatrix._trusted(self.ring, phi.rows, phi.cols, [x // c for x in phi.entries])
+
+
+class GradedQuotient:
+    """eta = t over ``Graded(inner)``: the quotient by t is level 0, whose
+    blocks f_0^j: X^j -> Y^j live in the inner instance, grade by grade; phi
+    with phi_0 = 0 divides by t by moving down one level."""
+
+    def __init__(self, inner):
+        self.instance = inner
+
+    def pieces(self, X: GradedObject) -> Dict[int, int]:
+        return {j: X.ranks[j] for j in X.support}
+
+    def reduce(self, f) -> Dict[int, RingMatrix]:
+        return {} if f is None else {j: m for (k, j), m in f.components.items() if not k}
+
+    def lift(self, blocks, X, Y) -> GradedMorphism:
+        return GradedMorphism._trusted(X, Y, {(0, j): m for j, m in blocks.items()})
+
+    def divide(self, phi: GradedMorphism, X, Y) -> GradedMorphism:
+        return GradedMorphism._trusted(X, Y, {(k - 1, j): m for (k, j), m in phi.components.items()})
 
 
 def instance_from_json(d) -> BaseInstance:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .base import BaseInstance, Graded, GradedMorphism
+from .base import BaseInstance, Graded, GradedMorphism, ScalarEta
 from .linalg import _solve
 
 # Mutation knob (see the suite's sensitivity property): the sign on the
@@ -286,6 +286,35 @@ def eta_chain_map(c: Complex) -> ChainMap:
     )
 
 
+def _times_eta(inst: BaseInstance, f, X, before: bool):
+    """f . eta_X for f: X -> Y when before, else eta_X . f for f: W -> X(1),
+    with no product by eta's identity blocks: c f over ``ScalarEta``, and
+    over ``Graded`` f moved up one level."""
+    if type(inst) is ScalarEta:
+        return f.scale(inst.r)
+    if type(inst) is Graded:
+        if before:  # (f eta)_{n+1}^{j-1} = f_n^j
+            return GradedMorphism._trusted(inst.shift_obj(X, 1), f.target,
+                                           {(n + 1, j - 1): m for (n, j), m in f.components.items()})
+        return GradedMorphism._trusted(f.source, X, {(n + 1, j): m for (n, j), m in f.components.items()})
+    return inst.compose(f, inst.eta(X)) if before else inst.compose(inst.eta(X), f)
+
+
+def eta_before(f: ChainMap) -> ChainMap:
+    """f . eta_X: X(1) -> Y for f: X -> Y, the composite with
+    ``eta_chain_map(X)`` formed without eta's identity products."""
+    inst, X = f.instance, f.source
+    return ChainMap(apply_auto(X, 1), f.target,
+                    {n: _times_eta(inst, m, X.obj(n), True) for n, m in f.components.items()})
+
+
+def eta_after(X: Complex, f: ChainMap) -> ChainMap:
+    """eta_X . f: W -> X for f: W -> X(1), the composite with
+    ``eta_chain_map(X)`` formed without eta's identity products."""
+    inst = X.instance
+    return ChainMap(f.source, X, {n: _times_eta(inst, m, X.obj(n), False) for n, m in f.components.items()})
+
+
 # -- direct sums and mapping cones: the one recipe --------------------------
 
 
@@ -522,7 +551,7 @@ def _homotopy_lhs(f: ChainMap, g: ChainMap, eta_twisted: bool) -> ChainMap:
     """f - g, or (f - g) eta_X: X(1) -> Y when twisted; its source is where the
     homotopy's unknowns start."""
     diff = sub_chain_maps(f, g)
-    return compose_chain_maps(diff, eta_chain_map(f.source)) if eta_twisted else diff
+    return eta_before(diff) if eta_twisted else diff
 
 
 class HomotopyCertificate:
@@ -703,20 +732,30 @@ def _sum_products(pairs):
     return s
 
 
-def _graded_right_inverse(f, q0: Dict[int, object]):
+def _graded_right_inverse(f, q0: Optional[Dict[int, object]]):
     """The right inverse q of the graded f: Y -> Z with level 0 q0 = {j: q_0^j},
-    f_0^j q_0^j = Id.  Level by level, q_k^j = -q_0^{j+k} sum_{b<k} f_{k-b}^{j+b} q_b^j."""
+    f_0^j q_0^j = Id.  Level by level, q_k^j = -q_0^{j+k} sum_{b<k} f_{k-b}^{j+b} q_b^j.
+    q0 None stands for f_0 = q_0 = Id, with Y = Z: f's level 0 is not read,
+    and no product by an identity block is formed."""
     Y, Z, fc = f.source, f.target, f.components
-    q = {(0, j): m for j, m in q0.items()}
-    top = Y.support[-1] - Z.support[0] if q0 else 0  # the highest level of Hom(Z, Y)
+    unit = q0 is None
+    q = {} if unit else {(0, j): m for j, m in q0.items()}
+    top = Y.support[-1] - Z.support[0] if Y.support and Z.support else 0  # the highest level of Hom(Z, Y)
     for k in range(1, top + 1):
         for j in Z.support:
-            m0 = q0.get(j + k)
-            s = None if m0 is None else _sum_products((fc.get((k - b, j + b)), q.get((b, j))) for b in range(k))
-            if s is not None:
-                s = m0 @ s
-                if not s.is_zero():
-                    q[(k, j)] = -s
+            if unit:
+                if not Y.rank(j + k):
+                    continue
+                s = _sum_products((fc.get((k - b, j + b)), q.get((b, j))) for b in range(1, k))
+                fk = fc.get((k, j))  # the b = 0 term, times q_0^j = Id
+                s = fk if s is None else s if fk is None else fk + s
+            else:
+                m0 = q0.get(j + k)
+                s = None if m0 is None else _sum_products((fc.get((k - b, j + b)), q.get((b, j))) for b in range(k))
+                if s is not None:
+                    s = m0 @ s
+            if s is not None and not s.is_zero():
+                q[(k, j)] = -s
     return GradedMorphism._trusted(Z, Y, q)
 
 
@@ -726,7 +765,8 @@ def _graded_one_sided_inverses(i: ChainMap, p: ChainMap, degs: List[int]) -> Opt
     r_0^j i_0^j = Id and p_0^j q_0^j = Id are posed, for every degree and
     grade in one system over the inner instance.  The higher levels follow
     from ``_graded_right_inverse``: q0 directly, and r = (r0 i)^{-1} r0 for
-    the level-0 part r0 of r, as r0 i is Id on level 0."""
+    the level-0 part r0 of r, as r0 i is Id on level 0; r0 i is formed and
+    inverted above level 0 only."""
     inst = i.instance
     inner = inst.inner
     X, Y, Z = i.source, i.target, p.target
@@ -753,11 +793,17 @@ def _graded_one_sided_inverses(i: ChainMap, p: ChainMap, degs: List[int]) -> Opt
     out = {}
     for n in degs:
         i_n = i.component(n)
-        r0 = GradedMorphism._trusted(i_n.target, i_n.source,
-                                     {(0, j): m for j, m in level0.get(("r", n), {}).items()})
-        r0i = inst.compose(r0, i_n)
-        ids = {j: inner.id_mor(c) for j, c in r0i.source.ranks.items()}
-        out[("r", n)] = inst.compose(_graded_right_inverse(r0i, ids), r0)
+        r0 = level0.get(("r", n), {})
+        # r0 i is Id on level 0 and r_0^{j+k} i_k^j on level k >= 1; its
+        # inverse S has S_0 = Id, so r = S r0 is r0 on level 0 and S_k^j r_0^j above
+        above = ((k, j, r0[j + k] @ m) for (k, j), m in i_n.components.items() if k and j + k in r0)
+        r0i = GradedMorphism._trusted(i_n.source, i_n.source, {(k, j): m for k, j, m in above if not m.is_zero()})
+        r = {(0, j): m for j, m in r0.items()}
+        for (k, j), m in _graded_right_inverse(r0i, None).components.items():
+            m = m @ r0[j]
+            if not m.is_zero():
+                r[(k, j)] = m
+        out[("r", n)] = GradedMorphism._trusted(i_n.target, i_n.source, r)
         out[("q", n)] = _graded_right_inverse(p.component(n), level0.get(("q", n), {}))
     return out
 

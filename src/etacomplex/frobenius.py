@@ -6,10 +6,11 @@ objects are the cones cone(eta_V); both lifting problems have closed-form
 block solutions which are constructed (and re-validated) here, together
 with the standard triangles of the stable category and the eta^m towers.
 
-Over ``Graded`` eta is t, identity blocks one level up, and so a
-monomorphism: a map factors through it iff its degree-0 part vanishes.
-Recognition there poses only h_0 + d_0 t_0 + t_0 d_0 = 0 for a degree-0
-t_0, over the inner instance, and the factor is the rest moved down a level.
+Where eta is a monomorphism (t over ``Graded``, a non-zero-divisor c over
+``ScalarEta``), a map factors through it iff it vanishes in the quotient by
+eta.  Recognition there poses only h + d t + t d = 0 in that quotient, for
+t alone (over the inner instance on level 0, over Z/|c| for Z), and the
+factor is the rest divided by eta; see ``_factor_through_eta``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .complexes import (
     _add,
     _compose,
     _homotopy,
-    _level0,
     add_family,
     apply_auto,
     apply_auto_map,
@@ -35,6 +35,8 @@ from .complexes import (
     compose_chain_maps,
     cone,
     cone_complex,
+    eta_after,
+    eta_before,
     eta_chain_map,
     family_terms,
     homotopic,
@@ -71,25 +73,89 @@ class EtaConflation:
 
     def h_tilde(self) -> ChainMap:
         """The representative of the invariant that factors through eta."""
-        X = self.pair.sub
-        return compose_chain_maps(eta_chain_map(X), self.alpha)
+        return eta_after(self.pair.sub, self.alpha)
 
 
 # -- factorization through eta ----------------------------------------------
 
 
 def _factor_through_eta(h: ChainMap, up_to_homotopy: bool):
-    """Solve eta_X a^n - d_X^{n-1} t^n - t^{n+1} d_W^n = h^n for a chain map
+    """Solve eta_X a^n = h^n + d_X^{n-1} t^n + t^{n+1} d_W^n for a chain map
     a: W -> X(1) and, when up_to_homotopy, a homotopy t^n: W^n -> X^{n-1}
     (else t = 0).  Returns (a, t) or None.
 
-    Over ``Graded`` eta is t, a monomorphism, and phi = h + d t + t d
-    factors through it iff its level 0 vanishes; a is then phi moved down
-    one level.  So only the level-0 equations h_0 + d_0 t_0 + t_0 d_0 = 0
-    are posed, with t above level 0 left zero (``_graded_factor``)."""
+    Where eta is mono, phi = h + d t + t d factors through it iff phi
+    vanishes in the quotient by eta (``inst.eta_quotient()``), and a is then
+    phi / eta, a chain map because eta a = phi is one.  So only
+    h + d t + t d = 0 is posed there, in t alone, one block per degree and
+    piece, and the factor is divided out:
+    - over ``Graded`` eta = t, the quotient is level 0, grade by grade over
+      the inner instance, and a is phi moved down one level;
+    - over ``ScalarEta(Z, c)`` with |c| >= 2 the quotient is Z/|c| (GF(|c|)
+      for prime |c|); t lifts to [0, |c|) and a = phi / c exactly;
+    - for a unit c the quotient is 0: t = 0 and a = c^-1 h, nothing solved;
+    - for c = 0 every a has eta a = 0, so the system is posed over R itself
+      and a = 0.
+    ``EtaPower(ScalarEta(R, c), m)`` has eta = c^m, under the same rules.
+    Where eta is a zero-divisor other than 0 (a non-unit c of Z/m) and for
+    ``EtaPower`` over ``Graded``, a and t are solved together in Kronecker
+    form (``_kronecker_factor``)."""
     inst = h.instance
-    if type(inst) is Graded:
-        return _graded_factor(h, up_to_homotopy)
+    quo = inst.eta_quotient()
+    if quo is None:
+        return _kronecker_factor(h, up_to_homotopy)
+    W, X = h.source, h.target
+    dw, dx = W.diffs, X.diffs
+    t: Dict[int, object] = {}
+    zero = quo.instance is None  # the quotient is 0, and every phi vanishes there
+    if up_to_homotopy and not zero:
+        prob = LinearProblem(quo.instance)
+        for n in W.support:
+            below = quo.pieces(X.obj(n - 1))
+            for j, w in quo.pieces(W.obj(n)).items():
+                if j in below:
+                    prob.add_unknown(("t", n, j), w, below[j])
+        rdx = {n: quo.reduce(d) for n, d in dx.items()}
+        rdw = {n: quo.reduce(d) for n, d in dw.items()}
+        for n in W.support:
+            here = quo.pieces(X.obj(n))
+            rh = quo.reduce(h.components.get(n))
+            for j, w in quo.pieces(W.obj(n)).items():
+                if j not in here:
+                    continue
+                terms = []
+                d = rdx.get(n - 1, {}).get(j)
+                if d is not None and ("t", n, j) in prob.unknowns:
+                    terms.append((("t", n, j), d, None, -1))
+                d = rdw.get(n, {}).get(j)
+                if d is not None and ("t", n + 1, j) in prob.unknowns:
+                    terms.append((("t", n + 1, j), None, d, -1))
+                prob.add_equation(w, here[j], terms, rh.get(j))
+        sol = prob.solve()
+        if sol is None:
+            return None
+        blocks: Dict[int, Dict] = {}
+        for (_, n, j), m in sol.items():
+            if not m.is_zero():
+                blocks.setdefault(n, {})[j] = m
+        t = {n: quo.lift(b, W.obj(n), X.obj(n - 1)) for n, b in blocks.items()}
+    elif not zero and any(quo.reduce(f) for f in h.components.values()):
+        return None
+    X1 = apply_auto(X, 1)
+    a = {}
+    for n in W.support:
+        phi = _add(inst, _add(inst, h.components.get(n), _compose(inst, dx.get(n - 1), t.get(n))),
+                   _compose(inst, t.get(n + 1), dw.get(n)))
+        a_n = None if phi is None else quo.divide(phi, W.obj(n), X1.obj(n))
+        if a_n is not None:
+            a[n] = a_n
+    return ChainMap(W, X1, a), t
+
+
+def _kronecker_factor(h: ChainMap, up_to_homotopy: bool):
+    """``_factor_through_eta`` as one Kronecker system in a and t together,
+    for every instance: eta_X a^n - d_X^{n-1} t^n - t^{n+1} d_W^n = h^n."""
+    inst = h.instance
     W, X = h.source, h.target
     X1 = apply_auto(X, 1)
     prob = LinearProblem(inst)
@@ -106,58 +172,6 @@ def _factor_through_eta(h: ChainMap, up_to_homotopy: bool):
     return solution_chain_map(sol, "a", a_degs, W, X1), {n: sol[("t", n)] for n in t_degs}
 
 
-def _graded_factor(h: ChainMap, up_to_homotopy: bool):
-    """``_factor_through_eta`` over ``Graded``: t_0^{n,j}: W^{n,j} -> X^{n-1,j}
-    solves -d_0 t_0 - t_0 d_0 = h_0 grade by grade over the inner instance
-    (nothing is posed without up_to_homotopy, and then h_0 must be 0), and
-    a_k^j = phi_{k+1}^j for phi = h + d t + t d.  eta a = phi, and a is a
-    chain map because eta is mono and phi is one."""
-    inst = h.instance
-    W, X = h.source, h.target
-    dw, dx = W.diffs, X.diffs
-    t: Dict[int, object] = {}
-    if up_to_homotopy:
-        inner = inst.inner
-        prob = LinearProblem(inner)
-        for n in W.support:
-            Xm = X.obj(n - 1)
-            for j in W.objects[n].support:
-                if Xm.rank(j):
-                    prob.add_unknown(("t", n, j), W.objects[n].rank(j), Xm.rank(j))
-        for n in W.support:
-            Xn = X.obj(n)
-            for j in W.objects[n].support:
-                if not Xn.rank(j):
-                    continue
-                terms = []
-                d = _level0(dx.get(n - 1), j)
-                if d is not None and ("t", n, j) in prob.unknowns:
-                    terms.append((("t", n, j), d, None, -1))
-                d = _level0(dw.get(n), j)
-                if d is not None and ("t", n + 1, j) in prob.unknowns:
-                    terms.append((("t", n + 1, j), None, d, -1))
-                prob.add_equation(W.objects[n].rank(j), Xn.rank(j), terms, _level0(h.components.get(n), j))
-        sol = prob.solve()
-        if sol is None:
-            return None
-        blocks: Dict[int, Dict] = {}
-        for (_, n, j), m in sol.items():
-            if not m.is_zero():
-                blocks.setdefault(n, {})[(0, j)] = m
-        t = {n: GradedMorphism._trusted(W.objects[n], X.objects[n - 1], c) for n, c in blocks.items()}
-    elif any(k == 0 for f in h.components.values() for k, _ in f.components):
-        return None
-    X1 = apply_auto(X, 1)
-    a = {}
-    for n in W.support:
-        phi = _add(inst, _add(inst, h.components.get(n), _compose(inst, dx.get(n - 1), t.get(n))),
-                   _compose(inst, t.get(n + 1), dw.get(n)))
-        if phi is not None:  # phi_0 = 0, and phi_{k+1}^j is a_k^j
-            a[n] = GradedMorphism._trusted(W.objects[n], X1.obj(n),
-                                           {(k - 1, j): m for (k, j), m in phi.components.items() if k})
-    return ChainMap(W, X1, a), t
-
-
 def factor_through_eta(h: ChainMap) -> Optional[ChainMap]:
     """SOME chain map alpha: W -> X(1) with eta_X . alpha = h, else NONE."""
     found = _factor_through_eta(h, False)
@@ -165,7 +179,7 @@ def factor_through_eta(h: ChainMap) -> Optional[ChainMap]:
         return None
     alpha = found[0]
     verify(validate_chain_map(alpha), "factor_through_eta: the factor is not a chain map")
-    verify(compose_chain_maps(eta_chain_map(h.target), alpha) == h, "factor_through_eta: eta . alpha != h")
+    verify(eta_after(h.target, alpha) == h, "factor_through_eta: eta . alpha != h")
     return alpha
 
 
@@ -221,7 +235,7 @@ class StandardConflation:
         self.X = X
         self.Z = shift_complex(W, 1)
         self.alpha = alpha
-        self.f = compose_chain_maps(eta_chain_map(X), alpha)
+        self.f = eta_after(X, alpha)
         self.middle, self.i, self.p = cone(self.f)
 
     @property
@@ -342,9 +356,7 @@ def factors_through_env(f: ChainMap) -> Optional[ChainMap]:
 
 def standard_triangle(f: ChainMap) -> Tuple[ChainMap, ChainMap, ChainMap]:
     """X -> Y -> cone(f eta_X) -> X(1)[1]; returns (f, inj, proj)."""
-    X = f.source
-    fe = compose_chain_maps(f, eta_chain_map(X))
-    _, inj, proj = cone(fe)
+    _, inj, proj = cone(eta_before(f))
     return f, inj, proj
 
 
@@ -466,7 +478,7 @@ def ex1_composite(defl1: StandardConflation, beta: ChainMap) -> bool:
         for n in sorted(set(Zm1.objects))
     })
     ok = ok and validate_chain_map(ab)
-    ok = ok and (compose_chain_maps(eta_chain_map(cg2), ab) == fg1)
+    ok = ok and (eta_after(cg2, ab) == fg1)
     if not ok:
         return False
     # the composite W -> Y -> Z is a recognized eta-deflation

@@ -62,6 +62,7 @@ from .complexes import (
     apply_auto,
     compose_chain_maps,
     cone_complex,
+    eta_before,
     eta_chain_map,
     id_chain_map,
     shift_complex,
@@ -922,7 +923,7 @@ def theta_triangle_check(alpha: DeltaMap):
     # cone identity: the display equals the honest cone of fhat . eta
     cone_sys = theta_cone_system(fhat)
     fc = gmorphism_to_chain_map(fhat)
-    g = compose_chain_maps(fc, eta_chain_map(fc.source))
+    g = eta_before(fc)
     if cone_complex(g) != cone_sys.complex:
         return False
     if not validate_gsystem(cone_sys):

@@ -13,8 +13,11 @@ lcm of its denominators, and stays integral, so a ``Fraction`` is made only
 where back substitution divides by a pivot.  Over Z/p^k the pivots are
 taken in valuation tiers, p^0 first, and nothing is left over; Z/m with
 several primes is split by CRT into such parts, each solving the rows
-reduced mod its p^k.  Over Z the pivots are +-1 and the columns without
-one, with the rows left over, form a small residual: the same sparse rows
+reduced mod its p^k.  Over Z the pivots are +-1.  After each pass every
+row left over is divided by the gcd of its coefficients (its content): the
+system is NONE where that gcd does not divide the row's rhs, and a division
+that makes a +-1 starts another pass.  The columns without a pivot, with
+the rows left over, form a small residual: the same sparse rows
 [residual | b], re-keyed to the residual's columns.  A left-over row with
 no coefficient but an rhs entry decides NONE first; otherwise the residual
 is diagonalized on those rows by Smith's pivot steps with the rhs carried,
@@ -172,10 +175,14 @@ def _solve(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool):
     the pivots chosen and the answers are the same.  Over Z the pivot is
     then 1 and the update is row - a R.  Z/p^k is local, so
     after tier v every active entry has valuation above v, and after tier
-    k-1 no coefficient is left.  Over Z the columns without a +-1 pivot and
-    the rows left over form a residual.  A left-over row with no coefficient
-    but an rhs entry makes the system inconsistent; without a kernel to
-    find, the residual is then never built.  If the residual has a
+    k-1 no coefficient is left.  Over Z each pass ends with
+    `_divide_content`: a row whose content does not divide its rhs makes
+    the system inconsistent (without a kernel to find, NONE at once), and
+    a +-1 made by a division appends another pass.  Then the columns
+    without a +-1 pivot and the rows left over form a residual.  A
+    left-over row with no coefficient but an rhs entry makes the system
+    inconsistent; without a kernel to find, the residual is then never
+    built.  If the residual has a
     coefficient, `_solve_integer` diagonalizes it with the rhs carried
     (Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).  Otherwise
     the system is consistent exactly when no rhs entry is left, and every
@@ -213,7 +220,8 @@ def _solve(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool):
                 col_rows[j].add(i)
     pivots = []  # (column, pivot row, p^v), in elimination order
     skipped = range(m)  # columns with active rows but no pivot so far
-    for pv in tiers:
+    integer, inconsistent = not q and not rat, False
+    for pv in tiers:  # over Z a content division that makes a +-1 appends a pass
         open_cols, skipped = skipped, []
         for c in open_cols:
             below = col_rows[c]
@@ -269,6 +277,13 @@ def _solve(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool):
                         for j in row:
                             row[j] //= g
             pivots.append((c, R, pv))
+        if integer:
+            unit, bad = _divide_content(rows, m)
+            if bad and not want_kernel:
+                return None, []
+            inconsistent = inconsistent or bad
+            if unit:
+                tiers.append(1)
     pivots.reverse()
     zero = ring.zero()
 
@@ -314,7 +329,7 @@ def _solve(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool):
     else:  # no coefficient is left, so the skipped columns are free too
         skipped, res_kern = [], []
         y = None if any(m in row for row in rest) else []
-    x = None if y is None else back_substitute(dict(zip(skipped, y)), m)
+    x = None if y is None or inconsistent else back_substitute(dict(zip(skipped, y)), m)
     kern = []
     if want_kernel:
         bound = {c for c, _, _ in pivots}.union(skipped)
@@ -322,6 +337,32 @@ def _solve(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool):
         kern += [back_substitute({c: q // pv}, None) for c, _, pv in pivots if pv > 1]
         kern += [back_substitute(dict(zip(skipped, g)), None) for g in res_kern]
     return x, kern
+
+
+def _divide_content(rows: List[Optional[Dict[int, int]]], m: int) -> Tuple[bool, bool]:
+    """Divide each active integer row {column: nonzero} of [a | b], the rhs in
+    column m, by the gcd g of its coefficients, which leaves its integer
+    solutions as they are.  Where g does not divide the rhs the equation has
+    none: its rhs is dropped, so that the row still holds the kernel.
+    Return (whether a coefficient +-1 was made, whether an rhs was dropped)."""
+    unit = bad = False
+    for row in rows:
+        if not row:
+            continue
+        b = row.pop(m, 0)
+        g = gcd(*row.values())  # 0 for a row with no coefficient left
+        if g < 2:
+            if b:
+                row[m] = b
+            continue
+        for j, x in row.items():
+            row[j] = x // g
+        unit = unit or 1 in row.values() or -1 in row.values()
+        if b % g:
+            bad = True
+        elif b:
+            row[m] = b // g
+    return unit, bad
 
 
 def _solve_crt(ring, rows: List[Dict[int, object]], m: int, want_kernel: bool, factors):

@@ -181,9 +181,11 @@ def payload_from_json(d: dict) -> Tuple[str, object]:
 
 
 def save_instance_file(path: str, kind: str, obj) -> None:
+    """Write the instance file as one line of JSON: ``json.dumps`` without an
+    indent runs the C encoder, where ``json.dump`` with one writes token by
+    token in Python."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload_to_json(kind, obj), fh, ensure_ascii=False, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(payload_to_json(kind, obj), ensure_ascii=False) + "\n")
 
 
 def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:

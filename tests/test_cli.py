@@ -13,6 +13,7 @@ from etacomplex.complexes import (
     LinearProblem,
     cone,
     id_chain_map,
+    normalize_exact_pair,
     validate_complex,
     zero_chain_map,
 )
@@ -207,23 +208,44 @@ class TestGen:
 
     @pytest.mark.parametrize("ring", ["Z", "Z/8", "F5"])
     def test_pairs_pose_unknowns(self, tmp_path, capsys, monkeypatch, ring):
-        """The factor-through-eta system of every generated pair file has an unknown."""
-        cols = []
+        """After the split, is-eta-conflation on every generated pair file
+        (eta = 2) poses the unknowns of the route its instance takes: over
+        Z/8, where 2 is a zero-divisor, one Kronecker system in alpha and t,
+        which gen makes nonempty; over Z one system over GF(2) whose unknowns
+        are exactly the t^n: W^n -> X^{n-1} (some files have one); over F5,
+        where 2 is a unit, none."""
+        posed = []
         solve = LinearProblem.solve
 
         def recording(prob):
-            cols.append(prob.cols)
+            posed.append(prob)
             return solve(prob)
 
         monkeypatch.setattr(LinearProblem, "solve", recording)
         p = tmp_path / "pair.json"
+        with_t = 0
         for size in ([], ["--max-len", "4", "--max-rank", "6"]):
             for seed in range(1, 9):
                 argv = ["gen", "--seed", str(seed), "--profile", "pair", "--ring", ring, "-o", str(p)]
                 assert main(argv + size) == 0
-                cols.clear()
+                _, (i, pr) = load_instance_file(str(p))
+                posed.clear()
+                h = normalize_exact_pair(i, pr).h
+                split = len(posed)
+                posed.clear()
                 assert main(["check", str(p), "--op", "is-eta-conflation"]) in (0, 1)
-                assert cols and cols[-1] >= 1, (seed, size)
+                factor = posed[split:]
+                if ring == "F5":
+                    assert factor == [], (seed, size)
+                elif ring == "Z/8":
+                    assert len(factor) == 1 and factor[0].cols >= 1, (seed, size)
+                else:
+                    W, X = h.source, h.target
+                    t_keys = [("t", n, 0) for n in W.support if X.obj(n - 1)]
+                    assert len(factor) == 1 and factor[0].instance == ScalarEta(GF(2), 0), (seed, size)
+                    assert list(factor[0].unknowns) == t_keys, (seed, size)
+                    with_t += bool(t_keys)
+        assert ring != "Z" or with_t
         capsys.readouterr()
 
     def test_pairs_need_one_degree(self, tmp_path, capsys):

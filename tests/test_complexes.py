@@ -25,6 +25,8 @@ from etacomplex.complexes import (
     compose_chain_maps,
     cone,
     dsum_complex,
+    eta_after,
+    eta_before,
     eta_chain_map,
     eta_on_cone,
     homotopic,
@@ -544,6 +546,25 @@ class TestSplitEdgeCases:
 
 
 class TestChainMapAlgebra:
+    @pytest.mark.parametrize("inst", [ScalarEta(ZZ, 2), ScalarEta(Zmod(8), 4), ScalarEta(QQ, Fraction(2, 3)),
+                                      Graded(ScalarEta(GF(5), 1)), Graded(ScalarEta(ZZ, 1)),
+                                      EtaPower(ScalarEta(Zmod(9), 2), 2)], ids=repr)
+    def test_eta_composites_match_compose(self, inst):
+        """eta_before and eta_after, which skip eta's identity products, give
+        the composites with eta_chain_map exactly."""
+        rng = random.Random(41)
+        nonzero = 0
+        for _ in range(10):
+            a, b = random_complex(inst, rng), random_complex(inst, rng)
+            # random maps, and eta itself: Id . eta and eta_a . eta_{a(1)}
+            for f in (random_chain_map(a, b, rng), id_chain_map(a)):
+                assert eta_before(f) == compose_chain_maps(f, eta_chain_map(f.source))
+                nonzero += not eta_before(f).is_zero()
+            for g in (random_chain_map(a, apply_auto(b, 1), rng), eta_chain_map(apply_auto(b, 1))):
+                assert eta_after(b, g) == compose_chain_maps(eta_chain_map(b), g)
+                nonzero += not eta_after(b, g).is_zero()
+        assert nonzero >= 10
+
     def test_add_sub(self):
         rng = random.Random(37)
         inst = ScalarEta(Zmod(9), 3)
@@ -978,6 +999,34 @@ def ref_level0_factor_problem(h):
     return prob
 
 
+def ref_mod_c_factor_problem(h, c):
+    """Over ScalarEta(Z, c), |c| >= 2: h^n + d t^n + t^{n+1} d = 0 mod c in the
+    unknowns t^n: W^n -> X^{n-1}, posed over GF(|c|) for prime |c| and Z/|c|
+    else, one block per degree keyed ("t", n, 0), for h: W -> X."""
+    q = abs(c)
+    ring = GF(q) if all(q % k for k in range(2, q)) else Zmod(q)
+
+    def mod_c(m):
+        return RingMatrix(ring, m.rows, m.cols, m.entries)
+
+    W, X = h.source, h.target
+    prob = LinearProblem(ScalarEta(ring, 0))
+    degs = [n for n in sorted(W.objects) if W.obj(n)]
+    for n in degs:
+        if X.obj(n - 1):
+            prob.add_unknown(("t", n, 0), W.obj(n), X.obj(n - 1))
+    for n in degs:
+        if not X.obj(n):
+            continue
+        terms = []
+        if ("t", n, 0) in prob.unknowns:
+            terms.append((("t", n, 0), mod_c(X.diff(n - 1)), None, -1))
+        if ("t", n + 1, 0) in prob.unknowns:
+            terms.append((("t", n + 1, 0), None, mod_c(W.diff(n)), -1))
+        prob.add_equation(W.obj(n), X.obj(n), terms, mod_c(h.component(n)))
+    return prob
+
+
 FAMILY_RINGS = [ZZ, Zmod(8), Zmod(9), GF(5), QQ]
 
 
@@ -1010,22 +1059,30 @@ class TestFamilyWriterOracle:
                 seen.add(f"{what} rhs")
             seen.add(f"{what} {'NONE' if out is None else 'SOME'}")
 
-        def same_level0(run, refs, kron, what):
-            """Over Graded: run() poses exactly the level-0 systems refs, in
-            order, and its verdict is the one of the Kronecker system kron,
-            whose unknowns and rhs ``seen`` records."""
+        quotient = "level-0" if graded else "mod-c"
+
+        def same_level0(run, refs, kron, what, before=None):
+            """Over Graded, and over ScalarEta where eta is mono: run() poses
+            exactly the quotient systems refs, in order, after the systems
+            that before() poses (the scalar split), and its verdict is the one
+            of the Kronecker system kron, whose unknowns and rhs ``seen``
+            records."""
+            solved.clear()
+            if before is not None:
+                before()
+            skip = len(solved)
             solved.clear()
             out = run()
-            posed = list(solved)
+            posed = solved[skip:]
             assert len(posed) == len(refs), what
             for k, (prob, ref) in enumerate(zip(posed, refs)):
                 assert list(prob.unknowns) == list(ref.unknowns), what
                 coeffs, rhs = dense_build(prob)
                 assert (coeffs, rhs) == dense_build(ref), what
                 if any(coeffs.entries):
-                    seen.add(f"{what} level-0 system {k} unknowns")
+                    seen.add(f"{what} {quotient} system {k} unknowns")
                 if any(rhs.entries):
-                    seen.add(f"{what} level-0 system {k} rhs")
+                    seen.add(f"{what} {quotient} system {k} rhs")
             assert (out is None) == (kron.solve() is None), what
             coeffs, rhs = dense_build(kron)
             if coeffs.cols and any(coeffs.entries):
@@ -1043,6 +1100,8 @@ class TestFamilyWriterOracle:
         if graded:
             level0 = {f"conflation level-0 system {k} {x}" for k in (0, 1) for x in ("unknowns", "rhs")}
             assert level0 | {"factor SOME", "factor NONE"} <= seen, seen
+        else:
+            assert {"conflation mod-c system 0 unknowns", "conflation mod-c system 0 rhs"} <= seen, seen
 
     @staticmethod
     def _compare_builders(inst, rng, same, same_level0):
@@ -1070,8 +1129,17 @@ class TestFamilyWriterOracle:
                                 ref_is_eta_conflation_problem(i, p), "conflation")
                     same_level0(lambda: factor_through_eta(h), [], ref_factor_through_eta_problem(h), "factor")
                 continue
-            same(lambda: is_eta_conflation(i, p), ref_is_eta_conflation_problem(i, p), "conflation")
             h = normalize_exact_pair(i, p).h
+            c = inst.r
+            if inst.ring.is_unit(c) or inst.ring == ZZ:
+                # eta mono: Z poses h + d t + t d = 0 mod c after the split,
+                # a unit c nothing (R/cR = 0); the strict factor poses nothing
+                refs = [] if inst.ring.is_unit(c) else [ref_mod_c_factor_problem(h, c)]
+                same_level0(lambda: is_eta_conflation(i, p), refs, ref_is_eta_conflation_problem(i, p),
+                            "conflation", lambda: normalize_exact_pair(i, p))
+                same_level0(lambda: factor_through_eta(h), [], ref_factor_through_eta_problem(h), "factor")
+                continue
+            same(lambda: is_eta_conflation(i, p), ref_is_eta_conflation_problem(i, p), "conflation")
             same(lambda: factor_through_eta(h), ref_factor_through_eta_problem(h), "factor")
 
 

@@ -627,3 +627,82 @@ class TestLevel0Route:
         h = normalize_exact_pair(i, p).h
         assert factor_through_eta(h) is None
         assert is_eta_conflation(i, p) is None
+
+
+# -- the quotient route over ScalarEta ---------------------------------------
+
+
+QUOTIENT_INSTANCES = (
+    [ScalarEta(ZZ, c) for c in (2, -2, 3, 4, 6)]
+    + [ScalarEta(GF(5), 2), ScalarEta(GF(7), 3), ScalarEta(QQ, Fraction(3, 2)), ScalarEta(Zmod(9), 2),
+       ScalarEta(ZZ, -1)]
+    + [ScalarEta(ring, 0) for ring in (GF(5), QQ, ZZ)]
+    + [EtaPower(ScalarEta(ZZ, 2), 2)]
+)
+
+
+def _scalar_c(inst):
+    """c with eta = c Id: r, or r^m under EtaPower."""
+    return inst.r if isinstance(inst, ScalarEta) else inst.inner.r ** inst.m
+
+
+class TestQuotientRoute:
+    """``_factor_through_eta`` over ``ScalarEta`` and its powers, where eta = c Id
+    with c = 0 or a non-zero-divisor, solves h + d t + t d = 0 in R/cR for t
+    alone; the Kronecker system in a and t together decides the same."""
+
+    @pytest.mark.parametrize("inst", QUOTIENT_INSTANCES, ids=repr)
+    def test_verdicts_match_the_kronecker_route(self, inst):
+        c = _scalar_c(inst)
+        ring = inst.ring
+        draw = inst.inner if isinstance(inst, EtaPower) else inst
+        assert inst.eta_quotient() is not None
+        rng = random.Random(131)
+        seen = {"SOME": 0, "SOME, not strict": 0, "NONE": 0}
+        for k in range(100):  # split pairs, standard conflations and cones in turn
+            if k % 3 == 0:
+                i, p = random_split_pair(draw, rng)
+            elif k % 3 == 1:
+                defl = random_std_conflation(draw, rng)
+                i, p = conjugate_pair(defl.i, defl.p, rng)
+            else:
+                f = random_chain_map(random_complex(draw, rng), random_complex(draw, rng), rng)
+                i, p = conjugate_pair(*cone(f)[1:], rng)
+            i, p = frobenius.reinstance_chain_map(i, inst), frobenius.reinstance_chain_map(p, inst)
+            h = normalize_exact_pair(i, p).h
+            X = h.target
+            found = {}
+            for up_to_homotopy in (True, False):
+                got = found[up_to_homotopy] = frobenius._factor_through_eta(h, up_to_homotopy)
+                ref = frobenius._kronecker_factor(h, up_to_homotopy)
+                assert (got is None) == (ref is None), (k, up_to_homotopy)
+                if got is None:
+                    continue
+                a, t = got
+                assert a.source == h.source and a.target == apply_auto(X, 1) and validate_chain_map(a)
+                assert up_to_homotopy or not t
+                assert HomotopyCertificate(t).validate(compose_chain_maps(eta_chain_map(X), a), h)
+                if ring == ZZ and abs(c) >= 2:  # t lifted from Z/|c|
+                    assert all(0 <= x < abs(c) for m in t.values() for x in m.entries)
+                if ring.is_unit(c):  # R/cR = 0: nothing is solved
+                    assert not t
+            seen["NONE" if found[True] is None else "SOME, not strict" if found[False] is None else "SOME"] += 1
+        if ring.is_unit(c):
+            assert seen["NONE"] == seen["SOME, not strict"] == 0 and seen["SOME"], seen
+        else:
+            assert min(seen.values()) >= 1, seen
+
+    def test_zero_divisors_keep_the_kronecker_route(self):
+        for inst in (ScalarEta(Zmod(8), 2), ScalarEta(Zmod(9), 3), ScalarEta(Zmod(12), 6),
+                     EtaPower(ScalarEta(Zmod(8), 2), 2), EtaPower(Graded(ScalarEta(GF(5), 1)), 2)):
+            assert inst.eta_quotient() is None, inst
+        # eta^2 = 2^2 = 0 over Z/4, and 0 takes the quotient route
+        assert EtaPower(ScalarEta(Zmod(4), 2), 2).eta_quotient().c == 0
+
+    def test_quotient_rings(self):
+        """GF(|c|) for prime |c|, Z/|c| else; none for a unit, R itself for 0."""
+        assert ScalarEta(ZZ, -3).eta_quotient().instance == ScalarEta(GF(3), 0)
+        assert ScalarEta(ZZ, 6).eta_quotient().instance == ScalarEta(Zmod(6), 0)
+        assert EtaPower(ScalarEta(ZZ, 2), 3).eta_quotient().instance == ScalarEta(Zmod(8), 0)
+        assert ScalarEta(Zmod(9), 4).eta_quotient().instance is None
+        assert ScalarEta(QQ, 0).eta_quotient().instance == ScalarEta(QQ, 0)

@@ -1167,6 +1167,72 @@ class TestResidualSolveOracle:
             assert smith_normal_form(a) == _reference_snf(a)
 
 
+class TestContentDivisionOracle:
+    """The Z solver divides each row left over after a +-1 pass by its
+    content (`_divide_content`).  Against `_solve_integer` on the whole
+    system, which divides nothing: the same verdicts, solutions that check,
+    and kernels spanning the same lattice."""
+
+    def test_verdicts_match_the_whole_system(self, monkeypatch):
+        rng = random.Random(1301)
+        outcomes = []
+        divide = linalg._divide_content
+
+        def recording(rows, m):
+            outcomes.append(divide(rows, m))
+            return outcomes[-1]
+
+        monkeypatch.setattr(linalg, "_divide_content", recording)
+        seen = {"content NONE": 0, "content NONE, kernel": 0, "another pass": 0,
+                "another pass, SOME": 0, "kernel": 0}
+        for _ in range(300):
+            n, m = rng.randint(1, 7), rng.randint(1, 7)
+            a, b = _random_unit_mix(rng, ZZ, n, m)
+            rows = [a.row(i) + [b[(i, 0)]] for i in range(n)]
+            for row in rows:  # rows with a content, whose rhs stays divisible or not
+                if rng.random() < 0.5:
+                    c = rng.choice([2, 3, 6])
+                    row[:] = [c * x for x in row]
+                    if rng.random() < 0.3:
+                        row[-1] += rng.choice([1, -1])
+            a = RingMatrix(ZZ, n, m, [x for row in rows for x in row[:m]])
+            col = [row[m] for row in rows]
+            want_kernel = rng.random() < 0.5
+            outcomes.clear()
+            x, kern = _solve(ZZ, _rows(a, col), m, want_kernel)
+            ref_sols, ref_kern = _solve_integer_cols(a, [col], True)
+            assert (x is None) == (ref_sols[0] is None)
+            if x is not None:
+                assert mat_mul(a, RingMatrix(ZZ, m, 1, x)).column(0) == col
+            if want_kernel:
+                for g in kern:
+                    assert mat_mul(a, RingMatrix(ZZ, m, 1, g)).is_zero()
+                assert _hermite(kern) == _hermite(ref_kern)
+            else:
+                assert kern == []
+            bad = any(d for _, d in outcomes)
+            assert not bad or x is None
+            seen["content NONE"] += bad
+            seen["content NONE, kernel"] += bad and want_kernel and len(kern) > 0
+            another = any(u for u, _ in outcomes)
+            seen["another pass"] += another
+            seen["another pass, SOME"] += another and x is not None
+            seen["kernel"] += len(kern) > 0
+        assert all(seen.values()), seen
+
+    def test_content_decides_without_a_residual(self, monkeypatch):
+        """2 x + 4 y = b divides by 2: for odd b there is no integer solution,
+        and for even b the row becomes x + 2 y = b/2, on which a second +-1
+        pass pivots, so no residual is built; the kernel is found either way."""
+        monkeypatch.setattr(linalg, "_solve_integer", lambda *args: pytest.fail("a residual was built"))
+        a = M(ZZ, [[2, 4]])
+        assert _solve(ZZ, _rows(a, [1]), 2, False) == (None, [])
+        x, kern = _solve(ZZ, _rows(a, [1]), 2, True)
+        assert x is None and _hermite(kern) == _hermite([[-2, 1]])
+        x, kern = _solve(ZZ, _rows(a, [6]), 2, True)
+        assert x == [3, 0] and _hermite(kern) == _hermite([[-2, 1]])
+
+
 class TestRings:
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
