@@ -16,7 +16,8 @@ the hom-coordinate API included, is the inner instance's, by delegation.
 
 ``eta_quotient()`` describes the quotient by eta where a map factors through
 eta exactly when it vanishes there (``ScalarQuotient``, ``GradedQuotient``),
-and is None where eta is a zero-divisor other than 0.
+and is None where eta is a zero-divisor other than 0; ``degree_zero()``, a
+like view of the degree-0 part, decides which maps have one-sided inverses.
 
 Every instance exposes a uniform hom-coordinate API (hom_dim, mor_to_vec,
 vec_to_mor, hom_blocks) so higher layers can pose morphism-finding questions
@@ -118,6 +119,10 @@ class BaseInstance:
         """The quotient by eta, as a ``ScalarQuotient`` or ``GradedQuotient``,
         or None where eta is a zero-divisor other than 0."""
         return None
+
+    def degree_zero(self):
+        """The degree-0 view, as a ``ScalarQuotient`` or ``GradedQuotient``."""
+        raise NotImplementedError
 
     def validate_mor(self, f, X, Y) -> bool:
         """True iff f is a well-formed morphism X -> Y of this instance."""
@@ -253,6 +258,9 @@ class ScalarEta(BaseInstance):
 
     def eta_quotient(self):
         return ScalarQuotient.of(self.ring, self.r)
+
+    def degree_zero(self):
+        return ScalarQuotient.of(self.ring, 0)
 
     def validate_mor(self, f, X, Y):
         return isinstance(f, RingMatrix) and f.ring == self.ring and (f.rows, f.cols) == (Y, X)
@@ -545,8 +553,10 @@ class Graded(BaseInstance):
         }
         return GradedMorphism._trusted(src, X, comps)
 
-    def eta_quotient(self):
+    def degree_zero(self):
         return GradedQuotient(self.inner)
+
+    eta_quotient = degree_zero  # eta = t, and the quotient by t is level 0
 
     def validate_mor(self, f, X, Y):
         if not isinstance(f, GradedMorphism) or f.source != X or f.target != Y:
@@ -684,7 +694,8 @@ class Graded(BaseInstance):
 class EtaPower:
     """Derived instance with shift (m) and eta^m_X = eta_X eta_{X(1)} ... eta_{X(m-1)}.
 
-    Every attribute it does not define itself is the inner instance's.
+    Every attribute it does not define itself is the inner instance's,
+    ``degree_zero()`` among them, as the degree-0 part does not involve eta.
     """
 
     kind = "eta-power"
@@ -743,9 +754,11 @@ class EtaPower:
 # 0, for a free module), and a morphism into blocks between pieces of one
 # grade: ``pieces(X)`` and ``reduce(f)`` give the nonzero ones, in order.
 # ``instance`` is the instance the blocks live in, None where the quotient is
-# 0; ``lift(blocks, X, Y)`` is a morphism X -> Y with those blocks, and
-# ``divide(phi, X, Y)`` the a: X -> Y with eta a = phi, for a phi that
-# vanishes in the quotient (None for a = 0).
+# 0; ``lift(blocks, X, Y)`` is a morphism X -> Y with those blocks, an absent
+# one zero, and ``divide(phi, X, Y)`` the a: X -> Y with eta a = phi, for a
+# phi that vanishes in the quotient (None for a = 0).  ``degree_zero()`` is
+# the quotient by 0 over ``ScalarEta`` and by t over ``Graded``: a morphism
+# has a one-sided inverse iff its blocks there do.
 
 
 class ScalarQuotient:
@@ -785,7 +798,9 @@ class ScalarQuotient:
         return {} if f.is_zero() else {0: f}
 
     def lift(self, blocks, X, Y) -> RingMatrix:
-        m = blocks[0]
+        m = blocks.get(0)
+        if m is None:
+            return RingMatrix.zero(self.ring, Y, X)
         return RingMatrix._trusted(self.ring, m.rows, m.cols, m.entries)
 
     def divide(self, phi: RingMatrix, X, Y):

@@ -304,8 +304,10 @@ def cmd_gen(
         verify(validate_delta(obj), "gen: the generated delta-complex is invalid")
         kind = "delta-complex"
     elif profile == "pair":
-        # redraw until W = Z[-1] meets supp X(1) (the unknowns a^n: W^n ->
-        # X^n(1)) or supp X + 1 (t^n: W^n -> X^{n-1}) of is-eta-conflation
+        # redraw until W = Z[-1] meets supp X or supp X + 1; is-eta-conflation
+        # then poses, for eta = c, h + d t + t d = 0 mod c in t alone over Z
+        # with |c| >= 2, nothing for a unit c, and the Kronecker system in a
+        # and t for a zero-divisor c of Z/m
         if max_len < 1:
             raise _Usage("--profile pair needs --max-len of at least 1")
         inst = ScalarEta(ring, ring.canon(r_value))

@@ -25,9 +25,9 @@ cone(eta_V) and axiom quotient in ``frobenius`` is.
 
 A complex or chain map stores no zero morphism, and absent means zero: the
 readers here (the validators, composition and sums of chain maps, homotopy
-residuals and the family writers) skip a product with an absent factor
-rather than build a zero to multiply by.  Only the public accessors
-``Complex.diff`` and ``ChainMap.component`` build zeros.
+residuals, the family writers and the splitting) skip a product with an
+absent factor rather than build a zero to multiply by.  Only the public
+accessors ``Complex.diff`` and ``ChainMap.component`` build zeros.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .base import BaseInstance, Graded, GradedMorphism, ScalarEta
+from .base import BaseInstance, Graded, GradedMorphism, GradedQuotient, ScalarEta
 from .linalg import _solve
 
 # Mutation knob (see the suite's sensitivity property): the sign on the
@@ -689,37 +689,46 @@ class ExactPair:
 
 def _one_sided_inverses(i: ChainMap, p: ChainMap, degs: List[int]) -> Optional[Dict]:
     """SOME {("r", n): r^n, ("q", n): q0^n} with r^n i^n = Id and p^n q0^n = Id
-    at every degree n of degs, posed as one system; else NONE."""
-    inst = i.instance
-    if type(inst) is Graded:
-        return _graded_one_sided_inverses(i, p, degs)
+    at every degree n of degs, posed as one system on the degree-0 blocks
+    r_0^j i_0^j = Id and p_0^j q_0^j = Id of ``inst.degree_zero()`` and
+    lifted; else NONE.  Over ``Graded`` the levels above 0 follow from
+    ``_graded_right_inverse``: q0 directly, r by ``_graded_left_inverse``."""
+    view = i.instance.degree_zero()
     X, Y, Z = i.source, i.target, p.target
-    prob = LinearProblem(inst)
+    prob = LinearProblem(view.instance)
     for n in degs:
-        prob.add_unknown(("r", n), Y.obj(n), X.obj(n))
-        prob.add_unknown(("q", n), Z.obj(n), Y.obj(n))
-        # an absent i^n or p^n is zero, and leaves its equation no term
-        i_n, p_n = i.components.get(n), p.components.get(n)
-        prob.add_equation(X.obj(n), X.obj(n), [] if i_n is None else [(("r", n), None, i_n, 1)],
-                          inst.id_mor(X.obj(n)))
-        prob.add_equation(Z.obj(n), Z.obj(n), [] if p_n is None else [(("q", n), p_n, None, 1)],
-                          inst.id_mor(Z.obj(n)))
-    return prob.solve()
+        y = view.pieces(Y.obj(n))
+        # an absent block leaves its equation no term, and the system no solution
+        i0, p0 = view.reduce(i.components.get(n)), view.reduce(p.components.get(n))
+        for j, c in view.pieces(X.obj(n)).items():
+            b = i0.get(j)
+            if b is not None:
+                prob.add_unknown(("r", n, j), y[j], c)
+            prob.add_equation(c, c, [] if b is None else [(("r", n, j), None, b, 1)], view.instance.id_mor(c))
+        for j, c in view.pieces(Z.obj(n)).items():
+            b = p0.get(j)
+            if b is not None:
+                prob.add_unknown(("q", n, j), c, y[j])
+            prob.add_equation(c, c, [] if b is None else [(("q", n, j), b, None, 1)], view.instance.id_mor(c))
+    sol = prob.solve()
+    if sol is None:
+        return None
+    level0: Dict[Tuple[str, int], Dict[int, object]] = {}  # (key, n) -> {j: r_0^j or q_0^j}
+    for (key, n, j), m in sol.items():
+        level0.setdefault((key, n), {})[j] = m
+    graded = isinstance(view, GradedQuotient)
+    out = {}
+    for n in degs:
+        r0, q0 = level0.get(("r", n), {}), level0.get(("q", n), {})
+        # r0 (q0) is empty only where X^n (Z^n) is 0, and then so is r (q)
+        out[("r", n)] = (_graded_left_inverse(i.components[n], r0) if graded and r0
+                         else view.lift(r0, Y.obj(n), X.obj(n)))
+        out[("q", n)] = (_graded_right_inverse(p.components[n], q0) if graded and q0
+                         else view.lift(q0, Z.obj(n), Y.obj(n)))
+    return out
 
 
-# -- the degree-0 route over Graded ----------------------------------------
-#
-# The degree-0 part of a graded morphism, its level-0 blocks
-# f_0^j: X^j -> Y^j, composes on its own: (g f)_0^j = g_0^j f_0^j.  So
-# r i = Id holds on level 0 exactly when r_0^j i_0^j = Id grade by grade,
-# and the systems below are posed over the inner instance, one unknown per
-# degree and grade.
-
-
-def _level0(f, j):
-    """The level-0 block f_0^j of a graded morphism f, None where f or the
-    block is absent (zero)."""
-    return None if f is None else f.components.get((0, j))
+# -- the levels above 0 over Graded -----------------------------------------
 
 
 def _sum_products(pairs):
@@ -759,53 +768,20 @@ def _graded_right_inverse(f, q0: Optional[Dict[int, object]]):
     return GradedMorphism._trusted(Z, Y, q)
 
 
-def _graded_one_sided_inverses(i: ChainMap, p: ChainMap, degs: List[int]) -> Optional[Dict]:
-    """``_one_sided_inverses`` over ``Graded``.  A graded morphism has a left
-    (right) inverse iff each of its level-0 blocks does, so only
-    r_0^j i_0^j = Id and p_0^j q_0^j = Id are posed, for every degree and
-    grade in one system over the inner instance.  The higher levels follow
-    from ``_graded_right_inverse``: q0 directly, and r = (r0 i)^{-1} r0 for
-    the level-0 part r0 of r, as r0 i is Id on level 0; r0 i is formed and
-    inverted above level 0 only."""
-    inst = i.instance
-    inner = inst.inner
-    X, Y, Z = i.source, i.target, p.target
-    prob = LinearProblem(inner)
-    for n in degs:
-        Xn, Yn, Zn = X.obj(n), Y.obj(n), Z.obj(n)
-        # an absent block leaves its equation no term, and the system no solution
-        for j in Xn.support:
-            b, c = _level0(i.components.get(n), j), Xn.rank(j)
-            if b is not None:
-                prob.add_unknown(("r", n, j), Yn.rank(j), c)
-            prob.add_equation(c, c, [] if b is None else [(("r", n, j), None, b, 1)], inner.id_mor(c))
-        for j in Zn.support:
-            b, c = _level0(p.components.get(n), j), Zn.rank(j)
-            if b is not None:
-                prob.add_unknown(("q", n, j), c, Yn.rank(j))
-            prob.add_equation(c, c, [] if b is None else [(("q", n, j), b, None, 1)], inner.id_mor(c))
-    sol = prob.solve()
-    if sol is None:
-        return None
-    level0: Dict[Tuple[str, int], Dict[int, object]] = {}  # (key, n) -> {j: r_0^j or q_0^j}
-    for (key, n, j), m in sol.items():
-        level0.setdefault((key, n), {})[j] = m
-    out = {}
-    for n in degs:
-        i_n = i.component(n)
-        r0 = level0.get(("r", n), {})
-        # r0 i is Id on level 0 and r_0^{j+k} i_k^j on level k >= 1; its
-        # inverse S has S_0 = Id, so r = S r0 is r0 on level 0 and S_k^j r_0^j above
-        above = ((k, j, r0[j + k] @ m) for (k, j), m in i_n.components.items() if k and j + k in r0)
-        r0i = GradedMorphism._trusted(i_n.source, i_n.source, {(k, j): m for k, j, m in above if not m.is_zero()})
-        r = {(0, j): m for j, m in r0.items()}
-        for (k, j), m in _graded_right_inverse(r0i, None).components.items():
-            m = m @ r0[j]
-            if not m.is_zero():
-                r[(k, j)] = m
-        out[("r", n)] = GradedMorphism._trusted(i_n.target, i_n.source, r)
-        out[("q", n)] = _graded_right_inverse(p.component(n), level0.get(("q", n), {}))
-    return out
+def _graded_left_inverse(f, r0: Dict[int, object]):
+    """The left inverse r of the graded f: X -> Y with level 0 r0 = {j: r_0^j},
+    r_0^j f_0^j = Id: r = (r_0 f)^{-1} r_0, as r_0 f is Id on level 0.  So r_0 f
+    is formed and inverted above level 0 only, and r is r_0 on level 0 and
+    S_k^j r_0^j above, for that inverse S."""
+    X = f.source
+    above = ((k, j, r0[j + k] @ m) for (k, j), m in f.components.items() if k and j + k in r0)
+    r0f = GradedMorphism._trusted(X, X, {(k, j): m for k, j, m in above if not m.is_zero()})
+    r = {(0, j): m for j, m in r0.items()}
+    for (k, j), m in _graded_right_inverse(r0f, None).components.items():
+        m = m @ r0[j]
+        if not m.is_zero():
+            r[(k, j)] = m
+    return GradedMorphism._trusted(f.target, X, r)
 
 
 def normalize_exact_pair(i: ChainMap, p: ChainMap) -> ExactPair:
@@ -819,11 +795,9 @@ def normalize_exact_pair(i: ChainMap, p: ChainMap) -> ExactPair:
     Over ``Graded`` the rank check compares grade by grade, as an
     isomorphism forces through its degree-0 part; the matrices above are
     then square in total coordinates.  So r and q0 are found for all degrees
-    in one system, with no Y x Y equation.  Over ``Graded`` that system is
-    posed on the degree-0 blocks alone, r_0^j i_0^j = Id and
-    p_0^j q_0^j = Id grade by grade, since a graded morphism has a one-sided
-    inverse iff its degree-0 part does; the higher components follow from
-    ``_graded_right_inverse`` (see ``_graded_one_sided_inverses``).
+    in one system, with no Y x Y equation, on the degree-0 blocks alone, as
+    a morphism has a one-sided inverse iff its degree-0 part does
+    (``inst.degree_zero()``; see ``_one_sided_inverses``).
 
     Raises NotChainwiseSplit at the least degree where p i != 0, else at the
     least degree where the rank check or an inverse fails.

@@ -46,6 +46,7 @@ from etacomplex.frobenius import (
     factor_through_eta,
     factors_through_env,
     is_eta_conflation,
+    reinstance_chain_map,
 )
 from etacomplex.generators import (
     conjugate_pair,
@@ -423,6 +424,34 @@ def ref_normalize_exact_pair(i: ChainMap, p: ChainMap) -> ExactPair:
     return ExactPair(i, p, r, q, h)
 
 
+def ref_kronecker_one_sided_inverses(i: ChainMap, p: ChainMap, degs):
+    """The one-sided inverses in Kronecker form over the instance itself, over
+    every level under an ``EtaPower`` of ``Graded``: unknowns r^n and q^n
+    whole, as ``complexes._one_sided_inverses`` posed them over ``ScalarEta``
+    before it split every instance on the degree-0 view."""
+    inst = i.instance
+    X, Y, Z = i.source, i.target, p.target
+    prob = LinearProblem(inst)
+    for n in degs:
+        prob.add_unknown(("r", n), Y.obj(n), X.obj(n))
+        prob.add_unknown(("q", n), Z.obj(n), Y.obj(n))
+        # an absent i^n or p^n is zero, and leaves its equation no term
+        i_n, p_n = i.components.get(n), p.components.get(n)
+        prob.add_equation(X.obj(n), X.obj(n), [] if i_n is None else [(("r", n), None, i_n, 1)],
+                          inst.id_mor(X.obj(n)))
+        prob.add_equation(Z.obj(n), Z.obj(n), [] if p_n is None else [(("q", n), p_n, None, 1)],
+                          inst.id_mor(Z.obj(n)))
+    return prob.solve()
+
+
+def ref_kronecker_split(i: ChainMap, p: ChainMap) -> ExactPair:
+    """``normalize_exact_pair`` with its one-sided inverses solved by
+    ``ref_kronecker_one_sided_inverses``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_one_sided_inverses", ref_kronecker_one_sided_inverses)
+        return normalize_exact_pair(i, p)
+
+
 def _split_degree(i, p, split):
     """(None, pair) if split(i, p) returns, (degree, None) if it raises NotChainwiseSplit."""
     try:
@@ -501,6 +530,44 @@ class TestSplitOracle:
                     assert homotopic(pair.h, ref.h) is not None, (inst, kind)
                     seen[kind] += 1
         assert seen["raised"] >= 20 and min(seen[k] for k in ("cone", "dsum", "conjugated")) >= 20, seen
+
+
+ETA_POWER_GRADED_RINGS = [ZZ, Zmod(4), GF(5), QQ]
+
+
+class TestEtaPowerGradedSplit:
+    """``normalize_exact_pair`` over ``EtaPower(Graded(...), 2)`` splits on
+    the inner instance's level-0 route, which ``EtaPower`` takes from
+    ``Graded`` by delegation; the Kronecker reference over every level
+    raises at the same degrees."""
+
+    @pytest.mark.parametrize("ring", ETA_POWER_GRADED_RINGS, ids=str)
+    def test_splits_match_the_kronecker_reference(self, ring):
+        graded = Graded(ScalarEta(ring, 1))
+        inst = EtaPower(graded, 2)
+        rng = random.Random(97)
+        seen = Counter()
+        for k in range(16):
+            if k % 2:
+                defl = random_std_conflation(graded, rng)
+                kind, (i0, p0) = "conjugated", conjugate_pair(defl.i, defl.p, rng)
+            else:
+                kind, (i0, p0) = "split", random_split_pair(graded, rng)
+            for v, (i, p) in enumerate(_broken_variants(i0, p0, rng)):
+                i, p = reinstance_chain_map(i, inst), reinstance_chain_map(p, inst)
+                deg, pair = _split_degree(i, p, normalize_exact_pair)
+                assert deg == _split_degree(i, p, ref_kronecker_split)[0], (ring, kind, k)
+                if pair is None:
+                    seen["raised"] += 1
+                    continue
+                assert pair.instance == inst
+                assert _splitting_holds(pair), (ring, kind, k)
+                # h is a chain map where i and p are: the drawn pair, variant 0
+                assert v or validate_chain_map(pair.h), (ring, kind, k)
+                seen[kind] += 1
+                seen["above level 0"] += any(lvl for f in (*pair.r.values(), *pair.q.values()) for lvl, _ in f.components)
+        assert seen["raised"] >= 10 and min(seen["split"], seen["conjugated"]) >= 8, seen
+        assert seen["above level 0"] >= 5, seen
 
 
 class TestSplitEdgeCases:

@@ -10,6 +10,7 @@ from etacomplex.complexes import (
     ChainMap,
     Complex,
     HomotopyCertificate,
+    LinearProblem,
     add_chain_maps,
     apply_auto,
     apply_auto_map,
@@ -57,6 +58,8 @@ from etacomplex.generators import (
 )
 from etacomplex.matrix import RingMatrix
 from etacomplex.rings import GF, QQ, ZZ, Zmod
+
+from test_complexes import _broken_variants, _split_degree, ref_kronecker_split
 
 
 def instances():
@@ -527,11 +530,23 @@ class TestLevel0Route:
     and factor on level 0 alone; the Kronecker route decides the same."""
 
     @pytest.mark.parametrize("ring", LEVEL0_RINGS, ids=str)
-    def test_verdicts_match_the_kronecker_route(self, ring):
+    def test_verdicts_match_the_kronecker_route(self, ring, monkeypatch):
         inst = Graded(ScalarEta(ring, 1))
         # the same category and eta behind an instance that is not Graded, so
-        # its systems are posed in Kronecker form over every level
+        # its factor systems are posed in Kronecker form over every level; it
+        # splits on level 0 too (its degree_zero() is Graded's), so the split
+        # is compared with the Kronecker reference, on each draw and on its
+        # broken variants, which need not split
         kron = EtaPower(inst, 1)
+        posed = []
+        solve = LinearProblem.solve
+
+        def recording(prob):
+            posed.append(prob)
+            return solve(prob)
+
+        monkeypatch.setattr(LinearProblem, "solve", recording)
+        ref_above = ref_raised = 0
         rng = random.Random(29)
         seen = {"SOME": 0, "SOME, not strict": 0, "NONE": 0}
         for k in range(90):  # 30 each of split pairs, standard conflations and cones
@@ -543,6 +558,14 @@ class TestLevel0Route:
             else:
                 f = random_chain_map(random_complex(inst, rng), random_complex(inst, rng), rng)
                 i, p = conjugate_pair(*cone(f)[1:], rng)
+            for bi, bp in _broken_variants(i, p, random.Random(k)):
+                posed.clear()
+                ref_deg, _ = _split_degree(frobenius.reinstance_chain_map(bi, kron),
+                                           frobenius.reinstance_chain_map(bp, kron), ref_kronecker_split)
+                ref_raised += ref_deg is not None
+                ref_above += any(lvl for prob in posed for S, T, _ in prob.unknowns.values()
+                                 for lvl, _ in kron._slots(S, T))
+                assert _split_degree(bi, bp, normalize_exact_pair)[0] == ref_deg, (ring, k)
             conf = is_eta_conflation(i, p)
             ki, kp = frobenius.reinstance_chain_map(i, kron), frobenius.reinstance_chain_map(p, kron)
             assert (conf is None) == (is_eta_conflation(ki, kp) is None), (ring, k)
@@ -552,6 +575,8 @@ class TestLevel0Route:
             assert strict is None or conf is not None
             seen["NONE" if conf is None else "SOME" if strict is not None else "SOME, not strict"] += 1
         assert min(seen.values()) >= 1, seen
+        # the reference solves r and q over every level, and some draws raise
+        assert ref_above >= 30 and ref_raised >= 30, (ref_above, ref_raised)
 
     @staticmethod
     def two_level_pair():
