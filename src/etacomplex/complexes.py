@@ -4,10 +4,13 @@ Complexes and chain maps are finite maps degree -> base object / morphism.
 Everything downstream (homotopies, factorizations, lifts, and the bigraded
 completions in ``gsystems``) is decided by posing a linear system over the
 coefficient ring through the uniform hom-coordinate API of the base
-instance; ``LinearProblem`` is that bridge and the only assembler of such
-systems.  It writes each term sign * left . u . right as the Kronecker
-blocks that the instance's ``hom_blocks`` returns, straight into the sparse
-rows that the solver takes.
+instance; ``LinearProblem`` is that bridge.  It writes each term
+sign * left . u . right as the Kronecker blocks that the instance's
+``hom_blocks`` returns, straight into the sparse rows that the solver
+takes.  The one system it does not assemble is the split of an exact
+pair, whose one-sided inverses r_0 i_0 = Id and p_0 q_0 = Id are plain
+matrix equations: ``_one_sided_inverses`` writes their blocks once each,
+with the identity's columns as rhs columns.
 
 Chain maps, homotopies and the factorizations in ``frobenius`` pose their
 systems through two writers: ``add_family`` registers a family
@@ -37,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base import BaseInstance, Graded, GradedMorphism, GradedQuotient, ScalarEta
 from .linalg import _solve
+from .matrix import RingMatrix
 
 # Mutation knob (see the suite's sensitivity property): the sign on the
 # shifted differential inside a mapping cone.  Correct value: -1.
@@ -689,33 +693,50 @@ class ExactPair:
 
 def _one_sided_inverses(i: ChainMap, p: ChainMap, degs: List[int]) -> Optional[Dict]:
     """SOME {("r", n): r^n, ("q", n): q0^n} with r^n i^n = Id and p^n q0^n = Id
-    at every degree n of degs, posed as one system on the degree-0 blocks
-    r_0^j i_0^j = Id and p_0^j q_0^j = Id of ``inst.degree_zero()`` and
-    lifted; else NONE.  Over ``Graded`` the levels above 0 follow from
+    at every degree n of degs, solved on the degree-0 blocks r_0^j i_0^j = Id
+    and p_0^j q_0^j = Id of ``inst.degree_zero()`` and lifted; else NONE.
+
+    Row u of r_0^j solves i_0^jT x = e_u, and column u of q_0^j solves
+    p_0^j x = e_u, so the blocks are eliminated once each: one system holds
+    the rows of [i_0^jT | I] and [p_0^j | I] for every n and j, block-diagonal
+    in the unknowns, with the columns of one identity as its rhs columns.
+    An absent (zero) block has no one-sided inverse: NONE, with no solve.
+    Over ``Graded`` the levels above 0 follow from
     ``_graded_right_inverse``: q0 directly, r by ``_graded_left_inverse``."""
     view = i.instance.degree_zero()
+    ring = view.instance.ring
     X, Y, Z = i.source, i.target, p.target
-    prob = LinearProblem(view.instance)
+    blocks = []  # (key, n, j, k, y, block, first unknown column)
+    m = 0
     for n in degs:
         y = view.pieces(Y.obj(n))
-        # an absent block leaves its equation no term, and the system no solution
         i0, p0 = view.reduce(i.components.get(n)), view.reduce(p.components.get(n))
-        for j, c in view.pieces(X.obj(n)).items():
-            b = i0.get(j)
-            if b is not None:
-                prob.add_unknown(("r", n, j), y[j], c)
-            prob.add_equation(c, c, [] if b is None else [(("r", n, j), None, b, 1)], view.instance.id_mor(c))
-        for j, c in view.pieces(Z.obj(n)).items():
-            b = p0.get(j)
-            if b is not None:
-                prob.add_unknown(("q", n, j), c, y[j])
-            prob.add_equation(c, c, [] if b is None else [(("q", n, j), b, None, 1)], view.instance.id_mor(c))
-    sol = prob.solve()
-    if sol is None:
+        for key, src, f in (("r", X, i0), ("q", Z, p0)):
+            for j, k in view.pieces(src.obj(n)).items():
+                if j not in f:
+                    return None
+                blocks.append((key, n, j, k, y[j], f[j], m))
+                m += y[j]
+    rows: List[Dict[int, object]] = []
+    for key, n, j, k, yj, b, col in blocks:
+        for v in range(k):  # row v of i_0^T (column v of i_0) or of p_0
+            coeffs = b.entries[v::k] if key == "r" else b.entries[v * yj:(v + 1) * yj]
+            row = {col + a: z for a, z in enumerate(coeffs) if z}
+            row[m + len(rows)] = 1
+            rows.append(row)
+    x, _ = _solve(ring, rows, m, False, len(rows))
+    if x is None:
         return None
     level0: Dict[Tuple[str, int], Dict[int, object]] = {}  # (key, n) -> {j: r_0^j or q_0^j}
-    for (key, n, j), m in sol.items():
-        level0.setdefault((key, n), {})[j] = m
+    s = 0  # the rhs column of the block's first row, less m
+    for key, n, j, k, yj, b, col in blocks:
+        sols = [x[(s + u) * m + col:(s + u) * m + col + yj] for u in range(k)]  # row u of r_0, column u of q_0
+        s += k
+        if key == "r":
+            block = RingMatrix._trusted(ring, k, yj, [z for sol in sols for z in sol])
+        else:
+            block = RingMatrix._trusted(ring, yj, k, [z for row in zip(*sols) for z in row])
+        level0.setdefault((key, n), {})[j] = block
     graded = isinstance(view, GradedQuotient)
     out = {}
     for n in degs:
@@ -795,9 +816,10 @@ def normalize_exact_pair(i: ChainMap, p: ChainMap) -> ExactPair:
     Over ``Graded`` the rank check compares grade by grade, as an
     isomorphism forces through its degree-0 part; the matrices above are
     then square in total coordinates.  So r and q0 are found for all degrees
-    in one system, with no Y x Y equation, on the degree-0 blocks alone, as
+    in one solve, with no Y x Y equation, on the degree-0 blocks alone, as
     a morphism has a one-sided inverse iff its degree-0 part does
-    (``inst.degree_zero()``; see ``_one_sided_inverses``).
+    (``inst.degree_zero()``): each block is eliminated once, a row of r_0
+    or a column of q_0 per rhs column (see ``_one_sided_inverses``).
 
     Raises NotChainwiseSplit at the least degree where p i != 0, else at the
     least degree where the rank check or an inverse fails.

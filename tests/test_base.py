@@ -431,12 +431,12 @@ class TestTrustedConstruction:
 
         solve = complexes._solve
 
-        def checked_solve(ring, rows, m, want_kernel):
+        def checked_solve(ring, rows, m, want_kernel, t=1):
             for row in rows:
                 check(ring, row.values())
                 if not all(row.values()):
                     bad.append((str(ring), "a stored zero"))
-            return solve(ring, rows, m, want_kernel)
+            return solve(ring, rows, m, want_kernel, t)
 
         monkeypatch.setattr(RingMatrix, "_trusted", staticmethod(checked))
         monkeypatch.setattr(complexes, "_solve", checked_solve)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from etacomplex import complexes, linalg
-from etacomplex.base import EtaPower, Graded, GradedMorphism, GradedObject, ScalarEta
+from etacomplex.base import EtaPower, Graded, GradedMorphism, GradedObject, GradedQuotient, ScalarEta
 from etacomplex.cli import main
 from etacomplex.complexes import (
     ChainMap,
@@ -452,6 +452,60 @@ def ref_kronecker_split(i: ChainMap, p: ChainMap) -> ExactPair:
         return normalize_exact_pair(i, p)
 
 
+def ref_level0_kronecker_one_sided_inverses(i: ChainMap, p: ChainMap, degs):
+    """The one-sided inverses on the degree-0 blocks in Kronecker form: one
+    LinearProblem whose unknowns are the blocks r_0^{n,j} and q_0^{n,j}
+    whole, with r_0 i_0 = Id as I (x) i_0^T and p_0 q_0 = Id as p_0 (x) I,
+    lifted as ``complexes._one_sided_inverses`` lifts its solutions (that
+    function's body before it solved one row of r_0 and one column of q_0
+    per rhs column)."""
+    view = i.instance.degree_zero()
+    X, Y, Z = i.source, i.target, p.target
+    prob = LinearProblem(view.instance)
+    for n in degs:
+        y = view.pieces(Y.obj(n))
+        # an absent block leaves its equation no term, and the system no solution
+        i0, p0 = view.reduce(i.components.get(n)), view.reduce(p.components.get(n))
+        for j, c in view.pieces(X.obj(n)).items():
+            b = i0.get(j)
+            if b is not None:
+                prob.add_unknown(("r", n, j), y[j], c)
+            prob.add_equation(c, c, [] if b is None else [(("r", n, j), None, b, 1)], view.instance.id_mor(c))
+        for j, c in view.pieces(Z.obj(n)).items():
+            b = p0.get(j)
+            if b is not None:
+                prob.add_unknown(("q", n, j), c, y[j])
+            prob.add_equation(c, c, [] if b is None else [(("q", n, j), b, None, 1)], view.instance.id_mor(c))
+    sol = prob.solve()
+    if sol is None:
+        return None
+    level0 = {}  # (key, n) -> {j: r_0^j or q_0^j}
+    for (key, n, j), m in sol.items():
+        level0.setdefault((key, n), {})[j] = m
+    graded = isinstance(view, GradedQuotient)
+    out = {}
+    for n in degs:
+        r0, q0 = level0.get(("r", n), {}), level0.get(("q", n), {})
+        out[("r", n)] = (complexes._graded_left_inverse(i.components[n], r0) if graded and r0
+                         else view.lift(r0, Y.obj(n), X.obj(n)))
+        out[("q", n)] = (complexes._graded_right_inverse(p.components[n], q0) if graded and q0
+                         else view.lift(q0, Z.obj(n), Y.obj(n)))
+    return out
+
+
+def ref_level0_kronecker_split(i: ChainMap, p: ChainMap) -> ExactPair:
+    """``normalize_exact_pair`` with its one-sided inverses solved by
+    ``ref_level0_kronecker_one_sided_inverses``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_one_sided_inverses", ref_level0_kronecker_one_sided_inverses)
+        return normalize_exact_pair(i, p)
+
+
+def _same_split(pair, ref) -> bool:
+    """The two ExactPairs hold the same r, q and h."""
+    return pair.r == ref.r and pair.q == ref.q and pair.h == ref.h
+
+
 def _split_degree(i, p, split):
     """(None, pair) if split(i, p) returns, (degree, None) if it raises NotChainwiseSplit."""
     try:
@@ -494,17 +548,19 @@ def _broken_variants(i, p, rng):
 
 
 class TestSplitOracle:
-    """``normalize_exact_pair`` against the per-degree splitter it replaced."""
+    """``normalize_exact_pair`` against the per-degree splitter it replaced,
+    and against the level-0 Kronecker form it solved in before: one solve
+    per normalization, and the same r, q and h."""
 
     def test_against_per_degree_reference(self, monkeypatch):
         solves = []
-        solve = LinearProblem.solve
+        solve = complexes._solve
 
-        def counting(prob):
-            solves.append(prob)
-            return solve(prob)
+        def counting(ring, rows, m, want_kernel, t=1):
+            solves.append(rows)
+            return solve(ring, rows, m, want_kernel, t)
 
-        monkeypatch.setattr(LinearProblem, "solve", counting)
+        monkeypatch.setattr(complexes, "_solve", counting)
         rng = random.Random(71)
         seen = Counter()
         for inst in instances():
@@ -519,13 +575,15 @@ class TestSplitOracle:
             for kind, i0, p0 in pairs:
                 for i, p in _broken_variants(i0, p0, rng):
                     ref_deg, ref = _split_degree(i, p, ref_normalize_exact_pair)
+                    kron_deg, kron = _split_degree(i, p, ref_level0_kronecker_split)
                     start = len(solves)
                     deg, pair = _split_degree(i, p, normalize_exact_pair)
-                    assert deg == ref_deg, (inst, kind)
+                    assert deg == ref_deg == kron_deg, (inst, kind)
                     if pair is None:
                         seen["raised"] += 1
                         continue
                     assert len(solves) - start == 1, (inst, kind)
+                    assert _same_split(pair, kron), (inst, kind)
                     assert _splitting_holds(pair), (inst, kind)
                     assert homotopic(pair.h, ref.h) is not None, (inst, kind)
                     seen[kind] += 1
@@ -539,7 +597,8 @@ class TestEtaPowerGradedSplit:
     """``normalize_exact_pair`` over ``EtaPower(Graded(...), 2)`` splits on
     the inner instance's level-0 route, which ``EtaPower`` takes from
     ``Graded`` by delegation; the Kronecker reference over every level
-    raises at the same degrees."""
+    raises at the same degrees, and the level-0 Kronecker form gives the
+    same r, q and h."""
 
     @pytest.mark.parametrize("ring", ETA_POWER_GRADED_RINGS, ids=str)
     def test_splits_match_the_kronecker_reference(self, ring):
@@ -560,6 +619,7 @@ class TestEtaPowerGradedSplit:
                 if pair is None:
                     seen["raised"] += 1
                     continue
+                assert _same_split(pair, _split_degree(i, p, ref_level0_kronecker_split)[1]), (ring, kind, k)
                 assert pair.instance == inst
                 assert _splitting_holds(pair), (ring, kind, k)
                 # h is a chain map where i and p are: the drawn pair, variant 0
@@ -854,10 +914,10 @@ class TestNoDenseSolve:
         solved = Counter()
         solve = complexes._solve
 
-        def counting(ring, rows, m, want_kernel):
+        def counting(ring, rows, m, want_kernel, t=1):
             assert type(rows) is list and all(type(row) is dict for row in rows)
             solved[want_kernel] += 1
-            return solve(ring, rows, m, want_kernel)
+            return solve(ring, rows, m, want_kernel, t)
 
         monkeypatch.setattr(complexes, "_solve", counting)
         ok, _ = run_suite(3, trials=1)
@@ -1021,26 +1081,35 @@ def ref_factors_through_env_problem(f):
 # level-0 blocks f.component(n).component(0, j) (a zero block where absent).
 
 
-def ref_level0_split_problem(i, p):
-    """r_0^{n,j} i_0^{n,j} = Id and p_0^{n,j} q_0^{n,j} = Id, degree by
-    degree and grade by grade, for a pair that splits."""
+def ref_level0_split_rows(i, p):
+    """(rows, m, t) of the split on level 0, for a pair that splits: degree
+    by degree and grade by grade, the rows of [i_0^{n,j}T | I] (row v: column
+    v of i_0) and then of [p_0^{n,j} | I], each block on unknown columns of
+    its own, Y^{n,j} of them, and the t rows' rhs the columns of one
+    identity, from column m on."""
     inst = i.instance
     ring = inst.ring
     X, Y, Z = i.source, i.target, p.target
-    prob = LinearProblem(inst.inner)
+    blocks = []
     for n in sorted(set(Y.objects) | set(X.objects) | set(Z.objects)):
         y = Y.obj(n)
         for j in sorted(X.obj(n).ranks):
-            c = X.obj(n).rank(j)
-            prob.add_unknown(("r", n, j), y.rank(j), c)
-            prob.add_equation(c, c, [(("r", n, j), None, i.component(n).component(0, j, ring), 1)],
-                              RingMatrix.identity(ring, c))
+            i0 = i.component(n).component(0, j, ring)
+            blocks.append([[i0[(a, v)] for a in range(y.rank(j))] for v in range(X.obj(n).rank(j))])
         for j in sorted(Z.obj(n).ranks):
-            c = Z.obj(n).rank(j)
-            prob.add_unknown(("q", n, j), c, y.rank(j))
-            prob.add_equation(c, c, [(("q", n, j), p.component(n).component(0, j, ring), None, 1)],
-                              RingMatrix.identity(ring, c))
-    return prob
+            p0 = p.component(n).component(0, j, ring)
+            blocks.append([[p0[(v, a)] for a in range(y.rank(j))] for v in range(Z.obj(n).rank(j))])
+    cols = [0]
+    for block in blocks:
+        cols.append(cols[-1] + len(block[0]))
+    m = cols[-1]
+    rows = []
+    for block, col in zip(blocks, cols):
+        for coeffs in block:
+            row = {col + a: z for a, z in enumerate(coeffs) if z}
+            row[m + len(rows)] = 1
+            rows.append(row)
+    return rows, m, len(rows)
 
 
 def ref_level0_factor_problem(h):
@@ -1108,6 +1177,14 @@ class TestFamilyWriterOracle:
             return solve(prob)
 
         monkeypatch.setattr(LinearProblem, "solve", recording)
+        posed_rows = []  # (rows, m, t) of every solve, problems' and the split's
+        solve_rows = complexes._solve
+
+        def recording_rows(ring, rows, m, want_kernel, t=1):
+            posed_rows.append(([dict(row) for row in rows], m, t))
+            return solve_rows(ring, rows, m, want_kernel, t)
+
+        monkeypatch.setattr(complexes, "_solve", recording_rows)
         seen = set()
 
         def same(run, ref, what):
@@ -1128,19 +1205,28 @@ class TestFamilyWriterOracle:
 
         quotient = "level-0" if graded else "mod-c"
 
-        def same_level0(run, refs, kron, what, before=None):
+        def same_level0(run, refs, kron, what, before=None, split=None):
             """Over Graded, and over ScalarEta where eta is mono: run() poses
             exactly the quotient systems refs, in order, after the systems
             that before() poses (the scalar split), and its verdict is the one
             of the Kronecker system kron, whose unknowns and rhs ``seen``
-            records."""
+            records.  With split, the rows (rows, m, t) that run() hands the
+            solver first, not through a LinearProblem."""
             solved.clear()
             if before is not None:
                 before()
             skip = len(solved)
             solved.clear()
+            posed_rows.clear()
             out = run()
             posed = solved[skip:]
+            if split is not None:
+                assert posed_rows and posed_rows[0] == split, what
+                rows, m, t = split
+                if any(j < m for row in rows for j in row):
+                    seen.add(f"{what} {quotient} split unknowns")
+                if t:
+                    seen.add(f"{what} {quotient} split rhs")
             assert len(posed) == len(refs), what
             for k, (prob, ref) in enumerate(zip(posed, refs)):
                 assert list(prob.unknowns) == list(ref.unknowns), what
@@ -1165,7 +1251,7 @@ class TestFamilyWriterOracle:
             assert {f"{what} unknowns", f"{what} rhs"} <= seen, (what, seen)
         assert {"eta SOME", "eta NONE", "conflation SOME", "conflation NONE"} <= seen, seen
         if graded:
-            level0 = {f"conflation level-0 system {k} {x}" for k in (0, 1) for x in ("unknowns", "rhs")}
+            level0 = {f"conflation level-0 {k} {x}" for k in ("split", "system 0") for x in ("unknowns", "rhs")}
             assert level0 | {"factor SOME", "factor NONE"} <= seen, seen
         else:
             assert {"conflation mod-c system 0 unknowns", "conflation mod-c system 0 rhs"} <= seen, seen
@@ -1191,9 +1277,8 @@ class TestFamilyWriterOracle:
                 # the cone pair of f too, whose invariant has level-0 blocks more often
                 for i, p in ((i, p), cone(f)[1:]):
                     h = normalize_exact_pair(i, p).h
-                    same_level0(lambda: is_eta_conflation(i, p),
-                                [ref_level0_split_problem(i, p), ref_level0_factor_problem(h)],
-                                ref_is_eta_conflation_problem(i, p), "conflation")
+                    same_level0(lambda: is_eta_conflation(i, p), [ref_level0_factor_problem(h)],
+                                ref_is_eta_conflation_problem(i, p), "conflation", split=ref_level0_split_rows(i, p))
                     same_level0(lambda: factor_through_eta(h), [], ref_factor_through_eta_problem(h), "factor")
                 continue
             h = normalize_exact_pair(i, p).h

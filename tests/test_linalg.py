@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
@@ -784,9 +785,9 @@ class TestUnitPivotOracle:
         dense = _solve_integer_cols if ring == ZZ else _dense_zmod
         residuals = []
 
-        def recording(A, m, want_kernel):
+        def recording(A, m, want_kernel, t=1):
             residuals.append(RingMatrix(ZZ, len(A), m, [row.get(j, 0) for row in A for j in range(m)]))
-            return _solve_integer(A, m, want_kernel)
+            return _solve_integer(A, m, want_kernel, t)
 
         monkeypatch.setattr(linalg, "_solve_integer", recording)
         rng = random.Random(700 + ring.modulus)
@@ -978,12 +979,13 @@ def _reference_solve_integer(a: RingMatrix, rhs_cols: List[List], want_kernel: b
     return sols, kern
 
 
-def _reference_rows(A: List[Dict[int, int]], m: int, want_kernel: bool):
-    """`_reference_solve_integer` on the dict rows A of [a | b], b in
-    column m, taken and answered in `_solve_integer`'s shape."""
+def _reference_rows(A: List[Dict[int, int]], m: int, want_kernel: bool, t: int = 1):
+    """`_reference_solve_integer` on the dict rows A of [a | B], the t rhs
+    columns of B in columns m, ..., m+t-1, taken and answered in
+    `_solve_integer`'s shape: the solutions one after another, or None."""
     a = RingMatrix(ZZ, len(A), m, [row.get(j, 0) for row in A for j in range(m)])
-    sols, kern = _reference_solve_integer(a, [[row.get(m, 0) for row in A]], want_kernel)
-    return sols[0], kern
+    sols, kern = _reference_solve_integer(a, [[row.get(m + s, 0) for row in A] for s in range(t)], want_kernel)
+    return (None if None in sols else [z for sol in sols for z in sol]), kern
 
 
 def _hermite(vectors: List[List[int]]) -> List[List[int]]:
@@ -1089,9 +1091,9 @@ class TestResidualSolveOracle:
         calls = []
 
         def recording(solver):
-            def solve(A, m, want_kernel):
+            def solve(A, m, want_kernel, t=1):
                 calls.append(solver)
-                return solver(A, m, want_kernel)
+                return solver(A, m, want_kernel, t)
             return solve
 
         seen = {"early NONE": 0, "dense": 0, "NONE": 0, "SOME": 0, "kernel": 0}
@@ -1231,6 +1233,136 @@ class TestContentDivisionOracle:
         assert x is None and _hermite(kern) == _hermite([[-2, 1]])
         x, kern = _solve(ZZ, _rows(a, [6]), 2, True)
         assert x == [3, 0] and _hermite(kern) == _hermite([[-2, 1]])
+
+
+def _multi_rows(a: RingMatrix, rhs_cols: List[List]) -> List[dict]:
+    """The dict rows of [a | B], the columns of B in columns a.cols, ...,
+    a.cols + len(rhs_cols) - 1, as `_solve` takes several rhs columns."""
+    m = a.cols
+    rows = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(a.rows)]
+    for s, col in enumerate(rhs_cols):
+        for row, x in zip(rows, col):
+            if x:
+                row[m + s] = x
+    return rows
+
+
+def _multi_rhs_system(rng, ring):
+    """a, n x m, with 2-4 rhs columns over ``ring``: a x0, a column drawn
+    at random, the zero column, and over Z rows scaled by a content that
+    some of their rhs entries keep and others lose by +-1."""
+    n, m = rng.randint(1, 7), rng.randint(1, 7)
+    if ring.is_field:
+        density = rng.choice([0.3, 0.6, 1.0])
+        a = RingMatrix(ring, n, m, [_random_field_entry(rng, ring) if rng.random() < density else 0
+                                    for _ in range(n * m)])
+        draw = lambda: _random_field_entry(rng, ring)
+    else:
+        a, _ = _random_unit_mix(rng, ring, n, m)
+        draw = lambda: rng.randint(-3, 3)
+    cols = []
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.choice(["x0", "x0", "random", "zero"])
+        if kind == "x0":
+            cols.append(mat_mul(a, RingMatrix(ring, m, 1, [draw() for _ in range(m)])).column(0))
+        elif kind == "random":
+            cols.append([ring.canon(draw()) for _ in range(n)])
+        else:
+            cols.append([0] * n)
+    if ring == ZZ:
+        rows = [a.row(i) + [col[i] for col in cols] for i in range(n)]
+        for row in rows:
+            if rng.random() < 0.5:
+                c = rng.choice([2, 3, 6])
+                row[:] = [c * x for x in row]
+                for s in range(m, len(row)):
+                    if row[s] and rng.random() < 0.3:
+                        row[s] += rng.choice([1, -1])
+        a = RingMatrix(ZZ, n, m, [x for row in rows for x in row[:m]])
+        cols = [[row[m + s] for row in rows] for s in range(len(cols))]
+    return a, cols
+
+
+class TestMultiRhsOracle:
+    """`_solve` with t rhs columns against t one-column solves of the same
+    a, column by column: the same verdict (NONE as soon as one column has no
+    solution), every solution checks, over a field each is the one-column
+    solution itself, the zero column gets x = 0, and the kernel is the
+    one-column solves' kernel (the same generators over a field, the same
+    module over Z and Z/m)."""
+
+    @pytest.mark.parametrize("ring", [ZZ, Zmod(8), Zmod(9), Zmod(12), GF(5), QQ], ids=str)
+    def test_matches_one_column_solves(self, ring, monkeypatch):
+        seen = Counter()
+        divide, residual = linalg._divide_content, linalg._solve_integer
+
+        def watching_division(rows, m):
+            for row in filter(None, rows):
+                g = gcd(*(x for j, x in row.items() if j < m))
+                rhs = [x for j, x in row.items() if j >= m]
+                if g > 1 and any(x % g for x in rhs) and any(x % g == 0 for x in rhs):
+                    seen["a content divides one rhs entry, not another"] += 1
+            return divide(rows, m)
+
+        def watching_residual(rows, m, want_kernel, t=1):
+            if len({j for row in rows for j in row if j >= m}) > 1:
+                seen["a residual carries several rhs columns"] += 1
+            return residual(rows, m, want_kernel, t)
+
+        monkeypatch.setattr(linalg, "_divide_content", watching_division)
+        monkeypatch.setattr(linalg, "_solve_integer", watching_residual)
+        rng = random.Random(3300 + ring.modulus)
+        for _ in range(300):
+            a, cols = _multi_rhs_system(rng, ring)
+            m, t = a.cols, len(cols)
+            want_kernel = rng.random() < 0.5
+            x, kern = _solve(ring, _multi_rows(a, cols), m, want_kernel, t)
+            one = [_solve(ring, _rows(a, col), m, want_kernel) for col in cols]
+            assert (x is None) == any(y is None for y, _ in one)
+            if x is None:
+                seen["NONE"] += 1
+                seen["a column without a solution, another with one"] += any(y is not None for y, _ in one)
+            else:
+                assert len(x) == m * t
+                seen["SOME"] += 1
+                for s, (col, (y, _)) in enumerate(zip(cols, one)):
+                    sol = x[s * m:(s + 1) * m]
+                    assert mat_mul(a, RingMatrix(ring, m, 1, sol)).column(0) == [ring.canon(z) for z in col]
+                    if ring.is_field:
+                        assert sol == y
+                    if not any(col):
+                        assert sol == [0] * m
+                        seen["a zero column"] += 1
+            if not want_kernel:
+                assert kern == []
+                continue
+            for g in kern:
+                assert mat_mul(a, RingMatrix(ring, m, 1, g)).is_zero()
+            for _, one_kern in one:
+                if ring.is_field:
+                    assert kern == one_kern
+                else:
+                    assert all(_in_span(ring, one_kern, v) for v in kern)
+                    assert all(_in_span(ring, kern, v) for v in one_kern)
+            seen["kernel"] += len(kern) > 0
+        want = {"NONE", "SOME", "a column without a solution, another with one", "a zero column", "kernel"}
+        if ring == ZZ:
+            want |= {"a content divides one rhs entry, not another", "a residual carries several rhs columns"}
+        assert want <= {k for k, v in seen.items() if v}, seen
+
+    def test_content_divides_one_column_only(self):
+        """2 x + 4 y = (2, 3): the content 2 divides the first rhs entry and
+        not the second, so the system is NONE, while 2 x + 4 y = (2, 6) has
+        x = 1 and x = 3, each column on its own slice."""
+        a = M(ZZ, [[2, 4]])
+        assert _solve(ZZ, _multi_rows(a, [[2], [3]]), 2, False, 2) == (None, [])
+        assert _solve(ZZ, _multi_rows(a, [[2], [6]]), 2, False, 2) == ([1, 0, 3, 0], [])
+
+    def test_crt_recombines_every_column(self):
+        """Over Z/12, 5 x = b for b = 1, 2, 3: x = 5, 10, 3, each solved mod
+        4 and mod 3 and put back together column by column."""
+        a = M(Zmod(12), [[5]])
+        assert _solve(Zmod(12), _multi_rows(a, [[1], [2], [3]]), 1, False, 3) == ([5, 10, 3], [])
 
 
 class TestRings:
