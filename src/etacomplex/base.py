@@ -95,9 +95,6 @@ class BaseInstance:
     def hom_negate(self, f):
         raise NotImplementedError
 
-    def hom_sub(self, f, g):
-        return self.hom_add(f, self.hom_negate(g))
-
     def hom_scale(self, f, a):
         """a f for a ring element a."""
         raise NotImplementedError

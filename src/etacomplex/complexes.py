@@ -12,12 +12,14 @@ pair, whose one-sided inverses r_0 i_0 = Id and p_0 q_0 = Id are plain
 matrix equations: ``_one_sided_inverses`` writes their blocks once each,
 with the identity's columns as rhs columns.
 
-Chain maps, homotopies and the factorizations in ``frobenius`` pose their
-systems through two writers: ``add_family`` registers a family
+Chain maps, homotopies and the Kronecker factorizations in ``frobenius``
+pose their systems through two writers: ``add_family`` registers a family
 u^n: A^n -> B^{n+k}, and ``family_terms`` writes its terms
-u^{n+1} d_A^n +- d_B^{n+k} u^n.  The eta-twist of a homotopy is the shifted
-complex X(1) = ``apply_auto(X, 1)``: its unknowns start there, and its left
-side is the chain map (f - g) eta_X: X(1) -> Y.
+u^{n+1} d_A^n +- d_B^{n+k} u^n.  The quotient route through eta
+(``frobenius._factor_through_eta``) writes its t family by hand, one block
+per degree and piece of the quotient.  The eta-twist of a homotopy is the
+shifted complex X(1) = ``apply_auto(X, 1)``: its unknowns start there, and
+its left side is the chain map (f - g) eta_X: X(1) -> Y.
 
 Direct sums and cones follow one recipe, written once here: ``block_sum``
 (block-diagonal sums of complexes, the generators' draws among them),
@@ -87,12 +89,6 @@ class Complex:
 
     def is_zero(self) -> bool:
         return not self.objects
-
-    def degree_range(self) -> List[int]:
-        if not self.objects:
-            return []
-        lo, hi = min(self.objects), max(self.objects)
-        return list(range(lo, hi + 1))
 
     def __eq__(self, other):
         return other is self or (
@@ -353,18 +349,6 @@ def _summand_proj(inst: BaseInstance, objs: Sequence, k: int):
     return inst.block_mor([[inst.id_mor(X) if b == k else None for b, X in enumerate(objs)]], [objs[k]], objs)
 
 
-def dsum_complex(a: Complex, b: Complex) -> Tuple[Complex, ChainMap, ChainMap, ChainMap, ChainMap]:
-    """a (+) b with the four structural maps (inj_a, inj_b, proj_a, proj_b)."""
-    inst = a.instance
-    s = block_sum(inst, [a, b])
-
-    def structural(src, tgt, piece, k):
-        return ChainMap(src, tgt, {n: piece(inst, [a.obj(n), b.obj(n)], k) for n in s.objects})
-
-    return (s, structural(a, s, _summand_inj, 0), structural(b, s, _summand_inj, 1),
-            structural(s, a, _summand_proj, 0), structural(s, b, _summand_proj, 1))
-
-
 def cone_complex(f: ChainMap) -> Complex:
     """cone(f)^n = X^{n+1} (+) Y^n with d = [[-d_X^{n+1}, 0], [f^{n+1}, d_Y^n]]."""
     inst = f.instance
@@ -572,12 +556,11 @@ class HomotopyCertificate:
         self.s = dict(s)
         self.eta_twisted = eta_twisted
 
-    def _sides(self, f: ChainMap, g: ChainMap, clear: bool = False):
+    def _sides(self, lhs: ChainMap, clear: bool = False):
         """(n, c lhs^n, rhs^n) of the equation for the witness scaled to c s,
         None for a zero side: c = 1, or with ``clear`` the lcm of the
         denominators in s."""
-        inst = f.instance
-        lhs = _homotopy_lhs(f, g, self.eta_twisted)
+        inst = lhs.instance
         A, Y = lhs.source, lhs.target
         s, c = self.s, 1
         if clear:
@@ -585,7 +568,7 @@ class HomotopyCertificate:
                          for x in inst.mor_to_vec(m, A.obj(n), Y.obj(n - 1))))
         if c != 1:
             s = {n: inst.hom_scale(m, c) for n, m in s.items()}
-        for n in sorted(set(A.objects) | set(f.components) | set(g.components)):
+        for n in sorted(set(A.objects) | set(lhs.components)):
             rhs = _add(inst, _compose(inst, s.get(n + 1), A.diffs.get(n)),
                        _compose(inst, Y.diffs.get(n - 1), s.get(n)))
             left = lhs.components.get(n)
@@ -594,16 +577,20 @@ class HomotopyCertificate:
     def residuals(self, f: ChainMap, g: ChainMap) -> Dict[int, object]:
         """Degree n -> lhs^n - rhs^n of the homotopy equation, where nonzero."""
         inst = f.instance
-        return {n: _sub(inst, left, rhs) for n, left, rhs in self._sides(f, g)
-                if not _mor_eq(inst, left, rhs)}
+        sides = self._sides(_homotopy_lhs(f, g, self.eta_twisted))
+        return {n: _sub(inst, left, rhs) for n, left, rhs in sides if not _mor_eq(inst, left, rhs)}
 
     def validate(self, f: ChainMap, g: ChainMap) -> bool:
         """The homotopy equation holds.  Over Q it is checked times c, the lcm
         of the denominators in the witness: c lhs = (c s) d + d (c s) holds
         iff the equation does, and c s is integral, so its products stay off
         ``Fraction`` where the complexes are integral."""
-        inst = f.instance
-        return all(_mor_eq(inst, left, rhs) for _, left, rhs in self._sides(f, g, inst.ring.kind == "Q"))
+        return self._solves(_homotopy_lhs(f, g, self.eta_twisted))
+
+    def _solves(self, lhs: ChainMap) -> bool:
+        """``validate`` against the left side lhs already formed."""
+        inst = lhs.instance
+        return all(_mor_eq(inst, left, rhs) for _, left, rhs in self._sides(lhs, inst.ring.kind == "Q"))
 
 
 def _homotopy(f: ChainMap, g: ChainMap, eta_twisted: bool, what: str) -> Optional[HomotopyCertificate]:
@@ -618,7 +605,7 @@ def _homotopy(f: ChainMap, g: ChainMap, eta_twisted: bool, what: str) -> Optiona
     if sol is None:
         return None
     cert = HomotopyCertificate({n: sol[("s", n)] for n in degs}, eta_twisted)
-    verify(cert.validate(f, g), what)
+    verify(cert._solves(lhs), what)
     return cert
 
 

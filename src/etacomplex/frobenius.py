@@ -4,7 +4,9 @@ An eta-conflation is a chainwise-split exact pair whose homotopy invariant
 h: Z[-1] -> X factors through eta_X: X(1) -> X.  Projective = injective
 objects are the cones cone(eta_V); both lifting problems have closed-form
 block solutions which are constructed (and re-validated) here, together
-with the standard triangles of the stable category and the eta^m towers.
+with the standard triangles of the stable category.  A question about eta^m
+is asked of the complexes re-instanced over ``EtaPower(inst, m)``
+(``reinstance_chain_map``).
 
 Where eta is a monomorphism (t over ``Graded``, a non-zero-divisor c over
 ``ScalarEta``), a map factors through it iff it vanishes in the quotient by
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .base import BaseInstance, EtaPower, Graded, GradedMorphism
+from .base import BaseInstance
 from .complexes import (
     ChainMap,
     Complex,
@@ -407,22 +409,6 @@ def reinstance_chain_map(f: ChainMap, inst: BaseInstance) -> ChainMap:
         reinstance_complex(f.target, inst),
         dict(f.components),
     )
-
-
-def is_eta_power_conflation(i: ChainMap, p: ChainMap, m: int) -> Optional[EtaConflation]:
-    """Membership in the exact structure of eta^m (m = 1 is eta itself)."""
-    inst = i.instance
-    power = EtaPower(inst, m) if m > 1 else inst
-    return is_eta_conflation(reinstance_chain_map(i, power), reinstance_chain_map(p, power))
-
-
-def conflation_tower_check(i: ChainMap, p: ChainMap, m: int) -> bool:
-    """If the pair is an eta^m-conflation then it is an eta^{m-1}-conflation."""
-    if m < 2:
-        raise ValueError("tower check needs m >= 2")
-    if is_eta_power_conflation(i, p, m) is None:
-        return True
-    return is_eta_power_conflation(i, p, m - 1) is not None
 
 
 # -- exact-structure axiom witnesses (Ex1), (Ex2) and duals -----------------

@@ -260,12 +260,12 @@ def random_std_conflation(inst: BaseInstance, rng: random.Random, max_len: int =
     return StandardConflation(alpha)
 
 
-def random_split_pair(inst: BaseInstance, rng: random.Random, max_len: int = 3, max_rank: int = 2):
+def random_split_pair(inst: BaseInstance, rng: random.Random, max_len: int = 3):
     """A random chainwise-split pair: the standard pair of cone(f) for a
     random chain map f (its invariant is f, usually NOT factoring through
     eta)."""
-    X = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
-    W = random_complex(inst, rng, max_len=max_len, max_rank=max_rank)
+    X = random_complex(inst, rng, max_len=max_len)
+    W = random_complex(inst, rng, max_len=max_len)
     f = random_chain_map(W, X, rng)  # W plays Z[-1]
     c, i, p = cone(f)
     return i, p
@@ -387,11 +387,11 @@ def random_delta_complex(ring: CoeffRing, rng: random.Random, max_rank: int = 2)
     return _delta_conjugate(_delta_direct_sum(ring, pieces), rng)
 
 
-def random_strip_delta_complex(ring: CoeffRing, rng: random.Random, max_rank: int = 2):
+def random_strip_delta_complex(ring: CoeffRing, rng: random.Random):
     """Zero i-differential only: the regime where every strict column-wise
     map yields a completable cone."""
     pieces = [
-        _delta_strip_piece(ring, rng, max_rank) for _ in range(rng.randint(1, 2))
+        _delta_strip_piece(ring, rng) for _ in range(rng.randint(1, 2))
     ]
     return _delta_conjugate(_delta_direct_sum(ring, pieces), rng)
 

@@ -145,8 +145,9 @@ class TestGeneratorOracle:
                 for size in ({}, {"max_rank": 3}):
                     x = _same(seed, "delta-complex", lambda r: random_delta_complex(ring, r, **size),
                               lambda r: ref_random_delta_complex(ring, r, **size))
-                    _same(seed, "delta-complex", lambda r: random_strip_delta_complex(ring, r, **size),
-                          lambda r: ref_random_strip_delta_complex(ring, r, **size))
+                    if not size:  # strips are drawn at rank 2 only
+                        _same(seed, "delta-complex", lambda r: random_strip_delta_complex(ring, r),
+                              lambda r: ref_random_strip_delta_complex(ring, r))
                     seen.add(("delta0 and delta1", bool(x.delta0) and bool(x.delta1)))
                     seen.add(("GA order differs", list(x.complex.objects) != sorted(x.complex.objects)))
                     seen.add(("level 2 template", ring == Zmod(4) and x.ranks.get((1, 2), 0) >= 2))
@@ -405,7 +406,7 @@ def ref_conjugate_pair(i, p, rng: random.Random):
     Y = i.target
     autos = {n: ref_random_automorphism(inst, Y.obj(n), rng) for n in Y.objects}
     new_diffs = {}
-    for n in Y.degree_range():
+    for n in range(min(Y.objects, default=0), max(Y.objects, default=-1) + 1):
         d = Y.diff(n)
         if n in autos:
             d = inst.compose(d, autos[n][1])
